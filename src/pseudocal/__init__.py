@@ -28,7 +28,7 @@ from .metrics import (
     mean_nll,
     reliability_bins,
 )
-from .numerics import argmax_class, brier, minimize_scalar, nll, softmax
+from .numerics import argmax_class, brier, log_softmax, nll, softmax
 from .pseudo_target import (
     MixupConfig,
     PseudoTargetSet,

@@ -18,9 +18,9 @@ class LabelsRequiredError(PseudocalError):
 
 
 class OptimizationError(PseudocalError):
-    """A scalar minimization probe returned a non-finite value.
+    """The temperature fit hit a non-finite gradient or did not converge.
 
-    The offending probe point is stored in ``probe``.
+    The temperature at which it stopped is stored in ``probe``.
     """
 
     def __init__(self, message: str, probe: float):

@@ -7,7 +7,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import InvalidInputError, LabelsRequiredError
-from .numerics import PROB_EPS, softmax
+from .numerics import log_softmax, softmax
 
 DEFAULT_BINS = 15
 
@@ -139,11 +139,14 @@ def ece(batch, num_bins=DEFAULT_BINS):
 
 
 def mean_nll(batch):
-    """Mean per-sample negative log-likelihood over a labeled batch."""
+    """Mean per-sample negative log-likelihood over a labeled batch.
+
+    Exact log-softmax of the logits with no probability clamp: the same
+    NLL the temperature fit minimizes.
+    """
     _require_labels(batch)
-    p = batch.probabilities()
-    picked = p[np.arange(batch.n), batch.labels]
-    return float(np.mean(-np.log(np.maximum(picked, PROB_EPS))))
+    logp = log_softmax(batch.logits)
+    return float(np.mean(-logp[np.arange(batch.n), batch.labels]))
 
 
 def mean_brier(batch):

@@ -1,4 +1,4 @@
-"""Dense-vector primitives and the bounded scalar minimizer.
+"""Dense-vector primitives: softmax, log-softmax, NLL, Brier.
 
 Everything here is a pure function on immutable inputs. ``softmax``,
 ``nll`` and ``brier`` accept a single logit/probability vector; the
@@ -6,18 +6,15 @@ batched variants used elsewhere in the package are thin vectorizations
 with identical per-sample semantics.
 """
 
-import math
-
 import numpy as np
 
-from .errors import InvalidInputError, OptimizationError
+from .errors import InvalidInputError
 
-# Probabilities are clamped here before any logarithm. Keeps NLL finite
-# on saturated softmax outputs without visibly moving the optimum.
+# Logs of probabilities clamp here so that an exact zero stays finite.
+# mean_nll and the temperature fit work from the logits with log_softmax
+# instead: the clamp caps a confidently wrong sample's loss at ~27.6 nats,
+# which can move the fitted optimum.
 PROB_EPS = 1e-12
-
-_INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
-_GRID_POINTS = 64
 
 
 def softmax(z):
@@ -31,6 +28,20 @@ def softmax(z):
     shifted = z - np.max(z, axis=-1, keepdims=True)
     e = np.exp(shifted)
     return e / np.sum(e, axis=-1, keepdims=True)
+
+
+def log_softmax(z):
+    """Exact log of the softmax along the last axis, with no probability clamp.
+
+    Computed as ``d - log(sum(exp(d)))`` with ``d = z - max(z)``, so a
+    confidently wrong sample keeps its full loss instead of the ~27.6
+    nats a ``PROB_EPS`` clamp would cap it at.
+    """
+    z = np.asarray(z, dtype=np.float64)
+    if not np.all(np.isfinite(z)):
+        raise InvalidInputError("log_softmax: logits must be finite")
+    d = z - np.max(z, axis=-1, keepdims=True)
+    return d - np.log(np.sum(np.exp(d), axis=-1, keepdims=True))
 
 
 def nll(p, y):
@@ -71,60 +82,3 @@ def argmax_class(z):
     if not np.all(np.isfinite(z)):
         raise InvalidInputError("argmax_class: logits must be finite")
     return int(np.argmax(z))
-
-
-def _probe(f, x):
-    v = float(f(x))
-    if not math.isfinite(v):
-        raise OptimizationError(f"objective returned non-finite value at x={x!r}", probe=x)
-    return v
-
-
-def minimize_scalar(f, lo, hi, tol=1e-4):
-    """Deterministic bounded minimization of a scalar function.
-
-    Scans a coarse grid of ``_GRID_POINTS`` points (log-spaced when the
-    bracket is positive), then refines around the best point with
-    golden-section search until the bracket width is at most ``tol``.
-    Returns the best probed point, which may be a boundary.
-    """
-    if not lo < hi:
-        raise InvalidInputError(f"minimize_scalar: need lo < hi, got [{lo}, {hi}]")
-    if tol <= 0:
-        raise InvalidInputError("minimize_scalar: tol must be positive")
-
-    if lo > 0:
-        grid = np.geomspace(lo, hi, _GRID_POINTS)
-    else:
-        grid = np.linspace(lo, hi, _GRID_POINTS)
-    values = [_probe(f, x) for x in grid]
-    best = int(np.argmin(values))
-    best_x, best_v = float(grid[best]), values[best]
-
-    a = float(grid[max(best - 1, 0)])
-    b = float(grid[min(best + 1, _GRID_POINTS - 1)])
-
-    # Golden-section refinement inside the bracketing interval.
-    h = b - a
-    if h > tol:
-        n = int(math.ceil(math.log(tol / h) / math.log(_INV_PHI)))
-        c = b - _INV_PHI * h
-        d = a + _INV_PHI * h
-        yc = _probe(f, c)
-        yd = _probe(f, d)
-        for _ in range(n):
-            if yc < yd:
-                b, d, yd = d, c, yc
-                h = b - a
-                c = b - _INV_PHI * h
-                yc = _probe(f, c)
-            else:
-                a, c, yc = c, d, yd
-                h = b - a
-                d = a + _INV_PHI * h
-                yd = _probe(f, d)
-        for x, v in ((c, yc), (d, yd)):
-            if v < best_v:
-                best_x, best_v = x, v
-
-    return best_x

@@ -92,6 +92,8 @@ def _pseudo_labels(model, inputs):
     logits = np.asarray(model.predict_logits(inputs), dtype=np.float64)
     if logits.ndim != 2 or logits.shape[0] != inputs.shape[0]:
         raise InvalidInputError("model returned logits with unexpected shape")
+    if not np.all(np.isfinite(logits)):
+        raise InvalidInputError("model returned non-finite logits")
     return logits, np.argmax(logits, axis=1)
 
 

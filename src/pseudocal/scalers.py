@@ -7,14 +7,15 @@ contain the temperature family, so their fitted NLL can only be lower.
 """
 
 import json
+import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
 
-from .errors import InvalidInputError, LabelsRequiredError
+from .errors import InvalidInputError, LabelsRequiredError, OptimizationError
 from .metrics import PredictionBatch
-from .numerics import PROB_EPS, minimize_scalar, softmax
+from .numerics import PROB_EPS, log_softmax, softmax
 
 # Search bounds for the temperature. Wide enough to contain every
 # plausible optimum while keeping softmax(z/T) numerically sane;
@@ -22,7 +23,11 @@ from .numerics import PROB_EPS, minimize_scalar, softmax
 T_MIN = 0.05
 T_MAX = 20.0
 
-TEMPERATURE_TOL = 1e-4
+# Newton/bisection on beta = 1/T stops once a step moves beta by at most
+# this fraction. Bisection alone gets there from the full bracket in under
+# 40 steps, so hitting the cap means the search failed.
+NEWTON_REL_TOL = 1e-10
+NEWTON_MAX_ITER = 100
 
 GD_MAX_ITER = 2000
 GD_GRAD_TOL = 1e-6
@@ -89,38 +94,112 @@ def apply(calibrator, batch):
     return PredictionBatch(logits=out, labels=batch.labels)
 
 
-def _nll_against(probs, labels, soft_labels):
-    logp = np.log(np.maximum(probs, PROB_EPS))
+def _cross_entropy(logp, labels, soft_labels):
     if soft_labels is not None:
         return float(np.mean(-np.sum(soft_labels * logp, axis=1)))
     return float(np.mean(-logp[np.arange(len(labels)), labels]))
 
 
+def _checked_soft_labels(batch, soft_labels):
+    """The (n, C) soft-label matrix, or None to use the batch's hard labels."""
+    if soft_labels is None:
+        if not batch.has_labels:
+            raise LabelsRequiredError("temperature fitting requires hard or soft labels")
+        return None
+    soft_labels = np.asarray(soft_labels, dtype=np.float64)
+    if soft_labels.shape != batch.logits.shape:
+        raise InvalidInputError("soft labels must be an (n, C) matrix matching the logits")
+    if not np.all(np.isfinite(soft_labels)) or np.any(soft_labels < 0):
+        raise InvalidInputError("soft labels must be finite and nonnegative")
+    return soft_labels
+
+
 def temperature_objective(batch, soft_labels=None):
-    """Mean NLL of softmax(z/T) against the batch labels, as a function of T."""
+    """Exact mean NLL of softmax(z/T) against the batch labels, as a function of T.
+
+    This is the function :func:`fit_temperature` minimizes: cross-entropy
+    by log-softmax, with no probability clamp.
+    """
     z = batch.logits
-    if soft_labels is None and not batch.has_labels:
-        raise LabelsRequiredError("temperature fitting requires hard or soft labels")
-    if soft_labels is not None:
-        soft_labels = np.asarray(soft_labels, dtype=np.float64)
-        if soft_labels.shape != z.shape:
-            raise InvalidInputError("soft labels must be an (n, C) matrix matching the logits")
+    soft_labels = _checked_soft_labels(batch, soft_labels)
 
     def objective(t):
-        return _nll_against(softmax(z / t), batch.labels, soft_labels)
+        return _cross_entropy(log_softmax(z / t), batch.labels, soft_labels)
 
     return objective
 
 
-def fit_temperature(batch, soft_labels=None, tol=TEMPERATURE_TOL):
-    """Fit the temperature minimizing mean NLL over [T_MIN, T_MAX].
+def fit_temperature(batch, soft_labels=None):
+    """Fit the temperature minimizing the exact mean NLL over [T_MIN, T_MAX].
 
     ``soft_labels`` (an (n, C) matrix) overrides the batch's hard labels
     and turns the objective into cross-entropy against soft targets.
+
+    With ``d = z - rowmax(z)``, ``d_y`` the target's share of ``d`` and
+    ``s`` the target mass per row (1 for hard labels), the per-sample NLL
+    in the inverse temperature beta = 1/T is ``s * log(sum(exp(beta*d))) -
+    beta * d_y``: convex, with gradient ``s * E_p[d] - d_y`` and curvature
+    ``s * Var_p[d]`` under ``p = softmax(beta*d)``. The search is a
+    safeguarded Newton/bisection root-find of the mean gradient on
+    [1/T_MAX, 1/T_MIN]. When the NLL still falls at a bound (slope >= 0
+    at beta = 1/T_MAX, or <= 0 at beta = 1/T_MIN), that bound is returned:
+    it is the constrained optimum, not a failed search. Raises
+    OptimizationError if the search does not converge.
     """
-    objective = temperature_objective(batch, soft_labels)
-    t = minimize_scalar(objective, T_MIN, T_MAX, tol=tol)
-    return Calibrator(kind="temperature", temperature=float(t))
+    soft_labels = _checked_soft_labels(batch, soft_labels)
+    d = batch.logits - np.max(batch.logits, axis=1, keepdims=True)
+    if soft_labels is None:
+        d_y = d[np.arange(batch.n), batch.labels]
+        mass = 1.0
+    else:
+        d_y = np.einsum("ij,ij->i", soft_labels, d)
+        mass = np.sum(soft_labels, axis=1)
+    e = np.empty_like(d)
+
+    def slope_and_curvature(beta):
+        np.multiply(d, beta, out=e)
+        np.exp(e, out=e)
+        total = np.sum(e, axis=1)
+        mean_d = np.einsum("ij,ij->i", e, d) / total
+        var_d = np.einsum("ij,ij,ij->i", e, d, d) / total - mean_d**2
+        slope = float(np.mean(mass * mean_d - d_y))
+        if not math.isfinite(slope):
+            raise OptimizationError(f"NLL gradient is not finite at T={1.0 / beta!r}", probe=1.0 / beta)
+        return slope, float(np.mean(mass * var_d))
+
+    lo, hi = 1.0 / T_MAX, 1.0 / T_MIN
+    if slope_and_curvature(lo)[0] >= 0.0:
+        return Calibrator(kind="temperature", temperature=T_MAX)
+    if slope_and_curvature(hi)[0] <= 0.0:
+        return Calibrator(kind="temperature", temperature=T_MIN)
+
+    # Newton steps on the increasing gradient, kept inside the sign bracket
+    # [lo, hi]; a step that leaves the bracket, or does not at least halve
+    # the step before last, falls back to bisection. The bracket spans a
+    # factor of 400, so it is halved in log beta.
+    beta, step, last_step = 1.0, hi - lo, hi - lo
+    for _ in range(NEWTON_MAX_ITER):
+        slope, curvature = slope_and_curvature(beta)
+        if slope > 0.0:
+            hi = beta
+        elif slope < 0.0:
+            lo = beta
+        else:
+            break
+        newton = -slope / curvature if curvature > 0.0 else np.inf
+        if lo <= beta + newton <= hi and abs(newton) <= 0.5 * abs(last_step):
+            last_step, step = step, newton
+        else:
+            last_step, step = step, np.sqrt(lo * hi) - beta
+        beta += step
+        if abs(step) <= NEWTON_REL_TOL * beta:
+            break
+    else:
+        raise OptimizationError(
+            f"temperature fit did not converge in {NEWTON_MAX_ITER} Newton/bisection steps",
+            probe=1.0 / beta,
+        )
+    return Calibrator(kind="temperature", temperature=min(max(1.0 / beta, T_MIN), T_MAX))
 
 
 def fit_oracle(batch):
@@ -151,8 +230,8 @@ def nll_decomposition(batch, temperature):
     """
     if not batch.has_labels:
         raise LabelsRequiredError("nll decomposition requires labels")
-    probs = softmax(batch.logits / temperature)
-    per_sample = -np.log(np.maximum(probs[np.arange(batch.n), batch.labels], PROB_EPS))
+    logp = log_softmax(batch.logits / temperature)
+    per_sample = -logp[np.arange(batch.n), batch.labels]
     correct = batch.correct()
     n_c = int(np.sum(correct))
     n_w = batch.n - n_c
@@ -172,7 +251,7 @@ def _affine_nll_and_grads(params_w, params_b, z, labels, mode):
     else:
         scaled = z @ params_w.T + params_b
     p = softmax(scaled)
-    nll = _nll_against(p, labels, None)
+    nll = _cross_entropy(np.log(np.maximum(p, PROB_EPS)), labels, None)
     resid = p.copy()
     resid[np.arange(n), labels] -= 1.0
     if mode == "vector":

@@ -56,30 +56,48 @@ def ece_bruteforce(logits, labels, num_bins):
 
 
 def grid_temperature(logits, labels, n_points=100_000, chunk=8000):
-    """Dense log-spaced grid search for the NLL-minimizing temperature."""
+    """Dense log-spaced grid search for the NLL-minimizing temperature.
+
+    ``labels`` holds hard class indices (length n) or soft labels (n x C).
+    """
     z = np.asarray(logits, dtype=np.float64)
     y = np.asarray(labels)
     grid = np.geomspace(T_MIN, T_MAX, n_points)
     n = len(y)
     m = z.max(axis=1)
     d = z - m[:, None]
-    gap = np.mean(m - z[np.arange(n), y])
+    if y.ndim == 2:
+        mass = y.sum(axis=1)
+        gap = np.mean(mass * m - np.sum(y * z, axis=1))
+    else:
+        mass = np.ones(n)
+        gap = np.mean(m - z[np.arange(n), y])
     best_v, best_t = np.inf, None
     for start in range(0, n_points, chunk):
         ts = grid[start : start + chunk]
         e = np.exp(d[None, :, :] / ts[:, None, None])
-        vals = gap / ts + np.log(e.sum(axis=2)).mean(axis=1)
+        vals = gap / ts + (mass * np.log(e.sum(axis=2))).mean(axis=1)
         i = int(np.argmin(vals))
         if vals[i] < best_v:
             best_v, best_t = float(vals[i]), float(ts[i])
     return best_t
 
 
-def grid_minimize(f, lo, hi, n_points=100_000):
-    """Dense-grid argmin oracle for scalar functions."""
-    xs = np.linspace(lo, hi, n_points)
-    vals = np.array([f(x) for x in xs])
-    return float(xs[int(np.argmin(vals))])
+def nll_slope_in_beta(logits, labels, beta):
+    """dNLL/dbeta of the mean NLL of softmax(beta * z), by a plain per-row loop.
+
+    ``labels`` holds hard class indices or soft labels, as in grid_temperature.
+    """
+    z = np.asarray(logits, dtype=np.float64)
+    y = np.asarray(labels)
+    slopes = []
+    for i in range(z.shape[0]):
+        d = z[i] - z[i].max()
+        p = np.exp(beta * d)
+        p /= p.sum()
+        target = y[i] if y.ndim == 2 else np.eye(z.shape[1])[y[i]]
+        slopes.append(target.sum() * np.dot(p, d) - np.dot(target, d))
+    return float(np.mean(slopes))
 
 
 BENCH_SPEC = dict(

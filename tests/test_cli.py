@@ -87,6 +87,24 @@ def test_oracle_on_stripped_task_is_data_access_error(workspace, capsys):
     assert captured.err.count("\n") == 1  # single-line error
 
 
+def test_nonfinite_model_logits_are_a_one_line_error(workspace, capsys):
+    root, task, model = workspace
+    doc = json.loads(model.read_text())
+    doc["weights"][0][0] = float("nan")
+    broken = root / "nan_model.json"
+    broken.write_text(json.dumps(doc))
+    code = run([
+        "calibrate", "--task", str(task), "--model", str(broken),
+        "--out", str(root / "never_cal.json"),
+    ])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.err.startswith("error: InvalidInputError:")
+    assert "non-finite" in captured.err
+    assert captured.err.count("\n") == 1
+    assert not (root / "never_cal.json").exists()
+
+
 def test_sweep_csv(workspace):
     root, task, model = workspace
     out = root / "sweep.csv"

@@ -118,6 +118,11 @@ def test_mean_nll_perfect_and_uniform():
     assert metrics.mean_nll(uniform) == pytest.approx(math.log(2), abs=1e-12)
 
 
+def test_mean_nll_is_exact_for_confident_mistakes():
+    wrong = metrics.PredictionBatch(logits=[[100.0, 0.0]], labels=[1])
+    assert metrics.mean_nll(wrong) == pytest.approx(100.0, abs=1e-9)
+
+
 def test_mean_brier_perfect_and_uniform():
     perfect = metrics.PredictionBatch(logits=[[80.0, 0.0]], labels=[0])
     assert metrics.mean_brier(perfect) == pytest.approx(0.0, abs=1e-9)

@@ -109,6 +109,16 @@ def test_synthesize_degenerate_when_predictions_collapse():
     assert "1" in str(excinfo.value)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_synthesize_rejects_nonfinite_model_logits(bad):
+    x = np.random.default_rng(4).standard_normal((10, 3))
+    x[3, 1] = bad
+    with pytest.raises(InvalidInputError, match="non-finite"):
+        pseudo_target.synthesize(IdentityModel(), x, pseudo_target.MixupConfig(seed=0))
+    with pytest.raises(InvalidInputError, match="non-finite"):
+        pseudo_target.variant_pseudo_label(IdentityModel(), x)
+
+
 def test_soft_labels_are_convex_combinations():
     rng = np.random.default_rng(8)
     x = rng.standard_normal((30, 4))

@@ -2,11 +2,12 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from pseudocal import metrics, scalers
-from pseudocal.errors import InvalidInputError, LabelsRequiredError
+from pseudocal.errors import InvalidInputError, LabelsRequiredError, OptimizationError
 
-from _util import grid_temperature, random_batch
+from _util import grid_temperature, nll_slope_in_beta, random_batch
 
 
 def test_identity_leaves_batch_unchanged():
@@ -98,6 +99,85 @@ def test_fit_temperature_soft_labels():
     assert cal.temperature == pytest.approx(scalers.T_MAX)
     with pytest.raises(InvalidInputError):
         scalers.fit_temperature(b, soft_labels=np.ones((2, 3)))
+
+
+def _clamp_repro():
+    # 99 confidently right samples and one far more confidently wrong one:
+    # a PROB_EPS clamp caps the wrong sample's loss at ~27.6 nats, which
+    # lets the sharpening bound T_MIN look optimal.
+    z = np.array([[5.0, 0.0]] * 99 + [[100.0, 0.0]])
+    y = np.array([0] * 99 + [1])
+    return z, y
+
+
+def test_fit_temperature_uses_exact_nll_not_clamped():
+    z, y = _clamp_repro()
+    t = scalers.fit_temperature(metrics.PredictionBatch(logits=z, labels=y)).temperature
+    assert abs(t - grid_temperature(z, y)) <= 1e-2
+    assert t == pytest.approx(3.64, abs=1e-2)
+
+
+def test_fit_temperature_soft_labels_use_exact_nll():
+    z, y = _clamp_repro()
+    unlabeled = metrics.PredictionBatch(logits=z)
+    onehot = np.eye(2)[y]
+    t_onehot = scalers.fit_temperature(unlabeled, soft_labels=onehot).temperature
+    assert abs(t_onehot - grid_temperature(z, y)) <= 1e-2
+    # mixup-style soft labels: the dominant class carries 0.65 of the mass
+    soft = 0.65 * onehot + 0.35 * (1.0 - onehot)
+    t_soft = scalers.fit_temperature(unlabeled, soft_labels=soft).temperature
+    assert abs(t_soft - grid_temperature(z, soft)) <= 1e-2
+
+
+def test_fit_temperature_rejects_bad_soft_labels():
+    b = metrics.PredictionBatch(logits=[[1.0, 0.0], [0.0, 1.0]])
+    with pytest.raises(InvalidInputError):
+        scalers.fit_temperature(b, soft_labels=[[1.0, 0.0], [np.nan, 1.0]])
+    with pytest.raises(InvalidInputError):
+        scalers.fit_temperature(b, soft_labels=[[1.2, -0.2], [0.0, 1.0]])
+
+
+def test_fit_temperature_raises_when_iteration_cap_is_hit(monkeypatch):
+    z, y = _clamp_repro()
+    monkeypatch.setattr(scalers, "NEWTON_MAX_ITER", 1)
+    with pytest.raises(OptimizationError):
+        scalers.fit_temperature(metrics.PredictionBatch(logits=z, labels=y))
+
+
+@st.composite
+def fit_problems(draw):
+    """Random logits with hard labels or row-normalized soft labels."""
+    n = draw(st.integers(1, 25))
+    c = draw(st.integers(2, 6))
+    cells = st.lists(st.floats(-30.0, 30.0), min_size=n * c, max_size=n * c)
+    z = np.array(draw(cells)).reshape(n, c)
+    if draw(st.booleans()):
+        w = np.array(draw(st.lists(st.floats(0.0, 1.0), min_size=n * c, max_size=n * c)))
+        w = w.reshape(n, c)
+        w[w.sum(axis=1) == 0.0] = 1.0
+        return z, w / w.sum(axis=1, keepdims=True)
+    return z, np.array(draw(st.lists(st.integers(0, c - 1), min_size=n, max_size=n)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(fit_problems())
+def test_fit_temperature_satisfies_optimality_conditions(problem):
+    z, target = problem
+    if target.ndim == 2:
+        cal = scalers.fit_temperature(metrics.PredictionBatch(logits=z), soft_labels=target)
+    else:
+        cal = scalers.fit_temperature(metrics.PredictionBatch(logits=z, labels=target))
+    t = cal.temperature
+    slope = nll_slope_in_beta(z, target, 1.0 / t)
+    spread = float(np.mean(z.max(axis=1) - z.min(axis=1)))
+    # the fit and the oracle sum the same terms in different orders
+    rounding = 1e-12 * (1.0 + spread)
+    if t == scalers.T_MIN:
+        assert slope <= rounding  # sharpening further would not help
+    elif t == scalers.T_MAX:
+        assert slope >= -rounding  # flattening further would not help
+    else:
+        assert abs(slope) <= 1e-8 * spread
 
 
 def test_fit_temperature_requires_labels():
