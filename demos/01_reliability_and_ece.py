@@ -5,10 +5,11 @@ overconfident, and shows how the binned accuracy-vs-confidence gap
 turns into a single ECE number.
 """
 
+import io
+
 import numpy as np
 
-from pseudocal import PredictionBatch, ece, reliability_bins
-from pseudocal.metrics import bin_stats_csv_text
+from pseudocal import PredictionBatch, bin_stats_to_csv, ece, reliability_bins
 
 rng = np.random.default_rng(0)
 
@@ -32,4 +33,6 @@ assert honest.accuracy() == sharpened.accuracy()
 #    holds most samples at near-1.0 confidence but much lower accuracy.
 stats = reliability_bins(sharpened, 10)
 print("\nreliability bins of the sharpened model (10 bins):")
-print(bin_stats_csv_text(stats))
+csv_text = io.StringIO()
+bin_stats_to_csv(stats, csv_text)
+print(csv_text.getvalue())

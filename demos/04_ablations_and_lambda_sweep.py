@@ -14,24 +14,24 @@ The sweep shows the medium mix-ratio band working best: ratios near
 0.5 make mixtures too ambiguous, ratios near 1.0 make them too easy.
 """
 
+from dataclasses import replace
+
 import numpy as np
 
 from pseudocal import (
     MixupConfig,
     PredictionBatch,
     ShiftSpec,
+    calibrate,
     correspondence_rate,
     ece,
     generate,
     lambda_sweep,
     synthesize,
     train,
-    variant_beta_mixup,
     variant_filtered_pl,
     variant_pseudo_label,
-    variant_same_label,
 )
-from pseudocal.pseudo_target import calibrate
 
 spec = ShiftSpec(n_classes=5, dim=10, n_source=2000, n_target=2000,
                  mean_shift=1.0, rotation=0.45, seed=0)
@@ -45,18 +45,19 @@ cfg = MixupConfig(seed=0)
 print("ablation                 T        ECE")
 fits = {
     "mixup distinct (ours)": calibrate(model, task.target_inputs, cfg),
-    "pseudo-label":          variant_pseudo_label(model, task.target_inputs),
-    "filtered pseudo-label": variant_filtered_pl(model, task.target_inputs),
-    "mixup same-label":      variant_same_label(model, task.target_inputs, cfg),
-    "mixup beta ratios":     variant_beta_mixup(model, task.target_inputs, cfg),
+    "pseudo-label":          variant_pseudo_label(batch.logits),
+    "filtered pseudo-label": variant_filtered_pl(batch.logits),
+    "mixup same-label":      calibrate(model, task.target_inputs, replace(cfg, pairing="same")),
+    "mixup beta ratios":     calibrate(model, task.target_inputs,
+                                       replace(cfg, lambda_policy="beta")),
 }
 for name, cal in fits.items():
     print(f"{name:<22} {cal.temperature:>7.3f} {ece(cal.apply(batch)):>10.4f}")
 
 # The diagnostic behind the trick: mixed samples succeed or fail
 # together with their dominant constituent far above chance.
-pseudo = synthesize(model, task.target_inputs, cfg)
-rate = correspondence_rate(model, pseudo, task.target_labels)
+pseudo = synthesize(model, task.target_inputs, batch.logits, cfg)
+rate = correspondence_rate(pseudo, task.target_labels)
 print(f"\ncorrespondence rate: {rate:.3f} "
       f"(chance would be near {0.5:.2f}; deep-net benchmarks report >0.60)")
 

@@ -27,6 +27,7 @@ from .metrics import (
     mean_brier,
     mean_nll,
     reliability_bins,
+    write_csv,
 )
 from .numerics import argmax_class, brier, log_softmax, nll, softmax
 from .pseudo_target import (
@@ -34,11 +35,10 @@ from .pseudo_target import (
     PseudoTargetSet,
     calibrate,
     correspondence_rate,
+    infer,
     synthesize,
-    variant_beta_mixup,
     variant_filtered_pl,
     variant_pseudo_label,
-    variant_same_label,
     write_provenance_csv,
 )
 from .report import ExperimentResult, evaluate_all, lambda_sweep

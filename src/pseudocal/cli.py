@@ -160,11 +160,14 @@ def cmd_calibrate(args):
     )
     task = synthetic.load_task(args.task)
     model = synthetic.load_model(args.model)
-    pseudo = pseudo_target.synthesize(model, task.target_inputs, cfg)
-    calibrator = pseudo_target.fit_on_pseudo_set(model, pseudo, cfg.label_mode)
+    # The target logits live only as long as synthesize needs them.
+    pseudo = pseudo_target.synthesize(
+        model, task.target_inputs, pseudo_target.infer(model, task.target_inputs), cfg
+    )
+    calibrator = pseudo_target.fit_on_pseudo_set(pseudo, cfg.label_mode)
     scalers.save_calibrator(calibrator, args.out)
     if args.provenance_out is not None:
-        pseudo_target.write_provenance_csv(pseudo, model, args.provenance_out)
+        pseudo_target.write_provenance_csv(pseudo, args.provenance_out)
     print(f"wrote calibrator to {args.out} (T={calibrator.temperature:.4f})")
     return 0
 

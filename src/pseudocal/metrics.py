@@ -1,7 +1,6 @@
 """Calibration-error metrics and reliability-diagram bin statistics."""
 
 import csv
-import io
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -158,6 +157,17 @@ def mean_brier(batch):
     return float(np.mean(np.sum((p - onehot) ** 2, axis=1) / batch.num_classes))
 
 
+def write_csv(path_or_file, header, rows):
+    """Write a header line and rows as CSV to a path or to an open text file."""
+    if isinstance(path_or_file, (str, bytes)) or hasattr(path_or_file, "__fspath__"):
+        with open(path_or_file, "w", newline="") as fh:
+            write_csv(fh, header, rows)
+        return
+    writer = csv.writer(path_or_file)
+    writer.writerow(header)
+    writer.writerows(rows)
+
+
 def bin_stats_to_csv(stats, path_or_file):
     """Write BinStats as CSV: bin_lower, bin_upper, count, accuracy, confidence."""
     rows = [
@@ -170,21 +180,4 @@ def bin_stats_to_csv(stats, path_or_file):
         )
         for m in range(stats.bin_count)
     ]
-    if isinstance(path_or_file, (str, bytes)) or hasattr(path_or_file, "__fspath__"):
-        with open(path_or_file, "w", newline="") as fh:
-            _write_bin_rows(fh, rows)
-    else:
-        _write_bin_rows(path_or_file, rows)
-
-
-def _write_bin_rows(fh, rows):
-    writer = csv.writer(fh)
-    writer.writerow(["bin_lower", "bin_upper", "count", "accuracy", "confidence"])
-    writer.writerows(rows)
-
-
-def bin_stats_csv_text(stats):
-    """BinStats CSV as a string (used by tests and the CLI)."""
-    buf = io.StringIO()
-    bin_stats_to_csv(stats, buf)
-    return buf.getvalue()
+    write_csv(path_or_file, ["bin_lower", "bin_upper", "count", "accuracy", "confidence"], rows)

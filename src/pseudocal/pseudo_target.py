@@ -8,15 +8,13 @@ samples do, so a temperature fitted on this surrogate labeled set
 approximates the oracle temperature fitted on true target labels.
 """
 
-import csv
-import io
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Protocol, runtime_checkable
 
 import numpy as np
 
 from .errors import DegenerateTargetError, EmptyFilterError, InvalidInputError
-from .metrics import PredictionBatch
+from .metrics import PredictionBatch, write_csv
 from .scalers import fit_temperature
 
 BETA_ALPHA = 0.3
@@ -66,11 +64,11 @@ class MixupConfig:
 
 @dataclass(frozen=True)
 class PseudoTargetSet:
-    """Mixed samples with their pseudo labels and per-pair provenance."""
+    """Mixed samples with their logits, pseudo labels and per-pair provenance."""
 
     inputs: np.ndarray
+    logits: np.ndarray
     hard_labels: np.ndarray
-    num_classes: int
     soft_labels: np.ndarray | None = None
     index_a: np.ndarray | None = None
     index_b: np.ndarray | None = None
@@ -84,33 +82,41 @@ class PseudoTargetSet:
         return self.inputs.shape[0]
 
     @property
+    def num_classes(self):
+        return self.logits.shape[1]
+
+    @property
     def has_provenance(self):
         return self.index_a is not None
 
 
-def _pseudo_labels(model, inputs):
+def infer(model, inputs):
+    """The one checked inference call: the model's logits as a finite (n, C) matrix."""
     logits = np.asarray(model.predict_logits(inputs), dtype=np.float64)
-    if logits.ndim != 2 or logits.shape[0] != inputs.shape[0]:
+    if logits.ndim != 2 or logits.shape[0] != len(inputs):
         raise InvalidInputError("model returned logits with unexpected shape")
     if not np.all(np.isfinite(logits)):
         raise InvalidInputError("model returned non-finite logits")
-    return logits, np.argmax(logits, axis=1)
+    return logits
 
 
-def synthesize(model, target_inputs, cfg):
-    """Build a pseudo-target set from unlabeled target inputs.
+def synthesize(model, target_inputs, target_logits, cfg):
+    """Build a pseudo-target set from unlabeled target inputs and their logits.
 
     Per epoch: shuffle, pair sample i with shuffled counterpart, keep
     pairs according to ``cfg.pairing``, mix inputs with the mix ratio,
-    and label by the dominant sample's pseudo label. Raises
+    and label by the dominant sample's pseudo label. The mixed inputs
+    are inferred once, and the set carries those logits. Raises
     DegenerateTargetError when no pair at all survives.
     """
     inputs = np.asarray(target_inputs, dtype=np.float64)
     if inputs.ndim != 2 or inputs.shape[0] < 2:
         raise InvalidInputError("target inputs must be an (n>=2, d) matrix")
     n = inputs.shape[0]
-    logits, pl = _pseudo_labels(model, inputs)
-    num_classes = logits.shape[1]
+    if np.shape(target_logits)[0] != n:
+        raise InvalidInputError("target logits must hold one row per target input")
+    pl = np.argmax(target_logits, axis=1)
+    num_classes = np.shape(target_logits)[1]
 
     rng = np.random.default_rng(cfg.seed)
     parts = []
@@ -146,12 +152,8 @@ def synthesize(model, target_inputs, cfg):
             f"pseudo-target synthesis is degenerate: {detail}", predicted_class=single
         )
 
-    mixed = np.concatenate([p[0] for p in parts])
-    hard = np.concatenate([p[1] for p in parts])
-    idx_a = np.concatenate([p[2] for p in parts])
-    idx_b = np.concatenate([p[3] for p in parts])
-    lam = np.concatenate([p[4] for p in parts])
-    dominant = np.concatenate([p[5] for p in parts])
+    mixed, hard, idx_a, idx_b, lam, dominant = (np.concatenate(col) for col in zip(*parts))
+    del parts  # the per-epoch copies must not outlive the mixed-set inference
 
     soft = None
     if cfg.label_mode == "soft":
@@ -161,8 +163,8 @@ def synthesize(model, target_inputs, cfg):
 
     return PseudoTargetSet(
         inputs=mixed,
+        logits=infer(model, mixed),
         hard_labels=hard,
-        num_classes=num_classes,
         soft_labels=soft,
         index_a=idx_a,
         index_b=idx_b,
@@ -173,84 +175,70 @@ def synthesize(model, target_inputs, cfg):
     )
 
 
-def fit_on_pseudo_set(model, pseudo, label_mode="hard"):
-    """Run inference on the mixed samples and fit a temperature against their labels."""
-    logits = np.asarray(model.predict_logits(pseudo.inputs), dtype=np.float64)
+def fit_on_pseudo_set(pseudo, label_mode):
+    """Fit a temperature on the pseudo set's logits against its hard or soft labels."""
     if label_mode == "soft":
         if pseudo.soft_labels is None:
             raise InvalidInputError("pseudo-target set carries no soft labels")
-        return fit_temperature(PredictionBatch(logits=logits), soft_labels=pseudo.soft_labels)
-    return fit_temperature(PredictionBatch(logits=logits, labels=pseudo.hard_labels))
+        batch = PredictionBatch(logits=pseudo.logits)
+        return fit_temperature(batch, soft_labels=pseudo.soft_labels)
+    return fit_temperature(PredictionBatch(logits=pseudo.logits, labels=pseudo.hard_labels))
 
 
 def calibrate(model, target_inputs, cfg=None):
     """PseudoCal: synthesize a pseudo-target set and fit a temperature on it."""
     cfg = cfg or MixupConfig()
-    pseudo = synthesize(model, target_inputs, cfg)
-    return fit_on_pseudo_set(model, pseudo, cfg.label_mode)
+    pseudo = synthesize(model, target_inputs, infer(model, target_inputs), cfg)
+    return fit_on_pseudo_set(pseudo, cfg.label_mode)
 
 
-def correspondence_rate(model, pseudo, target_labels):
+def _pseudo_correct(pseudo):
+    if not pseudo.has_provenance:
+        raise InvalidInputError("pseudo-target set carries no provenance")
+    return np.argmax(pseudo.logits, axis=1) == pseudo.hard_labels
+
+
+def correspondence_rate(pseudo, target_labels):
     """Fraction of pairs whose pseudo-sample correctness matches the dominant real sample's.
 
     A pair corresponds when the mixed sample (judged against its pseudo
     label) and its dominant constituent (judged against its true label)
     are both correct or both wrong. Diagnostic only: needs true labels.
     """
-    if not pseudo.has_provenance:
-        raise InvalidInputError("pseudo-target set carries no provenance")
+    pseudo_correct = _pseudo_correct(pseudo)
     target_labels = np.asarray(target_labels, dtype=np.int64)
-    _, pred = _pseudo_labels(model, pseudo.inputs)
-    pseudo_correct = pred == pseudo.hard_labels
     dominant_pl = np.where(pseudo.lam > 0.5, pseudo.pl_a, pseudo.pl_b)
     dominant_correct = dominant_pl == target_labels[pseudo.dominant_index]
     return float(np.mean(pseudo_correct == dominant_correct))
 
 
-def variant_pseudo_label(model, target_inputs):
+def variant_pseudo_label(target_logits):
     """Fit the temperature on real samples against their own pseudo labels.
 
     Every sample is trivially "correct", so the NLL objective pushes the
     temperature to the sharpening boundary T_MIN.
     """
-    inputs = np.asarray(target_inputs, dtype=np.float64)
-    logits, pl = _pseudo_labels(model, inputs)
-    return fit_temperature(PredictionBatch(logits=logits, labels=pl))
+    pl = np.argmax(target_logits, axis=1)
+    return fit_temperature(PredictionBatch(logits=target_logits, labels=pl))
 
 
-def variant_filtered_pl(model, target_inputs, threshold=FILTER_THRESHOLD):
+def variant_filtered_pl(target_logits, threshold=FILTER_THRESHOLD):
     """Pseudo-label fit restricted to samples with confidence >= threshold."""
     if not 0.0 < threshold < 1.0:
         raise InvalidInputError("threshold must lie in (0, 1)")
-    inputs = np.asarray(target_inputs, dtype=np.float64)
-    logits, pl = _pseudo_labels(model, inputs)
-    batch = PredictionBatch(logits=logits, labels=pl)
+    pl = np.argmax(target_logits, axis=1)
+    batch = PredictionBatch(logits=target_logits, labels=pl)
     keep = batch.confidences() >= threshold
     if not np.any(keep):
         raise EmptyFilterError(
             f"no sample reaches confidence {threshold}; filtered pseudo-label fit is empty"
         )
-    return fit_temperature(PredictionBatch(logits=logits[keep], labels=pl[keep]))
+    return fit_temperature(PredictionBatch(logits=batch.logits[keep], labels=pl[keep]))
 
 
-def variant_same_label(model, target_inputs, cfg=None):
-    """Ablation: mix only pairs whose pseudo labels agree."""
-    cfg = replace(cfg or MixupConfig(), pairing="same")
-    return calibrate(model, target_inputs, cfg)
-
-
-def variant_beta_mixup(model, target_inputs, cfg=None):
-    """Ablation: per-pair mix ratios drawn from Beta(0.3, 0.3)."""
-    cfg = replace(cfg or MixupConfig(), lambda_policy="beta")
-    return calibrate(model, target_inputs, cfg)
-
-
-def write_provenance_csv(pseudo, model, path_or_file):
+def write_provenance_csv(pseudo, path_or_file):
     """Audit trail: one row per pseudo sample with its pair and correctness."""
-    if not pseudo.has_provenance:
-        raise InvalidInputError("pseudo-target set carries no provenance")
-    _, pred = _pseudo_labels(model, pseudo.inputs)
-    pseudo_correct = (pred == pseudo.hard_labels).astype(int)
+    pseudo_correct = _pseudo_correct(pseudo).astype(int)
     rows = [
         (
             int(pseudo.index_a[i]),
@@ -263,20 +251,5 @@ def write_provenance_csv(pseudo, model, path_or_file):
         )
         for i in range(pseudo.size)
     ]
-    if isinstance(path_or_file, (str, bytes)) or hasattr(path_or_file, "__fspath__"):
-        with open(path_or_file, "w", newline="") as fh:
-            _write_provenance_rows(fh, rows)
-    else:
-        _write_provenance_rows(path_or_file, rows)
-
-
-def _write_provenance_rows(fh, rows):
-    writer = csv.writer(fh)
-    writer.writerow(["index_a", "index_b", "lambda", "pl_a", "pl_b", "y_pt", "pseudo_correct"])
-    writer.writerows(rows)
-
-
-def provenance_csv_text(pseudo, model):
-    buf = io.StringIO()
-    write_provenance_csv(pseudo, model, buf)
-    return buf.getvalue()
+    header = ["index_a", "index_b", "lambda", "pl_a", "pl_b", "y_pt", "pseudo_correct"]
+    write_csv(path_or_file, header, rows)

@@ -6,11 +6,11 @@ baselines see the labeled source validation split, and the oracle sees
 the target labels it is defined by.
 """
 
-import csv
-import io
 import json
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, replace
+from functools import cached_property
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -23,23 +23,8 @@ from .metrics import (
     mean_brier,
     mean_nll,
     reliability_bins,
+    write_csv,
 )
-
-METHODS = (
-    "none",
-    "temp_oracle",
-    "vector",
-    "matrix",
-    "pseudocal",
-    "pseudo_label",
-    "filtered_pl",
-    "pseudocal_same",
-    "beta_mixup",
-    "ensemble",
-)
-
-_SOURCE_METHODS = ("vector", "matrix")
-_ORACLE_METHODS = ("temp_oracle",)
 
 DEFAULT_ENSEMBLE_SIZE = 5
 
@@ -100,58 +85,92 @@ class ExperimentResult:
         return "\n".join(lines) + "\n"
 
 
-def _validate_access(methods, task):
-    for m in methods:
-        if m not in METHODS:
-            raise InvalidInputError(f"unknown method {m!r}; valid: {', '.join(METHODS)}")
-        if m in _ORACLE_METHODS and not task.has_target_labels:
-            raise DataAccessError(f"method {m!r} requires target labels", method=m)
-        if m in _SOURCE_METHODS and not task.has_source:
-            raise DataAccessError(f"method {m!r} requires a labeled source split", method=m)
-        if m == "ensemble" and not task.has_source:
-            raise DataAccessError("method 'ensemble' requires source data to train on", method=m)
+class Access(NamedTuple):
+    """A kind of data a method may see, and how to tell that a task provides it."""
+
+    description: str
+    provided: Callable
 
 
-def _fit_method(name, model, task, mixup_cfg, seed, ensemble_size):
-    target_inputs = task.target_inputs
-    if name == "none":
-        return scalers.identity(), None
-    if name == "temp_oracle":
-        batch = PredictionBatch(
-            logits=model.predict_logits(target_inputs), labels=task.target_labels
+UNLABELED_TARGET = Access("unlabeled target inputs", lambda task: True)
+SOURCE_SPLIT = Access("a labeled source split", lambda task: task.has_source)
+TARGET_LABELS = Access("target labels", lambda task: task.has_target_labels)
+
+
+class _Inputs:
+    """The data one evaluate_all call offers its methods; each input set is inferred once."""
+
+    def __init__(self, model, task, mixup_cfg, seed, ensemble_size):
+        self.model = model
+        self.task = task
+        self.mixup_cfg = mixup_cfg
+        self.seed = seed
+        self.ensemble_size = ensemble_size
+        self.target_logits = pseudo_target.infer(model, task.target_inputs)
+        self.target_batch = PredictionBatch(logits=self.target_logits, labels=task.target_labels)
+
+    @cached_property
+    def source_batch(self):
+        """The labeled source validation split, inferred on first use."""
+        return PredictionBatch(
+            logits=pseudo_target.infer(self.model, self.task.source_val_inputs),
+            labels=self.task.source_val_labels,
         )
-        return scalers.fit_oracle(batch), None
-    if name in ("vector", "matrix"):
-        batch = PredictionBatch(
-            logits=model.predict_logits(task.source_val_inputs),
-            labels=task.source_val_labels,
+
+
+def _mixup(**change):
+    """PseudoCal under the run's mixup config with ``change`` applied, and its pseudo set."""
+
+    def fit(data):
+        cfg = replace(data.mixup_cfg, **change)
+        pseudo = pseudo_target.synthesize(
+            data.model, data.task.target_inputs, data.target_logits, cfg
         )
-        fit = scalers.fit_vector if name == "vector" else scalers.fit_matrix
-        return fit(batch), None
-    if name == "pseudocal":
-        pseudo = pseudo_target.synthesize(model, target_inputs, mixup_cfg)
-        cal = pseudo_target.fit_on_pseudo_set(model, pseudo, mixup_cfg.label_mode)
-        return cal, pseudo
-    if name == "pseudo_label":
-        return pseudo_target.variant_pseudo_label(model, target_inputs), None
-    if name == "filtered_pl":
-        return pseudo_target.variant_filtered_pl(model, target_inputs), None
-    if name == "pseudocal_same":
-        return pseudo_target.variant_same_label(model, target_inputs, mixup_cfg), None
-    if name == "beta_mixup":
-        return pseudo_target.variant_beta_mixup(model, target_inputs, mixup_cfg), None
-    if name == "ensemble":
-        train_cfg = getattr(model, "train_config", {}) or {}
-        ens = synthetic.ensemble_train(
-            task,
-            ensemble_size,
-            seeds=list(range(seed, seed + ensemble_size)),
-            epochs=train_cfg.get("epochs", synthetic.DEFAULT_EPOCHS),
-            lr=train_cfg.get("lr", synthetic.DEFAULT_LR),
-            gamma=train_cfg.get("gamma", 1.0),
-        )
-        return ens, None
-    raise InvalidInputError(f"unknown method {name!r}")  # pragma: no cover
+        return pseudo_target.fit_on_pseudo_set(pseudo, cfg.label_mode), pseudo
+
+    return fit
+
+
+def _fit_ensemble(data):
+    train_cfg = getattr(data.model, "train_config", {}) or {}
+    ens = synthetic.ensemble_train(
+        data.task,
+        data.ensemble_size,
+        seeds=list(range(data.seed, data.seed + data.ensemble_size)),
+        epochs=train_cfg.get("epochs", synthetic.DEFAULT_EPOCHS),
+        lr=train_cfg.get("lr", synthetic.DEFAULT_LR),
+        gamma=train_cfg.get("gamma", 1.0),
+    )
+    return ens, None
+
+
+class Method(NamedTuple):
+    """The data a method may see, and its fit: _Inputs -> (calibrator or model, pseudo set)."""
+
+    sees: Access
+    fit: Callable
+
+
+METHODS = {
+    "none": Method(UNLABELED_TARGET, lambda data: (scalers.identity(), None)),
+    "temp_oracle": Method(
+        TARGET_LABELS, lambda data: (scalers.fit_oracle(data.target_batch), None)
+    ),
+    "vector": Method(SOURCE_SPLIT, lambda data: (scalers.fit_vector(data.source_batch), None)),
+    "matrix": Method(SOURCE_SPLIT, lambda data: (scalers.fit_matrix(data.source_batch), None)),
+    "pseudocal": Method(UNLABELED_TARGET, _mixup()),
+    "pseudo_label": Method(
+        UNLABELED_TARGET,
+        lambda data: (pseudo_target.variant_pseudo_label(data.target_logits), None),
+    ),
+    "filtered_pl": Method(
+        UNLABELED_TARGET,
+        lambda data: (pseudo_target.variant_filtered_pl(data.target_logits), None),
+    ),
+    "pseudocal_same": Method(UNLABELED_TARGET, _mixup(pairing="same")),
+    "beta_mixup": Method(UNLABELED_TARGET, _mixup(lambda_policy="beta")),
+    "ensemble": Method(SOURCE_SPLIT, _fit_ensemble),
+}
 
 
 def evaluate_all(
@@ -165,28 +184,30 @@ def evaluate_all(
 ):
     """Fit every requested method, apply it, and measure on the target."""
     methods = list(methods)
-    _validate_access(methods, task)
+    for name in methods:
+        if name not in METHODS:
+            raise InvalidInputError(f"unknown method {name!r}; valid: {', '.join(METHODS)}")
+        sees = METHODS[name].sees
+        if not sees.provided(task):
+            raise DataAccessError(f"method {name!r} requires {sees.description}", method=name)
     if mixup_cfg is None:
         mixup_cfg = pseudo_target.MixupConfig(seed=seed)
 
-    base_logits = model.predict_logits(task.target_inputs)
-    target_batch = PredictionBatch(logits=base_logits, labels=task.target_labels)
-
+    data = _Inputs(model, task, mixup_cfg, seed, ensemble_size)
     results = {}
     wall_clock = {}
     bin_stats = {}
     correspondence = None
     for name in methods:
         t0 = time.perf_counter()
-        fitted, pseudo = _fit_method(name, model, task, mixup_cfg, seed, ensemble_size)
-        if name == "ensemble":
-            scored = PredictionBatch(
-                logits=fitted.predict_logits(task.target_inputs), labels=task.target_labels
-            )
-            temp = None
-        else:
-            scored = fitted.apply(target_batch)
+        fitted, pseudo = METHODS[name].fit(data)
+        if isinstance(fitted, scalers.Calibrator):
+            scored = fitted.apply(data.target_batch)
             temp = fitted.temperature
+        else:
+            logits = pseudo_target.infer(fitted, task.target_inputs)
+            scored = PredictionBatch(logits=logits, labels=task.target_labels)
+            temp = None
         results[name] = MethodResult(
             ece=ece(scored, bins),
             nll=mean_nll(scored),
@@ -195,10 +216,8 @@ def evaluate_all(
             temperature=temp,
         )
         bin_stats[name] = reliability_bins(scored, bins)
-        if name == "pseudocal" and pseudo is not None and task.has_target_labels:
-            correspondence = pseudo_target.correspondence_rate(
-                model, pseudo, task.target_labels
-            )
+        if name == "pseudocal" and task.has_target_labels:
+            correspondence = pseudo_target.correspondence_rate(pseudo, task.target_labels)
         wall_clock[name] = time.perf_counter() - t0
 
     meta = {
@@ -206,14 +225,7 @@ def evaluate_all(
         "source_val_fraction": task.val_fraction,
         "bins": bins,
         "seed": seed,
-        "mixup": {
-            "lam": mixup_cfg.lam,
-            "lambda_policy": mixup_cfg.lambda_policy,
-            "label_mode": mixup_cfg.label_mode,
-            "pairing": mixup_cfg.pairing,
-            "epochs": mixup_cfg.epochs,
-            "seed": mixup_cfg.seed,
-        },
+        "mixup": asdict(mixup_cfg),
         "methods": methods,
     }
     return ExperimentResult(
@@ -240,21 +252,16 @@ def method_bins_to_csv(result, path_or_file):
                     f"{stats.confidence[m]:.10g}",
                 )
             )
-    if isinstance(path_or_file, (str, bytes)) or hasattr(path_or_file, "__fspath__"):
-        with open(path_or_file, "w", newline="") as fh:
-            _write_method_bin_rows(fh, rows)
-    else:
-        _write_method_bin_rows(path_or_file, rows)
-
-
-def _write_method_bin_rows(fh, rows):
-    writer = csv.writer(fh)
-    writer.writerow(["method", "bin_lower", "bin_upper", "count", "accuracy", "confidence"])
-    writer.writerows(rows)
+    header = ["method", "bin_lower", "bin_upper", "count", "accuracy", "confidence"]
+    write_csv(path_or_file, header, rows)
 
 
 def lambda_sweep(model, task, lambdas, label_modes, seeds, bins=DEFAULT_BINS):
-    """Mean target ECE per (mix ratio, label mode) cell, averaged over seeds."""
+    """Mean target ECE per (mix ratio, label mode) cell, averaged over seeds.
+
+    Each (mix ratio, seed) pseudo set is built once and every label mode
+    is fitted on it.
+    """
     lambdas = [float(l) for l in lambdas]
     for lam in lambdas:
         if not 0.5 < lam < 1.0:
@@ -265,73 +272,51 @@ def lambda_sweep(model, task, lambdas, label_modes, seeds, bins=DEFAULT_BINS):
     if not seeds:
         raise InvalidInputError("sweep requires at least one seed")
 
-    base_logits = model.predict_logits(task.target_inputs)
-    target_batch = PredictionBatch(logits=base_logits, labels=task.target_labels)
+    target_logits = pseudo_target.infer(model, task.target_inputs)
+    target_batch = PredictionBatch(logits=target_logits, labels=task.target_labels)
+    # Soft labels are built only when a soft fit will read them.
+    synth_mode = "soft" if "soft" in label_modes else "hard"
 
     rows = []
     for lam in lambdas:
-        for mode in label_modes:
-            values = []
-            for seed in seeds:
-                cfg = pseudo_target.MixupConfig(lam=lam, label_mode=mode, seed=int(seed))
-                cal = pseudo_target.calibrate(model, task.target_inputs, cfg)
-                values.append(ece(cal.apply(target_batch), bins))
+        values = [[] for _ in label_modes]
+        for seed in seeds:
+            cfg = pseudo_target.MixupConfig(lam=lam, label_mode=synth_mode, seed=int(seed))
+            pseudo = pseudo_target.synthesize(model, task.target_inputs, target_logits, cfg)
+            for mode, mode_values in zip(label_modes, values):
+                cal = pseudo_target.fit_on_pseudo_set(pseudo, mode)
+                mode_values.append(ece(cal.apply(target_batch), bins))
+        for mode, mode_values in zip(label_modes, values):
             rows.append(
                 {
                     "lambda": lam,
                     "label_mode": mode,
-                    "mean_ece": float(np.mean(values)),
-                    "std_ece": float(np.std(values)),
-                    "n_seeds": len(values),
+                    "mean_ece": float(np.mean(mode_values)),
+                    "std_ece": float(np.std(mode_values)),
+                    "n_seeds": len(mode_values),
                 }
             )
     return rows
 
 
 def sweep_to_csv(rows, path_or_file):
-    if isinstance(path_or_file, (str, bytes)) or hasattr(path_or_file, "__fspath__"):
-        with open(path_or_file, "w", newline="") as fh:
-            _write_sweep_rows(fh, rows)
-    else:
-        _write_sweep_rows(path_or_file, rows)
-
-
-def _write_sweep_rows(fh, rows):
-    writer = csv.writer(fh)
-    writer.writerow(["lambda", "label_mode", "mean_ece", "std_ece", "n_seeds"])
-    for r in rows:
-        writer.writerow(
-            [
-                f"{r['lambda']:.10g}",
-                r["label_mode"],
-                f"{r['mean_ece']:.10g}",
-                f"{r['std_ece']:.10g}",
-                r["n_seeds"],
-            ]
+    csv_rows = [
+        (
+            f"{r['lambda']:.10g}",
+            r["label_mode"],
+            f"{r['mean_ece']:.10g}",
+            f"{r['std_ece']:.10g}",
+            r["n_seeds"],
         )
-
-
-def sweep_csv_text(rows):
-    buf = io.StringIO()
-    sweep_to_csv(rows, buf)
-    return buf.getvalue()
+        for r in rows
+    ]
+    write_csv(path_or_file, ["lambda", "label_mode", "mean_ece", "std_ece", "n_seeds"], csv_rows)
 
 
 def history_to_csv(history, path_or_file):
     """Training-history CSV: epoch, source_loss, target_error, target_nll."""
-    history = np.asarray(history)
     rows = [
         (int(e), f"{sl:.10g}", f"{te:.10g}", f"{tn:.10g}")
-        for e, sl, te, tn in history
+        for e, sl, te, tn in np.asarray(history)
     ]
-    if isinstance(path_or_file, (str, bytes)) or hasattr(path_or_file, "__fspath__"):
-        with open(path_or_file, "w", newline="") as fh:
-            _write_history_rows(fh, rows)
-    else:
-        _write_history_rows(path_or_file, rows)
-
-
-def _write_history_rows(fh, rows):
-    writer = csv.writer(fh)
-    writer.writerow(["epoch", "source_loss", "target_error", "target_nll"])
-    writer.writerows(rows)
+    write_csv(path_or_file, ["epoch", "source_loss", "target_error", "target_nll"], rows)

@@ -60,6 +60,11 @@ class Calibrator:
                 raise InvalidInputError(
                     f"temperature must lie in [{T_MIN}, {T_MAX}], got {self.temperature}"
                 )
+        c = np.shape(self.bias)[0] if np.ndim(self.bias) == 1 else None
+        if self.kind == "vector" and (c is None or np.shape(self.scale) != (c,)):
+            raise InvalidInputError("vector calibrator needs 1-D scale and bias of equal length")
+        if self.kind == "matrix" and (c is None or np.shape(self.weight) != (c, c)):
+            raise InvalidInputError("matrix calibrator needs a square weight matching its bias")
 
     def apply(self, batch):
         return apply(self, batch)
@@ -334,9 +339,14 @@ def calibrator_to_dict(calibrator):
 
 
 def calibrator_from_dict(doc):
-    kind = doc["kind"]
+    if not isinstance(doc, dict) or "kind" not in doc:
+        raise InvalidInputError("calibrator document needs a 'kind'")
+    if doc.get("schema_version") != SCHEMA_VERSION:
+        raise InvalidInputError(
+            f"unsupported calibrator schema_version {doc.get('schema_version')!r}"
+        )
     return Calibrator(
-        kind=kind,
+        kind=doc["kind"],
         temperature=doc.get("temperature"),
         scale=np.asarray(doc["scale"]) if "scale" in doc else None,
         bias=np.asarray(doc["bias"]) if "bias" in doc else None,

@@ -169,6 +169,8 @@ class TrainedClassifier:
     def __post_init__(self):
         if self.gamma < 1.0:
             raise InvalidInputError("gamma must be >= 1")
+        if np.ndim(self.weights) != 2 or np.shape(self.bias) != np.shape(self.weights)[1:]:
+            raise InvalidInputError("classifier needs a (d, C) weight matrix and a length-C bias")
 
     def predict_logits(self, inputs):
         inputs = np.asarray(inputs, dtype=np.float64)
@@ -342,9 +344,17 @@ def save_task(task, path):
         fh.write("\n")
 
 
-def load_task(path):
+def _load(path, from_dict):
+    """Read a JSON document; a malformed one raises InvalidInputError."""
     with open(path) as fh:
-        return task_from_dict(json.load(fh))
+        try:
+            return from_dict(json.load(fh))
+        except (KeyError, TypeError, ValueError) as exc:
+            raise InvalidInputError(f"malformed document {path}: {exc!r}") from exc
+
+
+def load_task(path):
+    return _load(path, task_from_dict)
 
 
 def save_model(model, path):
@@ -354,5 +364,4 @@ def save_model(model, path):
 
 
 def load_model(path):
-    with open(path) as fh:
-        return model_from_dict(json.load(fh))
+    return _load(path, model_from_dict)

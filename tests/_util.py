@@ -121,11 +121,11 @@ def bench_setup(seed, target_priors=None):
     return task, model, batch
 
 
-def chance_correspondence(model, pseudo, target_labels, seed, n_draws=20):
+def chance_correspondence(pseudo, target_labels, seed, n_draws=20):
     """Simulation oracle: correspondence rate under label permutation."""
     rng = np.random.default_rng(seed)
     rates = [
-        pseudo_target.correspondence_rate(model, pseudo, rng.permutation(target_labels))
+        pseudo_target.correspondence_rate(pseudo, rng.permutation(target_labels))
         for _ in range(n_draws)
     ]
     return float(np.mean(rates))

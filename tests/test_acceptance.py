@@ -9,6 +9,7 @@ the numeric tolerances.
 
 import json
 import time
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -139,15 +140,14 @@ def test_criterion_07_ablation_ordering():
         eces["pseudocal"].append(
             metrics.ece(pseudo_target.calibrate(model, task.target_inputs, cfg).apply(batch))
         )
-        pl_cal = pseudo_target.variant_pseudo_label(model, task.target_inputs)
+        pl_cal = pseudo_target.variant_pseudo_label(batch.logits)
         eces["pseudo_label"].append(metrics.ece(pl_cal.apply(batch)))
         eces["filtered_pl"].append(
-            metrics.ece(pseudo_target.variant_filtered_pl(model, task.target_inputs).apply(batch))
+            metrics.ece(pseudo_target.variant_filtered_pl(batch.logits).apply(batch))
         )
+        same_cfg = replace(cfg, pairing="same")
         eces["pseudocal_same"].append(
-            metrics.ece(
-                pseudo_target.variant_same_label(model, task.target_inputs, cfg).apply(batch)
-            )
+            metrics.ece(pseudo_target.calibrate(model, task.target_inputs, same_cfg).apply(batch))
         )
         # mechanism check: every sample agrees with its own pseudo label,
         # so the fit slams into the sharpening bound; the grid agrees
@@ -249,9 +249,9 @@ def test_criterion_12_correspondence_diagnostic(tmp_path):
         rate = json.loads(path.read_text())["correspondence_rate"]
         assert rate is not None
         pseudo = pseudo_target.synthesize(
-            model, task.target_inputs, pseudo_target.MixupConfig(seed=seed)
+            model, task.target_inputs, batch.logits, pseudo_target.MixupConfig(seed=seed)
         )
-        chance = chance_correspondence(model, pseudo, task.target_labels, seed=seed + 500)
+        chance = chance_correspondence(pseudo, task.target_labels, seed=seed + 500)
         wins += rate > chance
         rates.append(rate)
     assert wins >= 9

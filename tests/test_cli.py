@@ -105,6 +105,45 @@ def test_nonfinite_model_logits_are_a_one_line_error(workspace, capsys):
     assert not (root / "never_cal.json").exists()
 
 
+def _assert_one_line_invalid_input(code, capsys, never_written):
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.err.startswith("error: InvalidInputError:")
+    assert captured.err.count("\n") == 1
+    assert not never_written.exists()
+
+
+def test_task_without_n_classes_is_a_one_line_error(workspace, capsys):
+    root, task, model = workspace
+    doc = json.loads(task.read_text())
+    del doc["spec"]["n_classes"]
+    broken = root / "no_classes_task.json"
+    broken.write_text(json.dumps(doc))
+    out = root / "never_cal.json"
+    code = run(["calibrate", "--task", str(broken), "--model", str(model), "--out", str(out)])
+    _assert_one_line_invalid_input(code, capsys, out)
+
+
+def test_non_json_task_is_a_one_line_error(workspace, capsys):
+    root, _, model = workspace
+    broken = root / "not_json_task.json"
+    broken.write_text("spec: {n_classes: 5}\n")
+    out = root / "never_cal.json"
+    code = run(["calibrate", "--task", str(broken), "--model", str(model), "--out", str(out)])
+    _assert_one_line_invalid_input(code, capsys, out)
+
+
+def test_model_bias_of_wrong_length_is_a_one_line_error(workspace, capsys):
+    root, task, model = workspace
+    doc = json.loads(model.read_text())
+    doc["bias"] = doc["bias"][:1]
+    broken = root / "short_bias_model.json"
+    broken.write_text(json.dumps(doc))
+    out = root / "never_cal.json"
+    code = run(["calibrate", "--task", str(task), "--model", str(broken), "--out", str(out)])
+    _assert_one_line_invalid_input(code, capsys, out)
+
+
 def test_sweep_csv(workspace):
     root, task, model = workspace
     out = root / "sweep.csv"

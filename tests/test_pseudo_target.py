@@ -1,3 +1,6 @@
+import io
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -49,7 +52,7 @@ def test_synthesize_mixes_by_dominance():
     x[1, 7] = 5.0
     seed = swapping_seed(2)
     cfg = pseudo_target.MixupConfig(lam=0.65, seed=seed)
-    pseudo = pseudo_target.synthesize(IdentityModel(), x, cfg)
+    pseudo = pseudo_target.synthesize(IdentityModel(), x, x, cfg)
     assert pseudo.size == 2
     for i in range(pseudo.size):
         a, b = pseudo.index_a[i], pseudo.index_b[i]
@@ -62,7 +65,7 @@ def test_synthesize_lambda_one_reduces_to_pseudo_labeled_reals():
     rng = np.random.default_rng(0)
     x = rng.standard_normal((20, 3)) * 3
     cfg = pseudo_target.MixupConfig(lam=1.0, seed=1)
-    pseudo = pseudo_target.synthesize(IdentityModel(), x, cfg)
+    pseudo = pseudo_target.synthesize(IdentityModel(), x, x, cfg)
     for i in range(pseudo.size):
         np.testing.assert_allclose(pseudo.inputs[i], x[pseudo.index_a[i]])
         assert pseudo.hard_labels[i] == np.argmax(x[pseudo.index_a[i]])
@@ -71,7 +74,7 @@ def test_synthesize_lambda_one_reduces_to_pseudo_labeled_reals():
 def test_synthesize_filters_equal_pseudo_labels():
     rng = np.random.default_rng(2)
     x = rng.standard_normal((50, 4))
-    pseudo = pseudo_target.synthesize(IdentityModel(), x, pseudo_target.MixupConfig(seed=3))
+    pseudo = pseudo_target.synthesize(IdentityModel(), x, x, pseudo_target.MixupConfig(seed=3))
     assert np.all(pseudo.pl_a != pseudo.pl_b)
     assert pseudo.size <= 50
 
@@ -80,7 +83,7 @@ def test_synthesize_same_pairing_keeps_agreeing_pairs():
     rng = np.random.default_rng(4)
     x = rng.standard_normal((60, 2))
     cfg = pseudo_target.MixupConfig(pairing="same", seed=5)
-    pseudo = pseudo_target.synthesize(IdentityModel(), x, cfg)
+    pseudo = pseudo_target.synthesize(IdentityModel(), x, x, cfg)
     assert np.all(pseudo.pl_a == pseudo.pl_b)
     assert np.all(pseudo.hard_labels == pseudo.pl_a)
 
@@ -89,13 +92,13 @@ def test_synthesize_multi_epoch_and_determinism():
     rng = np.random.default_rng(6)
     x = rng.standard_normal((40, 3))
     cfg = pseudo_target.MixupConfig(epochs=3, seed=7)
-    p1 = pseudo_target.synthesize(IdentityModel(), x, cfg)
-    p2 = pseudo_target.synthesize(IdentityModel(), x, cfg)
+    p1 = pseudo_target.synthesize(IdentityModel(), x, x, cfg)
+    p2 = pseudo_target.synthesize(IdentityModel(), x, x, cfg)
     assert p1.size <= 3 * 40
     np.testing.assert_array_equal(p1.inputs, p2.inputs)
     np.testing.assert_array_equal(p1.hard_labels, p2.hard_labels)
     other = pseudo_target.synthesize(
-        IdentityModel(), x, pseudo_target.MixupConfig(epochs=3, seed=8)
+        IdentityModel(), x, x, pseudo_target.MixupConfig(epochs=3, seed=8)
     )
     assert other.size != p1.size or not np.array_equal(other.inputs, p1.inputs)
 
@@ -104,7 +107,7 @@ def test_synthesize_degenerate_when_predictions_collapse():
     x = np.zeros((10, 3))
     x[:, 1] = 4.0  # every sample predicted as class 1
     with pytest.raises(DegenerateTargetError) as excinfo:
-        pseudo_target.synthesize(IdentityModel(), x, pseudo_target.MixupConfig(seed=0))
+        pseudo_target.synthesize(IdentityModel(), x, x, pseudo_target.MixupConfig(seed=0))
     assert excinfo.value.predicted_class == 1
     assert "1" in str(excinfo.value)
 
@@ -114,16 +117,16 @@ def test_synthesize_rejects_nonfinite_model_logits(bad):
     x = np.random.default_rng(4).standard_normal((10, 3))
     x[3, 1] = bad
     with pytest.raises(InvalidInputError, match="non-finite"):
-        pseudo_target.synthesize(IdentityModel(), x, pseudo_target.MixupConfig(seed=0))
+        pseudo_target.calibrate(IdentityModel(), x, pseudo_target.MixupConfig(seed=0))
     with pytest.raises(InvalidInputError, match="non-finite"):
-        pseudo_target.variant_pseudo_label(IdentityModel(), x)
+        pseudo_target.variant_pseudo_label(pseudo_target.infer(IdentityModel(), x))
 
 
 def test_soft_labels_are_convex_combinations():
     rng = np.random.default_rng(8)
     x = rng.standard_normal((30, 4))
     cfg = pseudo_target.MixupConfig(lam=0.65, label_mode="soft", seed=9)
-    pseudo = pseudo_target.synthesize(IdentityModel(), x, cfg)
+    pseudo = pseudo_target.synthesize(IdentityModel(), x, x, cfg)
     np.testing.assert_allclose(pseudo.soft_labels.sum(axis=1), 1.0)
     for i in range(pseudo.size):
         assert pseudo.soft_labels[i, pseudo.pl_a[i]] == pytest.approx(0.65)
@@ -134,7 +137,7 @@ def test_beta_policy_dominance_follows_ratio():
     rng = np.random.default_rng(10)
     x = rng.standard_normal((200, 3))
     cfg = pseudo_target.MixupConfig(lambda_policy="beta", seed=11)
-    pseudo = pseudo_target.synthesize(IdentityModel(), x, cfg)
+    pseudo = pseudo_target.synthesize(IdentityModel(), x, x, cfg)
     assert np.any(pseudo.lam < 0.5) and np.any(pseudo.lam > 0.5)
     dominant_pl = np.where(pseudo.lam > 0.5, pseudo.pl_a, pseudo.pl_b)
     np.testing.assert_array_equal(pseudo.hard_labels, dominant_pl)
@@ -199,66 +202,75 @@ def test_correspondence_rate_perfect_model():
     # dominant constituent's class, so every pair corresponds
     x = np.tile(4.0 * np.eye(4), (10, 1))
     labels = np.argmax(x, axis=1)
-    pseudo = pseudo_target.synthesize(IdentityModel(), x, pseudo_target.MixupConfig(seed=13))
-    rate = pseudo_target.correspondence_rate(IdentityModel(), pseudo, labels)
+    pseudo = pseudo_target.synthesize(IdentityModel(), x, x, pseudo_target.MixupConfig(seed=13))
+    rate = pseudo_target.correspondence_rate(pseudo, labels)
     assert rate == pytest.approx(1.0)
 
 
 def test_correspondence_rate_exceeds_permuted_chance():
     task, model = shifted_task_and_model()
     pseudo = pseudo_target.synthesize(
-        model, task.target_inputs, pseudo_target.MixupConfig(seed=0)
+        model,
+        task.target_inputs,
+        pseudo_target.infer(model, task.target_inputs),
+        pseudo_target.MixupConfig(seed=0),
     )
-    rate = pseudo_target.correspondence_rate(model, pseudo, task.target_labels)
-    chance = chance_correspondence(model, pseudo, task.target_labels, seed=100)
+    rate = pseudo_target.correspondence_rate(pseudo, task.target_labels)
+    chance = chance_correspondence(pseudo, task.target_labels, seed=100)
     assert rate > chance
 
 
 def test_correspondence_under_permuted_labels_matches_chance_level():
     task, model = shifted_task_and_model()
     pseudo = pseudo_target.synthesize(
-        model, task.target_inputs, pseudo_target.MixupConfig(seed=0)
+        model,
+        task.target_inputs,
+        pseudo_target.infer(model, task.target_inputs),
+        pseudo_target.MixupConfig(seed=0),
     )
     rng = np.random.default_rng(200)
     permuted_rate = pseudo_target.correspondence_rate(
-        model, pseudo, rng.permutation(task.target_labels)
+        pseudo, rng.permutation(task.target_labels)
     )
-    chance = chance_correspondence(model, pseudo, task.target_labels, seed=201, n_draws=50)
+    chance = chance_correspondence(pseudo, task.target_labels, seed=201, n_draws=50)
     # one permutation draw concentrates near the simulated chance level
     assert abs(permuted_rate - chance) <= 0.05
 
 
 def test_correspondence_requires_provenance():
     pseudo = pseudo_target.PseudoTargetSet(
-        inputs=np.zeros((2, 2)), hard_labels=np.zeros(2, dtype=int), num_classes=2
+        inputs=np.zeros((2, 2)),
+        logits=np.zeros((2, 2)),
+        hard_labels=np.zeros(2, dtype=int),
     )
     with pytest.raises(InvalidInputError):
-        pseudo_target.correspondence_rate(IdentityModel(), pseudo, np.zeros(2, dtype=int))
+        pseudo_target.correspondence_rate(pseudo, np.zeros(2, dtype=int))
 
 
 def test_variant_pseudo_label_hits_sharpening_bound():
     task, model = shifted_task_and_model()
-    cal = pseudo_target.variant_pseudo_label(model, task.target_inputs)
+    cal = pseudo_target.variant_pseudo_label(pseudo_target.infer(model, task.target_inputs))
     assert cal.temperature == pytest.approx(scalers.T_MIN)
 
 
 def test_variant_filtered_pl_threshold_and_empty():
     task, model = shifted_task_and_model()
-    cal = pseudo_target.variant_filtered_pl(model, task.target_inputs, threshold=0.95)
+    logits = pseudo_target.infer(model, task.target_inputs)
+    cal = pseudo_target.variant_filtered_pl(logits, threshold=0.95)
     assert cal.temperature == pytest.approx(scalers.T_MIN)
     with pytest.raises(InvalidInputError):
-        pseudo_target.variant_filtered_pl(model, task.target_inputs, threshold=1.5)
+        pseudo_target.variant_filtered_pl(logits, threshold=1.5)
     # uniform logits never reach high confidence
     flat = np.zeros((10, 3))
     flat[:, 0] = 0.1
     with pytest.raises(EmptyFilterError):
-        pseudo_target.variant_filtered_pl(IdentityModel(), flat, threshold=0.95)
+        pseudo_target.variant_filtered_pl(flat, threshold=0.95)
 
 
 def test_variant_same_label_uses_agreeing_pairs():
     task, model = shifted_task_and_model()
-    cal = pseudo_target.variant_same_label(
-        model, task.target_inputs, pseudo_target.MixupConfig(seed=2)
+    cal = pseudo_target.calibrate(
+        model, task.target_inputs, pseudo_target.MixupConfig(pairing="same", seed=2)
     )
     assert cal.kind == "temperature"
 
@@ -266,16 +278,19 @@ def test_variant_same_label_uses_agreeing_pairs():
 def test_variant_beta_mixup_deterministic():
     task, model = shifted_task_and_model()
     cfg = pseudo_target.MixupConfig(seed=3)
-    t1 = pseudo_target.variant_beta_mixup(model, task.target_inputs, cfg).temperature
-    t2 = pseudo_target.variant_beta_mixup(model, task.target_inputs, cfg).temperature
+    cfg = replace(cfg, lambda_policy="beta")
+    t1 = pseudo_target.calibrate(model, task.target_inputs, cfg).temperature
+    t2 = pseudo_target.calibrate(model, task.target_inputs, cfg).temperature
     assert t1 == t2
 
 
 def test_provenance_csv():
     rng = np.random.default_rng(14)
     x = rng.standard_normal((20, 3))
-    pseudo = pseudo_target.synthesize(IdentityModel(), x, pseudo_target.MixupConfig(seed=15))
-    text = pseudo_target.provenance_csv_text(pseudo, IdentityModel())
+    pseudo = pseudo_target.synthesize(IdentityModel(), x, x, pseudo_target.MixupConfig(seed=15))
+    buf = io.StringIO()
+    pseudo_target.write_provenance_csv(pseudo, buf)
+    text = buf.getvalue()
     lines = text.strip().splitlines()
     assert lines[0] == "index_a,index_b,lambda,pl_a,pl_b,y_pt,pseudo_correct"
     assert len(lines) == pseudo.size + 1

@@ -4,7 +4,7 @@ import json
 import numpy as np
 import pytest
 
-from pseudocal import metrics, report, synthetic
+from pseudocal import metrics, pseudo_target, report, synthetic
 from pseudocal.errors import DataAccessError, InvalidInputError
 
 from _util import bench_setup
@@ -139,7 +139,9 @@ def test_lambda_sweep_grid_and_validation(cell):
     for row in rows:
         assert np.isfinite(row["mean_ece"])
         assert row["n_seeds"] == 2
-    text = report.sweep_csv_text(rows)
+    buf = io.StringIO()
+    report.sweep_to_csv(rows, buf)
+    text = buf.getvalue()
     assert text.splitlines()[0] == "lambda,label_mode,mean_ece,std_ece,n_seeds"
 
 
@@ -151,3 +153,35 @@ def test_history_csv(tmp_path):
     lines = path.read_text().strip().splitlines()
     assert lines[0] == "epoch,source_loss,target_error,target_nll"
     assert len(lines) == 6
+
+
+def test_each_input_set_is_inferred_once(cell, monkeypatch):
+    # Counts top-level predict_logits calls, which is what a black-box
+    # model bills for; an ensemble's calls into its members are not counted.
+    calls = []
+    running = []
+    for cls in (synthetic.TrainedClassifier, synthetic.EnsembleModel):
+
+        def counted(self, inputs, predict=cls.predict_logits):
+            if not running:
+                calls.append(len(inputs))
+            running.append(self)
+            try:
+                return predict(self, inputs)
+            finally:
+                running.pop()
+
+        monkeypatch.setattr(cls, "predict_logits", counted)
+    task, model, _ = cell
+
+    report.evaluate_all(model, task, list(report.METHODS), seed=0)
+    # target, source validation split, three mixed sets, the ensemble on the target
+    assert len(calls) == 6
+    calls.clear()
+    lambdas = [0.51, 0.55, 0.6, 0.65, 0.7, 0.8, 0.9]
+    report.lambda_sweep(model, task, lambdas, ["hard", "soft"], [0, 1, 2, 3, 4])
+    # target, then one mixed set per (mix ratio, seed)
+    assert len(calls) == 36
+    calls.clear()
+    pseudo_target.calibrate(model, task.target_inputs, pseudo_target.MixupConfig(seed=0))
+    assert len(calls) == 2

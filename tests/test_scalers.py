@@ -294,3 +294,30 @@ def test_calibrator_json_roundtrip(tmp_path):
         assert doc["schema_version"] == scalers.SCHEMA_VERSION
         b = metrics.PredictionBatch(logits=[[1.0, -1.0]], labels=[0])
         np.testing.assert_allclose(loaded.apply(b).logits, cal.apply(b).logits)
+
+
+@pytest.mark.parametrize(
+    "doc",
+    [
+        {"schema_version": 1, "kind": "vector", "scale": [1.0, 2.0], "bias": [0.0]},
+        {"schema_version": 1, "kind": "vector", "scale": [[1.0, 2.0]], "bias": [[0.0, 0.0]]},
+        {"schema_version": 1, "kind": "vector", "scale": [1.0, 2.0]},
+        {"schema_version": 1, "kind": "matrix", "weight": [[1.0, 0.0]], "bias": [0.0, 0.0]},
+        {"schema_version": 1, "kind": "matrix", "weight": np.eye(3).tolist(), "bias": [0.0, 0.0]},
+        {"schema_version": 99, "kind": "temperature", "temperature": 2.0},
+        {"kind": "temperature", "temperature": 2.0},
+        {"schema_version": 1, "temperature": 2.0},
+    ],
+    ids=["vector-lengths", "vector-2d", "vector-no-bias", "matrix-not-square",
+         "matrix-vs-bias", "unknown-version", "no-version", "no-kind"],
+)
+def test_malformed_calibrator_document_is_rejected(doc):
+    with pytest.raises(InvalidInputError):
+        scalers.calibrator_from_dict(doc)
+
+
+def test_calibrator_checks_affine_shapes():
+    with pytest.raises(InvalidInputError):
+        scalers.Calibrator(kind="vector", scale=np.ones(2), bias=np.zeros(1))
+    with pytest.raises(InvalidInputError):
+        scalers.Calibrator(kind="matrix", weight=np.ones((2, 3)), bias=np.zeros(2))
