@@ -16,15 +16,26 @@ class PredictionBatch:
     """Model outputs for a set of samples.
 
     ``logits`` is an (n, C) matrix; ``labels`` is an optional length-n
-    vector of true class indices. Arrays are copied and frozen so a
-    batch can be shared freely across threads.
+    vector of true class indices. Arrays are frozen so a batch can be
+    shared freely across threads. A float64 logit array that owns its data
+    and is already read-only (as ``pseudo_target.infer`` returns) is kept
+    as it is; any other input is copied, so later writes by the caller
+    cannot leak in.
     """
 
     logits: np.ndarray
     labels: np.ndarray | None = None
 
     def __post_init__(self):
-        logits = np.array(self.logits, dtype=np.float64)
+        logits = self.logits
+        frozen = (
+            isinstance(logits, np.ndarray)
+            and logits.dtype == np.float64
+            and logits.flags.owndata
+            and not logits.flags.writeable
+        )
+        if not frozen:
+            logits = np.array(logits, dtype=np.float64)
         if logits.ndim != 2 or logits.shape[0] < 1 or logits.shape[1] < 2:
             raise InvalidInputError(f"logits must be (n>=1, C>=2), got shape {logits.shape}")
         if not np.all(np.isfinite(logits)):

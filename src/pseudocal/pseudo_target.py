@@ -91,12 +91,20 @@ class PseudoTargetSet:
 
 
 def infer(model, inputs):
-    """The one checked inference call: the model's logits as a finite (n, C) matrix."""
+    """The one checked inference call: the model's logits as a finite (n, C) matrix.
+
+    The matrix is read-only, so a PredictionBatch can hold it without a
+    copy. Logits that view other memory, or share the inputs' memory (a
+    model that returns its inputs), are copied first rather than frozen.
+    """
     logits = np.asarray(model.predict_logits(inputs), dtype=np.float64)
     if logits.ndim != 2 or logits.shape[0] != len(inputs):
         raise InvalidInputError("model returned logits with unexpected shape")
     if not np.all(np.isfinite(logits)):
         raise InvalidInputError("model returned non-finite logits")
+    if not logits.flags.owndata or np.may_share_memory(logits, inputs):
+        logits = logits.copy()
+    logits.setflags(write=False)
     return logits
 
 

@@ -8,6 +8,7 @@ contain the temperature family, so their fitted NLL can only be lower.
 
 import json
 import math
+import numbers
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -15,7 +16,7 @@ import numpy as np
 
 from .errors import InvalidInputError, LabelsRequiredError, OptimizationError
 from .metrics import PredictionBatch
-from .numerics import PROB_EPS, log_softmax, softmax
+from .numerics import log_softmax
 
 # Search bounds for the temperature. Wide enough to contain every
 # plausible optimum while keeping softmax(z/T) numerically sane;
@@ -29,9 +30,15 @@ T_MAX = 20.0
 NEWTON_REL_TOL = 1e-10
 NEWTON_MAX_ITER = 100
 
-GD_MAX_ITER = 2000
-GD_GRAD_TOL = 1e-6
+# Damped Newton-CG for the vector/matrix fits stops once the exact NLL's
+# gradient norm is below AFFINE_GRAD_TOL; bench-cell fits take 7-25 steps.
+# A step moves the parameters by at most 1, so an optimum far from the warm
+# start or at infinity (separable data, a class absent from the labels) can
+# run to the cap, and the fit then reports converged=False.
+AFFINE_MAX_ITER = 100
+AFFINE_GRAD_TOL = 1e-6
 _ARMIJO_C = 1e-4
+_ARMIJO_MAX_HALVINGS = 50
 
 SCHEMA_VERSION = 1
 
@@ -41,8 +48,11 @@ class Calibrator:
     """A fitted post-hoc transform applied to logits.
 
     kind is one of "identity", "temperature", "vector", "matrix".
-    ``converged`` is a warning flag for the gradient-descent fits; it
-    never blocks applying the calibrator.
+    ``converged`` is False when a vector/matrix fit stopped before the
+    exact NLL's gradient norm fell below AFFINE_GRAD_TOL (the iteration
+    cap, or no decrease left in floating point); the temperature fit
+    raises instead. It is a warning flag and never blocks applying the
+    calibrator.
     """
 
     kind: str
@@ -56,10 +66,9 @@ class Calibrator:
         if self.kind not in ("identity", "temperature", "vector", "matrix"):
             raise InvalidInputError(f"unknown calibrator kind {self.kind!r}")
         if self.kind == "temperature":
-            if self.temperature is None or not (T_MIN <= self.temperature <= T_MAX):
-                raise InvalidInputError(
-                    f"temperature must lie in [{T_MIN}, {T_MAX}], got {self.temperature}"
-                )
+            t = self.temperature
+            if isinstance(t, bool) or not isinstance(t, numbers.Real) or not T_MIN <= t <= T_MAX:
+                raise InvalidInputError(f"temperature must be a number in [{T_MIN}, {T_MAX}], got {t!r}")
         c = np.shape(self.bias)[0] if np.ndim(self.bias) == 1 else None
         if self.kind == "vector" and (c is None or np.shape(self.scale) != (c,)):
             raise InvalidInputError("vector calibrator needs 1-D scale and bias of equal length")
@@ -249,80 +258,128 @@ def nll_decomposition(batch, temperature):
     return NllDecomposition(total, correct_term, wrong_term, n_c, n_w)
 
 
-def _affine_nll_and_grads(params_w, params_b, z, labels, mode):
-    n, c = z.shape
-    if mode == "vector":
-        scaled = z * params_w + params_b
-    else:
-        scaled = z @ params_w.T + params_b
-    p = softmax(scaled)
-    nll = _cross_entropy(np.log(np.maximum(p, PROB_EPS)), labels, None)
-    resid = p.copy()
-    resid[np.arange(n), labels] -= 1.0
-    if mode == "vector":
-        grad_w = np.mean(resid * z, axis=0)
-    else:
-        grad_w = resid.T @ z / n
-    grad_b = np.mean(resid, axis=0)
-    return nll, grad_w, grad_b
+def _conjugate_gradient(matvec, rhs, rtol):
+    """Solve ``matvec(s) = rhs`` for a symmetric positive definite operator by CG.
 
-
-def _fit_affine(batch, mode, init_w, init_b):
-    # Full-batch gradient descent with Armijo backtracking. The objective
-    # is convex in the parameters, so monotone descent from the warm
-    # start preserves the family nesting: the fitted NLL never exceeds
-    # the simpler family's optimum it starts from.
-    z = batch.logits
-    labels = batch.labels
-    w, b = init_w, init_b
-
-    nll, grad_w, grad_b = _affine_nll_and_grads(w, b, z, labels, mode)
-    converged = False
-    for _ in range(GD_MAX_ITER):
-        gsq = float(np.sum(grad_w**2) + np.sum(grad_b**2))
-        if np.sqrt(gsq) < GD_GRAD_TOL:
-            converged = True
+    Stops once the residual is at most ``rtol`` times ``|rhs|``; the iterates
+    stay in the span of ``rhs`` and the operator's images of it.
+    """
+    s = np.zeros_like(rhs)
+    r = rhs.copy()
+    d = r.copy()
+    rr = float(np.sum(r * r))
+    stop = rtol**2 * rr
+    for _ in range(rhs.size):
+        if rr <= stop:
             break
-        step = 1.0
-        while step > 1e-18:
-            cand_w = w - step * grad_w
-            cand_b = b - step * grad_b
-            cand_nll, cand_gw, cand_gb = _affine_nll_and_grads(cand_w, cand_b, z, labels, mode)
-            if cand_nll <= nll - _ARMIJO_C * step * gsq:
+        q = matvec(d)
+        alpha = rr / float(np.sum(d * q))
+        s += alpha * d
+        r -= alpha * q
+        rr, rr_last = float(np.sum(r * r)), rr
+        d = r + (rr / rr_last) * d
+    return s
+
+
+def _fit_affine(batch, theta, mask):
+    """Minimize the exact affine NLL by damped Newton-CG from ``theta``.
+
+    ``theta = [W | b]`` is a (C, C+1) matrix acting on the features
+    ``x = [z, 1]``, so the calibrated logits are ``x @ theta.T``. Only the
+    entries where ``mask`` is 1 are free: the diagonal of W and b for
+    vector scaling, everything for matrix scaling.
+
+    The NLL is the mean cross-entropy by log-softmax, with no probability
+    clamp: convex and smooth (multinomial logistic regression on x), with
+    gradient ``(p - onehot)^T x / n`` and Hessian-vector product
+    ``(p * (u - rowsum(p * u)))^T x / n`` for ``u = x v^T``. Each step
+    solves ``(H + |g| I) s = -g`` by conjugate gradients to a relative
+    residual of ``min(0.5, sqrt(|g|))``, then backtracks (Armijo) on the
+    exact NLL. The damping ``|g|`` makes the system positive definite
+    despite softmax's shift invariance and bounds every step by 1, so
+    separable data, whose optimum lies at infinity, never overflows. Memory
+    is O(n C): the (C(C+1))^2 Hessian is never formed.
+
+    Descent is monotone, so the result's NLL never exceeds the warm
+    start's. Returns the parameters and whether the gradient norm fell
+    below AFFINE_GRAD_TOL within AFFINE_MAX_ITER steps.
+    """
+    n = batch.n
+    x = np.hstack([batch.logits, np.ones((n, 1))])
+    rows, labels = np.arange(n), batch.labels
+
+    def nll_and_probs(theta):
+        logp = log_softmax(x @ theta.T)
+        return _cross_entropy(logp, labels, None), np.exp(logp)
+
+    nll, p = nll_and_probs(theta)
+    for _ in range(AFFINE_MAX_ITER):
+        resid = p.copy()
+        resid[rows, labels] -= 1.0
+        grad = mask * (resid.T @ x) / n
+        grad_norm = float(np.linalg.norm(grad))
+        if grad_norm < AFFINE_GRAD_TOL:
+            return theta, True
+
+        def damped_hessian(v, p=p, damping=grad_norm):
+            u = x @ v.T
+            u -= np.sum(p * u, axis=1, keepdims=True)
+            return mask * ((p * u).T @ x) / n + damping * v
+
+        step = _conjugate_gradient(damped_hessian, -grad, min(0.5, math.sqrt(grad_norm)))
+        slope = float(np.sum(grad * step))
+        t = 1.0
+        for _ in range(_ARMIJO_MAX_HALVINGS):
+            cand = theta + t * step
+            cand_nll, cand_p = nll_and_probs(cand)
+            if cand_nll <= nll + _ARMIJO_C * t * slope:
                 break
-            step *= 0.5
+            t *= 0.5
         else:
-            break
-        w, b, nll, grad_w, grad_b = cand_w, cand_b, cand_nll, cand_gw, cand_gb
-
-    if mode == "vector":
-        return Calibrator(kind="vector", scale=w, bias=b, converged=converged)
-    return Calibrator(kind="matrix", weight=w, bias=b, converged=converged)
+            return theta, False  # no decrease left in floating point
+        theta, nll, p = cand, cand_nll, cand_p
+    return theta, False
 
 
 def fit_vector(batch):
-    """Per-class scale and bias fitted by full-batch gradient descent.
+    """Per-class scale and bias minimizing the exact mean NLL (Newton-CG).
 
-    Seeded from the fitted temperature (scale = 1/T, zero bias), so the
-    result is never worse than temperature scaling on the fitting set.
+    Seeded from the fitted temperature (scale = 1/T, zero bias) and
+    improved by monotone descent, so the result is never worse than
+    temperature scaling on the fitting set. ``converged`` is True when the
+    NLL gradient norm fell below AFFINE_GRAD_TOL.
     """
     if not batch.has_labels:
         raise LabelsRequiredError("vector scaling requires labels")
     t = fit_temperature(batch).temperature
     c = batch.num_classes
-    return _fit_affine(batch, "vector", np.full(c, 1.0 / t), np.zeros(c))
+    eye = np.eye(c)
+    theta, converged = _fit_affine(
+        batch, np.hstack([eye / t, np.zeros((c, 1))]), np.hstack([eye, np.ones((c, 1))])
+    )
+    return Calibrator(
+        kind="vector", scale=np.diag(theta).copy(), bias=theta[:, c].copy(), converged=converged
+    )
 
 
 def fit_matrix(batch):
-    """Full affine map on logits fitted by full-batch gradient descent.
+    """Full affine map on logits minimizing the exact mean NLL (Newton-CG).
 
-    Seeded from the fitted vector scaler (its diagonal embedding), so the
-    result is never worse than vector scaling on the fitting set.
+    Seeded from the fitted vector scaler (its diagonal embedding) and
+    improved by monotone descent, so the result is never worse than
+    vector scaling on the fitting set. ``converged`` is True when the NLL
+    gradient norm fell below AFFINE_GRAD_TOL.
     """
     if not batch.has_labels:
         raise LabelsRequiredError("matrix scaling requires labels")
     seed = fit_vector(batch)
-    return _fit_affine(batch, "matrix", np.diag(seed.scale), seed.bias.copy())
+    c = batch.num_classes
+    theta, converged = _fit_affine(
+        batch, np.hstack([np.diag(seed.scale), seed.bias[:, None]]), np.ones((c, c + 1))
+    )
+    return Calibrator(
+        kind="matrix", weight=theta[:, :c].copy(), bias=theta[:, c].copy(), converged=converged
+    )
 
 
 def calibrator_to_dict(calibrator):
@@ -348,11 +405,24 @@ def calibrator_from_dict(doc):
     return Calibrator(
         kind=doc["kind"],
         temperature=doc.get("temperature"),
-        scale=np.asarray(doc["scale"]) if "scale" in doc else None,
-        bias=np.asarray(doc["bias"]) if "bias" in doc else None,
-        weight=np.asarray(doc["weight"]) if "weight" in doc else None,
+        scale=_float_array(doc, "scale"),
+        bias=_float_array(doc, "bias"),
+        weight=_float_array(doc, "weight"),
         converged=doc.get("converged", True),
     )
+
+
+def _float_array(doc, key):
+    """``doc[key]`` as a finite float64 array (None when absent); other values raise."""
+    if key not in doc:
+        return None
+    try:
+        array = np.asarray(doc[key])
+    except ValueError as exc:  # ragged nesting
+        raise InvalidInputError(f"calibrator {key} is not an array: {exc}") from exc
+    if array.dtype.kind not in "iuf" or not np.all(np.isfinite(array)):
+        raise InvalidInputError(f"calibrator {key} must hold finite numbers")
+    return array.astype(np.float64)
 
 
 def save_calibrator(calibrator, path):

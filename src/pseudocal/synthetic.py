@@ -296,15 +296,30 @@ def task_to_dict(task):
     }
 
 
+def _check_version(doc, what):
+    version = doc.get("schema_version") if isinstance(doc, dict) else None
+    if version != SCHEMA_VERSION:
+        raise InvalidInputError(f"unsupported {what} document schema_version {version!r}")
+
+
+def _finite(values, what):
+    """``values`` as a float64 array, rejecting NaN and infinities."""
+    array = np.asarray(values, dtype=np.float64)
+    if not np.all(np.isfinite(array)):
+        raise InvalidInputError(f"{what} contain non-finite values")
+    return array
+
+
 def task_from_dict(doc):
+    _check_version(doc, "task")
     src_x = doc.get("source_inputs")
     src_y = doc.get("source_labels")
     tgt_y = doc.get("target_labels")
     return SyntheticTask(
         spec=spec_from_dict(doc["spec"]),
-        source_inputs=np.asarray(src_x, dtype=np.float64) if src_x is not None else None,
+        source_inputs=_finite(src_x, "source inputs") if src_x is not None else None,
         source_labels=np.asarray(src_y, dtype=np.int64) if src_y is not None else None,
-        target_inputs=np.asarray(doc["target_inputs"], dtype=np.float64),
+        target_inputs=_finite(doc["target_inputs"], "target inputs"),
         target_labels=np.asarray(tgt_y, dtype=np.int64) if tgt_y is not None else None,
         val_fraction=doc.get("val_fraction", VAL_FRACTION),
     )
@@ -328,11 +343,12 @@ def model_to_dict(model):
 
 
 def model_from_dict(doc):
+    _check_version(doc, "model")
     if doc["kind"] == "ensemble":
         return EnsembleModel(members=tuple(model_from_dict(m) for m in doc["members"]))
     return TrainedClassifier(
-        weights=np.asarray(doc["weights"], dtype=np.float64),
-        bias=np.asarray(doc["bias"], dtype=np.float64),
+        weights=_finite(doc["weights"], "model weights"),
+        bias=_finite(doc["bias"], "model bias"),
         gamma=doc["gamma"],
         train_config=doc.get("train_config", {}),
     )

@@ -100,6 +100,29 @@ def nll_slope_in_beta(logits, labels, beta):
     return float(np.mean(slopes))
 
 
+def affine_nll_gradient_norm(logits, labels, calibrator):
+    """Norm of the exact mean-NLL gradient of a vector/matrix calibrator, by a per-row loop.
+
+    The gradient is taken in the calibrator's own parameters: (scale, bias)
+    for vector scaling, (weight, bias) for matrix scaling.
+    """
+    z = np.asarray(logits, dtype=np.float64)
+    n, c = z.shape
+    vector = calibrator.kind == "vector"
+    weight = np.diag(calibrator.scale) if vector else np.asarray(calibrator.weight)
+    grad_w, grad_b = np.zeros((c, c)), np.zeros(c)
+    for i in range(n):
+        s = weight @ z[i] + calibrator.bias
+        p = np.exp(s - s.max())
+        p /= p.sum()
+        r = p - np.eye(c)[labels[i]]
+        grad_w += np.outer(r, z[i]) / n
+        grad_b += r / n
+    if vector:
+        grad_w = np.diag(grad_w)
+    return float(np.sqrt(np.sum(grad_w**2) + np.sum(grad_b**2)))
+
+
 BENCH_SPEC = dict(
     n_classes=5,
     dim=10,

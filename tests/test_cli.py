@@ -144,6 +144,17 @@ def test_model_bias_of_wrong_length_is_a_one_line_error(workspace, capsys):
     _assert_one_line_invalid_input(code, capsys, out)
 
 
+def test_unsupported_task_version_is_a_one_line_error(workspace, capsys):
+    root, task, model = workspace
+    doc = json.loads(task.read_text())
+    doc["schema_version"] = 99
+    broken = root / "v99_task.json"
+    broken.write_text(json.dumps(doc))
+    out = root / "never_cal.json"
+    code = run(["calibrate", "--task", str(broken), "--model", str(model), "--out", str(out)])
+    _assert_one_line_invalid_input(code, capsys, out)
+
+
 def test_sweep_csv(workspace):
     root, task, model = workspace
     out = root / "sweep.csv"

@@ -35,6 +35,23 @@ def test_batch_is_frozen():
         b.logits[0, 0] = 5.0
 
 
+def test_batch_keeps_frozen_float64_logits_and_copies_the_rest():
+    frozen = np.array([[1.0, 0.0], [0.0, 2.0]])
+    frozen.setflags(write=False)
+    assert np.shares_memory(metrics.PredictionBatch(logits=frozen).logits, frozen)
+    writeable = np.array([[1.0, 0.0], [0.0, 2.0]])
+    view = frozen[:, ::-1]  # read-only, but someone else's memory
+    single = np.array([[1.0, 0.0]], dtype=np.float32)
+    single.setflags(write=False)
+    for logits in (writeable, view, single):
+        b = metrics.PredictionBatch(logits=logits)
+        assert not np.shares_memory(b.logits, logits)
+        assert not b.logits.flags.writeable
+    b = metrics.PredictionBatch(logits=writeable)
+    writeable[0, 0] = 9.0
+    assert b.logits[0, 0] == 1.0
+
+
 def test_reliability_bins_hand_case():
     # confidences [0.6, 0.7, 0.8, 0.9] with correctness [1, 0, 0, 1], M=2:
     # all four land in bin (0.5, 1.0] with acc 0.5 and mean conf 0.75

@@ -122,6 +122,22 @@ def test_synthesize_rejects_nonfinite_model_logits(bad):
         pseudo_target.variant_pseudo_label(pseudo_target.infer(IdentityModel(), x))
 
 
+class FreshLogitsModel:
+    def predict_logits(self, inputs):
+        return np.asarray(inputs, dtype=np.float64) * 2.0
+
+
+def test_infer_returns_frozen_logits_that_batches_share():
+    x = np.random.default_rng(5).standard_normal((6, 3))
+    logits = pseudo_target.infer(FreshLogitsModel(), x)
+    assert not logits.flags.writeable
+    assert np.shares_memory(metrics.PredictionBatch(logits=logits).logits, logits)
+    # a model returning its inputs: the caller's array is copied, not frozen
+    logits = pseudo_target.infer(IdentityModel(), x)
+    assert not logits.flags.writeable and x.flags.writeable
+    assert not np.shares_memory(logits, x)
+
+
 def test_soft_labels_are_convex_combinations():
     rng = np.random.default_rng(8)
     x = rng.standard_normal((30, 4))

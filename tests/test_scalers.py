@@ -7,7 +7,13 @@ from hypothesis import given, settings, strategies as st
 from pseudocal import metrics, scalers
 from pseudocal.errors import InvalidInputError, LabelsRequiredError, OptimizationError
 
-from _util import grid_temperature, nll_slope_in_beta, random_batch
+from _util import (
+    affine_nll_gradient_norm,
+    bench_setup,
+    grid_temperature,
+    nll_slope_in_beta,
+    random_batch,
+)
 
 
 def test_identity_leaves_batch_unchanged():
@@ -275,6 +281,68 @@ def test_family_nesting():
         assert nll_m <= nll_v + 1e-6
 
 
+def test_converged_affine_fits_are_stationary():
+    rng = np.random.default_rng(41)
+    converged = 0
+    for _ in range(30):
+        b = random_batch(rng, n_max=200)
+        for cal in (scalers.fit_vector(b), scalers.fit_matrix(b)):
+            if cal.converged:
+                converged += 1
+                # 1e-12 of slack: the oracle sums the rows in another order
+                grad_norm = affine_nll_gradient_norm(b.logits, b.labels, cal)
+                assert grad_norm < scalers.AFFINE_GRAD_TOL + 1e-12
+    assert converged >= 50  # the check above is not vacuous
+
+
+def _nll_chain(b):
+    nll_t = scalers.temperature_objective(b)(scalers.fit_temperature(b).temperature)
+    vec, mat = scalers.fit_vector(b), scalers.fit_matrix(b)
+    return nll_t, vec, metrics.mean_nll(vec.apply(b)), mat, metrics.mean_nll(mat.apply(b))
+
+
+def test_affine_fits_on_separable_batch_stop_without_raising():
+    # Separable by scaling up the tiny logits, so the optimum lies at
+    # infinity; Newton-CG steps are bounded and the cap is reached.
+    b = metrics.PredictionBatch(logits=[[0.01, 0.0], [0.0, 0.01]], labels=[0, 1])
+    nll_t, vec, nll_v, mat, nll_m = _nll_chain(b)
+    assert not vec.converged and not mat.converged
+    assert nll_v <= nll_t + 1e-12
+    assert nll_m <= nll_v + 1e-12
+    # Separable only by flipping the scale sign: descent drives the NLL
+    # towards its infimum 0 and still nests.
+    b = metrics.PredictionBatch(logits=[[1.0, 0.0], [0.0, 1.0]], labels=[1, 0])
+    nll_t, vec, nll_v, mat, nll_m = _nll_chain(b)
+    assert nll_v <= nll_t + 1e-12 and nll_m <= nll_v + 1e-12
+    assert nll_m < 1e-5
+
+
+def test_affine_fits_reach_gradient_descent_nll_on_bench_source_split():
+    from pseudocal import pseudo_target
+
+    task, model, _ = bench_setup(0)
+    b = metrics.PredictionBatch(
+        logits=pseudo_target.infer(model, task.source_val_inputs), labels=task.source_val_labels
+    )
+    _, vec, nll_v, mat, nll_m = _nll_chain(b)
+    assert vec.converged and mat.converged
+    # what 2000 steps of Armijo gradient descent reached, unconverged
+    assert nll_v <= 0.2139994
+    assert nll_m <= 0.2016223
+
+
+def test_hundred_class_matrix_fit_completes():
+    # 100 x 101 parameters: a dense Hessian would be 10100^2 floats (816 MB)
+    rng = np.random.default_rng(43)
+    z = rng.standard_normal((200, 100)) * 3.0
+    y = np.where(rng.random(200) < 0.5, z.argmax(axis=1), rng.integers(0, 100, 200))
+    b = metrics.PredictionBatch(logits=z, labels=y)
+    mat = scalers.fit_matrix(b)
+    assert mat.weight.shape == (100, 100)
+    nll_t = scalers.temperature_objective(b)(scalers.fit_temperature(b).temperature)
+    assert metrics.mean_nll(mat.apply(b)) <= nll_t + 1e-6
+
+
 def test_calibrator_json_roundtrip(tmp_path):
     cases = [
         scalers.Calibrator(kind="temperature", temperature=2.5),
@@ -307,9 +375,16 @@ def test_calibrator_json_roundtrip(tmp_path):
         {"schema_version": 99, "kind": "temperature", "temperature": 2.0},
         {"kind": "temperature", "temperature": 2.0},
         {"schema_version": 1, "temperature": 2.0},
+        {"schema_version": 1, "kind": "temperature", "temperature": "2"},
+        {"schema_version": 1, "kind": "temperature", "temperature": True},
+        {"schema_version": 1, "kind": "vector", "scale": ["a", "b"], "bias": [0.0, 0.0]},
+        {"schema_version": 1, "kind": "vector", "scale": [1.0, float("nan")], "bias": [0.0, 0.0]},
+        {"schema_version": 1, "kind": "matrix", "weight": [[1.0, 0.0], [0.0]], "bias": [0.0, 0.0]},
     ],
     ids=["vector-lengths", "vector-2d", "vector-no-bias", "matrix-not-square",
-         "matrix-vs-bias", "unknown-version", "no-version", "no-kind"],
+         "matrix-vs-bias", "unknown-version", "no-version", "no-kind",
+         "temperature-string", "temperature-bool", "scale-strings", "scale-nan",
+         "weight-ragged"],
 )
 def test_malformed_calibrator_document_is_rejected(doc):
     with pytest.raises(InvalidInputError):

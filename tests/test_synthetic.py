@@ -213,3 +213,30 @@ def test_model_json_roundtrip(tmp_path):
         loaded_ens.predict_logits(task.target_inputs),
         ens.predict_logits(task.target_inputs),
     )
+
+
+@pytest.mark.parametrize(
+    "what, damage",
+    [
+        ("task", lambda doc: doc.update(schema_version=99)),
+        ("task", lambda doc: doc.pop("schema_version")),
+        ("task", lambda doc: doc["target_inputs"][0].__setitem__(0, float("nan"))),
+        ("task", lambda doc: doc["source_inputs"][1].__setitem__(2, float("inf"))),
+        ("model", lambda doc: doc.update(schema_version=2)),
+        ("model", lambda doc: doc["members"][1].update(schema_version=99)),
+        ("model", lambda doc: doc["members"][0]["weights"][0].__setitem__(0, float("nan"))),
+        ("model", lambda doc: doc["members"][0]["bias"].__setitem__(1, float("-inf"))),
+    ],
+    ids=["task-version", "task-no-version", "target-nan", "source-inf", "model-version",
+         "member-version", "weights-nan", "bias-inf"],
+)
+def test_malformed_task_and_model_documents_are_rejected(what, damage):
+    task = synthetic.generate(synthetic.ShiftSpec(seed=16, n_source=50, n_target=50))
+    if what == "task":
+        doc, from_dict = synthetic.task_to_dict(task), synthetic.task_from_dict
+    else:
+        ens = synthetic.ensemble_train(task, 2, epochs=5, lr=0.1)
+        doc, from_dict = synthetic.model_to_dict(ens), synthetic.model_from_dict
+    damage(doc)
+    with pytest.raises(InvalidInputError):
+        from_dict(doc)
