@@ -8,6 +8,7 @@ variants, and a synthetic domain-shift harness that makes the method's
 behavior observable at desk scale.
 """
 
+from .documents import write_csv
 from .errors import (
     DataAccessError,
     DegenerateTargetError,
@@ -27,7 +28,6 @@ from .metrics import (
     mean_brier,
     mean_nll,
     reliability_bins,
-    write_csv,
 )
 from .numerics import argmax_class, brier, log_softmax, nll, softmax
 from .pseudo_target import (

@@ -7,11 +7,10 @@ invocations produce byte-identical output documents.
 """
 
 import argparse
-import json
 import sys
 
-from . import pseudo_target, report, scalers, synthetic
-from .errors import PseudocalError
+from . import documents, pseudo_target, report, scalers, synthetic
+from .errors import InvalidInputError, PseudocalError
 from .metrics import DEFAULT_BINS
 
 
@@ -19,29 +18,31 @@ class _UsageError(Exception):
     pass
 
 
-def _load_config(path):
-    if path is None:
-        return {}
-    try:
-        with open(path) as fh:
-            doc = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
-        raise _UsageError(f"cannot read config {path}: {exc}") from exc
+def _config_from_dict(doc):
     if not isinstance(doc, dict):
         raise _UsageError("config file must hold a flat JSON object")
     return doc
 
 
 def _resolver(args, defaults):
-    config = _load_config(getattr(args, "config", None))
+    """``get(key, convert)``: the flag, else the config value, else the default, converted.
 
-    def resolve(key):
+    An unreadable config file or a value ``convert`` rejects is a usage error.
+    """
+    path = getattr(args, "config", None)
+    try:
+        config = {} if path is None else documents.read_json(path, _config_from_dict)
+    except (OSError, InvalidInputError) as exc:
+        raise _UsageError(f"cannot read config {path}: {exc}") from exc
+
+    def resolve(key, convert):
         value = getattr(args, key, None)
-        if value is not None:
-            return value
-        if key in config:
-            return config[key]
-        return defaults[key]
+        if value is None:
+            value = config.get(key, defaults[key])
+        try:
+            return convert(value)
+        except (TypeError, ValueError, OverflowError) as exc:
+            raise _UsageError(f"malformed {key} {value!r}: {exc}") from exc
 
     return resolve
 
@@ -49,27 +50,18 @@ def _resolver(args, defaults):
 def _parse_priors(text, n_classes):
     if text is None:
         return None
-    try:
-        priors = tuple(float(p) for p in str(text).split(","))
-    except ValueError as exc:
-        raise _UsageError(f"malformed target priors {text!r}") from exc
+    priors = tuple(float(p) for p in str(text).split(","))
     if len(priors) != n_classes:
         raise _UsageError(f"need {n_classes} prior entries, got {len(priors)}")
     return priors
 
 
-def _parse_float_list(text, what):
-    try:
-        return [float(v) for v in str(text).split(",") if v != ""]
-    except ValueError as exc:
-        raise _UsageError(f"malformed {what} list {text!r}") from exc
+def _float_list(text):
+    return [float(v) for v in str(text).split(",") if v != ""]
 
 
-def _parse_int_list(text, what):
-    try:
-        return [int(v) for v in str(text).split(",") if v != ""]
-    except ValueError as exc:
-        raise _UsageError(f"malformed {what} list {text!r}") from exc
+def _int_list(text):
+    return [int(v) for v in str(text).split(",") if v != ""]
 
 
 def _check_lambda(lam):
@@ -93,17 +85,17 @@ _GENERATE_DEFAULTS = {
 
 def cmd_generate(args):
     get = _resolver(args, _GENERATE_DEFAULTS)
-    n_classes = int(get("classes"))
+    n_classes = get("classes", int)
     spec = synthetic.ShiftSpec(
         n_classes=n_classes,
-        dim=int(get("dim")),
-        n_source=int(get("n_source")),
-        n_target=int(get("n_target")),
-        mean_shift=float(get("mean_shift")),
-        rotation=float(get("rotation")),
-        target_priors=_parse_priors(get("target_priors"), n_classes),
-        cluster_std=float(get("cluster_std")),
-        seed=int(get("seed")),
+        dim=get("dim", int),
+        n_source=get("n_source", int),
+        n_target=get("n_target", int),
+        mean_shift=get("mean_shift", float),
+        rotation=get("rotation", float),
+        target_priors=get("target_priors", lambda text: _parse_priors(text, n_classes)),
+        cluster_std=get("cluster_std", float),
+        seed=get("seed", int),
     )
     task = synthetic.generate(spec)
     synthetic.save_task(task, args.out)
@@ -124,11 +116,11 @@ def cmd_train(args):
     task = synthetic.load_task(args.task)
     model = synthetic.train(
         task,
-        epochs=int(get("epochs")),
-        lr=float(get("lr")),
-        gamma=float(get("gamma")),
+        epochs=get("epochs", int),
+        lr=get("lr", float),
+        gamma=get("gamma", float),
         track_history=args.history_out is not None,
-        seed=int(get("seed")),
+        seed=get("seed", int),
     )
     synthetic.save_model(model, args.out)
     if args.history_out is not None:
@@ -149,14 +141,13 @@ _CALIBRATE_DEFAULTS = {
 
 def cmd_calibrate(args):
     get = _resolver(args, _CALIBRATE_DEFAULTS)
-    lam = _check_lambda(float(get("lam")))
     cfg = pseudo_target.MixupConfig(
-        lam=lam,
-        lambda_policy=str(get("lambda_policy")),
-        label_mode=str(get("label_mode")),
-        pairing=str(get("pairing")),
-        epochs=int(get("mixup_epochs")),
-        seed=int(get("seed")),
+        lam=_check_lambda(get("lam", float)),
+        lambda_policy=get("lambda_policy", str),
+        label_mode=get("label_mode", str),
+        pairing=get("pairing", str),
+        epochs=get("mixup_epochs", int),
+        seed=get("seed", int),
     )
     task = synthetic.load_task(args.task)
     model = synthetic.load_model(args.model)
@@ -183,16 +174,16 @@ _EVALUATE_DEFAULTS = {
 
 def cmd_evaluate(args):
     get = _resolver(args, _EVALUATE_DEFAULTS)
-    methods = [m.strip() for m in str(get("methods")).split(",") if m.strip()]
+    methods = [m.strip() for m in get("methods", str).split(",") if m.strip()]
     if not methods:
         raise _UsageError("--methods must name at least one method")
-    lam = _check_lambda(float(get("lam")))
-    seed = int(get("seed"))
-    cfg = pseudo_target.MixupConfig(lam=lam, label_mode=str(get("label_mode")), seed=seed)
+    lam = _check_lambda(get("lam", float))
+    seed = get("seed", int)
+    cfg = pseudo_target.MixupConfig(lam=lam, label_mode=get("label_mode", str), seed=seed)
     task = synthetic.load_task(args.task)
     model = synthetic.load_model(args.model)
     result = report.evaluate_all(
-        model, task, methods, bins=int(get("bins")), seed=seed, mixup_cfg=cfg
+        model, task, methods, bins=get("bins", int), seed=seed, mixup_cfg=cfg
     )
     with open(args.out, "w") as fh:
         fh.write(result.to_json())
@@ -216,13 +207,13 @@ _SWEEP_DEFAULTS = {
 
 def cmd_sweep(args):
     get = _resolver(args, _SWEEP_DEFAULTS)
-    lambdas = _parse_float_list(get("lambdas"), "lambda")
-    label_modes = [m.strip() for m in str(get("label_modes")).split(",") if m.strip()]
-    seeds = _parse_int_list(get("seeds"), "seed")
+    lambdas = get("lambdas", _float_list)
+    label_modes = [m.strip() for m in get("label_modes", str).split(",") if m.strip()]
+    seeds = get("seeds", _int_list)
     task = synthetic.load_task(args.task)
     model = synthetic.load_model(args.model)
     rows = report.lambda_sweep(
-        model, task, lambdas, label_modes, seeds, bins=int(get("bins"))
+        model, task, lambdas, label_modes, seeds, bins=get("bins", int)
     )
     report.sweep_to_csv(rows, args.out)
     print(f"wrote sweep to {args.out}")

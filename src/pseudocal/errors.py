@@ -9,7 +9,7 @@ class InvalidInputError(PseudocalError):
     """Input violates a documented precondition (shape, range, finiteness)."""
 
 
-class InvalidSpecError(PseudocalError):
+class InvalidSpecError(InvalidInputError):
     """A synthetic-task ShiftSpec is internally inconsistent."""
 
 

@@ -1,10 +1,10 @@
 """Calibration-error metrics and reliability-diagram bin statistics."""
 
-import csv
 from dataclasses import dataclass, field
 
 import numpy as np
 
+from .documents import write_csv
 from .errors import InvalidInputError, LabelsRequiredError
 from .numerics import log_softmax, softmax
 
@@ -166,17 +166,6 @@ def mean_brier(batch):
     onehot = np.zeros_like(p)
     onehot[np.arange(batch.n), batch.labels] = 1.0
     return float(np.mean(np.sum((p - onehot) ** 2, axis=1) / batch.num_classes))
-
-
-def write_csv(path_or_file, header, rows):
-    """Write a header line and rows as CSV to a path or to an open text file."""
-    if isinstance(path_or_file, (str, bytes)) or hasattr(path_or_file, "__fspath__"):
-        with open(path_or_file, "w", newline="") as fh:
-            write_csv(fh, header, rows)
-        return
-    writer = csv.writer(path_or_file)
-    writer.writerow(header)
-    writer.writerows(rows)
 
 
 def bin_stats_to_csv(stats, path_or_file):

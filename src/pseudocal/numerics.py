@@ -1,4 +1,4 @@
-"""Dense-vector primitives: softmax, log-softmax, NLL, Brier.
+"""Dense-vector primitives: softmax, log-softmax, NLL, Brier, and the array check records share.
 
 Everything here is a pure function on immutable inputs. ``softmax``,
 ``nll`` and ``brier`` accept a single logit/probability vector; the
@@ -28,6 +28,26 @@ def softmax(z):
     shifted = z - np.max(z, axis=-1, keepdims=True)
     e = np.exp(shifted)
     return e / np.sum(e, axis=-1, keepdims=True)
+
+
+def finite_array(values, what, ndim, integer=False):
+    """``values`` as an ``ndim``-D array of finite numbers: float64, or int64 if ``integer``.
+
+    An array that already is one is not copied. Anything else (strings,
+    None, booleans, ragged nesting, NaN, infinities) raises InvalidInputError.
+    """
+    try:
+        array = np.asarray(values)
+    except ValueError as exc:  # ragged nesting
+        raise InvalidInputError(f"{what} is not an array: {exc}") from exc
+    if array.ndim != ndim or array.dtype.kind not in ("iu" if integer else "iuf"):
+        kind = "integers" if integer else "numbers"
+        raise InvalidInputError(
+            f"{what} must be a {ndim}-D array of {kind}, got {array.dtype} {array.shape}"
+        )
+    if not np.all(np.isfinite(array)):
+        raise InvalidInputError(f"non-finite values in {what}")
+    return array.astype(np.int64 if integer else np.float64, copy=False)
 
 
 def log_softmax(z):

@@ -13,8 +13,9 @@ from typing import Protocol, runtime_checkable
 
 import numpy as np
 
+from .documents import write_csv
 from .errors import DegenerateTargetError, EmptyFilterError, InvalidInputError
-from .metrics import PredictionBatch, write_csv
+from .metrics import PredictionBatch
 from .scalers import fit_temperature
 
 BETA_ALPHA = 0.3
@@ -58,8 +59,8 @@ class MixupConfig:
             raise InvalidInputError(
                 f"fixed mix ratio must lie in (0.5, 1.0], got {self.lam}"
             )
-        if self.epochs < 1:
-            raise InvalidInputError("epochs must be >= 1")
+        if self.epochs < 1 or self.seed < 0:
+            raise InvalidInputError(f"mixup needs epochs >= 1 and seed >= 0: {self.epochs}, {self.seed}")
 
 
 @dataclass(frozen=True)

@@ -6,8 +6,6 @@ baselines see the labeled source validation split, and the oracle sees
 the target labels it is defined by.
 """
 
-import json
-import time
 from dataclasses import asdict, dataclass, field, replace
 from functools import cached_property
 from typing import Callable, NamedTuple
@@ -15,16 +13,9 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from . import pseudo_target, scalers, synthetic
+from .documents import SCHEMA_VERSION, json_text, write_csv
 from .errors import DataAccessError, InvalidInputError
-from .metrics import (
-    DEFAULT_BINS,
-    PredictionBatch,
-    ece,
-    mean_brier,
-    mean_nll,
-    reliability_bins,
-    write_csv,
-)
+from .metrics import DEFAULT_BINS, PredictionBatch, ece, mean_brier, mean_nll, reliability_bins
 
 DEFAULT_ENSEMBLE_SIZE = 5
 
@@ -45,31 +36,18 @@ class ExperimentResult:
     meta: dict
     methods: dict
     correspondence_rate: float | None = None
-    wall_clock: dict = field(default_factory=dict)
     bin_stats: dict = field(default_factory=dict, repr=False)
 
-    def to_dict(self, include_timing=False):
-        doc = {
-            "schema_version": synthetic.SCHEMA_VERSION,
+    def to_dict(self):
+        return {
+            "schema_version": SCHEMA_VERSION,
             "meta": self.meta,
-            "methods": {
-                name: {
-                    "ece": r.ece,
-                    "nll": r.nll,
-                    "brier": r.brier,
-                    "accuracy": r.accuracy,
-                    "temperature": r.temperature,
-                }
-                for name, r in self.methods.items()
-            },
+            "methods": {name: asdict(r) for name, r in self.methods.items()},
             "correspondence_rate": self.correspondence_rate,
         }
-        if include_timing:
-            doc["wall_clock_seconds"] = self.wall_clock
-        return doc
 
-    def to_json(self, include_timing=False):
-        return json.dumps(self.to_dict(include_timing), sort_keys=True, indent=2) + "\n"
+    def to_json(self):
+        return json_text(self.to_dict(), indent=2)
 
     def table_text(self):
         header = f"{'method':<15} {'ECE':>8} {'NLL':>8} {'Brier':>8} {'T':>8} {'accuracy':>9}"
@@ -195,11 +173,9 @@ def evaluate_all(
 
     data = _Inputs(model, task, mixup_cfg, seed, ensemble_size)
     results = {}
-    wall_clock = {}
     bin_stats = {}
     correspondence = None
     for name in methods:
-        t0 = time.perf_counter()
         fitted, pseudo = METHODS[name].fit(data)
         if isinstance(fitted, scalers.Calibrator):
             scored = fitted.apply(data.target_batch)
@@ -218,10 +194,9 @@ def evaluate_all(
         bin_stats[name] = reliability_bins(scored, bins)
         if name == "pseudocal" and task.has_target_labels:
             correspondence = pseudo_target.correspondence_rate(pseudo, task.target_labels)
-        wall_clock[name] = time.perf_counter() - t0
 
     meta = {
-        "task": synthetic.spec_to_dict(task.spec),
+        "task": asdict(task.spec),
         "source_val_fraction": task.val_fraction,
         "bins": bins,
         "seed": seed,
@@ -232,7 +207,6 @@ def evaluate_all(
         meta=meta,
         methods=results,
         correspondence_rate=correspondence,
-        wall_clock=wall_clock,
         bin_stats=bin_stats,
     )
 

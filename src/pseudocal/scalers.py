@@ -6,7 +6,6 @@ affine maps and may trade accuracy for likelihood; both strictly
 contain the temperature family, so their fitted NLL can only be lower.
 """
 
-import json
 import math
 import numbers
 from dataclasses import dataclass
@@ -14,9 +13,10 @@ from typing import NamedTuple
 
 import numpy as np
 
+from .documents import SCHEMA_VERSION, check_version, read_json, write_json
 from .errors import InvalidInputError, LabelsRequiredError, OptimizationError
 from .metrics import PredictionBatch
-from .numerics import log_softmax
+from .numerics import finite_array, log_softmax
 
 # Search bounds for the temperature. Wide enough to contain every
 # plausible optimum while keeping softmax(z/T) numerically sane;
@@ -40,8 +40,6 @@ AFFINE_GRAD_TOL = 1e-6
 _ARMIJO_C = 1e-4
 _ARMIJO_MAX_HALVINGS = 50
 
-SCHEMA_VERSION = 1
-
 
 @dataclass(frozen=True)
 class Calibrator:
@@ -52,7 +50,8 @@ class Calibrator:
     exact NLL's gradient norm fell below AFFINE_GRAD_TOL (the iteration
     cap, or no decrease left in floating point); the temperature fit
     raises instead. It is a warning flag and never blocks applying the
-    calibrator.
+    calibrator. ``scale``, ``bias`` and ``weight``, where given, are
+    finite float64 arrays.
     """
 
     kind: str
@@ -69,7 +68,13 @@ class Calibrator:
             t = self.temperature
             if isinstance(t, bool) or not isinstance(t, numbers.Real) or not T_MIN <= t <= T_MAX:
                 raise InvalidInputError(f"temperature must be a number in [{T_MIN}, {T_MAX}], got {t!r}")
-        c = np.shape(self.bias)[0] if np.ndim(self.bias) == 1 else None
+        if not isinstance(self.converged, bool):
+            raise InvalidInputError(f"converged must be true or false, got {self.converged!r}")
+        for name, ndim in (("scale", 1), ("bias", 1), ("weight", 2)):
+            value = getattr(self, name)
+            if value is not None:
+                object.__setattr__(self, name, finite_array(value, f"calibrator {name}", ndim))
+        c = len(self.bias) if self.bias is not None else None
         if self.kind == "vector" and (c is None or np.shape(self.scale) != (c,)):
             raise InvalidInputError("vector calibrator needs 1-D scale and bias of equal length")
         if self.kind == "matrix" and (c is None or np.shape(self.weight) != (c, c)):
@@ -86,23 +91,16 @@ def identity():
 def apply(calibrator, batch):
     """Transform a batch's logits; labels are carried through unchanged."""
     z = batch.logits
+    if calibrator.bias is not None and calibrator.bias.shape != (batch.num_classes,):
+        raise InvalidInputError(f"{calibrator.kind} calibrator dimensions do not match batch")
     if calibrator.kind == "identity":
         out = z
     elif calibrator.kind == "temperature":
         out = z / calibrator.temperature
     elif calibrator.kind == "vector":
-        scale = np.asarray(calibrator.scale, dtype=np.float64)
-        bias = np.asarray(calibrator.bias, dtype=np.float64)
-        if scale.shape != (batch.num_classes,) or bias.shape != (batch.num_classes,):
-            raise InvalidInputError("vector calibrator dimensions do not match batch")
-        out = z * scale + bias
+        out = z * calibrator.scale + calibrator.bias
     elif calibrator.kind == "matrix":
-        weight = np.asarray(calibrator.weight, dtype=np.float64)
-        bias = np.asarray(calibrator.bias, dtype=np.float64)
-        c = batch.num_classes
-        if weight.shape != (c, c) or bias.shape != (c,):
-            raise InvalidInputError("matrix calibrator dimensions do not match batch")
-        out = z @ weight.T + bias
+        out = z @ calibrator.weight.T + calibrator.bias
     else:  # pragma: no cover - kind validated at construction
         raise InvalidInputError(f"unknown calibrator kind {calibrator.kind!r}")
     return PredictionBatch(logits=out, labels=batch.labels)
@@ -386,51 +384,27 @@ def calibrator_to_dict(calibrator):
     doc = {"schema_version": SCHEMA_VERSION, "kind": calibrator.kind, "converged": calibrator.converged}
     if calibrator.temperature is not None:
         doc["temperature"] = calibrator.temperature
-    if calibrator.scale is not None:
-        doc["scale"] = np.asarray(calibrator.scale).tolist()
-    if calibrator.bias is not None:
-        doc["bias"] = np.asarray(calibrator.bias).tolist()
-    if calibrator.weight is not None:
-        doc["weight"] = np.asarray(calibrator.weight).tolist()
+    for name in ("scale", "bias", "weight"):
+        if getattr(calibrator, name) is not None:
+            doc[name] = getattr(calibrator, name).tolist()
     return doc
 
 
 def calibrator_from_dict(doc):
-    if not isinstance(doc, dict) or "kind" not in doc:
-        raise InvalidInputError("calibrator document needs a 'kind'")
-    if doc.get("schema_version") != SCHEMA_VERSION:
-        raise InvalidInputError(
-            f"unsupported calibrator schema_version {doc.get('schema_version')!r}"
-        )
+    check_version(doc, "calibrator")
     return Calibrator(
-        kind=doc["kind"],
+        kind=doc.get("kind"),
         temperature=doc.get("temperature"),
-        scale=_float_array(doc, "scale"),
-        bias=_float_array(doc, "bias"),
-        weight=_float_array(doc, "weight"),
+        scale=doc.get("scale"),
+        bias=doc.get("bias"),
+        weight=doc.get("weight"),
         converged=doc.get("converged", True),
     )
 
 
-def _float_array(doc, key):
-    """``doc[key]`` as a finite float64 array (None when absent); other values raise."""
-    if key not in doc:
-        return None
-    try:
-        array = np.asarray(doc[key])
-    except ValueError as exc:  # ragged nesting
-        raise InvalidInputError(f"calibrator {key} is not an array: {exc}") from exc
-    if array.dtype.kind not in "iuf" or not np.all(np.isfinite(array)):
-        raise InvalidInputError(f"calibrator {key} must hold finite numbers")
-    return array.astype(np.float64)
-
-
 def save_calibrator(calibrator, path):
-    with open(path, "w") as fh:
-        json.dump(calibrator_to_dict(calibrator), fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_json(calibrator_to_dict(calibrator), path, indent=2)
 
 
 def load_calibrator(path):
-    with open(path) as fh:
-        return calibrator_from_dict(json.load(fh))
+    return read_json(path, calibrator_from_dict)

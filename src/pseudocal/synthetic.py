@@ -8,13 +8,14 @@ multinomial logistic-regression classifier on the source, and exposes
 it through the black-box inference contract used by the calibrators.
 """
 
-import json
-from dataclasses import dataclass, field
+import numbers
+from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
 
+from .documents import SCHEMA_VERSION, check_version, read_json, write_json
 from .errors import InvalidInputError, InvalidSpecError, TrainingError
-from .numerics import PROB_EPS, softmax
+from .numerics import PROB_EPS, finite_array, softmax
 
 # Class means sit equally spaced on a circle of this radius in the first
 # two coordinates; keeps classes from collapsing onto each other.
@@ -23,8 +24,6 @@ CLASS_RADIUS = 3.0
 # Fraction of source samples reserved as the labeled validation split
 # that the source-dependent baselines are allowed to see.
 VAL_FRACTION = 0.25
-
-SCHEMA_VERSION = 1
 
 DEFAULT_EPOCHS = 400
 DEFAULT_LR = 0.1
@@ -45,14 +44,14 @@ class ShiftSpec:
     seed: int = 0
 
     def __post_init__(self):
-        if self.n_classes < 2:
-            raise InvalidSpecError("need at least 2 classes")
+        if not isinstance(self.n_classes, numbers.Integral) or self.n_classes < 2:
+            raise InvalidSpecError("need an integer count of at least 2 classes")
         if self.dim < 2:
             raise InvalidSpecError("need dim >= 2 for the class-mean circle")
         if min(self.n_source, self.n_target) < self.n_classes:
             raise InvalidSpecError("sample counts must be at least the class count")
-        if self.cluster_std <= 0:
-            raise InvalidSpecError("cluster_std must be positive")
+        if self.cluster_std <= 0 or self.seed < 0:
+            raise InvalidSpecError("cluster_std must be positive and the seed nonnegative")
         if self.target_priors is not None:
             priors = np.asarray(self.target_priors, dtype=np.float64)
             if priors.shape != (self.n_classes,):
@@ -67,9 +66,22 @@ class ShiftSpec:
             object.__setattr__(self, "target_priors", tuple(float(p) for p in priors))
 
 
+def _class_indices(values, n_rows, n_classes, what):
+    """``values`` as one int64 class index in [0, n_classes) per input row."""
+    labels = finite_array(values, what, 1, integer=True)
+    if labels.shape != (n_rows,) or np.any(labels < 0) or np.any(labels >= n_classes):
+        raise InvalidInputError(f"{what} must be {n_rows} class indices in [0, {n_classes})")
+    return labels
+
+
 @dataclass(frozen=True)
 class SyntheticTask:
-    """A generated source/target problem with labels held out for diagnostics."""
+    """A generated source/target problem with labels held out for diagnostics.
+
+    Inputs are finite float64 matrices and labels one class index per row
+    (arrays of those dtypes are kept without a copy). ``val_fraction``
+    must leave at least one source row to train on.
+    """
 
     spec: ShiftSpec
     source_inputs: np.ndarray | None
@@ -77,6 +89,25 @@ class SyntheticTask:
     target_inputs: np.ndarray
     target_labels: np.ndarray | None
     val_fraction: float = VAL_FRACTION
+
+    def __post_init__(self):
+        c = self.spec.n_classes
+        target = finite_array(self.target_inputs, "target inputs", 2)
+        object.__setattr__(self, "target_inputs", target)
+        if self.has_target_labels:
+            labels = _class_indices(self.target_labels, len(target), c, "target labels")
+            object.__setattr__(self, "target_labels", labels)
+        if not 0.0 < self.val_fraction < 1.0:
+            raise InvalidInputError(f"val_fraction must lie in (0, 1), got {self.val_fraction!r}")
+        if self.has_source:
+            source = finite_array(self.source_inputs, "source inputs", 2)
+            object.__setattr__(self, "source_inputs", source)
+            labels = _class_indices(self.source_labels, len(source), c, "source labels")
+            object.__setattr__(self, "source_labels", labels)
+            if self._split_point() < 1:
+                raise InvalidInputError(
+                    f"val_fraction {self.val_fraction} leaves no source row to train on"
+                )
 
     @property
     def has_source(self):
@@ -167,13 +198,21 @@ class TrainedClassifier:
     history: np.ndarray | None = None
 
     def __post_init__(self):
-        if self.gamma < 1.0:
-            raise InvalidInputError("gamma must be >= 1")
-        if np.ndim(self.weights) != 2 or np.shape(self.bias) != np.shape(self.weights)[1:]:
+        if not 1.0 <= self.gamma < np.inf:
+            raise InvalidInputError("gamma must be finite and >= 1")
+        weights = finite_array(self.weights, "model weights", 2)
+        bias = finite_array(self.bias, "model bias", 1)
+        if bias.shape != weights.shape[1:]:
             raise InvalidInputError("classifier needs a (d, C) weight matrix and a length-C bias")
+        object.__setattr__(self, "weights", weights)
+        object.__setattr__(self, "bias", bias)
 
     def predict_logits(self, inputs):
         inputs = np.asarray(inputs, dtype=np.float64)
+        if inputs.ndim != 2 or inputs.shape[1] != len(self.weights):
+            raise InvalidInputError(
+                f"classifier takes (n, {len(self.weights)}) inputs, got shape {inputs.shape}"
+            )
         return (inputs @ self.weights + self.bias) * self.gamma
 
 
@@ -190,8 +229,8 @@ def train(task, epochs=DEFAULT_EPOCHS, lr=DEFAULT_LR, gamma=1.0, track_history=F
     """
     if not task.has_source:
         raise InvalidInputError("training requires source data")
-    if epochs < 1:
-        raise InvalidInputError("epochs must be >= 1")
+    if epochs < 1 or seed < 0:
+        raise InvalidInputError(f"training needs epochs >= 1 and seed >= 0, got {epochs}, {seed}")
     x = task.source_train_inputs
     y = task.source_train_labels
     n, d = x.shape
@@ -236,15 +275,19 @@ class EnsembleModel:
 
     members: tuple
 
+    def __post_init__(self):
+        if len(self.members) < 1:
+            raise InvalidInputError("an ensemble needs at least one member")
+
     def predict_logits(self, inputs):
-        probs = np.mean([softmax(m.predict_logits(inputs)) for m in self.members], axis=0)
-        return np.log(np.maximum(probs, PROB_EPS))
+        probs = [softmax(m.predict_logits(inputs)) for m in self.members]
+        if len({p.shape for p in probs}) != 1:
+            raise InvalidInputError("ensemble members disagree on the number of classes")
+        return np.log(np.maximum(np.mean(probs, axis=0), PROB_EPS))
 
 
 def ensemble_train(task, k, seeds=None, epochs=DEFAULT_EPOCHS, lr=DEFAULT_LR, gamma=1.0):
     """Train k independently seeded classifiers and combine their predictions."""
-    if k < 1:
-        raise InvalidInputError("ensemble size must be >= 1")
     if seeds is None:
         seeds = list(range(k))
     if len(seeds) != k:
@@ -255,39 +298,13 @@ def ensemble_train(task, k, seeds=None, epochs=DEFAULT_EPOCHS, lr=DEFAULT_LR, ga
     return EnsembleModel(members=members)
 
 
-def spec_to_dict(spec):
-    return {
-        "n_classes": spec.n_classes,
-        "dim": spec.dim,
-        "n_source": spec.n_source,
-        "n_target": spec.n_target,
-        "mean_shift": spec.mean_shift,
-        "rotation": spec.rotation,
-        "target_priors": list(spec.target_priors) if spec.target_priors is not None else None,
-        "cluster_std": spec.cluster_std,
-        "seed": spec.seed,
-    }
-
-
-def spec_from_dict(doc):
-    priors = doc.get("target_priors")
-    return ShiftSpec(
-        n_classes=doc["n_classes"],
-        dim=doc["dim"],
-        n_source=doc["n_source"],
-        n_target=doc["n_target"],
-        mean_shift=doc["mean_shift"],
-        rotation=doc["rotation"],
-        target_priors=tuple(priors) if priors is not None else None,
-        cluster_std=doc["cluster_std"],
-        seed=doc["seed"],
-    )
+_SPEC_KEYS = {f.name for f in fields(ShiftSpec)}
 
 
 def task_to_dict(task):
     return {
         "schema_version": SCHEMA_VERSION,
-        "spec": spec_to_dict(task.spec),
+        "spec": asdict(task.spec),
         "val_fraction": task.val_fraction,
         "source_inputs": task.source_inputs.tolist() if task.has_source else None,
         "source_labels": task.source_labels.tolist() if task.has_source else None,
@@ -296,31 +313,16 @@ def task_to_dict(task):
     }
 
 
-def _check_version(doc, what):
-    version = doc.get("schema_version") if isinstance(doc, dict) else None
-    if version != SCHEMA_VERSION:
-        raise InvalidInputError(f"unsupported {what} document schema_version {version!r}")
-
-
-def _finite(values, what):
-    """``values`` as a float64 array, rejecting NaN and infinities."""
-    array = np.asarray(values, dtype=np.float64)
-    if not np.all(np.isfinite(array)):
-        raise InvalidInputError(f"{what} contain non-finite values")
-    return array
-
-
 def task_from_dict(doc):
-    _check_version(doc, "task")
-    src_x = doc.get("source_inputs")
-    src_y = doc.get("source_labels")
-    tgt_y = doc.get("target_labels")
+    check_version(doc, "task")
+    if set(doc["spec"]) != _SPEC_KEYS:
+        raise InvalidInputError(f"task spec needs exactly the keys {sorted(_SPEC_KEYS)}")
     return SyntheticTask(
-        spec=spec_from_dict(doc["spec"]),
-        source_inputs=_finite(src_x, "source inputs") if src_x is not None else None,
-        source_labels=np.asarray(src_y, dtype=np.int64) if src_y is not None else None,
-        target_inputs=_finite(doc["target_inputs"], "target inputs"),
-        target_labels=np.asarray(tgt_y, dtype=np.int64) if tgt_y is not None else None,
+        spec=ShiftSpec(**doc["spec"]),
+        source_inputs=doc.get("source_inputs"),
+        source_labels=doc.get("source_labels"),
+        target_inputs=doc["target_inputs"],
+        target_labels=doc.get("target_labels"),
         val_fraction=doc.get("val_fraction", VAL_FRACTION),
     )
 
@@ -343,41 +345,28 @@ def model_to_dict(model):
 
 
 def model_from_dict(doc):
-    _check_version(doc, "model")
+    check_version(doc, "model")
     if doc["kind"] == "ensemble":
         return EnsembleModel(members=tuple(model_from_dict(m) for m in doc["members"]))
     return TrainedClassifier(
-        weights=_finite(doc["weights"], "model weights"),
-        bias=_finite(doc["bias"], "model bias"),
+        weights=doc["weights"],
+        bias=doc["bias"],
         gamma=doc["gamma"],
         train_config=doc.get("train_config", {}),
     )
 
 
 def save_task(task, path):
-    with open(path, "w") as fh:
-        json.dump(task_to_dict(task), fh, sort_keys=True)
-        fh.write("\n")
-
-
-def _load(path, from_dict):
-    """Read a JSON document; a malformed one raises InvalidInputError."""
-    with open(path) as fh:
-        try:
-            return from_dict(json.load(fh))
-        except (KeyError, TypeError, ValueError) as exc:
-            raise InvalidInputError(f"malformed document {path}: {exc!r}") from exc
+    write_json(task_to_dict(task), path)
 
 
 def load_task(path):
-    return _load(path, task_from_dict)
+    return read_json(path, task_from_dict)
 
 
 def save_model(model, path):
-    with open(path, "w") as fh:
-        json.dump(model_to_dict(model), fh, sort_keys=True)
-        fh.write("\n")
+    write_json(model_to_dict(model), path)
 
 
 def load_model(path):
-    return _load(path, model_from_dict)
+    return read_json(path, model_from_dict)

@@ -155,6 +155,50 @@ def test_unsupported_task_version_is_a_one_line_error(workspace, capsys):
     _assert_one_line_invalid_input(code, capsys, out)
 
 
+@pytest.mark.filterwarnings("error")  # a warning would be one more stderr line
+@pytest.mark.parametrize(
+    "command, damaged, damage, code",
+    [
+        ("train", "task", lambda doc: doc["source_labels"].__setitem__(0, 7), 1),
+        ("train", "task", lambda doc: doc.update(source_labels=doc["source_labels"][:-3]), 1),
+        ("calibrate", "task",
+         lambda doc: doc.update(target_inputs=[row[:-2] for row in doc["target_inputs"]]), 1),
+        ("calibrate", "task",
+         lambda doc: doc.update(target_inputs=[row[0] for row in doc["target_inputs"]]), 1),
+        ("evaluate", "task", lambda doc: doc.update(val_fraction=2.0), 1),
+        ("calibrate", "model", lambda doc: doc.update(kind="ensemble", members=[]), 1),
+        ("calibrate", "config", lambda doc: doc.update(seed="x"), 2),
+        ("calibrate", "config", lambda doc: doc.update(mixup_epochs=float("inf")), 2),
+        ("calibrate", "config", lambda doc: doc.update(seed=-1), 1),
+    ],
+    ids=["source-label-7", "source-labels-short", "narrow-target-inputs", "1d-target-inputs",
+         "val-fraction-2", "empty-ensemble", "config-seed-string", "config-epochs-inf",
+         "config-seed-negative"],
+)
+def test_malformed_input_is_a_one_line_error(
+    workspace, tmp_path, capsys, command, damaged, damage, code
+):
+    root, task, model = workspace
+    docs = {"task": json.loads(task.read_text()), "model": json.loads(model.read_text()), "config": {}}
+    damage(docs[damaged])
+    paths = {"task": task, "model": model}
+    paths[damaged] = tmp_path / f"{damaged}.json"
+    paths[damaged].write_text(json.dumps(docs[damaged]))
+    out = tmp_path / "never.json"
+    argv = [command, "--task", str(paths["task"]), "--out", str(out)]
+    if command != "train":
+        argv += ["--model", str(paths["model"])]
+    if command == "evaluate":
+        argv += ["--methods", "vector"]
+    if damaged == "config":
+        argv += ["--config", str(paths["config"])]
+    assert run(argv) == code
+    err = capsys.readouterr().err
+    assert err.startswith("error:")
+    assert err.count("\n") == 1
+    assert not out.exists()
+
+
 def test_sweep_csv(workspace):
     root, task, model = workspace
     out = root / "sweep.csv"

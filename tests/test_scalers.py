@@ -362,6 +362,9 @@ def test_calibrator_json_roundtrip(tmp_path):
         assert doc["schema_version"] == scalers.SCHEMA_VERSION
         b = metrics.PredictionBatch(logits=[[1.0, -1.0]], labels=[0])
         np.testing.assert_allclose(loaded.apply(b).logits, cal.apply(b).logits)
+    path.write_text("kind: temperature\n")
+    with pytest.raises(InvalidInputError):
+        scalers.load_calibrator(path)
 
 
 @pytest.mark.parametrize(
@@ -380,11 +383,12 @@ def test_calibrator_json_roundtrip(tmp_path):
         {"schema_version": 1, "kind": "vector", "scale": ["a", "b"], "bias": [0.0, 0.0]},
         {"schema_version": 1, "kind": "vector", "scale": [1.0, float("nan")], "bias": [0.0, 0.0]},
         {"schema_version": 1, "kind": "matrix", "weight": [[1.0, 0.0], [0.0]], "bias": [0.0, 0.0]},
+        {"schema_version": 1, "kind": "temperature", "temperature": 2.0, "converged": "no"},
     ],
     ids=["vector-lengths", "vector-2d", "vector-no-bias", "matrix-not-square",
          "matrix-vs-bias", "unknown-version", "no-version", "no-kind",
          "temperature-string", "temperature-bool", "scale-strings", "scale-nan",
-         "weight-ragged"],
+         "weight-ragged", "converged-string"],
 )
 def test_malformed_calibrator_document_is_rejected(doc):
     with pytest.raises(InvalidInputError):

@@ -20,6 +20,8 @@ def test_spec_validation():
         synthetic.ShiftSpec(target_priors=(0.9, 0.2, 0.0, 0.0, -0.1))
     with pytest.raises(InvalidSpecError):
         synthetic.ShiftSpec(cluster_std=0.0)
+    with pytest.raises(InvalidSpecError):
+        synthetic.ShiftSpec(seed=-1)
 
 
 def test_generate_shift_free_control():
@@ -113,17 +115,17 @@ def test_train_history_columns():
 
 def test_train_divergence_raises_with_epoch():
     # clamped cross-entropy never overflows on finite data, so force a
-    # non-finite loss through a corrupted sample
+    # non-finite loss through a sample corrupted after the task's
+    # constructor has checked its inputs
     task = synthetic.generate(synthetic.ShiftSpec(seed=9, n_source=200, n_target=200))
-    poisoned = task.source_inputs.copy()
-    poisoned[0, 0] = np.nan
     bad = synthetic.SyntheticTask(
         spec=task.spec,
-        source_inputs=poisoned,
+        source_inputs=task.source_inputs.copy(),
         source_labels=task.source_labels,
         target_inputs=task.target_inputs,
         target_labels=task.target_labels,
     )
+    bad.source_inputs[0, 0] = np.nan
     with pytest.raises(TrainingError) as excinfo:
         synthetic.train(bad, epochs=10, lr=0.1, seed=9)
     assert excinfo.value.epoch == 1
@@ -149,6 +151,16 @@ def test_ensemble_single_member_matches_base_model():
         softmax(single.predict_logits(task.target_inputs)),
         atol=1e-9,
     )
+
+
+def test_models_reject_inputs_they_cannot_score():
+    model = synthetic.TrainedClassifier(weights=np.ones((3, 2)), bias=np.zeros(2))
+    for inputs in (np.ones((4, 2)), np.ones(3)):
+        with pytest.raises(InvalidInputError):
+            model.predict_logits(inputs)
+    three_classes = synthetic.TrainedClassifier(weights=np.ones((3, 3)), bias=np.zeros(3))
+    with pytest.raises(InvalidInputError):
+        synthetic.EnsembleModel(members=(model, three_classes)).predict_logits(np.ones((4, 3)))
 
 
 def test_ensemble_order_invariant():
@@ -226,9 +238,24 @@ def test_model_json_roundtrip(tmp_path):
         ("model", lambda doc: doc["members"][1].update(schema_version=99)),
         ("model", lambda doc: doc["members"][0]["weights"][0].__setitem__(0, float("nan"))),
         ("model", lambda doc: doc["members"][0]["bias"].__setitem__(1, float("-inf"))),
+        ("task", lambda doc: doc["source_labels"].__setitem__(0, 7)),
+        ("task", lambda doc: doc["target_labels"].__setitem__(-1, -1)),
+        ("task", lambda doc: doc.update(source_labels=doc["source_labels"][:-3])),
+        ("task", lambda doc: doc.update(target_inputs=[row[0] for row in doc["target_inputs"]])),
+        ("task", lambda doc: doc["source_inputs"][0].pop()),
+        ("task", lambda doc: doc["target_inputs"][0].__setitem__(0, "1.0")),
+        ("task", lambda doc: doc["source_labels"].__setitem__(0, 1.5)),
+        ("task", lambda doc: doc.update(val_fraction=2.0)),
+        ("task", lambda doc: doc["spec"].pop("n_classes")),
+        ("task", lambda doc: doc["spec"].update(n_classes=2.5)),
+        ("model", lambda doc: doc.update(members=[])),
+        ("model", lambda doc: doc["members"][0].update(gamma=float("inf"))),
     ],
     ids=["task-version", "task-no-version", "target-nan", "source-inf", "model-version",
-         "member-version", "weights-nan", "bias-inf"],
+         "member-version", "weights-nan", "bias-inf", "source-label-7", "target-label-negative",
+         "source-labels-short", "target-1d", "source-ragged", "target-string", "label-fraction",
+         "val-fraction-2", "spec-no-n-classes", "spec-fractional-n-classes", "ensemble-empty",
+         "gamma-inf"],
 )
 def test_malformed_task_and_model_documents_are_rejected(what, damage):
     task = synthetic.generate(synthetic.ShiftSpec(seed=16, n_source=50, n_target=50))
