@@ -29,7 +29,7 @@ from .metrics import (
     mean_nll,
     reliability_bins,
 )
-from .numerics import argmax_class, brier, log_softmax, nll, softmax
+from .numerics import log_softmax, softmax
 from .pseudo_target import (
     MixupConfig,
     PseudoTargetSet,
@@ -46,9 +46,7 @@ from .scalers import (
     T_MAX,
     T_MIN,
     Calibrator,
-    apply,
     fit_matrix,
-    fit_oracle,
     fit_temperature,
     fit_vector,
     nll_decomposition,

@@ -7,6 +7,8 @@ the constructors validate them; this module owns only the encoding.
 import csv
 import json
 
+import numpy as np
+
 from .errors import InvalidInputError
 
 SCHEMA_VERSION = 1
@@ -42,12 +44,23 @@ def read_json(path, from_dict):
             raise InvalidInputError(f"malformed document {path}: {exc!r}") from exc
 
 
-def write_csv(path_or_file, header, rows):
-    """Write a header line and rows as CSV to a path or to an open text file."""
+def write_csv(path_or_file, columns):
+    """Write named 1-D columns as CSV to a path or to an open text file.
+
+    The keys of ``columns`` are the header. Float columns are written as
+    ``.10g``, integer and string columns as they are.
+    """
     if isinstance(path_or_file, (str, bytes)) or hasattr(path_or_file, "__fspath__"):
         with open(path_or_file, "w", newline="") as fh:
-            write_csv(fh, header, rows)
+            write_csv(fh, columns)
         return
+    cells = [_cells(np.asarray(values)) for values in columns.values()]
     writer = csv.writer(path_or_file)
-    writer.writerow(header)
-    writer.writerows(rows)
+    writer.writerow(columns)
+    writer.writerows(zip(*cells, strict=True))
+
+
+def _cells(values):
+    if values.dtype.kind == "f":
+        return [f"{v:.10g}" for v in values.tolist()]
+    return values.tolist()

@@ -168,16 +168,16 @@ def mean_brier(batch):
     return float(np.mean(np.sum((p - onehot) ** 2, axis=1) / batch.num_classes))
 
 
+def bin_columns(*stats):
+    """The bins of one or more BinStats as named CSV columns, stacked in order."""
+    fields = {"bin_lower": "lower", "bin_upper": "upper", "count": "count",
+              "accuracy": "accuracy", "confidence": "confidence"}
+    return {
+        column: np.concatenate([getattr(s, attr) for s in stats]) if stats else []
+        for column, attr in fields.items()
+    }
+
+
 def bin_stats_to_csv(stats, path_or_file):
     """Write BinStats as CSV: bin_lower, bin_upper, count, accuracy, confidence."""
-    rows = [
-        (
-            f"{stats.lower[m]:.10g}",
-            f"{stats.upper[m]:.10g}",
-            int(stats.count[m]),
-            f"{stats.accuracy[m]:.10g}",
-            f"{stats.confidence[m]:.10g}",
-        )
-        for m in range(stats.bin_count)
-    ]
-    write_csv(path_or_file, ["bin_lower", "bin_upper", "count", "accuracy", "confidence"], rows)
+    write_csv(path_or_file, bin_columns(stats))

@@ -8,8 +8,8 @@ samples do, so a temperature fitted on this surrogate labeled set
 approximates the oracle temperature fitted on true target labels.
 """
 
-from dataclasses import dataclass, field
-from typing import Protocol, runtime_checkable
+from dataclasses import dataclass
+from typing import Protocol
 
 import numpy as np
 
@@ -23,7 +23,6 @@ DEFAULT_LAMBDA = 0.65
 FILTER_THRESHOLD = 0.95
 
 
-@runtime_checkable
 class Model(Protocol):
     """Black-box inference contract: feature matrix in, logit matrix out."""
 
@@ -65,30 +64,31 @@ class MixupConfig:
 
 @dataclass(frozen=True)
 class PseudoTargetSet:
-    """Mixed samples with their logits, pseudo labels and per-pair provenance."""
+    """Mixed samples' logits and pseudo labels, with the pair each was mixed from.
 
-    inputs: np.ndarray
+    Sample i mixes target rows ``index_a[i]`` and ``index_b[i]`` with ratio
+    ``lam[i]``; ``pl_a`` and ``pl_b`` are their pseudo labels, and
+    ``hard_labels`` the dominant row's. ``soft_labels`` is set in soft label
+    mode only.
+    """
+
     logits: np.ndarray
     hard_labels: np.ndarray
+    index_a: np.ndarray
+    index_b: np.ndarray
+    lam: np.ndarray
+    pl_a: np.ndarray
+    pl_b: np.ndarray
     soft_labels: np.ndarray | None = None
-    index_a: np.ndarray | None = None
-    index_b: np.ndarray | None = None
-    lam: np.ndarray | None = None
-    pl_a: np.ndarray | None = None
-    pl_b: np.ndarray | None = None
-    dominant_index: np.ndarray | None = field(default=None)
 
     @property
     def size(self):
-        return self.inputs.shape[0]
+        return self.logits.shape[0]
 
     @property
-    def num_classes(self):
-        return self.logits.shape[1]
-
-    @property
-    def has_provenance(self):
-        return self.index_a is not None
+    def dominant_index(self):
+        """The target row that outweighs the other in each mixture."""
+        return np.where(self.lam > 0.5, self.index_a, self.index_b)
 
 
 def infer(model, inputs):
@@ -125,7 +125,6 @@ def synthesize(model, target_inputs, target_logits, cfg):
     if np.shape(target_logits)[0] != n:
         raise InvalidInputError("target logits must hold one row per target input")
     pl = np.argmax(target_logits, axis=1)
-    num_classes = np.shape(target_logits)[1]
 
     rng = np.random.default_rng(cfg.seed)
     parts = []
@@ -146,9 +145,7 @@ def synthesize(model, target_inputs, target_logits, cfg):
         idx_b = perm[keep]
         lam = lam[keep]
         mixed = lam[:, None] * inputs[idx_a] + (1.0 - lam[:, None]) * inputs[idx_b]
-        dominant = np.where(lam > 0.5, idx_a, idx_b)
-        hard = np.where(lam > 0.5, pl[idx_a], pl[idx_b])
-        parts.append((mixed, hard, idx_a, idx_b, lam, dominant))
+        parts.append((mixed, idx_a, idx_b, lam))
 
     if not parts:
         single = int(pl[0]) if np.all(pl == pl[0]) else None
@@ -161,26 +158,24 @@ def synthesize(model, target_inputs, target_logits, cfg):
             f"pseudo-target synthesis is degenerate: {detail}", predicted_class=single
         )
 
-    mixed, hard, idx_a, idx_b, lam, dominant = (np.concatenate(col) for col in zip(*parts))
+    mixed, idx_a, idx_b, lam = (np.concatenate(col) for col in zip(*parts))
     del parts  # the per-epoch copies must not outlive the mixed-set inference
+    pl_a, pl_b = pl[idx_a], pl[idx_b]
 
     soft = None
     if cfg.label_mode == "soft":
-        onehot_a = np.eye(num_classes)[pl[idx_a]]
-        onehot_b = np.eye(num_classes)[pl[idx_b]]
-        soft = lam[:, None] * onehot_a + (1.0 - lam[:, None]) * onehot_b
+        eye = np.eye(np.shape(target_logits)[1])
+        soft = lam[:, None] * eye[pl_a] + (1.0 - lam[:, None]) * eye[pl_b]
 
     return PseudoTargetSet(
-        inputs=mixed,
         logits=infer(model, mixed),
-        hard_labels=hard,
-        soft_labels=soft,
+        hard_labels=np.where(lam > 0.5, pl_a, pl_b),
         index_a=idx_a,
         index_b=idx_b,
         lam=lam,
-        pl_a=pl[idx_a],
-        pl_b=pl[idx_b],
-        dominant_index=dominant,
+        pl_a=pl_a,
+        pl_b=pl_b,
+        soft_labels=soft,
     )
 
 
@@ -202,8 +197,6 @@ def calibrate(model, target_inputs, cfg=None):
 
 
 def _pseudo_correct(pseudo):
-    if not pseudo.has_provenance:
-        raise InvalidInputError("pseudo-target set carries no provenance")
     return np.argmax(pseudo.logits, axis=1) == pseudo.hard_labels
 
 
@@ -214,11 +207,9 @@ def correspondence_rate(pseudo, target_labels):
     label) and its dominant constituent (judged against its true label)
     are both correct or both wrong. Diagnostic only: needs true labels.
     """
-    pseudo_correct = _pseudo_correct(pseudo)
     target_labels = np.asarray(target_labels, dtype=np.int64)
-    dominant_pl = np.where(pseudo.lam > 0.5, pseudo.pl_a, pseudo.pl_b)
-    dominant_correct = dominant_pl == target_labels[pseudo.dominant_index]
-    return float(np.mean(pseudo_correct == dominant_correct))
+    dominant_correct = pseudo.hard_labels == target_labels[pseudo.dominant_index]
+    return float(np.mean(_pseudo_correct(pseudo) == dominant_correct))
 
 
 def variant_pseudo_label(target_logits):
@@ -247,18 +238,12 @@ def variant_filtered_pl(target_logits, threshold=FILTER_THRESHOLD):
 
 def write_provenance_csv(pseudo, path_or_file):
     """Audit trail: one row per pseudo sample with its pair and correctness."""
-    pseudo_correct = _pseudo_correct(pseudo).astype(int)
-    rows = [
-        (
-            int(pseudo.index_a[i]),
-            int(pseudo.index_b[i]),
-            f"{pseudo.lam[i]:.10g}",
-            int(pseudo.pl_a[i]),
-            int(pseudo.pl_b[i]),
-            int(pseudo.hard_labels[i]),
-            int(pseudo_correct[i]),
-        )
-        for i in range(pseudo.size)
-    ]
-    header = ["index_a", "index_b", "lambda", "pl_a", "pl_b", "y_pt", "pseudo_correct"]
-    write_csv(path_or_file, header, rows)
+    write_csv(path_or_file, {
+        "index_a": pseudo.index_a,
+        "index_b": pseudo.index_b,
+        "lambda": pseudo.lam,
+        "pl_a": pseudo.pl_a,
+        "pl_b": pseudo.pl_b,
+        "y_pt": pseudo.hard_labels,
+        "pseudo_correct": _pseudo_correct(pseudo).astype(int),
+    })

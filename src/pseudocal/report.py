@@ -15,7 +15,9 @@ import numpy as np
 from . import pseudo_target, scalers, synthetic
 from .documents import SCHEMA_VERSION, json_text, write_csv
 from .errors import DataAccessError, InvalidInputError
-from .metrics import DEFAULT_BINS, PredictionBatch, ece, mean_brier, mean_nll, reliability_bins
+from .metrics import (
+    DEFAULT_BINS, PredictionBatch, bin_columns, ece, mean_brier, mean_nll, reliability_bins,
+)
 
 DEFAULT_ENSEMBLE_SIZE = 5
 
@@ -110,11 +112,10 @@ def _mixup(**change):
 
 
 def _fit_ensemble(data):
-    train_cfg = getattr(data.model, "train_config", {}) or {}
+    train_cfg = getattr(data.model, "train_config", {})
     ens = synthetic.ensemble_train(
         data.task,
-        data.ensemble_size,
-        seeds=list(range(data.seed, data.seed + data.ensemble_size)),
+        range(data.seed, data.seed + data.ensemble_size),
         epochs=train_cfg.get("epochs", synthetic.DEFAULT_EPOCHS),
         lr=train_cfg.get("lr", synthetic.DEFAULT_LR),
         gamma=train_cfg.get("gamma", 1.0),
@@ -132,7 +133,7 @@ class Method(NamedTuple):
 METHODS = {
     "none": Method(UNLABELED_TARGET, lambda data: (scalers.identity(), None)),
     "temp_oracle": Method(
-        TARGET_LABELS, lambda data: (scalers.fit_oracle(data.target_batch), None)
+        TARGET_LABELS, lambda data: (scalers.fit_temperature(data.target_batch), None)
     ),
     "vector": Method(SOURCE_SPLIT, lambda data: (scalers.fit_vector(data.source_batch), None)),
     "matrix": Method(SOURCE_SPLIT, lambda data: (scalers.fit_matrix(data.source_batch), None)),
@@ -213,21 +214,9 @@ def evaluate_all(
 
 def method_bins_to_csv(result, path_or_file):
     """Stacked reliability-bin CSV: one block of bins per evaluated method."""
-    rows = []
-    for name, stats in result.bin_stats.items():
-        for m in range(stats.bin_count):
-            rows.append(
-                (
-                    name,
-                    f"{stats.lower[m]:.10g}",
-                    f"{stats.upper[m]:.10g}",
-                    int(stats.count[m]),
-                    f"{stats.accuracy[m]:.10g}",
-                    f"{stats.confidence[m]:.10g}",
-                )
-            )
-    header = ["method", "bin_lower", "bin_upper", "count", "accuracy", "confidence"]
-    write_csv(path_or_file, header, rows)
+    stats = result.bin_stats.values()
+    method = np.repeat(list(result.bin_stats), [s.bin_count for s in stats])
+    write_csv(path_or_file, {"method": method, **bin_columns(*stats)})
 
 
 def lambda_sweep(model, task, lambdas, label_modes, seeds, bins=DEFAULT_BINS):
@@ -274,23 +263,17 @@ def lambda_sweep(model, task, lambdas, label_modes, seeds, bins=DEFAULT_BINS):
 
 
 def sweep_to_csv(rows, path_or_file):
-    csv_rows = [
-        (
-            f"{r['lambda']:.10g}",
-            r["label_mode"],
-            f"{r['mean_ece']:.10g}",
-            f"{r['std_ece']:.10g}",
-            r["n_seeds"],
-        )
-        for r in rows
-    ]
-    write_csv(path_or_file, ["lambda", "label_mode", "mean_ece", "std_ece", "n_seeds"], csv_rows)
+    """Sweep CSV: lambda, label_mode, mean_ece, std_ece, n_seeds."""
+    keys = ("lambda", "label_mode", "mean_ece", "std_ece", "n_seeds")
+    write_csv(path_or_file, {key: [r[key] for r in rows] for key in keys})
 
 
 def history_to_csv(history, path_or_file):
     """Training-history CSV: epoch, source_loss, target_error, target_nll."""
-    rows = [
-        (int(e), f"{sl:.10g}", f"{te:.10g}", f"{tn:.10g}")
-        for e, sl, te, tn in np.asarray(history)
-    ]
-    write_csv(path_or_file, ["epoch", "source_loss", "target_error", "target_nll"], rows)
+    history = np.asarray(history)
+    write_csv(path_or_file, {
+        "epoch": history[:, 0].astype(int),
+        "source_loss": history[:, 1],
+        "target_error": history[:, 2],
+        "target_nll": history[:, 3],
+    })

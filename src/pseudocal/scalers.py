@@ -7,7 +7,6 @@ contain the temperature family, so their fitted NLL can only be lower.
 """
 
 import math
-import numbers
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -16,7 +15,7 @@ import numpy as np
 from .documents import SCHEMA_VERSION, check_version, read_json, write_json
 from .errors import InvalidInputError, LabelsRequiredError, OptimizationError
 from .metrics import PredictionBatch
-from .numerics import finite_array, log_softmax
+from .numerics import finite_array, is_finite_number, log_softmax
 
 # Search bounds for the temperature. Wide enough to contain every
 # plausible optimum while keeping softmax(z/T) numerically sane;
@@ -66,7 +65,7 @@ class Calibrator:
             raise InvalidInputError(f"unknown calibrator kind {self.kind!r}")
         if self.kind == "temperature":
             t = self.temperature
-            if isinstance(t, bool) or not isinstance(t, numbers.Real) or not T_MIN <= t <= T_MAX:
+            if not is_finite_number(t) or not T_MIN <= t <= T_MAX:
                 raise InvalidInputError(f"temperature must be a number in [{T_MIN}, {T_MAX}], got {t!r}")
         if not isinstance(self.converged, bool):
             raise InvalidInputError(f"converged must be true or false, got {self.converged!r}")
@@ -81,29 +80,21 @@ class Calibrator:
             raise InvalidInputError("matrix calibrator needs a square weight matching its bias")
 
     def apply(self, batch):
-        return apply(self, batch)
+        """Transform a batch's logits; labels are carried through unchanged."""
+        z = batch.logits
+        if self.bias is not None and self.bias.shape != (batch.num_classes,):
+            raise InvalidInputError(f"{self.kind} calibrator dimensions do not match batch")
+        if self.kind == "temperature":
+            z = z / self.temperature
+        elif self.kind == "vector":
+            z = z * self.scale + self.bias
+        elif self.kind == "matrix":
+            z = z @ self.weight.T + self.bias
+        return PredictionBatch(logits=z, labels=batch.labels)
 
 
 def identity():
     return Calibrator(kind="identity")
-
-
-def apply(calibrator, batch):
-    """Transform a batch's logits; labels are carried through unchanged."""
-    z = batch.logits
-    if calibrator.bias is not None and calibrator.bias.shape != (batch.num_classes,):
-        raise InvalidInputError(f"{calibrator.kind} calibrator dimensions do not match batch")
-    if calibrator.kind == "identity":
-        out = z
-    elif calibrator.kind == "temperature":
-        out = z / calibrator.temperature
-    elif calibrator.kind == "vector":
-        out = z * calibrator.scale + calibrator.bias
-    elif calibrator.kind == "matrix":
-        out = z @ calibrator.weight.T + calibrator.bias
-    else:  # pragma: no cover - kind validated at construction
-        raise InvalidInputError(f"unknown calibrator kind {calibrator.kind!r}")
-    return PredictionBatch(logits=out, labels=batch.labels)
 
 
 def _cross_entropy(logp, labels, soft_labels):
@@ -212,17 +203,6 @@ def fit_temperature(batch, soft_labels=None):
             probe=1.0 / beta,
         )
     return Calibrator(kind="temperature", temperature=min(max(1.0 / beta, T_MIN), T_MAX))
-
-
-def fit_oracle(batch):
-    """Temperature scaling against true labels: the upper-bound reference.
-
-    Identical optimization to :func:`fit_temperature`; kept as a named
-    entry point because results tables report it as a separate row.
-    """
-    if not batch.has_labels:
-        raise LabelsRequiredError("oracle fitting requires true labels")
-    return fit_temperature(batch)
 
 
 class NllDecomposition(NamedTuple):

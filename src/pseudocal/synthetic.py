@@ -8,14 +8,13 @@ multinomial logistic-regression classifier on the source, and exposes
 it through the black-box inference contract used by the calibrators.
 """
 
-import numbers
 from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
 
 from .documents import SCHEMA_VERSION, check_version, read_json, write_json
 from .errors import InvalidInputError, InvalidSpecError, TrainingError
-from .numerics import PROB_EPS, finite_array, softmax
+from .numerics import finite_array, is_finite_number, is_integer, softmax
 
 # Class means sit equally spaced on a circle of this radius in the first
 # two coordinates; keeps classes from collapsing onto each other.
@@ -27,6 +26,13 @@ VAL_FRACTION = 0.25
 
 DEFAULT_EPOCHS = 400
 DEFAULT_LR = 0.1
+
+# Logs of probabilities (the tracked training losses, the ensemble's
+# log mean probability) clamp here so that an exact zero stays finite.
+# mean_nll and the temperature fit work from the logits with log_softmax
+# instead: the clamp caps a confidently wrong sample's loss at ~27.6 nats,
+# which can move the fitted optimum.
+PROB_EPS = 1e-12
 
 
 @dataclass(frozen=True)
@@ -44,8 +50,14 @@ class ShiftSpec:
     seed: int = 0
 
     def __post_init__(self):
-        if not isinstance(self.n_classes, numbers.Integral) or self.n_classes < 2:
-            raise InvalidSpecError("need an integer count of at least 2 classes")
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if f.type is int and not is_integer(value):
+                raise InvalidSpecError(f"{f.name} must be an integer, got {value!r}")
+            if f.type is float and not is_finite_number(value):
+                raise InvalidSpecError(f"{f.name} must be a finite number, got {value!r}")
+        if self.n_classes < 2:
+            raise InvalidSpecError("need at least 2 classes")
         if self.dim < 2:
             raise InvalidSpecError("need dim >= 2 for the class-mean circle")
         if min(self.n_source, self.n_target) < self.n_classes:
@@ -53,7 +65,10 @@ class ShiftSpec:
         if self.cluster_std <= 0 or self.seed < 0:
             raise InvalidSpecError("cluster_std must be positive and the seed nonnegative")
         if self.target_priors is not None:
-            priors = np.asarray(self.target_priors, dtype=np.float64)
+            try:
+                priors = finite_array(self.target_priors, "target priors", 1)
+            except InvalidInputError as exc:
+                raise InvalidSpecError(str(exc)) from None
             if priors.shape != (self.n_classes,):
                 raise InvalidSpecError("target priors must have one entry per class")
             if np.any(priors < 0):
@@ -183,12 +198,33 @@ def generate(spec):
     )
 
 
+# A train_config holds some of these keys, each with a value that passes its check.
+_TRAIN_CONFIG_CHECKS = {
+    "epochs": lambda v: is_integer(v) and v >= 1,
+    "lr": lambda v: is_finite_number(v) and v > 0,
+    "gamma": lambda v: is_finite_number(v) and v >= 1,
+    "seed": lambda v: is_integer(v) and v >= 0,
+}
+
+
+def _check_train_config(config):
+    if not isinstance(config, dict) or not all(
+        _TRAIN_CONFIG_CHECKS.get(key, lambda v: False)(value) for key, value in config.items()
+    ):
+        raise InvalidInputError(
+            f"malformed train_config {config!r}: it takes integer epochs >= 1, finite lr > 0,"
+            " finite gamma >= 1 and integer seed >= 0"
+        )
+
+
 @dataclass(frozen=True)
 class TrainedClassifier:
     """Multinomial logistic regression with confidence sharpening.
 
     Inference returns (X @ weights + bias) * gamma; gamma > 1 inflates
-    confidence without moving any decision boundary.
+    confidence without moving any decision boundary. ``train_config``
+    records how it was trained (the ensemble baseline trains its members
+    the same way): some of epochs, lr, gamma and seed.
     """
 
     weights: np.ndarray
@@ -198,8 +234,9 @@ class TrainedClassifier:
     history: np.ndarray | None = None
 
     def __post_init__(self):
-        if not 1.0 <= self.gamma < np.inf:
+        if not is_finite_number(self.gamma) or self.gamma < 1.0:
             raise InvalidInputError("gamma must be finite and >= 1")
+        _check_train_config(self.train_config)
         weights = finite_array(self.weights, "model weights", 2)
         bias = finite_array(self.bias, "model bias", 1)
         if bias.shape != weights.shape[1:]:
@@ -229,8 +266,8 @@ def train(task, epochs=DEFAULT_EPOCHS, lr=DEFAULT_LR, gamma=1.0, track_history=F
     """
     if not task.has_source:
         raise InvalidInputError("training requires source data")
-    if epochs < 1 or seed < 0:
-        raise InvalidInputError(f"training needs epochs >= 1 and seed >= 0, got {epochs}, {seed}")
+    config = {"epochs": epochs, "lr": lr, "gamma": float(gamma), "seed": seed}
+    _check_train_config(config)
     x = task.source_train_inputs
     y = task.source_train_labels
     n, d = x.shape
@@ -248,12 +285,12 @@ def train(task, epochs=DEFAULT_EPOCHS, lr=DEFAULT_LR, gamma=1.0, track_history=F
         if not np.all(np.isfinite(scores)):
             raise TrainingError(f"training diverged at epoch {epoch}", epoch=epoch)
         probs = softmax(scores)
-        loss = _mean_ce(probs, y)
         grad_w = x.T @ (probs - onehot) / n
         grad_b = np.mean(probs - onehot, axis=0)
         w = w - lr * grad_w
         b = b - lr * grad_b
         if track_history:
+            loss = _mean_ce(probs, y)
             t_logits = (task.target_inputs @ w + b) * gamma
             t_probs = softmax(t_logits)
             t_err = float(np.mean(np.argmax(t_logits, axis=1) != task.target_labels))
@@ -264,7 +301,7 @@ def train(task, epochs=DEFAULT_EPOCHS, lr=DEFAULT_LR, gamma=1.0, track_history=F
         weights=w,
         bias=b,
         gamma=float(gamma),
-        train_config={"epochs": epochs, "lr": lr, "gamma": float(gamma), "seed": seed},
+        train_config=config,
         history=np.asarray(history) if track_history else None,
     )
 
@@ -286,12 +323,8 @@ class EnsembleModel:
         return np.log(np.maximum(np.mean(probs, axis=0), PROB_EPS))
 
 
-def ensemble_train(task, k, seeds=None, epochs=DEFAULT_EPOCHS, lr=DEFAULT_LR, gamma=1.0):
-    """Train k independently seeded classifiers and combine their predictions."""
-    if seeds is None:
-        seeds = list(range(k))
-    if len(seeds) != k:
-        raise InvalidInputError("need exactly one seed per ensemble member")
+def ensemble_train(task, seeds, epochs=DEFAULT_EPOCHS, lr=DEFAULT_LR, gamma=1.0):
+    """Train one classifier per seed and combine their predictions."""
     members = tuple(
         train(task, epochs=epochs, lr=lr, gamma=gamma, seed=int(s)) for s in seeds
     )

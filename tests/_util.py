@@ -8,8 +8,50 @@ check.
 import numpy as np
 
 from pseudocal import metrics, pseudo_target, synthetic
+from pseudocal.errors import InvalidInputError
 
 T_MIN, T_MAX = 0.05, 20.0
+PROB_EPS = 1e-12
+
+
+def nll(p, y):
+    """Negative log-likelihood of one probability vector against a target.
+
+    ``y`` is either a class index (treated as one-hot) or a probability
+    vector of the same length as ``p``. Entries of ``p`` are clamped at
+    ``PROB_EPS`` before the logarithm.
+    """
+    p = np.asarray(p, dtype=np.float64)
+    logp = np.log(np.maximum(p, PROB_EPS))
+    if np.ndim(y) == 0:
+        y = int(y)
+        if not 0 <= y < p.shape[-1]:
+            raise InvalidInputError(f"nll: class index {y} out of range for C={p.shape[-1]}")
+        return float(-logp[y])
+    y = np.asarray(y, dtype=np.float64)
+    if y.shape != p.shape:
+        raise InvalidInputError("nll: soft target shape must match probability vector")
+    return float(-np.dot(y, logp))
+
+
+def brier(p, y):
+    """Brier score (1/C) * sum_c (p_c - onehot(y)_c)^2 of one probability vector."""
+    p = np.asarray(p, dtype=np.float64)
+    c = p.shape[-1]
+    y = int(y)
+    if not 0 <= y < c:
+        raise InvalidInputError(f"brier: class index {y} out of range for C={c}")
+    onehot = np.zeros(c)
+    onehot[y] = 1.0
+    return float(np.sum((p - onehot) ** 2) / c)
+
+
+def argmax_class(z):
+    """Index of the maximal entry of one logit vector; ties break toward the lowest index."""
+    z = np.asarray(z, dtype=np.float64)
+    if not np.all(np.isfinite(z)):
+        raise InvalidInputError("argmax_class: logits must be finite")
+    return int(np.argmax(z))
 
 
 def random_batch(rng, n_max=50, c_max=5, correct_bias=None):

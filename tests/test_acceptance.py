@@ -104,7 +104,7 @@ def _bench_rows(seeds, target_priors=None):
     for seed in seeds:
         task, model, batch = bench_setup(seed, target_priors=target_priors)
         ece_raw = metrics.ece(batch)
-        oracle = scalers.fit_oracle(batch)
+        oracle = scalers.fit_temperature(batch)
         cal = pseudo_target.calibrate(
             model, task.target_inputs, pseudo_target.MixupConfig(seed=seed)
         )

@@ -1,5 +1,8 @@
 """The document layer: one module encodes documents, and damaged documents fail cleanly.
 
+No module but ``documents.py`` imports json or csv, assigns SCHEMA_VERSION
+or holds the ``.10g`` number format of the CSV files.
+
 The fuzz tests damage valid task, model, calibrator and config documents
 of a tiny cell one entry at a time (drop it, or swap in a value of
 another type, NaN, an infinity, an out-of-range number or a ragged
@@ -16,11 +19,12 @@ import warnings
 from functools import reduce
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import pseudocal
-from pseudocal import cli, metrics, scalers, synthetic
+from pseudocal import cli, documents, metrics, scalers, synthetic
 from pseudocal.errors import InvalidInputError
 
 SRC = Path(pseudocal.__file__).parent
@@ -54,7 +58,20 @@ def test_only_the_documents_module_encodes_documents():
                 for t in targets
                 if isinstance(t, ast.Name) and t.id == "SCHEMA_VERSION"
             ]
+            # f-string format specs, format() arguments and %-formats are all str constants
+            if isinstance(node, ast.Constant) and isinstance(node.value, str) and ".10g" in node.value:
+                offenders.append(f"{path.name} holds a .10g format")
     assert offenders == []
+
+
+def test_write_csv_formats_float_int_and_str_columns():
+    buf = io.StringIO()
+    documents.write_csv(buf, {
+        "x": np.array([0.1, 1 / 3, 2.0, 1e-20]),
+        "n": np.array([1, -2, 30, 0]),
+        "s": ["a", "b c", "d,e", ""],
+    })
+    assert buf.getvalue() == 'x,n,s\r\n0.1,1,a\r\n0.3333333333,-2,b c\r\n2,30,"d,e"\r\n1e-20,0,\r\n'
 
 
 def _plain(doc):
@@ -164,10 +181,10 @@ def test_cli_succeeds_or_prints_one_error_line_on_damaged_documents(cell, data):
     damaged.write_text(_draw_damage(data, docs[kind]))
     files = {"task": root / "task.json", "model": root / "model.json", kind: damaged}
     out = root / "out.json"
-    runs = [["calibrate", "--task", str(files["task"]), "--model", str(files["model"]),
-             "--out", str(out)]]
+    inputs = ["--task", str(files["task"]), "--model", str(files["model"]), "--out", str(out)]
+    runs = [["calibrate", *inputs], ["evaluate", "--methods", "ensemble", *inputs]]
     if kind == "config":
-        runs[0] += ["--config", str(damaged)]
+        runs = [argv + ["--config", str(damaged)] for argv in runs]
     if kind == "task":
         runs.append(["train", "--task", str(damaged), "--epochs", "5", "--out", str(out)])
     for argv in runs:

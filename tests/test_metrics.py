@@ -4,10 +4,10 @@ import math
 import numpy as np
 import pytest
 
-from pseudocal import metrics, numerics
+from pseudocal import metrics
 from pseudocal.errors import InvalidInputError, LabelsRequiredError
 
-from _util import ece_bruteforce, random_batch
+from _util import brier, ece_bruteforce, nll, random_batch
 
 
 def batch_with_confidences(conf, correct):
@@ -152,8 +152,8 @@ def test_mean_metrics_match_per_sample_oracle():
     for _ in range(10):
         b = random_batch(rng, n_max=30)
         probs = b.probabilities()
-        nll_sum = sum(numerics.nll(probs[i], int(b.labels[i])) for i in range(b.n))
-        brier_sum = sum(numerics.brier(probs[i], int(b.labels[i])) for i in range(b.n))
+        nll_sum = sum(nll(probs[i], int(b.labels[i])) for i in range(b.n))
+        brier_sum = sum(brier(probs[i], int(b.labels[i])) for i in range(b.n))
         assert metrics.mean_nll(b) == pytest.approx(nll_sum / b.n, abs=1e-12)
         assert metrics.mean_brier(b) == pytest.approx(brier_sum / b.n, abs=1e-12)
 

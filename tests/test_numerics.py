@@ -1,3 +1,5 @@
+"""The numerics primitives, and the per-vector NLL, Brier and argmax oracles of _util."""
+
 import math
 
 import numpy as np
@@ -6,6 +8,8 @@ from hypothesis import given, strategies as st
 
 from pseudocal import numerics
 from pseudocal.errors import InvalidInputError
+
+from _util import argmax_class, brier, nll
 
 
 def test_softmax_symmetry():
@@ -59,43 +63,43 @@ def test_log_softmax_closed_form_and_unclamped():
 
 
 def test_nll_perfect_prediction():
-    assert numerics.nll([1.0, 0.0], 0) == pytest.approx(0.0, abs=1e-9)
+    assert nll([1.0, 0.0], 0) == pytest.approx(0.0, abs=1e-9)
 
 
 def test_nll_uniform():
-    assert numerics.nll([0.5, 0.5], 1) == pytest.approx(math.log(2), abs=1e-12)
+    assert nll([0.5, 0.5], 1) == pytest.approx(math.log(2), abs=1e-12)
 
 
 def test_nll_closed_form():
     p = numerics.softmax([2.0, 0.0])
-    assert numerics.nll(p, 1) == pytest.approx(-math.log(p[1]), abs=1e-12)
-    assert numerics.nll(p, 1) == pytest.approx(2.1269, abs=1e-4)
+    assert nll(p, 1) == pytest.approx(-math.log(p[1]), abs=1e-12)
+    assert nll(p, 1) == pytest.approx(2.1269, abs=1e-4)
 
 
 def test_nll_soft_target():
-    got = numerics.nll([0.7, 0.3], np.array([0.5, 0.5]))
+    got = nll([0.7, 0.3], np.array([0.5, 0.5]))
     expected = -0.5 * math.log(0.7) - 0.5 * math.log(0.3)
     assert got == pytest.approx(expected, abs=1e-12)
 
 
 def test_nll_index_out_of_range():
     with pytest.raises(InvalidInputError):
-        numerics.nll([0.5, 0.5], 2)
+        nll([0.5, 0.5], 2)
 
 
 def test_nll_clamps_zero_probability():
-    assert numerics.nll([1.0, 0.0], 1) == pytest.approx(-math.log(1e-12))
+    assert nll([1.0, 0.0], 1) == pytest.approx(-math.log(1e-12))
 
 
 def test_brier_cases():
-    assert numerics.brier([1.0, 0.0], 0) == 0.0
-    assert numerics.brier([0.5, 0.5], 0) == pytest.approx(0.25)
-    assert numerics.brier([0.0, 1.0], 0) == pytest.approx(1.0)
+    assert brier([1.0, 0.0], 0) == 0.0
+    assert brier([0.5, 0.5], 0) == pytest.approx(0.25)
+    assert brier([0.0, 1.0], 0) == pytest.approx(1.0)
 
 
 def test_brier_out_of_range():
     with pytest.raises(InvalidInputError):
-        numerics.brier([0.5, 0.5], -1)
+        brier([0.5, 0.5], -1)
 
 
 def test_nll_brier_nonnegative():
@@ -103,8 +107,8 @@ def test_nll_brier_nonnegative():
     for _ in range(50):
         p = numerics.softmax(rng.standard_normal(4) * 3)
         y = int(rng.integers(0, 4))
-        assert numerics.nll(p, y) >= 0.0
-        assert numerics.brier(p, y) >= 0.0
+        assert nll(p, y) >= 0.0
+        assert brier(p, y) >= 0.0
 
 
 def test_nll_of_predicted_class_lower_in_expectation():
@@ -113,15 +117,15 @@ def test_nll_of_predicted_class_lower_in_expectation():
     own, random_y = [], []
     for _ in range(300):
         p = numerics.softmax(rng.standard_normal(5) * 2)
-        own.append(numerics.nll(p, numerics.argmax_class(p)))
-        random_y.append(numerics.nll(p, int(rng.integers(0, 5))))
+        own.append(nll(p, argmax_class(p)))
+        random_y.append(nll(p, int(rng.integers(0, 5))))
     assert np.mean(own) < np.mean(random_y)
 
 
 def test_argmax_class():
-    assert numerics.argmax_class([0.1, 0.9]) == 1
-    assert numerics.argmax_class([3.0, 3.0]) == 0  # tie breaks to lowest index
-    assert numerics.argmax_class([1.0, 5.0, 2.0]) == 1
+    assert argmax_class([0.1, 0.9]) == 1
+    assert argmax_class([3.0, 3.0]) == 0  # tie breaks to lowest index
+    assert argmax_class([1.0, 5.0, 2.0]) == 1
 
 
 @given(
@@ -132,4 +136,4 @@ def test_argmax_temperature_invariance(values, temperature):
     # rounding keeps distinct entries more than an ulp apart: division by
     # T cannot collapse a strict ordering into a float tie
     z = np.round(np.array(values), 6)
-    assert numerics.argmax_class(z / temperature) == numerics.argmax_class(z)
+    assert argmax_class(z / temperature) == argmax_class(z)

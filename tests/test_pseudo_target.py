@@ -56,7 +56,7 @@ def test_synthesize_mixes_by_dominance():
     assert pseudo.size == 2
     for i in range(pseudo.size):
         a, b = pseudo.index_a[i], pseudo.index_b[i]
-        np.testing.assert_allclose(pseudo.inputs[i], 0.65 * x[a] + 0.35 * x[b])
+        np.testing.assert_allclose(pseudo.logits[i], 0.65 * x[a] + 0.35 * x[b])
         assert pseudo.hard_labels[i] == pseudo.pl_a[i]
         assert pseudo.dominant_index[i] == a
 
@@ -67,7 +67,7 @@ def test_synthesize_lambda_one_reduces_to_pseudo_labeled_reals():
     cfg = pseudo_target.MixupConfig(lam=1.0, seed=1)
     pseudo = pseudo_target.synthesize(IdentityModel(), x, x, cfg)
     for i in range(pseudo.size):
-        np.testing.assert_allclose(pseudo.inputs[i], x[pseudo.index_a[i]])
+        np.testing.assert_allclose(pseudo.logits[i], x[pseudo.index_a[i]])
         assert pseudo.hard_labels[i] == np.argmax(x[pseudo.index_a[i]])
 
 
@@ -95,12 +95,12 @@ def test_synthesize_multi_epoch_and_determinism():
     p1 = pseudo_target.synthesize(IdentityModel(), x, x, cfg)
     p2 = pseudo_target.synthesize(IdentityModel(), x, x, cfg)
     assert p1.size <= 3 * 40
-    np.testing.assert_array_equal(p1.inputs, p2.inputs)
+    np.testing.assert_array_equal(p1.logits, p2.logits)
     np.testing.assert_array_equal(p1.hard_labels, p2.hard_labels)
     other = pseudo_target.synthesize(
         IdentityModel(), x, x, pseudo_target.MixupConfig(epochs=3, seed=8)
     )
-    assert other.size != p1.size or not np.array_equal(other.inputs, p1.inputs)
+    assert other.size != p1.size or not np.array_equal(other.logits, p1.logits)
 
 
 def test_synthesize_degenerate_when_predictions_collapse():
@@ -183,7 +183,7 @@ def test_calibrate_near_noop_on_calibrated_model():
     batch = metrics.PredictionBatch(
         logits=model.predict_logits(task.target_inputs), labels=task.target_labels
     )
-    t_star = scalers.fit_oracle(batch).temperature
+    t_star = scalers.fit_temperature(batch).temperature
     calibrated = synthetic.TrainedClassifier(
         weights=model.weights / t_star, bias=model.bias / t_star, gamma=1.0
     )
@@ -251,16 +251,6 @@ def test_correspondence_under_permuted_labels_matches_chance_level():
     chance = chance_correspondence(pseudo, task.target_labels, seed=201, n_draws=50)
     # one permutation draw concentrates near the simulated chance level
     assert abs(permuted_rate - chance) <= 0.05
-
-
-def test_correspondence_requires_provenance():
-    pseudo = pseudo_target.PseudoTargetSet(
-        inputs=np.zeros((2, 2)),
-        logits=np.zeros((2, 2)),
-        hard_labels=np.zeros(2, dtype=int),
-    )
-    with pytest.raises(InvalidInputError):
-        pseudo_target.correspondence_rate(pseudo, np.zeros(2, dtype=int))
 
 
 def test_variant_pseudo_label_hits_sharpening_bound():

@@ -4,7 +4,7 @@ import json
 import numpy as np
 import pytest
 
-from pseudocal import metrics, pseudo_target, report, synthetic
+from pseudocal import metrics, pseudo_target, report, scalers, synthetic
 from pseudocal.errors import DataAccessError, InvalidInputError
 
 from _util import bench_setup
@@ -99,9 +99,11 @@ def test_ensemble_method_row():
 
 
 def test_oracle_close_to_best(cell):
-    task, model, _ = cell
+    task, model, batch = cell
     result = report.evaluate_all(model, task, ["temp_oracle", "pseudocal"], seed=2)
     assert result.methods["temp_oracle"].ece <= result.methods["pseudocal"].ece + 0.02
+    # the oracle row is the temperature fitted on the true target labels
+    assert result.methods["temp_oracle"].temperature == scalers.fit_temperature(batch).temperature
 
 
 def test_table_text_layout(cell):

@@ -192,13 +192,12 @@ def test_fit_temperature_requires_labels():
         scalers.fit_temperature(b)
 
 
-def test_fit_oracle_delegates_and_refits_idempotently():
+def test_fit_temperature_refits_idempotently():
     rng = np.random.default_rng(15)
     b = random_batch(rng, n_max=40)
-    t1 = scalers.fit_oracle(b).temperature
-    assert t1 == scalers.fit_temperature(b).temperature
+    t1 = scalers.fit_temperature(b).temperature
     rescaled = scalers.Calibrator(kind="temperature", temperature=t1).apply(b)
-    t2 = scalers.fit_oracle(rescaled).temperature
+    t2 = scalers.fit_temperature(rescaled).temperature
     # refit on already-scaled logits should land near 1 (t1 absorbed)
     assert t1 * t2 == pytest.approx(t1, rel=0.02)
 
@@ -217,7 +216,7 @@ def test_fit_oracle_reduces_ece_across_seeds():
         batch = metrics.PredictionBatch(
             logits=model.predict_logits(task.target_inputs), labels=task.target_labels
         )
-        oracle = scalers.fit_oracle(batch)
+        oracle = scalers.fit_temperature(batch)
         improved += metrics.ece(oracle.apply(batch)) <= metrics.ece(batch)
     assert improved >= 9
 

@@ -22,6 +22,20 @@ def test_spec_validation():
         synthetic.ShiftSpec(cluster_std=0.0)
     with pytest.raises(InvalidSpecError):
         synthetic.ShiftSpec(seed=-1)
+    # every field is type-checked, and a bool is not a number
+    for bad in (
+        dict(mean_shift="x"),
+        dict(rotation=True),
+        dict(cluster_std=float("nan")),
+        dict(mean_shift=float("inf")),
+        dict(n_source=2000.0),
+        dict(dim="10"),
+        dict(seed=True),
+        dict(target_priors="x"),
+        dict(target_priors=(0.2, float("nan"), 0.2, 0.2, 0.4)),
+    ):
+        with pytest.raises(InvalidSpecError):
+            synthetic.ShiftSpec(**bad)
 
 
 def test_generate_shift_free_control():
@@ -101,7 +115,7 @@ def test_oracle_temperature_roughly_inverts_gamma():
     batch = metrics.PredictionBatch(
         logits=model.predict_logits(task.target_inputs), labels=task.target_labels
     )
-    t = scalers.fit_oracle(batch).temperature
+    t = scalers.fit_temperature(batch).temperature
     assert 0.5 * gamma <= t <= 2.0 * gamma
 
 
@@ -111,6 +125,15 @@ def test_train_history_columns():
     assert model.history.shape == (20, 4)
     assert np.all(np.isfinite(model.history))
     assert list(model.history[:, 0]) == list(range(1, 21))
+
+
+def test_tracking_history_leaves_training_bit_identical():
+    task = synthetic.generate(synthetic.ShiftSpec(seed=8, n_source=500, n_target=500))
+    tracked = synthetic.train(task, epochs=20, lr=0.1, gamma=2.0, track_history=True, seed=8)
+    plain = synthetic.train(task, epochs=20, lr=0.1, gamma=2.0, seed=8)
+    assert plain.history is None
+    np.testing.assert_array_equal(tracked.weights, plain.weights)
+    np.testing.assert_array_equal(tracked.bias, plain.bias)
 
 
 def test_train_divergence_raises_with_epoch():
@@ -143,7 +166,7 @@ def test_train_deterministic_per_seed():
 def test_ensemble_single_member_matches_base_model():
     task = synthetic.generate(synthetic.ShiftSpec(seed=11, n_source=400, n_target=400))
     single = synthetic.train(task, epochs=50, lr=0.1, seed=0)
-    ens = synthetic.ensemble_train(task, 1, epochs=50, lr=0.1)
+    ens = synthetic.ensemble_train(task, range(1), epochs=50, lr=0.1)
     from pseudocal.numerics import softmax
 
     np.testing.assert_allclose(
@@ -165,7 +188,7 @@ def test_models_reject_inputs_they_cannot_score():
 
 def test_ensemble_order_invariant():
     task = synthetic.generate(synthetic.ShiftSpec(seed=12, n_source=400, n_target=400))
-    ens = synthetic.ensemble_train(task, 3, epochs=50, lr=0.1)
+    ens = synthetic.ensemble_train(task, range(3), epochs=50, lr=0.1)
     flipped = synthetic.EnsembleModel(members=ens.members[::-1])
     np.testing.assert_allclose(
         ens.predict_logits(task.target_inputs),
@@ -177,7 +200,7 @@ def test_ensemble_order_invariant():
 def test_ensemble_calibration_not_worse_than_worst_member():
     spec = synthetic.ShiftSpec(mean_shift=1.0, rotation=0.45, seed=13)
     task = synthetic.generate(spec)
-    ens = synthetic.ensemble_train(task, 4, epochs=300, lr=0.1, gamma=3.0)
+    ens = synthetic.ensemble_train(task, range(4), epochs=300, lr=0.1, gamma=3.0)
     eces = [
         metrics.ece(
             metrics.PredictionBatch(
@@ -218,7 +241,7 @@ def test_model_json_roundtrip(tmp_path):
     assert loaded.gamma == 2.0
     assert loaded.train_config["epochs"] == 30
 
-    ens = synthetic.ensemble_train(task, 2, epochs=30, lr=0.1)
+    ens = synthetic.ensemble_train(task, range(2), epochs=30, lr=0.1)
     synthetic.save_model(ens, path)
     loaded_ens = synthetic.load_model(path)
     np.testing.assert_allclose(
@@ -250,19 +273,32 @@ def test_model_json_roundtrip(tmp_path):
         ("task", lambda doc: doc["spec"].update(n_classes=2.5)),
         ("model", lambda doc: doc.update(members=[])),
         ("model", lambda doc: doc["members"][0].update(gamma=float("inf"))),
+        ("model", lambda doc: doc["members"][0].update(gamma=True)),
+        ("task", lambda doc: doc["spec"].update(mean_shift="x")),
+        ("task", lambda doc: doc["spec"].update(rotation=False)),
+        ("model", lambda doc: doc["members"][0]["train_config"].update(epochs="x")),
+        ("model", lambda doc: doc["members"][0]["train_config"].update(epochs=2.0)),
+        ("model", lambda doc: doc["members"][0]["train_config"].update(lr=0.0)),
+        ("model", lambda doc: doc["members"][0]["train_config"].update(gamma=float("nan"))),
+        ("model", lambda doc: doc["members"][0]["train_config"].update(seed=-1)),
+        ("model", lambda doc: doc["members"][0]["train_config"].update(momentum=0.9)),
+        ("model", lambda doc: doc["members"][0].update(train_config=[])),
     ],
     ids=["task-version", "task-no-version", "target-nan", "source-inf", "model-version",
          "member-version", "weights-nan", "bias-inf", "source-label-7", "target-label-negative",
          "source-labels-short", "target-1d", "source-ragged", "target-string", "label-fraction",
          "val-fraction-2", "spec-no-n-classes", "spec-fractional-n-classes", "ensemble-empty",
-         "gamma-inf"],
+         "gamma-inf", "gamma-bool", "spec-mean-shift-string", "spec-rotation-bool",
+         "train-config-epochs-string", "train-config-epochs-float", "train-config-lr-zero",
+         "train-config-gamma-nan", "train-config-seed-negative", "train-config-unknown-key",
+         "train-config-list"],
 )
 def test_malformed_task_and_model_documents_are_rejected(what, damage):
     task = synthetic.generate(synthetic.ShiftSpec(seed=16, n_source=50, n_target=50))
     if what == "task":
         doc, from_dict = synthetic.task_to_dict(task), synthetic.task_from_dict
     else:
-        ens = synthetic.ensemble_train(task, 2, epochs=5, lr=0.1)
+        ens = synthetic.ensemble_train(task, range(2), epochs=5, lr=0.1)
         doc, from_dict = synthetic.model_to_dict(ens), synthetic.model_from_dict
     damage(doc)
     with pytest.raises(InvalidInputError):
