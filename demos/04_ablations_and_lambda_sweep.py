@@ -56,7 +56,7 @@ for name, cal in fits.items():
 
 # The diagnostic behind the trick: mixed samples succeed or fail
 # together with their dominant constituent far above chance.
-pseudo = synthesize(model, task.target_inputs, batch.logits, cfg)
+pseudo = synthesize(model, task.target_inputs, np.argmax(batch.logits, axis=1), cfg)
 rate = correspondence_rate(pseudo, task.target_labels)
 print(f"\ncorrespondence rate: {rate:.3f} "
       f"(chance would be near {0.5:.2f}; deep-net benchmarks report >0.60)")

@@ -12,6 +12,7 @@ import sys
 from . import documents, pseudo_target, report, scalers, synthetic
 from .errors import InvalidInputError, PseudocalError
 from .metrics import DEFAULT_BINS
+from .numerics import argmax_rows
 
 
 class _UsageError(Exception):
@@ -151,10 +152,10 @@ def cmd_calibrate(args):
     )
     task = synthetic.load_task(args.task)
     model = synthetic.load_model(args.model)
-    # The target logits live only as long as synthesize needs them.
-    pseudo = pseudo_target.synthesize(
-        model, task.target_inputs, pseudo_target.infer(model, task.target_inputs), cfg
-    )
+    # The target logits die once their pseudo labels are taken, before the
+    # mixed set is inferred.
+    target_pseudo_labels = argmax_rows(pseudo_target.infer(model, task.target_inputs))
+    pseudo = pseudo_target.synthesize(model, task.target_inputs, target_pseudo_labels, cfg)
     calibrator = pseudo_target.fit_on_pseudo_set(pseudo, cfg.label_mode)
     scalers.save_calibrator(calibrator, args.out)
     if args.provenance_out is not None:

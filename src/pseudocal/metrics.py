@@ -6,7 +6,7 @@ import numpy as np
 
 from .documents import write_csv
 from .errors import InvalidInputError, LabelsRequiredError
-from .numerics import log_softmax, softmax
+from .numerics import argmax_rows, log_softmax, softmax
 
 DEFAULT_BINS = 15
 
@@ -69,7 +69,7 @@ class PredictionBatch:
 
     def predictions(self):
         """Predicted class per sample (argmax, lowest index on ties)."""
-        return np.argmax(self.logits, axis=1)
+        return argmax_rows(self.logits)
 
     def confidences(self):
         """Max softmax probability per sample."""

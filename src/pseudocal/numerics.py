@@ -1,4 +1,4 @@
-"""Dense-array primitives: softmax, log-softmax, and the value checks records share."""
+"""Dense-array primitives: softmax, log-softmax, a row-blocked argmax, and shared value checks."""
 
 import math
 import numbers
@@ -6,6 +6,10 @@ import numbers
 import numpy as np
 
 from .errors import InvalidInputError
+
+# Row-blocked kernels walk an (n, C) matrix this many rows at a time, so
+# their temporaries take O(BLOCK_ROWS * C) memory instead of O(n * C).
+BLOCK_ROWS = 4096
 
 
 def softmax(z):
@@ -63,3 +67,21 @@ def log_softmax(z):
         raise InvalidInputError("log_softmax: logits must be finite")
     d = z - np.max(z, axis=-1, keepdims=True)
     return d - np.log(np.sum(np.exp(d), axis=-1, keepdims=True))
+
+
+def row_blocks(n):
+    """Slices that cover rows 0..n in order, BLOCK_ROWS rows at a time."""
+    return [slice(start, min(start + BLOCK_ROWS, n)) for start in range(0, n, BLOCK_ROWS)]
+
+
+def argmax_rows(z):
+    """Column index of each row's maximum in an (n, C) matrix; ties break toward the lowest.
+
+    numpy copies a read-only array whole before taking its argmax, and the
+    logits ``pseudo_target.infer`` returns are read-only. Walking the rows
+    in blocks bounds that copy to one block.
+    """
+    out = np.empty(len(z), dtype=np.intp)
+    for rows in row_blocks(len(z)):
+        np.argmax(z[rows], axis=1, out=out[rows])
+    return out

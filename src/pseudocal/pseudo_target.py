@@ -16,6 +16,7 @@ import numpy as np
 from .documents import write_csv
 from .errors import DegenerateTargetError, EmptyFilterError, InvalidInputError
 from .metrics import PredictionBatch
+from .numerics import argmax_rows, finite_array, is_finite_number, is_integer
 from .scalers import fit_temperature
 
 BETA_ALPHA = 0.3
@@ -48,6 +49,12 @@ class MixupConfig:
     seed: int = 0
 
     def __post_init__(self):
+        if not is_finite_number(self.lam):
+            raise InvalidInputError(f"mix ratio must be a finite number, got {self.lam!r}")
+        if not (is_integer(self.epochs) and is_integer(self.seed)):
+            raise InvalidInputError(
+                f"mixup epochs and seed must be integers, got {self.epochs!r}, {self.seed!r}"
+            )
         if self.lambda_policy not in ("fixed", "beta"):
             raise InvalidInputError(f"unknown lambda policy {self.lambda_policy!r}")
         if self.label_mode not in ("hard", "soft"):
@@ -109,22 +116,25 @@ def infer(model, inputs):
     return logits
 
 
-def synthesize(model, target_inputs, target_logits, cfg):
-    """Build a pseudo-target set from unlabeled target inputs and their logits.
+def synthesize(model, target_inputs, target_pseudo_labels, cfg):
+    """Build a pseudo-target set from unlabeled target inputs and their pseudo labels.
 
-    Per epoch: shuffle, pair sample i with shuffled counterpart, keep
-    pairs according to ``cfg.pairing``, mix inputs with the mix ratio,
-    and label by the dominant sample's pseudo label. The mixed inputs
-    are inferred once, and the set carries those logits. Raises
-    DegenerateTargetError when no pair at all survives.
+    ``target_pseudo_labels`` is the model's predicted class per target
+    input (``argmax_rows`` of its logits), so the caller can drop the
+    target logits before the mixed set is inferred. Per epoch: shuffle,
+    pair sample i with shuffled counterpart, keep pairs according to
+    ``cfg.pairing``, mix inputs with the mix ratio, and label by the
+    dominant sample's pseudo label. The mixed inputs are inferred once,
+    and the set carries those logits. Raises DegenerateTargetError when
+    no pair at all survives.
     """
     inputs = np.asarray(target_inputs, dtype=np.float64)
     if inputs.ndim != 2 or inputs.shape[0] < 2:
         raise InvalidInputError("target inputs must be an (n>=2, d) matrix")
     n = inputs.shape[0]
-    if np.shape(target_logits)[0] != n:
-        raise InvalidInputError("target logits must hold one row per target input")
-    pl = np.argmax(target_logits, axis=1)
+    pl = finite_array(target_pseudo_labels, "target pseudo labels", 1, integer=True)
+    if pl.shape != (n,):
+        raise InvalidInputError("target pseudo labels must hold one label per target input")
 
     rng = np.random.default_rng(cfg.seed)
     parts = []
@@ -160,15 +170,20 @@ def synthesize(model, target_inputs, target_logits, cfg):
 
     mixed, idx_a, idx_b, lam = (np.concatenate(col) for col in zip(*parts))
     del parts  # the per-epoch copies must not outlive the mixed-set inference
+    logits = infer(model, mixed)
+    del mixed
+    if pl.min() < 0 or pl.max() >= logits.shape[1]:
+        raise InvalidInputError(f"target pseudo labels must lie in [0, {logits.shape[1]})")
     pl_a, pl_b = pl[idx_a], pl[idx_b]
 
     soft = None
     if cfg.label_mode == "soft":
-        eye = np.eye(np.shape(target_logits)[1])
-        soft = lam[:, None] * eye[pl_a] + (1.0 - lam[:, None]) * eye[pl_b]
+        eye = np.eye(logits.shape[1])
+        soft = lam[:, None] * eye[pl_a]
+        soft += (1.0 - lam[:, None]) * eye[pl_b]
 
     return PseudoTargetSet(
-        logits=infer(model, mixed),
+        logits=logits,
         hard_labels=np.where(lam > 0.5, pl_a, pl_b),
         index_a=idx_a,
         index_b=idx_b,
@@ -192,12 +207,13 @@ def fit_on_pseudo_set(pseudo, label_mode):
 def calibrate(model, target_inputs, cfg=None):
     """PseudoCal: synthesize a pseudo-target set and fit a temperature on it."""
     cfg = cfg or MixupConfig()
-    pseudo = synthesize(model, target_inputs, infer(model, target_inputs), cfg)
+    # The target logits die once their pseudo labels are taken.
+    pseudo = synthesize(model, target_inputs, argmax_rows(infer(model, target_inputs)), cfg)
     return fit_on_pseudo_set(pseudo, cfg.label_mode)
 
 
 def _pseudo_correct(pseudo):
-    return np.argmax(pseudo.logits, axis=1) == pseudo.hard_labels
+    return argmax_rows(pseudo.logits) == pseudo.hard_labels
 
 
 def correspondence_rate(pseudo, target_labels):
@@ -218,7 +234,7 @@ def variant_pseudo_label(target_logits):
     Every sample is trivially "correct", so the NLL objective pushes the
     temperature to the sharpening boundary T_MIN.
     """
-    pl = np.argmax(target_logits, axis=1)
+    pl = argmax_rows(target_logits)
     return fit_temperature(PredictionBatch(logits=target_logits, labels=pl))
 
 
@@ -226,7 +242,7 @@ def variant_filtered_pl(target_logits, threshold=FILTER_THRESHOLD):
     """Pseudo-label fit restricted to samples with confidence >= threshold."""
     if not 0.0 < threshold < 1.0:
         raise InvalidInputError("threshold must lie in (0, 1)")
-    pl = np.argmax(target_logits, axis=1)
+    pl = argmax_rows(target_logits)
     batch = PredictionBatch(logits=target_logits, labels=pl)
     keep = batch.confidences() >= threshold
     if not np.any(keep):

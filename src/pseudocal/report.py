@@ -88,6 +88,7 @@ class _Inputs:
         self.ensemble_size = ensemble_size
         self.target_logits = pseudo_target.infer(model, task.target_inputs)
         self.target_batch = PredictionBatch(logits=self.target_logits, labels=task.target_labels)
+        self.target_pseudo_labels = self.target_batch.predictions()
 
     @cached_property
     def source_batch(self):
@@ -104,7 +105,7 @@ def _mixup(**change):
     def fit(data):
         cfg = replace(data.mixup_cfg, **change)
         pseudo = pseudo_target.synthesize(
-            data.model, data.task.target_inputs, data.target_logits, cfg
+            data.model, data.task.target_inputs, data.target_pseudo_labels, cfg
         )
         return pseudo_target.fit_on_pseudo_set(pseudo, cfg.label_mode), pseudo
 
@@ -226,6 +227,8 @@ def lambda_sweep(model, task, lambdas, label_modes, seeds, bins=DEFAULT_BINS):
     is fitted on it.
     """
     lambdas = [float(l) for l in lambdas]
+    if not lambdas or not label_modes:
+        raise InvalidInputError("sweep requires at least one mix ratio and one label mode")
     for lam in lambdas:
         if not 0.5 < lam < 1.0:
             raise InvalidInputError(f"sweep mix ratios must lie in (0.5, 1.0), got {lam}")
@@ -237,6 +240,7 @@ def lambda_sweep(model, task, lambdas, label_modes, seeds, bins=DEFAULT_BINS):
 
     target_logits = pseudo_target.infer(model, task.target_inputs)
     target_batch = PredictionBatch(logits=target_logits, labels=task.target_labels)
+    target_pseudo_labels = target_batch.predictions()
     # Soft labels are built only when a soft fit will read them.
     synth_mode = "soft" if "soft" in label_modes else "hard"
 
@@ -245,7 +249,9 @@ def lambda_sweep(model, task, lambdas, label_modes, seeds, bins=DEFAULT_BINS):
         values = [[] for _ in label_modes]
         for seed in seeds:
             cfg = pseudo_target.MixupConfig(lam=lam, label_mode=synth_mode, seed=int(seed))
-            pseudo = pseudo_target.synthesize(model, task.target_inputs, target_logits, cfg)
+            pseudo = pseudo_target.synthesize(
+                model, task.target_inputs, target_pseudo_labels, cfg
+            )
             for mode, mode_values in zip(label_modes, values):
                 cal = pseudo_target.fit_on_pseudo_set(pseudo, mode)
                 mode_values.append(ece(cal.apply(target_batch), bins))

@@ -15,7 +15,7 @@ import numpy as np
 from .documents import SCHEMA_VERSION, check_version, read_json, write_json
 from .errors import InvalidInputError, LabelsRequiredError, OptimizationError
 from .metrics import PredictionBatch
-from .numerics import finite_array, is_finite_number, log_softmax
+from .numerics import finite_array, is_finite_number, log_softmax, row_blocks
 
 # Search bounds for the temperature. Wide enough to contain every
 # plausible optimum while keeping softmax(z/T) numerically sane;
@@ -148,27 +148,53 @@ def fit_temperature(batch, soft_labels=None):
     at beta = 1/T_MAX, or <= 0 at beta = 1/T_MIN), that bound is returned:
     it is the constrained optimum, not a failed search. Raises
     OptimizationError if the search does not converge.
+
+    Each gradient pass walks the logits in blocks of ``numerics.BLOCK_ROWS``
+    rows, so the fit holds O(n + BLOCK_ROWS * C) floats next to the logits,
+    and every row's terms are averaged over all n rows at once: the fitted
+    T is the same, bit for bit, whatever the block size.
     """
     soft_labels = _checked_soft_labels(batch, soft_labels)
-    d = batch.logits - np.max(batch.logits, axis=1, keepdims=True)
-    if soft_labels is None:
-        d_y = d[np.arange(batch.n), batch.labels]
-        mass = 1.0
-    else:
-        d_y = np.einsum("ij,ij->i", soft_labels, d)
-        mass = np.sum(soft_labels, axis=1)
-    e = np.empty_like(d)
+    z = batch.logits
+    rowmax = np.max(z, axis=1)
+    blocks = row_blocks(batch.n)
+    # One block x C buffer each for d = z - rowmax(z) and for exp(beta * d).
+    d_buf = np.empty((blocks[0].stop, batch.num_classes))
+    e_buf = np.empty_like(d_buf)
+
+    def shifted(rows):
+        d = d_buf[: rows.stop - rows.start]
+        np.subtract(z[rows], rowmax[rows, None], out=d)
+        return d
+
+    d_y = np.empty(batch.n)
+    mass = np.ones(batch.n)
+    for rows in blocks:
+        d = shifted(rows)
+        if soft_labels is None:
+            d_y[rows] = d[np.arange(len(d)), batch.labels[rows]]
+        else:
+            d_y[rows] = np.einsum("ij,ij->i", soft_labels[rows], d)
+            mass[rows] = np.sum(soft_labels[rows], axis=1)
+    row_slope = np.empty(batch.n)
+    row_curvature = np.empty(batch.n)
 
     def slope_and_curvature(beta):
-        np.multiply(d, beta, out=e)
-        np.exp(e, out=e)
-        total = np.sum(e, axis=1)
-        mean_d = np.einsum("ij,ij->i", e, d) / total
-        var_d = np.einsum("ij,ij,ij->i", e, d, d) / total - mean_d**2
-        slope = float(np.mean(mass * mean_d - d_y))
+        for rows in blocks:
+            # A single block's d is still in its buffer from the pass above.
+            d = shifted(rows) if len(blocks) > 1 else d_buf
+            e = e_buf[: len(d)]
+            np.multiply(d, beta, out=e)
+            np.exp(e, out=e)
+            total = np.sum(e, axis=1)
+            mean_d = np.einsum("ij,ij->i", e, d) / total
+            var_d = np.einsum("ij,ij,ij->i", e, d, d) / total - mean_d**2
+            row_slope[rows] = mass[rows] * mean_d - d_y[rows]
+            row_curvature[rows] = mass[rows] * var_d
+        slope = float(np.mean(row_slope))
         if not math.isfinite(slope):
             raise OptimizationError(f"NLL gradient is not finite at T={1.0 / beta!r}", probe=1.0 / beta)
-        return slope, float(np.mean(mass * var_d))
+        return slope, float(np.mean(row_curvature))
 
     lo, hi = 1.0 / T_MAX, 1.0 / T_MIN
     if slope_and_curvature(lo)[0] >= 0.0:

@@ -14,7 +14,7 @@ import numpy as np
 
 from .documents import SCHEMA_VERSION, check_version, read_json, write_json
 from .errors import InvalidInputError, InvalidSpecError, TrainingError
-from .numerics import finite_array, is_finite_number, is_integer, softmax
+from .numerics import argmax_rows, finite_array, is_finite_number, is_integer, softmax
 
 # Class means sit equally spaced on a circle of this radius in the first
 # two coordinates; keeps classes from collapsing onto each other.
@@ -250,7 +250,10 @@ class TrainedClassifier:
             raise InvalidInputError(
                 f"classifier takes (n, {len(self.weights)}) inputs, got shape {inputs.shape}"
             )
-        return (inputs @ self.weights + self.bias) * self.gamma
+        logits = inputs @ self.weights
+        logits += self.bias
+        logits *= self.gamma
+        return logits
 
 
 def _mean_ce(probs, labels):
@@ -293,7 +296,7 @@ def train(task, epochs=DEFAULT_EPOCHS, lr=DEFAULT_LR, gamma=1.0, track_history=F
             loss = _mean_ce(probs, y)
             t_logits = (task.target_inputs @ w + b) * gamma
             t_probs = softmax(t_logits)
-            t_err = float(np.mean(np.argmax(t_logits, axis=1) != task.target_labels))
+            t_err = float(np.mean(argmax_rows(t_logits) != task.target_labels))
             t_nll = _mean_ce(t_probs, task.target_labels)
             history.append((epoch, loss, t_err, t_nll))
 

@@ -7,7 +7,7 @@ check.
 
 import numpy as np
 
-from pseudocal import metrics, pseudo_target, synthetic
+from pseudocal import metrics, pseudo_target, scalers, synthetic
 from pseudocal.errors import InvalidInputError
 
 T_MIN, T_MAX = 0.05, 20.0
@@ -140,6 +140,61 @@ def nll_slope_in_beta(logits, labels, beta):
         target = y[i] if y.ndim == 2 else np.eye(z.shape[1])[y[i]]
         slopes.append(target.sum() * np.dot(p, d) - np.dot(target, d))
     return float(np.mean(slopes))
+
+
+def unblocked_temperature(logits, labels):
+    """The temperature fit on whole n x C arrays, as it stood before row blocking.
+
+    The same safeguarded Newton/bisection search on beta = 1/T as
+    scalers.fit_temperature, with d = z - rowmax(z) and exp(beta * d) held
+    for all rows at once. ``labels`` holds hard class indices or soft
+    labels, as in grid_temperature. Returns T.
+    """
+    z = np.asarray(logits, dtype=np.float64)
+    y = np.asarray(labels)
+    d = z - np.max(z, axis=1, keepdims=True)
+    if y.ndim == 2:
+        y = y.astype(np.float64)
+        d_y = np.einsum("ij,ij->i", y, d)
+        mass = np.sum(y, axis=1)
+    else:
+        d_y = d[np.arange(len(y)), y]
+        mass = 1.0
+    e = np.empty_like(d)
+
+    def slope_and_curvature(beta):
+        np.multiply(d, beta, out=e)
+        np.exp(e, out=e)
+        total = np.sum(e, axis=1)
+        mean_d = np.einsum("ij,ij->i", e, d) / total
+        var_d = np.einsum("ij,ij,ij->i", e, d, d) / total - mean_d**2
+        return float(np.mean(mass * mean_d - d_y)), float(np.mean(mass * var_d))
+
+    lo, hi = 1.0 / T_MAX, 1.0 / T_MIN
+    if slope_and_curvature(lo)[0] >= 0.0:
+        return T_MAX
+    if slope_and_curvature(hi)[0] <= 0.0:
+        return T_MIN
+    beta, step, last_step = 1.0, hi - lo, hi - lo
+    for _ in range(scalers.NEWTON_MAX_ITER):
+        slope, curvature = slope_and_curvature(beta)
+        if slope > 0.0:
+            hi = beta
+        elif slope < 0.0:
+            lo = beta
+        else:
+            break
+        newton = -slope / curvature if curvature > 0.0 else np.inf
+        if lo <= beta + newton <= hi and abs(newton) <= 0.5 * abs(last_step):
+            last_step, step = step, newton
+        else:
+            last_step, step = step, np.sqrt(lo * hi) - beta
+        beta += step
+        if abs(step) <= scalers.NEWTON_REL_TOL * beta:
+            break
+    else:
+        raise AssertionError("unblocked temperature fit did not converge")
+    return min(max(1.0 / beta, T_MIN), T_MAX)
 
 
 def affine_nll_gradient_norm(logits, labels, calibrator):

@@ -249,7 +249,10 @@ def test_criterion_12_correspondence_diagnostic(tmp_path):
         rate = json.loads(path.read_text())["correspondence_rate"]
         assert rate is not None
         pseudo = pseudo_target.synthesize(
-            model, task.target_inputs, batch.logits, pseudo_target.MixupConfig(seed=seed)
+            model,
+            task.target_inputs,
+            np.argmax(batch.logits, axis=1),
+            pseudo_target.MixupConfig(seed=seed),
         )
         chance = chance_correspondence(pseudo, task.target_labels, seed=seed + 500)
         wins += rate > chance

@@ -172,10 +172,13 @@ def test_unsupported_task_version_is_a_one_line_error(workspace, capsys):
         ("calibrate", "config", lambda doc: doc.update(seed=-1), 1),
         ("evaluate", "model", lambda doc: doc["train_config"].update(epochs="x"), 1),
         ("evaluate", "task", lambda doc: doc["spec"].update(mean_shift="x"), 1),
+        ("sweep", "config", lambda doc: doc.update(lambdas=","), 1),
+        ("sweep", "config", lambda doc: doc.update(label_modes=","), 1),
     ],
     ids=["source-label-7", "source-labels-short", "narrow-target-inputs", "1d-target-inputs",
          "val-fraction-2", "empty-ensemble", "config-seed-string", "config-epochs-inf",
-         "config-seed-negative", "train-config-epochs-string", "spec-mean-shift-string"],
+         "config-seed-negative", "train-config-epochs-string", "spec-mean-shift-string",
+         "sweep-no-lambdas", "sweep-no-label-modes"],
 )
 def test_malformed_input_is_a_one_line_error(
     workspace, tmp_path, capsys, command, damaged, damage, code

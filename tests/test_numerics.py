@@ -1,11 +1,14 @@
 """The numerics primitives, and the per-vector NLL, Brier and argmax oracles of _util."""
 
+import ast
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+import pseudocal
 from pseudocal import numerics
 from pseudocal.errors import InvalidInputError
 
@@ -137,3 +140,32 @@ def test_argmax_temperature_invariance(values, temperature):
     # T cannot collapse a strict ordering into a float tie
     z = np.round(np.array(values), 6)
     assert argmax_class(z / temperature) == argmax_class(z)
+
+
+@pytest.mark.parametrize("block_rows", [1, 3, numerics.BLOCK_ROWS])
+def test_argmax_rows_matches_numpy_on_frozen_and_writeable_logits(monkeypatch, block_rows):
+    monkeypatch.setattr(numerics, "BLOCK_ROWS", block_rows)
+    z = np.random.default_rng(0).integers(0, 3, (10, 4)).astype(np.float64)  # many ties
+    expected = np.argmax(z, axis=1)
+    np.testing.assert_array_equal(numerics.argmax_rows(z), expected)
+    z.setflags(write=False)
+    np.testing.assert_array_equal(numerics.argmax_rows(z), expected)
+    assert numerics.argmax_rows(np.zeros((0, 4))).shape == (0,)
+
+
+def test_only_argmax_rows_takes_an_argmax():
+    # numpy copies a read-only matrix whole before argmax/argmin, and logits
+    # are read-only, so every other module goes through argmax_rows.
+    offenders = []
+    for path in sorted(Path(pseudocal.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        allowed = set()
+        if path.name == "numerics.py":
+            (kernel,) = [n for n in tree.body if getattr(n, "name", None) == "argmax_rows"]
+            allowed = {id(node) for node in ast.walk(kernel)}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call) and id(node) not in allowed:
+                name = getattr(node.func, "attr", getattr(node.func, "id", None))
+                if name in ("argmax", "argmin"):
+                    offenders.append(f"{path.name}:{node.lineno} calls {name}")
+    assert offenders == []

@@ -41,6 +41,11 @@ def test_config_validation():
         pseudo_target.MixupConfig(pairing="best-friend")
     with pytest.raises(InvalidInputError):
         pseudo_target.MixupConfig(epochs=0)
+    # types, not only values: a bool is no mix ratio, a string no epoch count
+    for bad in ({"epochs": "x"}, {"epochs": 1.5}, {"seed": "0"}, {"seed": True},
+                {"lam": True}, {"lam": "0.7"}, {"lam": float("nan")}):
+        with pytest.raises(InvalidInputError):
+            pseudo_target.MixupConfig(**bad)
     # beta policy has no fixed-ratio constraint
     pseudo_target.MixupConfig(lam=0.5, lambda_policy="beta")
 
@@ -52,7 +57,7 @@ def test_synthesize_mixes_by_dominance():
     x[1, 7] = 5.0
     seed = swapping_seed(2)
     cfg = pseudo_target.MixupConfig(lam=0.65, seed=seed)
-    pseudo = pseudo_target.synthesize(IdentityModel(), x, x, cfg)
+    pseudo = pseudo_target.synthesize(IdentityModel(), x, np.argmax(x, axis=1), cfg)
     assert pseudo.size == 2
     for i in range(pseudo.size):
         a, b = pseudo.index_a[i], pseudo.index_b[i]
@@ -65,7 +70,7 @@ def test_synthesize_lambda_one_reduces_to_pseudo_labeled_reals():
     rng = np.random.default_rng(0)
     x = rng.standard_normal((20, 3)) * 3
     cfg = pseudo_target.MixupConfig(lam=1.0, seed=1)
-    pseudo = pseudo_target.synthesize(IdentityModel(), x, x, cfg)
+    pseudo = pseudo_target.synthesize(IdentityModel(), x, np.argmax(x, axis=1), cfg)
     for i in range(pseudo.size):
         np.testing.assert_allclose(pseudo.logits[i], x[pseudo.index_a[i]])
         assert pseudo.hard_labels[i] == np.argmax(x[pseudo.index_a[i]])
@@ -74,7 +79,9 @@ def test_synthesize_lambda_one_reduces_to_pseudo_labeled_reals():
 def test_synthesize_filters_equal_pseudo_labels():
     rng = np.random.default_rng(2)
     x = rng.standard_normal((50, 4))
-    pseudo = pseudo_target.synthesize(IdentityModel(), x, x, pseudo_target.MixupConfig(seed=3))
+    pseudo = pseudo_target.synthesize(
+        IdentityModel(), x, np.argmax(x, axis=1), pseudo_target.MixupConfig(seed=3)
+    )
     assert np.all(pseudo.pl_a != pseudo.pl_b)
     assert pseudo.size <= 50
 
@@ -83,7 +90,7 @@ def test_synthesize_same_pairing_keeps_agreeing_pairs():
     rng = np.random.default_rng(4)
     x = rng.standard_normal((60, 2))
     cfg = pseudo_target.MixupConfig(pairing="same", seed=5)
-    pseudo = pseudo_target.synthesize(IdentityModel(), x, x, cfg)
+    pseudo = pseudo_target.synthesize(IdentityModel(), x, np.argmax(x, axis=1), cfg)
     assert np.all(pseudo.pl_a == pseudo.pl_b)
     assert np.all(pseudo.hard_labels == pseudo.pl_a)
 
@@ -92,13 +99,13 @@ def test_synthesize_multi_epoch_and_determinism():
     rng = np.random.default_rng(6)
     x = rng.standard_normal((40, 3))
     cfg = pseudo_target.MixupConfig(epochs=3, seed=7)
-    p1 = pseudo_target.synthesize(IdentityModel(), x, x, cfg)
-    p2 = pseudo_target.synthesize(IdentityModel(), x, x, cfg)
+    p1 = pseudo_target.synthesize(IdentityModel(), x, np.argmax(x, axis=1), cfg)
+    p2 = pseudo_target.synthesize(IdentityModel(), x, np.argmax(x, axis=1), cfg)
     assert p1.size <= 3 * 40
     np.testing.assert_array_equal(p1.logits, p2.logits)
     np.testing.assert_array_equal(p1.hard_labels, p2.hard_labels)
     other = pseudo_target.synthesize(
-        IdentityModel(), x, x, pseudo_target.MixupConfig(epochs=3, seed=8)
+        IdentityModel(), x, np.argmax(x, axis=1), pseudo_target.MixupConfig(epochs=3, seed=8)
     )
     assert other.size != p1.size or not np.array_equal(other.logits, p1.logits)
 
@@ -107,9 +114,20 @@ def test_synthesize_degenerate_when_predictions_collapse():
     x = np.zeros((10, 3))
     x[:, 1] = 4.0  # every sample predicted as class 1
     with pytest.raises(DegenerateTargetError) as excinfo:
-        pseudo_target.synthesize(IdentityModel(), x, x, pseudo_target.MixupConfig(seed=0))
+        pseudo_target.synthesize(
+            IdentityModel(), x, np.argmax(x, axis=1), pseudo_target.MixupConfig(seed=0)
+        )
     assert excinfo.value.predicted_class == 1
     assert "1" in str(excinfo.value)
+
+
+def test_synthesize_checks_target_pseudo_labels():
+    x = np.random.default_rng(3).standard_normal((10, 3))
+    cfg = pseudo_target.MixupConfig(seed=0)
+    pl = np.argmax(x, axis=1)
+    for bad in (pl[:-1], pl.astype(float) + 0.5, np.where(pl == 2, 3, pl), pl - 1, pl[:, None]):
+        with pytest.raises(InvalidInputError, match="target pseudo labels"):
+            pseudo_target.synthesize(IdentityModel(), x, bad, cfg)
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
@@ -142,7 +160,7 @@ def test_soft_labels_are_convex_combinations():
     rng = np.random.default_rng(8)
     x = rng.standard_normal((30, 4))
     cfg = pseudo_target.MixupConfig(lam=0.65, label_mode="soft", seed=9)
-    pseudo = pseudo_target.synthesize(IdentityModel(), x, x, cfg)
+    pseudo = pseudo_target.synthesize(IdentityModel(), x, np.argmax(x, axis=1), cfg)
     np.testing.assert_allclose(pseudo.soft_labels.sum(axis=1), 1.0)
     for i in range(pseudo.size):
         assert pseudo.soft_labels[i, pseudo.pl_a[i]] == pytest.approx(0.65)
@@ -153,7 +171,7 @@ def test_beta_policy_dominance_follows_ratio():
     rng = np.random.default_rng(10)
     x = rng.standard_normal((200, 3))
     cfg = pseudo_target.MixupConfig(lambda_policy="beta", seed=11)
-    pseudo = pseudo_target.synthesize(IdentityModel(), x, x, cfg)
+    pseudo = pseudo_target.synthesize(IdentityModel(), x, np.argmax(x, axis=1), cfg)
     assert np.any(pseudo.lam < 0.5) and np.any(pseudo.lam > 0.5)
     dominant_pl = np.where(pseudo.lam > 0.5, pseudo.pl_a, pseudo.pl_b)
     np.testing.assert_array_equal(pseudo.hard_labels, dominant_pl)
@@ -218,7 +236,9 @@ def test_correspondence_rate_perfect_model():
     # dominant constituent's class, so every pair corresponds
     x = np.tile(4.0 * np.eye(4), (10, 1))
     labels = np.argmax(x, axis=1)
-    pseudo = pseudo_target.synthesize(IdentityModel(), x, x, pseudo_target.MixupConfig(seed=13))
+    pseudo = pseudo_target.synthesize(
+        IdentityModel(), x, np.argmax(x, axis=1), pseudo_target.MixupConfig(seed=13)
+    )
     rate = pseudo_target.correspondence_rate(pseudo, labels)
     assert rate == pytest.approx(1.0)
 
@@ -228,7 +248,7 @@ def test_correspondence_rate_exceeds_permuted_chance():
     pseudo = pseudo_target.synthesize(
         model,
         task.target_inputs,
-        pseudo_target.infer(model, task.target_inputs),
+        np.argmax(pseudo_target.infer(model, task.target_inputs), axis=1),
         pseudo_target.MixupConfig(seed=0),
     )
     rate = pseudo_target.correspondence_rate(pseudo, task.target_labels)
@@ -241,7 +261,7 @@ def test_correspondence_under_permuted_labels_matches_chance_level():
     pseudo = pseudo_target.synthesize(
         model,
         task.target_inputs,
-        pseudo_target.infer(model, task.target_inputs),
+        np.argmax(pseudo_target.infer(model, task.target_inputs), axis=1),
         pseudo_target.MixupConfig(seed=0),
     )
     rng = np.random.default_rng(200)
@@ -293,7 +313,9 @@ def test_variant_beta_mixup_deterministic():
 def test_provenance_csv():
     rng = np.random.default_rng(14)
     x = rng.standard_normal((20, 3))
-    pseudo = pseudo_target.synthesize(IdentityModel(), x, x, pseudo_target.MixupConfig(seed=15))
+    pseudo = pseudo_target.synthesize(
+        IdentityModel(), x, np.argmax(x, axis=1), pseudo_target.MixupConfig(seed=15)
+    )
     buf = io.StringIO()
     pseudo_target.write_provenance_csv(pseudo, buf)
     text = buf.getvalue()

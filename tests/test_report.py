@@ -125,6 +125,11 @@ def test_method_bins_csv(cell):
     assert len(lines) == 1 + 2 * 10
 
 
+class NoInference:
+    def predict_logits(self, inputs):
+        raise AssertionError("inferred before the sweep grid was checked")
+
+
 def test_lambda_sweep_grid_and_validation(cell):
     task, model, _ = cell
     with pytest.raises(InvalidInputError):
@@ -135,6 +140,10 @@ def test_lambda_sweep_grid_and_validation(cell):
         report.lambda_sweep(model, task, [0.65], ["fuzzy"], [0])
     with pytest.raises(InvalidInputError):
         report.lambda_sweep(model, task, [0.65], ["hard"], [])
+    # an empty grid is rejected before anything is inferred
+    for lambdas, modes in (([], ["hard"]), ([0.65], [])):
+        with pytest.raises(InvalidInputError, match="at least one"):
+            report.lambda_sweep(NoInference(), task, lambdas, modes, [0])
 
     rows = report.lambda_sweep(model, task, [0.6, 0.65], ["hard", "soft"], [0, 1])
     assert len(rows) == 4

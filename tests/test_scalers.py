@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from pseudocal import metrics, scalers
+from pseudocal import metrics, numerics, scalers
 from pseudocal.errors import InvalidInputError, LabelsRequiredError, OptimizationError
 
 from _util import (
@@ -13,6 +13,7 @@ from _util import (
     grid_temperature,
     nll_slope_in_beta,
     random_batch,
+    unblocked_temperature,
 )
 
 
@@ -85,6 +86,47 @@ def test_fit_temperature_matches_grid_oracle():
         t = scalers.fit_temperature(b).temperature
         t_grid = grid_temperature(b.logits, b.labels, n_points=20_000)
         assert abs(t - t_grid) <= 1e-2
+
+
+def _fit_cases(rng, n, c):
+    """(name, logits, hard or soft labels) for an interior optimum and each bound."""
+    z = rng.standard_normal((n, c)) * rng.uniform(1.0, 3.0)
+    pred = np.argmax(z, axis=1)
+    mixed = np.where(rng.random(n) < 0.6, pred, rng.integers(0, c, n))
+    lam = rng.uniform(0.5, 1.0, n)[:, None]
+    soft = lam * np.eye(c)[mixed] + (1.0 - lam) * np.eye(c)[rng.integers(0, c, n)]
+    return [
+        ("hard", z, mixed),
+        ("soft", z, soft),
+        ("t_min", z, pred),
+        ("t_max", z, np.argmin(z, axis=1)),
+    ]
+
+
+@pytest.mark.parametrize("block_rows", [1, 7, 64, numerics.BLOCK_ROWS])
+def test_blocked_fit_is_bit_identical_to_the_whole_array_fit(monkeypatch, block_rows):
+    # Summing the slope block by block instead moves T in its last bits on
+    # about one batch in ten, so the test fits twenty. Every batch leaves a
+    # ragged last block at 7 and 64 rows; the default block size takes the
+    # single-block path.
+    monkeypatch.setattr(numerics, "BLOCK_ROWS", block_rows)
+    rng = np.random.default_rng(block_rows)
+    for _ in range(20):
+        n, c = int(rng.integers(20, 400)), int(rng.integers(2, 12))
+        if block_rows > 1 and n % block_rows == 0:
+            n += 1
+        for name, z, labels in _fit_cases(rng, n, c):
+            if labels.ndim == 2:
+                t = scalers.fit_temperature(metrics.PredictionBatch(logits=z), soft_labels=labels)
+            else:
+                t = scalers.fit_temperature(metrics.PredictionBatch(logits=z, labels=labels))
+            expected = unblocked_temperature(z, labels)
+            assert repr(t.temperature) == repr(expected), (name, n, c)
+            bound = {"t_min": scalers.T_MIN, "t_max": scalers.T_MAX}.get(name)
+            if bound is None:
+                assert scalers.T_MIN < expected < scalers.T_MAX, (name, n, c)
+            else:
+                assert expected == bound
 
 
 def test_fit_temperature_not_worse_than_uncalibrated():
