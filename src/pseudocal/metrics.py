@@ -6,7 +6,7 @@ import numpy as np
 
 from .documents import write_csv
 from .errors import InvalidInputError, LabelsRequiredError
-from .numerics import argmax_rows, log_softmax, softmax
+from .numerics import argmax_rows, check_finite, log_softmax, softmax
 
 DEFAULT_BINS = 15
 
@@ -38,8 +38,7 @@ class PredictionBatch:
             logits = np.array(logits, dtype=np.float64)
         if logits.ndim != 2 or logits.shape[0] < 1 or logits.shape[1] < 2:
             raise InvalidInputError(f"logits must be (n>=1, C>=2), got shape {logits.shape}")
-        if not np.all(np.isfinite(logits)):
-            raise InvalidInputError("logits must be finite")
+        check_finite(logits, "logits must be finite")
         logits.setflags(write=False)
         object.__setattr__(self, "logits", logits)
         if self.labels is not None:

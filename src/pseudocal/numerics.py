@@ -1,4 +1,4 @@
-"""Dense-array primitives: softmax, log-softmax, a row-blocked argmax, and shared value checks."""
+"""Dense-array primitives: softmax, log-softmax, row-blocked argmax and finiteness, value checks."""
 
 import math
 import numbers
@@ -12,17 +12,38 @@ from .errors import InvalidInputError
 BLOCK_ROWS = 4096
 
 
+# numpy reduces a contiguous axis shorter than this one element at a time,
+# left to right; from this length on it sums in unrolled pairwise order.
+SEQUENTIAL_AXIS_LIMIT = 8
+
+
+def _reduce_classes(ufunc, a):
+    """``ufunc.reduce`` over the last axis (kept), bit for bit as numpy computes it.
+
+    Below SEQUENTIAL_AXIS_LIMIT classes this runs one ufunc call per class
+    column in numpy's own left-to-right order, which skips numpy's per-row
+    reduction overhead. From that limit on, numpy's order differs, so its
+    own reduction runs.
+    """
+    if a.ndim == 0 or not 1 <= a.shape[-1] < SEQUENTIAL_AXIS_LIMIT:
+        return ufunc.reduce(a, axis=-1, keepdims=True)
+    out = a[..., :1].copy()
+    for j in range(1, a.shape[-1]):
+        ufunc(out, a[..., j : j + 1], out=out)
+    return out
+
+
 def softmax(z):
     """Numerically stable softmax along the last axis.
 
-    Accepts a single logit vector or an (n, C) matrix of row vectors.
+    Accepts a single logit vector or any stack of row vectors, such as an
+    (n, C) matrix.
     """
     z = np.asarray(z, dtype=np.float64)
-    if not np.all(np.isfinite(z)):
-        raise InvalidInputError("softmax: logits must be finite")
-    shifted = z - np.max(z, axis=-1, keepdims=True)
-    e = np.exp(shifted)
-    return e / np.sum(e, axis=-1, keepdims=True)
+    check_finite(z, "softmax: logits must be finite")
+    e = np.exp(z - _reduce_classes(np.maximum, z))
+    e /= _reduce_classes(np.add, e)
+    return e
 
 
 def is_integer(value):
@@ -50,8 +71,7 @@ def finite_array(values, what, ndim, integer=False):
         raise InvalidInputError(
             f"{what} must be a {ndim}-D array of {kind}, got {array.dtype} {array.shape}"
         )
-    if not np.all(np.isfinite(array)):
-        raise InvalidInputError(f"non-finite values in {what}")
+    check_finite(array, f"non-finite values in {what}")
     return array.astype(np.int64 if integer else np.float64, copy=False)
 
 
@@ -63,15 +83,26 @@ def log_softmax(z):
     nats a 1e-12 probability clamp would cap it at.
     """
     z = np.asarray(z, dtype=np.float64)
-    if not np.all(np.isfinite(z)):
-        raise InvalidInputError("log_softmax: logits must be finite")
-    d = z - np.max(z, axis=-1, keepdims=True)
-    return d - np.log(np.sum(np.exp(d), axis=-1, keepdims=True))
+    check_finite(z, "log_softmax: logits must be finite")
+    d = z - _reduce_classes(np.maximum, z)
+    return d - np.log(_reduce_classes(np.add, np.exp(d)))
 
 
 def row_blocks(n):
     """Slices that cover rows 0..n in order, BLOCK_ROWS rows at a time."""
     return [slice(start, min(start + BLOCK_ROWS, n)) for start in range(0, n, BLOCK_ROWS)]
+
+
+def check_finite(z, message):
+    """Raise InvalidInputError(message) unless every entry of the array ``z`` is finite.
+
+    Checks BLOCK_ROWS rows at a time, so the boolean mask is one block's
+    size rather than the whole array's.
+    """
+    z = np.atleast_1d(z)
+    for rows in row_blocks(len(z)):
+        if not np.all(np.isfinite(z[rows])):
+            raise InvalidInputError(message)
 
 
 def argmax_rows(z):

@@ -16,7 +16,7 @@ import numpy as np
 from .documents import write_csv
 from .errors import DegenerateTargetError, EmptyFilterError, InvalidInputError
 from .metrics import PredictionBatch
-from .numerics import argmax_rows, finite_array, is_finite_number, is_integer
+from .numerics import argmax_rows, check_finite, finite_array, is_finite_number, is_integer
 from .scalers import fit_temperature
 
 BETA_ALPHA = 0.3
@@ -108,8 +108,7 @@ def infer(model, inputs):
     logits = np.asarray(model.predict_logits(inputs), dtype=np.float64)
     if logits.ndim != 2 or logits.shape[0] != len(inputs):
         raise InvalidInputError("model returned logits with unexpected shape")
-    if not np.all(np.isfinite(logits)):
-        raise InvalidInputError("model returned non-finite logits")
+    check_finite(logits, "model returned non-finite logits")
     if not logits.flags.owndata or np.may_share_memory(logits, inputs):
         logits = logits.copy()
     logits.setflags(write=False)

@@ -15,7 +15,7 @@ import numpy as np
 from .documents import SCHEMA_VERSION, check_version, read_json, write_json
 from .errors import InvalidInputError, LabelsRequiredError, OptimizationError
 from .metrics import PredictionBatch
-from .numerics import finite_array, is_finite_number, log_softmax, row_blocks
+from .numerics import check_finite, finite_array, is_finite_number, log_softmax, row_blocks
 
 # Search bounds for the temperature. Wide enough to contain every
 # plausible optimum while keeping softmax(z/T) numerically sane;
@@ -112,7 +112,8 @@ def _checked_soft_labels(batch, soft_labels):
     soft_labels = np.asarray(soft_labels, dtype=np.float64)
     if soft_labels.shape != batch.logits.shape:
         raise InvalidInputError("soft labels must be an (n, C) matrix matching the logits")
-    if not np.all(np.isfinite(soft_labels)) or np.any(soft_labels < 0):
+    check_finite(soft_labels, "soft labels must be finite and nonnegative")
+    if soft_labels.min() < 0:
         raise InvalidInputError("soft labels must be finite and nonnegative")
     return soft_labels
 

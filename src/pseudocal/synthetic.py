@@ -266,47 +266,63 @@ def train(task, epochs=DEFAULT_EPOCHS, lr=DEFAULT_LR, gamma=1.0, track_history=F
 
     When ``track_history`` is set, records per-epoch source loss, target
     error, and target mean NLL (all at the model's inference sharpening).
+
+    ``seed`` may also be a sequence of seeds: then one classifier per seed
+    trains in the same loop, and they return as a tuple. Member m's weights
+    are ``w[m]`` of a (k, d, C) stack and its bias ``b[m]`` of a (k, 1, C)
+    stack. The batched matmuls run each member's product with a lone
+    model's shapes, and every reduction keeps a lone model's order, so each
+    member is bit-identical to training it alone. A non-finite score raises
+    TrainingError at the first epoch where any member has one.
     """
     if not task.has_source:
         raise InvalidInputError("training requires source data")
-    config = {"epochs": epochs, "lr": lr, "gamma": float(gamma), "seed": seed}
-    _check_train_config(config)
+    seeds = [seed] if np.ndim(seed) == 0 else list(seed)
+    configs = [{"epochs": epochs, "lr": lr, "gamma": float(gamma), "seed": s} for s in seeds]
+    for config in configs:
+        _check_train_config(config)
     x = task.source_train_inputs
     y = task.source_train_labels
     n, d = x.shape
     c = task.spec.n_classes
 
-    rng = np.random.default_rng(seed)
-    w = 0.01 * rng.standard_normal((d, c))
-    b = np.zeros(c)
+    w = np.stack([0.01 * np.random.default_rng(s).standard_normal((d, c)) for s in seeds])
+    b = np.zeros((len(seeds), 1, c))
     onehot = np.zeros((n, c))
     onehot[np.arange(n), y] = 1.0
 
-    history = [] if track_history else None
+    histories = [[] for _ in seeds]
     for epoch in range(1, epochs + 1):
-        scores = x @ w + b
+        # b is added into the scores and the residual overwrites probs in
+        # place: allocating them anew costs about a sixth of the loop's time.
+        scores = x @ w
+        scores += b
         if not np.all(np.isfinite(scores)):
             raise TrainingError(f"training diverged at epoch {epoch}", epoch=epoch)
         probs = softmax(scores)
-        grad_w = x.T @ (probs - onehot) / n
-        grad_b = np.mean(probs - onehot, axis=0)
-        w = w - lr * grad_w
-        b = b - lr * grad_b
         if track_history:
-            loss = _mean_ce(probs, y)
-            t_logits = (task.target_inputs @ w + b) * gamma
-            t_probs = softmax(t_logits)
-            t_err = float(np.mean(argmax_rows(t_logits) != task.target_labels))
-            t_nll = _mean_ce(t_probs, task.target_labels)
-            history.append((epoch, loss, t_err, t_nll))
+            losses = [_mean_ce(p, y) for p in probs]
+        residual = np.subtract(probs, onehot, out=probs)
+        w -= lr * (x.T @ residual / n)
+        b -= lr * np.mean(residual, axis=1, keepdims=True)
+        if track_history:
+            for history, loss, w_m, b_m in zip(histories, losses, w, b):
+                t_logits = (task.target_inputs @ w_m + b_m[0]) * gamma
+                t_err = float(np.mean(argmax_rows(t_logits) != task.target_labels))
+                t_nll = _mean_ce(softmax(t_logits), task.target_labels)
+                history.append((epoch, loss, t_err, t_nll))
 
-    return TrainedClassifier(
-        weights=w,
-        bias=b,
-        gamma=float(gamma),
-        train_config=config,
-        history=np.asarray(history) if track_history else None,
+    models = tuple(
+        TrainedClassifier(
+            weights=w_m.copy(),
+            bias=b_m[0].copy(),
+            gamma=float(gamma),
+            train_config=config,
+            history=np.asarray(history) if track_history else None,
+        )
+        for w_m, b_m, config, history in zip(w, b, configs, histories)
     )
+    return models[0] if np.ndim(seed) == 0 else models
 
 
 @dataclass(frozen=True)
@@ -327,10 +343,9 @@ class EnsembleModel:
 
 
 def ensemble_train(task, seeds, epochs=DEFAULT_EPOCHS, lr=DEFAULT_LR, gamma=1.0):
-    """Train one classifier per seed and combine their predictions."""
-    members = tuple(
-        train(task, epochs=epochs, lr=lr, gamma=gamma, seed=int(s)) for s in seeds
-    )
+    """Train one classifier per seed, all in one loop, and combine their predictions."""
+    seeds = [int(s) for s in seeds]
+    members = train(task, epochs, lr, gamma, seed=seeds) if seeds else ()
     return EnsembleModel(members=members)
 
 

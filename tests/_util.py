@@ -8,7 +8,7 @@ check.
 import numpy as np
 
 from pseudocal import metrics, pseudo_target, scalers, synthetic
-from pseudocal.errors import InvalidInputError
+from pseudocal.errors import InvalidInputError, TrainingError
 
 T_MIN, T_MAX = 0.05, 20.0
 PROB_EPS = 1e-12
@@ -195,6 +195,46 @@ def unblocked_temperature(logits, labels):
     else:
         raise AssertionError("unblocked temperature fit did not converge")
     return min(max(1.0 / beta, T_MIN), T_MAX)
+
+
+def member_by_member_train(task, seed, epochs, lr, gamma, track_history=False):
+    """One classifier trained alone, as synthetic.train stood before members trained together.
+
+    Full-batch gradient descent on source cross-entropy with numpy's own
+    max/sum reductions in the softmax. Returns (weights, bias, history),
+    with history None unless tracked; raises TrainingError at the first
+    epoch with a non-finite score.
+    """
+
+    def softmax(z):
+        e = np.exp(z - np.max(z, axis=-1, keepdims=True))
+        return e / np.sum(e, axis=-1, keepdims=True)
+
+    def mean_ce(probs, labels):
+        picked = probs[np.arange(len(labels)), labels]
+        return float(np.mean(-np.log(np.maximum(picked, PROB_EPS))))
+
+    x, y = task.source_train_inputs, task.source_train_labels
+    n, d = x.shape
+    c = task.spec.n_classes
+    w = 0.01 * np.random.default_rng(seed).standard_normal((d, c))
+    b = np.zeros(c)
+    onehot = np.zeros((n, c))
+    onehot[np.arange(n), y] = 1.0
+    history = []
+    for epoch in range(1, epochs + 1):
+        scores = x @ w + b
+        if not np.all(np.isfinite(scores)):
+            raise TrainingError(f"training diverged at epoch {epoch}", epoch=epoch)
+        probs = softmax(scores)
+        w = w - lr * (x.T @ (probs - onehot) / n)
+        b = b - lr * np.mean(probs - onehot, axis=0)
+        if track_history:
+            t_logits = (task.target_inputs @ w + b) * gamma
+            t_err = float(np.mean(np.argmax(t_logits, axis=1) != task.target_labels))
+            t_nll = mean_ce(softmax(t_logits), task.target_labels)
+            history.append((epoch, mean_ce(probs, y), t_err, t_nll))
+    return w, b, np.asarray(history) if track_history else None
 
 
 def affine_nll_gradient_norm(logits, labels, calibrator):

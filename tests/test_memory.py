@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 from pseudocal import cli, metrics, numerics, pseudo_target, scalers, synthetic
+from pseudocal.errors import InvalidInputError
 
 N, C, DIM = 20_000, 50, 10
 
@@ -64,6 +65,21 @@ def test_argmax_of_frozen_logits_does_not_copy_them(logits):
     peak, labels = peak_bytes(batch.predictions)
     np.testing.assert_array_equal(labels, expected)
     assert peak < logits.nbytes / 2
+
+
+def test_finiteness_checks_hold_one_block_of_mask(monkeypatch, logits):
+    # A whole-matrix np.isfinite mask takes N * C bytes; the checks walk
+    # 1,000-row blocks here, so their mask is 1,000 * C bytes.
+    monkeypatch.setattr(numerics, "BLOCK_ROWS", 1000)
+    budget = N * C / 8
+    peak, _ = peak_bytes(numerics.check_finite, logits, "logits must be finite")
+    assert peak < budget
+    peak, batch = peak_bytes(metrics.PredictionBatch, logits)
+    assert batch.logits is logits and peak < budget
+    bad = logits.copy()
+    bad[-1, -1] = np.nan
+    with pytest.raises(InvalidInputError, match="logits must be finite"):
+        metrics.PredictionBatch(bad)
 
 
 def test_predict_logits_allocates_one_output(model):

@@ -33,6 +33,11 @@ def test_softmax_closed_form():
     assert p[0] == pytest.approx(0.8808, abs=1e-4)
 
 
+def test_softmax_of_a_single_logit():
+    assert numerics.softmax(3.0) == 1.0 and numerics.log_softmax(3.0) == 0.0
+    assert numerics.softmax([3.0]).tolist() == [1.0]
+
+
 def test_softmax_rows():
     p = numerics.softmax([[2.0, 0.0], [0.0, 0.0]])
     np.testing.assert_allclose(p.sum(axis=1), 1.0, atol=1e-9)
@@ -54,6 +59,22 @@ def test_softmax_shift_invariance(values, shift):
     np.testing.assert_allclose(
         numerics.softmax(z + shift), numerics.softmax(z), atol=1e-9
     )
+
+
+@pytest.mark.parametrize("n_classes", range(2, 13))
+def test_softmax_matches_numpy_reductions_bit_for_bit(n_classes):
+    # Below 8 classes softmax and log_softmax sum the class columns one by
+    # one, which is numpy's own order only there; a numpy that changes it
+    # fails here instead of silently moving every trained model.
+    rng = np.random.default_rng(n_classes)
+    for scale in (0.1, 3.0, 50.0):
+        for shape in ((n_classes,), (301, n_classes), (4, 77, n_classes)):
+            z = rng.standard_normal(shape) * scale
+            d = z - np.max(z, axis=-1, keepdims=True)
+            e = np.exp(d)
+            total = np.sum(e, axis=-1, keepdims=True)
+            assert repr(numerics.softmax(z).tolist()) == repr((e / total).tolist())
+            assert repr(numerics.log_softmax(z).tolist()) == repr((d - np.log(total)).tolist())
 
 
 def test_log_softmax_closed_form_and_unclamped():

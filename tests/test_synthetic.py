@@ -4,6 +4,8 @@ import pytest
 from pseudocal import metrics, scalers, synthetic
 from pseudocal.errors import InvalidInputError, InvalidSpecError, TrainingError
 
+from _util import member_by_member_train
+
 
 def test_spec_validation():
     with pytest.raises(InvalidSpecError):
@@ -152,6 +154,62 @@ def test_train_divergence_raises_with_epoch():
     with pytest.raises(TrainingError) as excinfo:
         synthetic.train(bad, epochs=10, lr=0.1, seed=9)
     assert excinfo.value.epoch == 1
+
+
+@pytest.mark.parametrize("n_classes", [2, 5, 7, 8, 16])
+def test_one_loop_trains_each_member_bit_for_bit_as_alone(n_classes):
+    # C < 8 takes softmax's column-slice reductions, C >= 8 numpy's own
+    task = synthetic.generate(
+        synthetic.ShiftSpec(n_classes=n_classes, mean_shift=1.0, rotation=0.45, seed=17,
+                            n_source=400, n_target=300)
+    )
+    seeds = [3, 31, 32, 33, 34]
+    config = dict(epochs=25, lr=0.1, gamma=2.5)
+    alone = [member_by_member_train(task, s, **config, track_history=True) for s in seeds]
+
+    single = synthetic.train(task, **config, track_history=True, seed=seeds[0])
+    together = synthetic.train(task, **config, track_history=True, seed=seeds)
+    ensemble = synthetic.ensemble_train(task, seeds, **config)
+    for models in ([single], together, ensemble.members):
+        for model, (w, b, history) in zip(models, alone):
+            assert repr(model.weights.tolist()) == repr(w.tolist())
+            assert repr(model.bias.tolist()) == repr(b.tolist())
+            if model.history is not None:
+                np.testing.assert_array_equal(model.history, history)
+    assert isinstance(single, synthetic.TrainedClassifier) and len(together) == len(seeds)
+    assert single.history is not None and ensemble.members[0].history is None
+
+
+def test_ensemble_divergence_names_the_first_epoch_any_member_diverged():
+    # One huge input saturates its row's softmax at epoch 1. Where a member's
+    # initial weights already rank that row's label first, the row adds no
+    # gradient, so that member overflows an epoch later than the others.
+    task = synthetic.generate(synthetic.ShiftSpec(seed=9, n_source=200, n_target=200))
+    x = task.source_inputs.copy()
+    x[0, 0] = 1e200
+    bad = synthetic.SyntheticTask(
+        spec=task.spec,
+        source_inputs=x,
+        source_labels=task.source_labels,
+        target_inputs=task.target_inputs,
+        target_labels=task.target_labels,
+    )
+    first_epoch = {}
+    with np.errstate(over="ignore", invalid="ignore"):
+        for seed in (6, 0):
+            with pytest.raises(TrainingError) as excinfo:
+                member_by_member_train(bad, seed, epochs=10, lr=0.1, gamma=1.0)
+            first_epoch[seed] = excinfo.value.epoch
+        assert first_epoch == {6: 3, 0: 2}
+        with pytest.raises(TrainingError, match="diverged at epoch 2") as excinfo:
+            synthetic.ensemble_train(bad, [6, 0], epochs=10, lr=0.1)
+    assert excinfo.value.epoch == 2
+
+
+def test_ensemble_needs_a_member():
+    task = synthetic.generate(synthetic.ShiftSpec(seed=9, n_source=200, n_target=200))
+    with pytest.raises(InvalidInputError, match="at least one member"):
+        synthetic.ensemble_train(task, [], epochs=10, lr=0.1)
 
 
 def test_train_deterministic_per_seed():
