@@ -257,7 +257,7 @@ def build_parser():
     p.add_argument("--task", required=True)
     p.add_argument("--model", required=True)
     p.add_argument("--lambda", dest="lam", type=float)
-    p.add_argument("--label-mode", dest="label_mode", choices=("hard", "soft"))
+    p.add_argument("--label-mode", dest="label_mode", choices=pseudo_target.LABEL_MODES)
     p.add_argument("--lambda-policy", dest="lambda_policy", choices=("fixed", "beta"))
     p.add_argument("--pairing", choices=("distinct", "same"))
     p.add_argument("--mixup-epochs", dest="mixup_epochs", type=int)
@@ -273,7 +273,7 @@ def build_parser():
     p.add_argument("--methods")
     p.add_argument("--bins", type=int)
     p.add_argument("--lambda", dest="lam", type=float)
-    p.add_argument("--label-mode", dest="label_mode", choices=("hard", "soft"))
+    p.add_argument("--label-mode", dest="label_mode", choices=pseudo_target.LABEL_MODES)
     p.add_argument("--seed", type=int)
     p.add_argument("--table-out", dest="table_out")
     p.add_argument("--bins-out", dest="bins_out")

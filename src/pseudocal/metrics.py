@@ -6,7 +6,7 @@ import numpy as np
 
 from .documents import write_csv
 from .errors import InvalidInputError, LabelsRequiredError
-from .numerics import argmax_rows, check_finite, log_softmax, softmax
+from .numerics import argmax_rows, check_finite, class_indices, log_softmax, softmax
 
 DEFAULT_BINS = 15
 
@@ -42,11 +42,7 @@ class PredictionBatch:
         logits.setflags(write=False)
         object.__setattr__(self, "logits", logits)
         if self.labels is not None:
-            labels = np.array(self.labels, dtype=np.int64)
-            if labels.shape != (logits.shape[0],):
-                raise InvalidInputError("labels must be a length-n vector")
-            if labels.min() < 0 or labels.max() >= logits.shape[1]:
-                raise InvalidInputError("labels must lie in [0, C)")
+            labels = class_indices(self.labels, *logits.shape, "labels").copy()
             labels.setflags(write=False)
             object.__setattr__(self, "labels", labels)
 

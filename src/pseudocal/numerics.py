@@ -75,6 +75,18 @@ def finite_array(values, what, ndim, integer=False):
     return array.astype(np.int64 if integer else np.float64, copy=False)
 
 
+def class_indices(values, n_rows, n_classes, what):
+    """``values`` as ``n_rows`` (None: any number of) int64 class indices in [0, n_classes).
+
+    Floats, booleans and strings raise InvalidInputError rather than being cast.
+    """
+    labels = finite_array(values, what, 1, integer=True)
+    rows = len(labels) if n_rows is None else n_rows
+    if labels.shape != (rows,) or np.any(labels < 0) or np.any(labels >= n_classes):
+        raise InvalidInputError(f"{what} must be {rows} class indices in [0, {n_classes})")
+    return labels
+
+
 def log_softmax(z):
     """Exact log of the softmax along the last axis, with no probability clamp.
 

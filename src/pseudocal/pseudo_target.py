@@ -16,12 +16,16 @@ import numpy as np
 from .documents import write_csv
 from .errors import DegenerateTargetError, EmptyFilterError, InvalidInputError
 from .metrics import PredictionBatch
-from .numerics import argmax_rows, check_finite, finite_array, is_finite_number, is_integer
+from .numerics import (
+    argmax_rows, check_finite, class_indices, finite_array, is_finite_number, is_integer,
+)
 from .scalers import fit_temperature
 
 BETA_ALPHA = 0.3
 DEFAULT_LAMBDA = 0.65
 FILTER_THRESHOLD = 0.95
+# The targets fit_on_pseudo_set can derive from a pseudo set.
+LABEL_MODES = ("hard", "soft")
 
 
 class Model(Protocol):
@@ -57,7 +61,7 @@ class MixupConfig:
             )
         if self.lambda_policy not in ("fixed", "beta"):
             raise InvalidInputError(f"unknown lambda policy {self.lambda_policy!r}")
-        if self.label_mode not in ("hard", "soft"):
+        if self.label_mode not in LABEL_MODES:
             raise InvalidInputError(f"unknown label mode {self.label_mode!r}")
         if self.pairing not in ("distinct", "same"):
             raise InvalidInputError(f"unknown pairing rule {self.pairing!r}")
@@ -71,22 +75,19 @@ class MixupConfig:
 
 @dataclass(frozen=True)
 class PseudoTargetSet:
-    """Mixed samples' logits and pseudo labels, with the pair each was mixed from.
+    """Mixed samples' logits, with the pair each was mixed from.
 
     Sample i mixes target rows ``index_a[i]`` and ``index_b[i]`` with ratio
-    ``lam[i]``; ``pl_a`` and ``pl_b`` are their pseudo labels, and
-    ``hard_labels`` the dominant row's. ``soft_labels`` is set in soft label
-    mode only.
+    ``lam[i]``; ``pl_a`` and ``pl_b`` are their pseudo labels. Its targets
+    derive from those: ``hard_labels`` here, soft ones in ``fit_on_pseudo_set``.
     """
 
     logits: np.ndarray
-    hard_labels: np.ndarray
     index_a: np.ndarray
     index_b: np.ndarray
     lam: np.ndarray
     pl_a: np.ndarray
     pl_b: np.ndarray
-    soft_labels: np.ndarray | None = None
 
     @property
     def size(self):
@@ -96,6 +97,11 @@ class PseudoTargetSet:
     def dominant_index(self):
         """The target row that outweighs the other in each mixture."""
         return np.where(self.lam > 0.5, self.index_a, self.index_b)
+
+    @property
+    def hard_labels(self):
+        """The dominant row's pseudo label per mixture."""
+        return np.where(self.lam > 0.5, self.pl_a, self.pl_b)
 
 
 def infer(model, inputs):
@@ -122,9 +128,9 @@ def synthesize(model, target_inputs, target_pseudo_labels, cfg):
     input (``argmax_rows`` of its logits), so the caller can drop the
     target logits before the mixed set is inferred. Per epoch: shuffle,
     pair sample i with shuffled counterpart, keep pairs according to
-    ``cfg.pairing``, mix inputs with the mix ratio, and label by the
-    dominant sample's pseudo label. The mixed inputs are inferred once,
-    and the set carries those logits. Raises DegenerateTargetError when
+    ``cfg.pairing`` and mix inputs with the mix ratio. The mixed inputs are
+    inferred once, and the set carries those logits. The label mode plays
+    no part here: it is the fit's choice. Raises DegenerateTargetError when
     no pair at all survives.
     """
     inputs = np.asarray(target_inputs, dtype=np.float64)
@@ -173,34 +179,26 @@ def synthesize(model, target_inputs, target_pseudo_labels, cfg):
     del mixed
     if pl.min() < 0 or pl.max() >= logits.shape[1]:
         raise InvalidInputError(f"target pseudo labels must lie in [0, {logits.shape[1]})")
-    pl_a, pl_b = pl[idx_a], pl[idx_b]
-
-    soft = None
-    if cfg.label_mode == "soft":
-        eye = np.eye(logits.shape[1])
-        soft = lam[:, None] * eye[pl_a]
-        soft += (1.0 - lam[:, None]) * eye[pl_b]
-
     return PseudoTargetSet(
-        logits=logits,
-        hard_labels=np.where(lam > 0.5, pl_a, pl_b),
-        index_a=idx_a,
-        index_b=idx_b,
-        lam=lam,
-        pl_a=pl_a,
-        pl_b=pl_b,
-        soft_labels=soft,
+        logits=logits, index_a=idx_a, index_b=idx_b, lam=lam, pl_a=pl[idx_a], pl_b=pl[idx_b]
     )
 
 
 def fit_on_pseudo_set(pseudo, label_mode):
-    """Fit a temperature on the pseudo set's logits against its hard or soft labels."""
-    if label_mode == "soft":
-        if pseudo.soft_labels is None:
-            raise InvalidInputError("pseudo-target set carries no soft labels")
-        batch = PredictionBatch(logits=pseudo.logits)
-        return fit_temperature(batch, soft_labels=pseudo.soft_labels)
-    return fit_temperature(PredictionBatch(logits=pseudo.logits, labels=pseudo.hard_labels))
+    """Fit a temperature on the pseudo set's logits against its hard or soft targets.
+
+    The soft targets put ``lam`` on ``pl_a`` and ``1 - lam`` on ``pl_b``;
+    their dense (n, C) matrix lives only for the fit.
+    """
+    if label_mode not in LABEL_MODES:
+        raise InvalidInputError(f"unknown label mode {label_mode!r}")
+    if label_mode == "hard":
+        return fit_temperature(PredictionBatch(logits=pseudo.logits, labels=pseudo.hard_labels))
+    lam = pseudo.lam[:, None]
+    eye = np.eye(pseudo.logits.shape[1])
+    soft = lam * eye[pseudo.pl_a]
+    soft += (1.0 - lam) * eye[pseudo.pl_b]
+    return fit_temperature(PredictionBatch(logits=pseudo.logits), soft_labels=soft)
 
 
 def calibrate(model, target_inputs, cfg=None):
@@ -222,8 +220,11 @@ def correspondence_rate(pseudo, target_labels):
     label) and its dominant constituent (judged against its true label)
     are both correct or both wrong. Diagnostic only: needs true labels.
     """
-    target_labels = np.asarray(target_labels, dtype=np.int64)
-    dominant_correct = pseudo.hard_labels == target_labels[pseudo.dominant_index]
+    labels = class_indices(target_labels, None, pseudo.logits.shape[1], "target labels")
+    dominant = pseudo.dominant_index
+    if dominant.max() >= len(labels):
+        raise InvalidInputError("target labels must cover every target row the pseudo set mixes")
+    dominant_correct = pseudo.hard_labels == labels[dominant]
     return float(np.mean(_pseudo_correct(pseudo) == dominant_correct))
 
 

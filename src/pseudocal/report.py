@@ -167,6 +167,8 @@ def evaluate_all(
     for name in methods:
         if name not in METHODS:
             raise InvalidInputError(f"unknown method {name!r}; valid: {', '.join(METHODS)}")
+        if methods.count(name) > 1:
+            raise InvalidInputError(f"method {name!r} is listed more than once")
         sees = METHODS[name].sees
         if not sees.provided(task):
             raise DataAccessError(f"method {name!r} requires {sees.description}", method=name)
@@ -233,7 +235,7 @@ def lambda_sweep(model, task, lambdas, label_modes, seeds, bins=DEFAULT_BINS):
         if not 0.5 < lam < 1.0:
             raise InvalidInputError(f"sweep mix ratios must lie in (0.5, 1.0), got {lam}")
     for mode in label_modes:
-        if mode not in ("hard", "soft"):
+        if mode not in pseudo_target.LABEL_MODES:
             raise InvalidInputError(f"unknown label mode {mode!r}")
     if not seeds:
         raise InvalidInputError("sweep requires at least one seed")
@@ -241,17 +243,13 @@ def lambda_sweep(model, task, lambdas, label_modes, seeds, bins=DEFAULT_BINS):
     target_logits = pseudo_target.infer(model, task.target_inputs)
     target_batch = PredictionBatch(logits=target_logits, labels=task.target_labels)
     target_pseudo_labels = target_batch.predictions()
-    # Soft labels are built only when a soft fit will read them.
-    synth_mode = "soft" if "soft" in label_modes else "hard"
 
     rows = []
     for lam in lambdas:
         values = [[] for _ in label_modes]
         for seed in seeds:
-            cfg = pseudo_target.MixupConfig(lam=lam, label_mode=synth_mode, seed=int(seed))
-            pseudo = pseudo_target.synthesize(
-                model, task.target_inputs, target_pseudo_labels, cfg
-            )
+            cfg = pseudo_target.MixupConfig(lam=lam, seed=int(seed))
+            pseudo = pseudo_target.synthesize(model, task.target_inputs, target_pseudo_labels, cfg)
             for mode, mode_values in zip(label_modes, values):
                 cal = pseudo_target.fit_on_pseudo_set(pseudo, mode)
                 mode_values.append(ece(cal.apply(target_batch), bins))

@@ -14,7 +14,7 @@ import numpy as np
 
 from .documents import SCHEMA_VERSION, check_version, read_json, write_json
 from .errors import InvalidInputError, InvalidSpecError, TrainingError
-from .numerics import argmax_rows, finite_array, is_finite_number, is_integer, softmax
+from .numerics import argmax_rows, class_indices, finite_array, is_finite_number, is_integer, softmax
 
 # Class means sit equally spaced on a circle of this radius in the first
 # two coordinates; keeps classes from collapsing onto each other.
@@ -81,14 +81,6 @@ class ShiftSpec:
             object.__setattr__(self, "target_priors", tuple(float(p) for p in priors))
 
 
-def _class_indices(values, n_rows, n_classes, what):
-    """``values`` as one int64 class index in [0, n_classes) per input row."""
-    labels = finite_array(values, what, 1, integer=True)
-    if labels.shape != (n_rows,) or np.any(labels < 0) or np.any(labels >= n_classes):
-        raise InvalidInputError(f"{what} must be {n_rows} class indices in [0, {n_classes})")
-    return labels
-
-
 @dataclass(frozen=True)
 class SyntheticTask:
     """A generated source/target problem with labels held out for diagnostics.
@@ -110,14 +102,14 @@ class SyntheticTask:
         target = finite_array(self.target_inputs, "target inputs", 2)
         object.__setattr__(self, "target_inputs", target)
         if self.has_target_labels:
-            labels = _class_indices(self.target_labels, len(target), c, "target labels")
+            labels = class_indices(self.target_labels, len(target), c, "target labels")
             object.__setattr__(self, "target_labels", labels)
         if not 0.0 < self.val_fraction < 1.0:
             raise InvalidInputError(f"val_fraction must lie in (0, 1), got {self.val_fraction!r}")
         if self.has_source:
             source = finite_array(self.source_inputs, "source inputs", 2)
             object.__setattr__(self, "source_inputs", source)
-            labels = _class_indices(self.source_labels, len(source), c, "source labels")
+            labels = class_indices(self.source_labels, len(source), c, "source labels")
             object.__setattr__(self, "source_labels", labels)
             if self._split_point() < 1:
                 raise InvalidInputError(

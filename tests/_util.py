@@ -54,6 +54,15 @@ def argmax_class(z):
     return int(np.argmax(z))
 
 
+def two_hot(lam, pl_a, pl_b, n_classes):
+    """Mixup's soft targets row by row: ``lam`` on class ``pl_a``, ``1 - lam`` on ``pl_b``."""
+    soft = np.zeros((len(lam), n_classes))
+    for i in range(len(lam)):
+        soft[i, pl_a[i]] += lam[i]
+        soft[i, pl_b[i]] += 1.0 - lam[i]
+    return soft
+
+
 def random_batch(rng, n_max=50, c_max=5, correct_bias=None):
     """A random labeled batch with a controllable fraction of correct labels."""
     n = int(rng.integers(2, n_max + 1))

@@ -174,11 +174,12 @@ def test_unsupported_task_version_is_a_one_line_error(workspace, capsys):
         ("evaluate", "task", lambda doc: doc["spec"].update(mean_shift="x"), 1),
         ("sweep", "config", lambda doc: doc.update(lambdas=","), 1),
         ("sweep", "config", lambda doc: doc.update(label_modes=","), 1),
+        ("evaluate", "config", lambda doc: doc.update(methods="none,none"), 1),
     ],
     ids=["source-label-7", "source-labels-short", "narrow-target-inputs", "1d-target-inputs",
          "val-fraction-2", "empty-ensemble", "config-seed-string", "config-epochs-inf",
          "config-seed-negative", "train-config-epochs-string", "spec-mean-shift-string",
-         "sweep-no-lambdas", "sweep-no-label-modes"],
+         "sweep-no-lambdas", "sweep-no-label-modes", "methods-repeated"],
 )
 def test_malformed_input_is_a_one_line_error(
     workspace, tmp_path, capsys, command, damaged, damage, code
@@ -194,7 +195,7 @@ def test_malformed_input_is_a_one_line_error(
     if command != "train":
         argv += ["--model", str(paths["model"])]
     if command == "evaluate":
-        argv += ["--methods", "vector"]
+        argv += ["--methods", docs["config"].get("methods", "vector")]
     if damaged == "config":
         argv += ["--config", str(paths["config"])]
     assert run(argv) == code

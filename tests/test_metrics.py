@@ -27,6 +27,10 @@ def test_batch_validation():
         metrics.PredictionBatch(logits=[[1.0, 0.0]], labels=[2])
     with pytest.raises(InvalidInputError):
         metrics.PredictionBatch(logits=[[1.0, 0.0]], labels=[0, 1])
+    # labels are class indices, never cast: no floats, booleans or strings
+    for bad in ([0.7, 1.2], [True, False], ["a", "b"]):
+        with pytest.raises(InvalidInputError):
+            metrics.PredictionBatch(logits=[[1.0, 0.0], [0.0, 1.0]], labels=bad)
 
 
 def test_batch_is_frozen():

@@ -1,5 +1,5 @@
 import io
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -11,7 +11,7 @@ from pseudocal.errors import (
     InvalidInputError,
 )
 
-from _util import chance_correspondence
+from _util import chance_correspondence, two_hot
 
 
 class IdentityModel:
@@ -37,6 +37,12 @@ def test_config_validation():
         pseudo_target.MixupConfig(lam=1.2)
     with pytest.raises(InvalidInputError):
         pseudo_target.MixupConfig(label_mode="fuzzy")
+    x = np.eye(3)
+    pseudo = pseudo_target.synthesize(
+        IdentityModel(), x, np.arange(3), pseudo_target.MixupConfig(seed=swapping_seed(3))
+    )
+    with pytest.raises(InvalidInputError):
+        pseudo_target.fit_on_pseudo_set(pseudo, "fuzzy")
     with pytest.raises(InvalidInputError):
         pseudo_target.MixupConfig(pairing="best-friend")
     with pytest.raises(InvalidInputError):
@@ -156,15 +162,36 @@ def test_infer_returns_frozen_logits_that_batches_share():
     assert not np.shares_memory(logits, x)
 
 
-def test_soft_labels_are_convex_combinations():
+@pytest.mark.parametrize(
+    "change", [{}, {"pairing": "same"}, {"lambda_policy": "beta", "epochs": 2}],
+    ids=["distinct", "same", "beta"],
+)
+def test_soft_fit_matches_two_hot_oracle(change):
+    # pseudo labels the logits partly disagree with, so no fit ends at a bound
+    rng = np.random.default_rng(8)
+    x = 3.0 * rng.standard_normal((60, 4))
+    pl = np.where(rng.random(60) < 0.7, np.argmax(x, axis=1), rng.integers(0, 4, 60))
+    cfg = pseudo_target.MixupConfig(seed=9, **change)
+    pseudo = pseudo_target.synthesize(IdentityModel(), x, pl, cfg)
+    soft = two_hot(pseudo.lam, pseudo.pl_a, pseudo.pl_b, x.shape[1])
+    expected = scalers.fit_temperature(metrics.PredictionBatch(logits=pseudo.logits), soft)
+    assert scalers.T_MIN < expected.temperature < scalers.T_MAX
+    assert repr(pseudo_target.fit_on_pseudo_set(pseudo, "soft")) == repr(expected)
+
+
+def test_synthesis_ignores_label_mode():
     rng = np.random.default_rng(8)
     x = rng.standard_normal((30, 4))
-    cfg = pseudo_target.MixupConfig(lam=0.65, label_mode="soft", seed=9)
-    pseudo = pseudo_target.synthesize(IdentityModel(), x, np.argmax(x, axis=1), cfg)
-    np.testing.assert_allclose(pseudo.soft_labels.sum(axis=1), 1.0)
-    for i in range(pseudo.size):
-        assert pseudo.soft_labels[i, pseudo.pl_a[i]] == pytest.approx(0.65)
-        assert pseudo.soft_labels[i, pseudo.pl_b[i]] == pytest.approx(0.35)
+    hard, soft = (
+        pseudo_target.synthesize(
+            IdentityModel(), x, np.argmax(x, axis=1),
+            pseudo_target.MixupConfig(label_mode=mode, seed=9),
+        )
+        for mode in pseudo_target.LABEL_MODES
+    )
+    for field in fields(pseudo_target.PseudoTargetSet):
+        a, b = getattr(hard, field.name), getattr(soft, field.name)
+        assert a.dtype == b.dtype and np.array_equal(a, b), field.name
 
 
 def test_beta_policy_dominance_follows_ratio():
@@ -241,6 +268,10 @@ def test_correspondence_rate_perfect_model():
     )
     rate = pseudo_target.correspondence_rate(pseudo, labels)
     assert rate == pytest.approx(1.0)
+    # true labels are class indices for every mixed row, never cast
+    for bad in (labels.astype(float), labels == 0, labels[:-8], labels + 4):
+        with pytest.raises(InvalidInputError, match="target labels"):
+            pseudo_target.correspondence_rate(pseudo, bad)
 
 
 def test_correspondence_rate_exceeds_permuted_chance():
