@@ -1,8 +1,11 @@
 """Command-line front end: generate, train, calibrate, evaluate, sweep.
 
-Every flag can also be supplied through a flat JSON config file
-(--config); explicit flags win over config values, which win over the
-built-in defaults. All randomness flows from --seed, so identical
+Every option can also be supplied through a flat JSON config file
+(--config); explicit flags win over config values. An option given in
+neither place takes the library's default: the CLI passes on only what
+it was given, to ShiftSpec, synthetic.train, MixupConfig, evaluate_all
+and lambda_sweep. Its own defaults are only evaluate's method list and
+sweep's grid. All randomness flows from --seed, so identical
 invocations produce byte-identical output documents.
 """
 
@@ -11,7 +14,6 @@ import sys
 
 from . import documents, pseudo_target, report, scalers, synthetic
 from .errors import InvalidInputError, PseudocalError
-from .metrics import DEFAULT_BINS
 from .numerics import argmax_rows
 
 
@@ -25,36 +27,40 @@ def _config_from_dict(doc):
     return doc
 
 
-def _resolver(args, defaults):
-    """``get(key, convert)``: the flag, else the config value, else the default, converted.
+# Option keys whose library parameter has another name.
+_PARAMETERS = {"classes": "n_classes", "mixup_epochs": "epochs"}
 
-    An unreadable config file or a value ``convert`` rejects is a usage error.
+
+def _options(args, converters):
+    """The options given by a flag, else by the config file, each converted.
+
+    ``converters`` maps each option key the command takes to its converter;
+    keys given in neither place are left out, so the library's defaults
+    apply. An unreadable config file or a value a converter rejects is a
+    usage error.
     """
-    path = getattr(args, "config", None)
+    path = args.config
     try:
         config = {} if path is None else documents.read_json(path, _config_from_dict)
     except (OSError, InvalidInputError) as exc:
         raise _UsageError(f"cannot read config {path}: {exc}") from exc
 
-    def resolve(key, convert):
-        value = getattr(args, key, None)
+    options = {}
+    for key, convert in converters.items():
+        value = getattr(args, key)
         if value is None:
-            value = config.get(key, defaults[key])
+            if key not in config:
+                continue
+            value = config[key]
         try:
-            return convert(value)
+            options[_PARAMETERS.get(key, key)] = convert(value)
         except (TypeError, ValueError, OverflowError) as exc:
             raise _UsageError(f"malformed {key} {value!r}: {exc}") from exc
+    return options
 
-    return resolve
 
-
-def _parse_priors(text, n_classes):
-    if text is None:
-        return None
-    priors = tuple(float(p) for p in str(text).split(","))
-    if len(priors) != n_classes:
-        raise _UsageError(f"need {n_classes} prior entries, got {len(priors)}")
-    return priors
+def _priors(text):
+    return None if text is None else tuple(float(p) for p in str(text).split(","))
 
 
 def _float_list(text):
@@ -65,64 +71,36 @@ def _int_list(text):
     return [int(v) for v in str(text).split(",") if v != ""]
 
 
-def _check_lambda(lam):
+def _names(text):
+    return [name.strip() for name in str(text).split(",") if name.strip()]
+
+
+def _check_lambda(value):
+    lam = float(value)
     if not 0.5 < lam <= 1.0:
         raise _UsageError(f"--lambda must lie in (0.5, 1.0], got {lam}")
     return lam
 
 
-_GENERATE_DEFAULTS = {
-    "classes": 5,
-    "dim": 10,
-    "n_source": 2000,
-    "n_target": 2000,
-    "mean_shift": 0.0,
-    "rotation": 0.0,
-    "target_priors": None,
-    "cluster_std": 1.0,
-    "seed": 0,
-}
-
-
 def cmd_generate(args):
-    get = _resolver(args, _GENERATE_DEFAULTS)
-    n_classes = get("classes", int)
-    spec = synthetic.ShiftSpec(
-        n_classes=n_classes,
-        dim=get("dim", int),
-        n_source=get("n_source", int),
-        n_target=get("n_target", int),
-        mean_shift=get("mean_shift", float),
-        rotation=get("rotation", float),
-        target_priors=get("target_priors", lambda text: _parse_priors(text, n_classes)),
-        cluster_std=get("cluster_std", float),
-        seed=get("seed", int),
-    )
-    task = synthetic.generate(spec)
+    opts = _options(args, {
+        "classes": int, "dim": int, "n_source": int, "n_target": int, "mean_shift": float,
+        "rotation": float, "target_priors": _priors, "cluster_std": float, "seed": int,
+    })
+    n_classes = opts.get("n_classes", synthetic.ShiftSpec.n_classes)
+    priors = opts.get("target_priors")
+    if priors is not None and len(priors) != n_classes:
+        raise _UsageError(f"need {n_classes} prior entries, got {len(priors)}")
+    task = synthetic.generate(synthetic.ShiftSpec(**opts))
     synthetic.save_task(task, args.out)
     print(f"wrote task to {args.out}")
     return 0
 
 
-_TRAIN_DEFAULTS = {
-    "epochs": synthetic.DEFAULT_EPOCHS,
-    "lr": synthetic.DEFAULT_LR,
-    "gamma": 1.0,
-    "seed": 0,
-}
-
-
 def cmd_train(args):
-    get = _resolver(args, _TRAIN_DEFAULTS)
+    opts = _options(args, {"epochs": int, "lr": float, "gamma": float, "seed": int})
     task = synthetic.load_task(args.task)
-    model = synthetic.train(
-        task,
-        epochs=get("epochs", int),
-        lr=get("lr", float),
-        gamma=get("gamma", float),
-        track_history=args.history_out is not None,
-        seed=get("seed", int),
-    )
+    model = synthetic.train(task, track_history=args.history_out is not None, **opts)
     synthetic.save_model(model, args.out)
     if args.history_out is not None:
         report.history_to_csv(model.history, args.history_out)
@@ -130,26 +108,11 @@ def cmd_train(args):
     return 0
 
 
-_CALIBRATE_DEFAULTS = {
-    "lam": pseudo_target.DEFAULT_LAMBDA,
-    "label_mode": "hard",
-    "lambda_policy": "fixed",
-    "pairing": "distinct",
-    "mixup_epochs": 1,
-    "seed": 0,
-}
-
-
 def cmd_calibrate(args):
-    get = _resolver(args, _CALIBRATE_DEFAULTS)
-    cfg = pseudo_target.MixupConfig(
-        lam=_check_lambda(get("lam", float)),
-        lambda_policy=get("lambda_policy", str),
-        label_mode=get("label_mode", str),
-        pairing=get("pairing", str),
-        epochs=get("mixup_epochs", int),
-        seed=get("seed", int),
-    )
+    cfg = pseudo_target.MixupConfig(**_options(args, {
+        "lam": _check_lambda, "lambda_policy": str, "label_mode": str, "pairing": str,
+        "mixup_epochs": int, "seed": int,
+    }))
     task = synthetic.load_task(args.task)
     model = synthetic.load_model(args.model)
     # The target logits die once their pseudo labels are taken, before the
@@ -164,28 +127,22 @@ def cmd_calibrate(args):
     return 0
 
 
-_EVALUATE_DEFAULTS = {
-    "methods": "none,pseudocal,temp_oracle",
-    "bins": DEFAULT_BINS,
-    "lam": pseudo_target.DEFAULT_LAMBDA,
-    "label_mode": "hard",
-    "seed": 0,
-}
+_EVALUATE_METHODS = ("none", "pseudocal", "temp_oracle")
 
 
 def cmd_evaluate(args):
-    get = _resolver(args, _EVALUATE_DEFAULTS)
-    methods = [m.strip() for m in get("methods", str).split(",") if m.strip()]
+    opts = _options(args, {
+        "methods": _names, "bins": int, "lam": _check_lambda, "label_mode": str, "seed": int,
+    })
+    methods = opts.pop("methods", _EVALUATE_METHODS)
     if not methods:
         raise _UsageError("--methods must name at least one method")
-    lam = _check_lambda(get("lam", float))
-    seed = get("seed", int)
-    cfg = pseudo_target.MixupConfig(lam=lam, label_mode=get("label_mode", str), seed=seed)
+    bins = {"bins": opts.pop("bins")} if "bins" in opts else {}
+    # One --seed drives the mixup and the ensemble members alike.
+    cfg = pseudo_target.MixupConfig(**opts)
     task = synthetic.load_task(args.task)
     model = synthetic.load_model(args.model)
-    result = report.evaluate_all(
-        model, task, methods, bins=get("bins", int), seed=seed, mixup_cfg=cfg
-    )
+    result = report.evaluate_all(model, task, methods, seed=cfg.seed, mixup_cfg=cfg, **bins)
     with open(args.out, "w") as fh:
         fh.write(result.to_json())
     table = result.table_text()
@@ -198,24 +155,20 @@ def cmd_evaluate(args):
     return 0
 
 
-_SWEEP_DEFAULTS = {
-    "lambdas": "0.51,0.55,0.6,0.65,0.7,0.8,0.9",
-    "label_modes": "hard,soft",
-    "seeds": "0,1,2,3,4",
-    "bins": DEFAULT_BINS,
+_SWEEP_GRID = {
+    "lambdas": (0.51, 0.55, 0.6, 0.65, 0.7, 0.8, 0.9),
+    "label_modes": pseudo_target.LABEL_MODES,
+    "seeds": (0, 1, 2, 3, 4),
 }
 
 
 def cmd_sweep(args):
-    get = _resolver(args, _SWEEP_DEFAULTS)
-    lambdas = get("lambdas", _float_list)
-    label_modes = [m.strip() for m in get("label_modes", str).split(",") if m.strip()]
-    seeds = get("seeds", _int_list)
+    opts = _options(args, {
+        "lambdas": _float_list, "label_modes": _names, "seeds": _int_list, "bins": int,
+    })
     task = synthetic.load_task(args.task)
     model = synthetic.load_model(args.model)
-    rows = report.lambda_sweep(
-        model, task, lambdas, label_modes, seeds, bins=get("bins", int)
-    )
+    rows = report.lambda_sweep(model, task, **{**_SWEEP_GRID, **opts})
     report.sweep_to_csv(rows, args.out)
     print(f"wrote sweep to {args.out}")
     return 0
@@ -258,8 +211,8 @@ def build_parser():
     p.add_argument("--model", required=True)
     p.add_argument("--lambda", dest="lam", type=float)
     p.add_argument("--label-mode", dest="label_mode", choices=pseudo_target.LABEL_MODES)
-    p.add_argument("--lambda-policy", dest="lambda_policy", choices=("fixed", "beta"))
-    p.add_argument("--pairing", choices=("distinct", "same"))
+    p.add_argument("--lambda-policy", dest="lambda_policy", choices=pseudo_target.LAMBDA_POLICIES)
+    p.add_argument("--pairing", choices=pseudo_target.PAIRINGS)
     p.add_argument("--mixup-epochs", dest="mixup_epochs", type=int)
     p.add_argument("--seed", type=int)
     p.add_argument("--provenance-out", dest="provenance_out")

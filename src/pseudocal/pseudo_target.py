@@ -26,6 +26,9 @@ DEFAULT_LAMBDA = 0.65
 FILTER_THRESHOLD = 0.95
 # The targets fit_on_pseudo_set can derive from a pseudo set.
 LABEL_MODES = ("hard", "soft")
+# How synthesis draws each pair's mix ratio, and which pairs it keeps.
+LAMBDA_POLICIES = ("fixed", "beta")
+PAIRINGS = ("distinct", "same")
 
 
 class Model(Protocol):
@@ -59,11 +62,11 @@ class MixupConfig:
             raise InvalidInputError(
                 f"mixup epochs and seed must be integers, got {self.epochs!r}, {self.seed!r}"
             )
-        if self.lambda_policy not in ("fixed", "beta"):
+        if self.lambda_policy not in LAMBDA_POLICIES:
             raise InvalidInputError(f"unknown lambda policy {self.lambda_policy!r}")
         if self.label_mode not in LABEL_MODES:
             raise InvalidInputError(f"unknown label mode {self.label_mode!r}")
-        if self.pairing not in ("distinct", "same"):
+        if self.pairing not in PAIRINGS:
             raise InvalidInputError(f"unknown pairing rule {self.pairing!r}")
         if self.lambda_policy == "fixed" and not 0.5 < self.lam <= 1.0:
             raise InvalidInputError(

@@ -18,8 +18,10 @@ from .errors import DataAccessError, InvalidInputError
 from .metrics import (
     DEFAULT_BINS, PredictionBatch, bin_columns, ece, mean_brier, mean_nll, reliability_bins,
 )
+from .numerics import is_integer
 
-DEFAULT_ENSEMBLE_SIZE = 5
+# Members of the ensemble baseline, trained on seeds seed .. seed + ENSEMBLE_SIZE - 1.
+ENSEMBLE_SIZE = 5
 
 
 @dataclass(frozen=True)
@@ -80,12 +82,11 @@ TARGET_LABELS = Access("target labels", lambda task: task.has_target_labels)
 class _Inputs:
     """The data one evaluate_all call offers its methods; each input set is inferred once."""
 
-    def __init__(self, model, task, mixup_cfg, seed, ensemble_size):
+    def __init__(self, model, task, mixup_cfg, seed):
         self.model = model
         self.task = task
         self.mixup_cfg = mixup_cfg
         self.seed = seed
-        self.ensemble_size = ensemble_size
         self.target_logits = pseudo_target.infer(model, task.target_inputs)
         self.target_batch = PredictionBatch(logits=self.target_logits, labels=task.target_labels)
         self.target_pseudo_labels = self.target_batch.predictions()
@@ -113,15 +114,11 @@ def _mixup(**change):
 
 
 def _fit_ensemble(data):
-    train_cfg = getattr(data.model, "train_config", {})
-    ens = synthetic.ensemble_train(
-        data.task,
-        range(data.seed, data.seed + data.ensemble_size),
-        epochs=train_cfg.get("epochs", synthetic.DEFAULT_EPOCHS),
-        lr=train_cfg.get("lr", synthetic.DEFAULT_LR),
-        gamma=train_cfg.get("gamma", 1.0),
-    )
-    return ens, None
+    """Members trained as the model was (its train_config less the seed), on the run's seeds."""
+    config = getattr(data.model, "train_config", {})
+    member_config = {key: value for key, value in config.items() if key != "seed"}
+    seeds = range(data.seed, data.seed + ENSEMBLE_SIZE)
+    return synthetic.ensemble_train(data.task, seeds, **member_config), None
 
 
 class Method(NamedTuple):
@@ -153,15 +150,7 @@ METHODS = {
 }
 
 
-def evaluate_all(
-    model,
-    task,
-    methods,
-    bins=DEFAULT_BINS,
-    seed=0,
-    mixup_cfg=None,
-    ensemble_size=DEFAULT_ENSEMBLE_SIZE,
-):
+def evaluate_all(model, task, methods, bins=DEFAULT_BINS, seed=0, mixup_cfg=None):
     """Fit every requested method, apply it, and measure on the target."""
     methods = list(methods)
     for name in methods:
@@ -175,7 +164,7 @@ def evaluate_all(
     if mixup_cfg is None:
         mixup_cfg = pseudo_target.MixupConfig(seed=seed)
 
-    data = _Inputs(model, task, mixup_cfg, seed, ensemble_size)
+    data = _Inputs(model, task, mixup_cfg, seed)
     results = {}
     bin_stats = {}
     correspondence = None
@@ -226,9 +215,11 @@ def lambda_sweep(model, task, lambdas, label_modes, seeds, bins=DEFAULT_BINS):
     """Mean target ECE per (mix ratio, label mode) cell, averaged over seeds.
 
     Each (mix ratio, seed) pseudo set is built once and every label mode
-    is fitted on it.
+    is fitted on it. A value listed twice on any axis is rejected before
+    anything is inferred.
     """
     lambdas = [float(l) for l in lambdas]
+    label_modes, seeds = list(label_modes), list(seeds)
     if not lambdas or not label_modes:
         raise InvalidInputError("sweep requires at least one mix ratio and one label mode")
     for lam in lambdas:
@@ -239,6 +230,12 @@ def lambda_sweep(model, task, lambdas, label_modes, seeds, bins=DEFAULT_BINS):
             raise InvalidInputError(f"unknown label mode {mode!r}")
     if not seeds:
         raise InvalidInputError("sweep requires at least one seed")
+    if not all(is_integer(seed) and seed >= 0 for seed in seeds):
+        raise InvalidInputError(f"sweep seeds must be integers >= 0, got {seeds}")
+    for what, given in (("mix ratio", lambdas), ("label mode", label_modes), ("seed", seeds)):
+        for value in given:
+            if given.count(value) > 1:
+                raise InvalidInputError(f"sweep lists {what} {value!r} more than once")
 
     target_logits = pseudo_target.infer(model, task.target_inputs)
     target_batch = PredictionBatch(logits=target_logits, labels=task.target_labels)

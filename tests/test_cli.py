@@ -1,9 +1,13 @@
+import argparse
+import ast
 import hashlib
 import json
+from pathlib import Path
 
 import pytest
 
-from pseudocal import cli
+from pseudocal import cli, pseudo_target, scalers, synthetic
+from pseudocal.metrics import DEFAULT_BINS, PredictionBatch, ece, mean_brier, mean_nll
 
 
 def run(argv):
@@ -175,11 +179,15 @@ def test_unsupported_task_version_is_a_one_line_error(workspace, capsys):
         ("sweep", "config", lambda doc: doc.update(lambdas=","), 1),
         ("sweep", "config", lambda doc: doc.update(label_modes=","), 1),
         ("evaluate", "config", lambda doc: doc.update(methods="none,none"), 1),
+        ("calibrate", "config", lambda doc: doc.update(seed=None), 2),
+        ("sweep", "config",
+         lambda doc: doc.update(lambdas="0.6,0.6", label_modes="hard,hard", seeds="0,0"), 1),
     ],
     ids=["source-label-7", "source-labels-short", "narrow-target-inputs", "1d-target-inputs",
          "val-fraction-2", "empty-ensemble", "config-seed-string", "config-epochs-inf",
          "config-seed-negative", "train-config-epochs-string", "spec-mean-shift-string",
-         "sweep-no-lambdas", "sweep-no-label-modes", "methods-repeated"],
+         "sweep-no-lambdas", "sweep-no-label-modes", "methods-repeated", "config-seed-null",
+         "sweep-repeated"],
 )
 def test_malformed_input_is_a_one_line_error(
     workspace, tmp_path, capsys, command, damaged, damage, code
@@ -295,3 +303,81 @@ def test_subcommands_do_not_mutate_inputs(workspace, tmp_path):
         "--out", str(tmp_path / "s.csv"),
     ])
     assert (file_hash(task), file_hash(model)) == before
+
+
+def test_commands_without_options_write_the_library_defaults(tmp_path):
+    """generate, train and calibrate given no option run the library's defaults."""
+    task = synthetic.generate(synthetic.ShiftSpec())
+    model = synthetic.train(task)
+    calibrator = pseudo_target.calibrate(model, task.target_inputs)
+    synthetic.save_task(task, tmp_path / "lib_task.json")
+    synthetic.save_model(model, tmp_path / "lib_model.json")
+    scalers.save_calibrator(calibrator, tmp_path / "lib_cal.json")
+
+    task_path, model_path = tmp_path / "task.json", tmp_path / "model.json"
+    assert run(["generate", "--out", str(task_path)]) == 0
+    assert run(["train", "--task", str(task_path), "--out", str(model_path)]) == 0
+    assert run([
+        "calibrate", "--task", str(task_path), "--model", str(model_path),
+        "--out", str(tmp_path / "cal.json"),
+    ]) == 0
+    for name in ("task", "model", "cal"):
+        assert file_hash(tmp_path / f"{name}.json") == file_hash(tmp_path / f"lib_{name}.json")
+
+
+def test_ensemble_row_trains_members_as_the_model_was_trained(tmp_path):
+    task_path, model_path, out = tmp_path / "task.json", tmp_path / "model.json", tmp_path / "r.json"
+    assert run([
+        "generate", "--n-source", "300", "--n-target", "300", "--mean-shift", "1.0",
+        "--seed", "2", "--out", str(task_path),
+    ]) == 0
+    assert run([
+        "train", "--task", str(task_path), "--epochs", "40", "--lr", "0.2", "--gamma", "2.5",
+        "--seed", "2", "--out", str(model_path),
+    ]) == 0
+    assert run([
+        "evaluate", "--task", str(task_path), "--model", str(model_path),
+        "--methods", "ensemble", "--seed", "6", "--out", str(out),
+    ]) == 0
+
+    task, model = synthetic.load_task(task_path), synthetic.load_model(model_path)
+    assert model.train_config == {"epochs": 40, "lr": 0.2, "gamma": 2.5, "seed": 2}
+    config = {key: value for key, value in model.train_config.items() if key != "seed"}
+    ensemble = synthetic.ensemble_train(task, range(6, 6 + 5), **config)
+    batch = PredictionBatch(
+        logits=ensemble.predict_logits(task.target_inputs), labels=task.target_labels
+    )
+    assert json.loads(out.read_text())["methods"]["ensemble"] == {
+        "ece": ece(batch, DEFAULT_BINS),
+        "nll": mean_nll(batch),
+        "brier": mean_brier(batch),
+        "accuracy": batch.accuracy(),
+        "temperature": None,
+    }
+
+
+def test_cli_holds_no_library_default_and_no_copied_choice_list():
+    """Defaults and choice lists live in the library; the CLI names none of their values."""
+    source = Path(cli.__file__).read_text()
+    names = [
+        node.id if isinstance(node, ast.Name) else node.attr if isinstance(node, ast.Attribute)
+        else node.name
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, (ast.Name, ast.Attribute, ast.alias))
+    ]
+    assert [name for name in names if name.startswith("DEFAULT_")] == []
+
+    owners = {
+        "label_mode": pseudo_target.LABEL_MODES,
+        "lambda_policy": pseudo_target.LAMBDA_POLICIES,
+        "pairing": pseudo_target.PAIRINGS,
+    }
+    parser = cli.build_parser()
+    (commands,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    seen = set()
+    for command in commands.choices.values():
+        for action in command._actions:
+            if action.dest in owners:
+                assert action.choices is owners[action.dest], (command.prog, action.dest)
+                seen.add(action.dest)
+    assert seen == set(owners)

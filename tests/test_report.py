@@ -89,7 +89,7 @@ def test_ensemble_method_row():
     )
     task = synthetic.generate(spec)
     model = synthetic.train(task, epochs=120, lr=0.1, gamma=3.0, seed=21)
-    result = report.evaluate_all(model, task, ["none", "ensemble"], seed=21, ensemble_size=3)
+    result = report.evaluate_all(model, task, ["none", "ensemble"], seed=21)
     row = result.methods["ensemble"]
     assert row.temperature is None
     assert 0.0 <= row.ece <= 1.0
@@ -144,6 +144,15 @@ def test_lambda_sweep_grid_and_validation(cell):
     for lambdas, modes in (([], ["hard"]), ([0.65], [])):
         with pytest.raises(InvalidInputError, match="at least one"):
             report.lambda_sweep(NoInference(), task, lambdas, modes, [0])
+    # so is a value listed twice on any axis
+    for lambdas, modes, seeds in (
+        ([0.6, 0.7, 0.6], ["hard"], [0]), ([0.6], ["soft", "soft"], [0]), ([0.6], ["hard"], [0, 1, 0]),
+    ):
+        with pytest.raises(InvalidInputError, match="more than once"):
+            report.lambda_sweep(NoInference(), task, lambdas, modes, seeds)
+    # a fractional seed would run as its integer part, a hidden repeat
+    with pytest.raises(InvalidInputError, match="integers"):
+        report.lambda_sweep(NoInference(), task, [0.6], ["hard"], [0, 0.5])
 
     rows = report.lambda_sweep(model, task, [0.6, 0.65], ["hard", "soft"], [0, 1])
     assert len(rows) == 4
