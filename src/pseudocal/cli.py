@@ -1,16 +1,19 @@
 """Command-line front end: generate, train, calibrate, evaluate, sweep.
 
-Every option can also be supplied through a flat JSON config file
-(--config); explicit flags win over config values. An option given in
-neither place takes the library's default: the CLI passes on only what
-it was given, to ShiftSpec, synthetic.train, MixupConfig, evaluate_all
-and lambda_sweep. Its own defaults are only evaluate's method list and
-sweep's grid. All randomness flows from --seed, so identical
-invocations produce byte-identical output documents.
+One table, ``_COMMANDS``, declares each command's document paths and its
+options, each option with one converter; the flags and the config keys
+both come from it. An option may also be given in a flat JSON config file
+(--config); a flag wins over the config, and both pass through the same
+converter. An option given in neither place takes the library's default:
+the CLI's own defaults are only evaluate's method list and sweep's grid.
+Every usage error, argparse's own included, is one ``error:`` line and
+exit code 2. All randomness flows from --seed, so identical invocations
+produce byte-identical output documents.
 """
 
 import argparse
 import sys
+from typing import Callable, NamedTuple
 
 from . import documents, pseudo_target, report, scalers, synthetic
 from .errors import InvalidInputError, PseudocalError
@@ -19,6 +22,13 @@ from .numerics import argmax_rows
 
 class _UsageError(Exception):
     pass
+
+
+class _Parser(argparse.ArgumentParser):
+    """argparse whose own errors, in subcommands too, are usage errors."""
+
+    def error(self, message):
+        raise _UsageError(message)
 
 
 def _config_from_dict(doc):
@@ -31,11 +41,10 @@ def _config_from_dict(doc):
 _PARAMETERS = {"classes": "n_classes", "mixup_epochs": "epochs"}
 
 
-def _options(args, converters):
-    """The options given by a flag, else by the config file, each converted.
+def _options(args):
+    """The command's options given by a flag, else by the config file, each converted.
 
-    ``converters`` maps each option key the command takes to its converter;
-    keys given in neither place are left out, so the library's defaults
+    Keys given in neither place are left out, so the library's defaults
     apply. An unreadable config file or a value a converter rejects is a
     usage error.
     """
@@ -46,7 +55,7 @@ def _options(args, converters):
         raise _UsageError(f"cannot read config {path}: {exc}") from exc
 
     options = {}
-    for key, convert in converters.items():
+    for key, convert in _COMMANDS[args.command].options.items():
         value = getattr(args, key)
         if value is None:
             if key not in config:
@@ -57,6 +66,20 @@ def _options(args, converters):
         except (TypeError, ValueError, OverflowError) as exc:
             raise _UsageError(f"malformed {key} {value!r}: {exc}") from exc
     return options
+
+
+def _int(value):
+    """A whole number: an int or a string that spells one, never a bool or a float."""
+    if isinstance(value, bool) or not isinstance(value, (int, str)):
+        raise TypeError(f"expected a whole number, got {type(value).__name__}")
+    return int(value)
+
+
+def _float(value):
+    """A number, or a string that spells one, but never a bool."""
+    if isinstance(value, bool):
+        raise TypeError("expected a number, got bool")
+    return float(value)
 
 
 def _priors(text):
@@ -76,17 +99,14 @@ def _names(text):
 
 
 def _check_lambda(value):
-    lam = float(value)
+    lam = _float(value)
     if not 0.5 < lam <= 1.0:
         raise _UsageError(f"--lambda must lie in (0.5, 1.0], got {lam}")
     return lam
 
 
-def cmd_generate(args):
-    opts = _options(args, {
-        "classes": int, "dim": int, "n_source": int, "n_target": int, "mean_shift": float,
-        "rotation": float, "target_priors": _priors, "cluster_std": float, "seed": int,
-    })
+def cmd_generate(args, opts):
+    """generate a synthetic source/target task"""
     n_classes = opts.get("n_classes", synthetic.ShiftSpec.n_classes)
     priors = opts.get("target_priors")
     if priors is not None and len(priors) != n_classes:
@@ -97,8 +117,8 @@ def cmd_generate(args):
     return 0
 
 
-def cmd_train(args):
-    opts = _options(args, {"epochs": int, "lr": float, "gamma": float, "seed": int})
+def cmd_train(args, opts):
+    """train the source classifier"""
     task = synthetic.load_task(args.task)
     model = synthetic.train(task, track_history=args.history_out is not None, **opts)
     synthetic.save_model(model, args.out)
@@ -108,11 +128,9 @@ def cmd_train(args):
     return 0
 
 
-def cmd_calibrate(args):
-    cfg = pseudo_target.MixupConfig(**_options(args, {
-        "lam": _check_lambda, "lambda_policy": str, "label_mode": str, "pairing": str,
-        "mixup_epochs": int, "seed": int,
-    }))
+def cmd_calibrate(args, opts):
+    """fit a temperature on a mixup pseudo-target set"""
+    cfg = pseudo_target.MixupConfig(**opts)
     task = synthetic.load_task(args.task)
     model = synthetic.load_model(args.model)
     # The target logits die once their pseudo labels are taken, before the
@@ -130,10 +148,8 @@ def cmd_calibrate(args):
 _EVALUATE_METHODS = ("none", "pseudocal", "temp_oracle")
 
 
-def cmd_evaluate(args):
-    opts = _options(args, {
-        "methods": _names, "bins": int, "lam": _check_lambda, "label_mode": str, "seed": int,
-    })
+def cmd_evaluate(args, opts):
+    """compare calibration methods on the target"""
     methods = opts.pop("methods", _EVALUATE_METHODS)
     if not methods:
         raise _UsageError("--methods must name at least one method")
@@ -162,10 +178,8 @@ _SWEEP_GRID = {
 }
 
 
-def cmd_sweep(args):
-    opts = _options(args, {
-        "lambdas": _float_list, "label_modes": _names, "seeds": _int_list, "bins": int,
-    })
+def cmd_sweep(args, opts):
+    """mix-ratio sensitivity sweep"""
     task = synthetic.load_task(args.task)
     model = synthetic.load_model(args.model)
     rows = report.lambda_sweep(model, task, **{**_SWEEP_GRID, **opts})
@@ -174,85 +188,61 @@ def cmd_sweep(args):
     return 0
 
 
+class _Command(NamedTuple):
+    run: Callable  # run(args, options); its docstring is the command's help
+    paths: tuple  # document paths; the ``*_out`` ones are optional
+    options: dict  # option key -> its one converter, for flags and config values alike
+
+
+_COMMANDS = {
+    "generate": _Command(cmd_generate, ("out",), {
+        "classes": _int, "dim": _int, "n_source": _int, "n_target": _int, "mean_shift": _float,
+        "rotation": _float, "target_priors": _priors, "cluster_std": _float, "seed": _int,
+    }),
+    "train": _Command(cmd_train, ("task", "out", "history_out"), {
+        "epochs": _int, "lr": _float, "gamma": _float, "seed": _int,
+    }),
+    "calibrate": _Command(cmd_calibrate, ("task", "model", "out", "provenance_out"), {
+        "lam": _check_lambda, "label_mode": str, "lambda_policy": str, "pairing": str,
+        "mixup_epochs": _int, "seed": _int,
+    }),
+    "evaluate": _Command(cmd_evaluate, ("task", "model", "out", "table_out", "bins_out"), {
+        "methods": _names, "bins": _int, "lam": _check_lambda, "label_mode": str, "seed": _int,
+    }),
+    "sweep": _Command(cmd_sweep, ("task", "model", "out"), {
+        "lambdas": _float_list, "label_modes": _names, "seeds": _int_list, "bins": _int,
+    }),
+}
+
+# Options whose flag takes one name from the library's own list.
+_CHOICES = {
+    "label_mode": pseudo_target.LABEL_MODES,
+    "lambda_policy": pseudo_target.LAMBDA_POLICIES,
+    "pairing": pseudo_target.PAIRINGS,
+}
+
+
 def build_parser():
-    parser = argparse.ArgumentParser(
+    """Every flag from ``_COMMANDS``: ``--key`` with ``-`` for ``_``, and ``--lambda`` for ``lam``."""
+    parser = _Parser(
         prog="pseudocal",
         description="Source-free calibration under domain shift on a synthetic harness.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("generate", help="generate a synthetic source/target task")
-    p.add_argument("--classes", type=int)
-    p.add_argument("--dim", type=int)
-    p.add_argument("--n-source", dest="n_source", type=int)
-    p.add_argument("--n-target", dest="n_target", type=int)
-    p.add_argument("--mean-shift", dest="mean_shift", type=float)
-    p.add_argument("--rotation", type=float)
-    p.add_argument("--target-priors", dest="target_priors")
-    p.add_argument("--cluster-std", dest="cluster_std", type=float)
-    p.add_argument("--seed", type=int)
-    p.add_argument("--config")
-    p.add_argument("--out", required=True)
-    p.set_defaults(func=cmd_generate)
-
-    p = sub.add_parser("train", help="train the source classifier")
-    p.add_argument("--task", required=True)
-    p.add_argument("--epochs", type=int)
-    p.add_argument("--lr", type=float)
-    p.add_argument("--gamma", type=float)
-    p.add_argument("--seed", type=int)
-    p.add_argument("--history-out", dest="history_out")
-    p.add_argument("--config")
-    p.add_argument("--out", required=True)
-    p.set_defaults(func=cmd_train)
-
-    p = sub.add_parser("calibrate", help="fit a temperature on a mixup pseudo-target set")
-    p.add_argument("--task", required=True)
-    p.add_argument("--model", required=True)
-    p.add_argument("--lambda", dest="lam", type=float)
-    p.add_argument("--label-mode", dest="label_mode", choices=pseudo_target.LABEL_MODES)
-    p.add_argument("--lambda-policy", dest="lambda_policy", choices=pseudo_target.LAMBDA_POLICIES)
-    p.add_argument("--pairing", choices=pseudo_target.PAIRINGS)
-    p.add_argument("--mixup-epochs", dest="mixup_epochs", type=int)
-    p.add_argument("--seed", type=int)
-    p.add_argument("--provenance-out", dest="provenance_out")
-    p.add_argument("--config")
-    p.add_argument("--out", required=True)
-    p.set_defaults(func=cmd_calibrate)
-
-    p = sub.add_parser("evaluate", help="compare calibration methods on the target")
-    p.add_argument("--task", required=True)
-    p.add_argument("--model", required=True)
-    p.add_argument("--methods")
-    p.add_argument("--bins", type=int)
-    p.add_argument("--lambda", dest="lam", type=float)
-    p.add_argument("--label-mode", dest="label_mode", choices=pseudo_target.LABEL_MODES)
-    p.add_argument("--seed", type=int)
-    p.add_argument("--table-out", dest="table_out")
-    p.add_argument("--bins-out", dest="bins_out")
-    p.add_argument("--config")
-    p.add_argument("--out", required=True)
-    p.set_defaults(func=cmd_evaluate)
-
-    p = sub.add_parser("sweep", help="mix-ratio sensitivity sweep")
-    p.add_argument("--task", required=True)
-    p.add_argument("--model", required=True)
-    p.add_argument("--lambdas")
-    p.add_argument("--label-modes", dest="label_modes")
-    p.add_argument("--seeds")
-    p.add_argument("--bins", type=int)
-    p.add_argument("--config")
-    p.add_argument("--out", required=True)
-    p.set_defaults(func=cmd_sweep)
-
+    for name, command in _COMMANDS.items():
+        p = sub.add_parser(name, help=command.run.__doc__)
+        for key in (*command.paths, *command.options):
+            flag = "--lambda" if key == "lam" else "--" + key.replace("_", "-")
+            required = key in command.paths and not key.endswith("_out")
+            p.add_argument(flag, dest=key, required=required, choices=_CHOICES.get(key))
+        p.add_argument("--config")
     return parser
 
 
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        args = build_parser().parse_args(argv)
+        return _COMMANDS[args.command].run(args, _options(args))
     except _UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -182,12 +182,19 @@ def test_unsupported_task_version_is_a_one_line_error(workspace, capsys):
         ("calibrate", "config", lambda doc: doc.update(seed=None), 2),
         ("sweep", "config",
          lambda doc: doc.update(lambdas="0.6,0.6", label_modes="hard,hard", seeds="0,0"), 1),
+        ("calibrate", "config", lambda doc: doc.update(seed=1.5), 2),
+        ("calibrate", "config", lambda doc: doc.update(seed=True), 2),
+        ("calibrate", "config", lambda doc: doc.update(mixup_epochs=2.9), 2),
+        ("calibrate", "config", lambda doc: doc.update(lam=True), 2),
+        ("evaluate", "config", lambda doc: doc.update(bins=7.9), 2),
+        ("sweep", "config", lambda doc: doc.update(bins=True), 2),
     ],
     ids=["source-label-7", "source-labels-short", "narrow-target-inputs", "1d-target-inputs",
          "val-fraction-2", "empty-ensemble", "config-seed-string", "config-epochs-inf",
          "config-seed-negative", "train-config-epochs-string", "spec-mean-shift-string",
          "sweep-no-lambdas", "sweep-no-label-modes", "methods-repeated", "config-seed-null",
-         "sweep-repeated"],
+         "sweep-repeated", "config-seed-fraction", "config-seed-bool", "config-epochs-fraction",
+         "config-lambda-bool", "config-bins-fraction", "sweep-config-bins-bool"],
 )
 def test_malformed_input_is_a_one_line_error(
     workspace, tmp_path, capsys, command, damaged, damage, code
@@ -211,6 +218,79 @@ def test_malformed_input_is_a_one_line_error(
     assert err.startswith("error:")
     assert err.count("\n") == 1
     assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["calibrate", "--task", "t.json", "--model", "m.json", "--label-mode", "fuzzy",
+         "--out", "c.json"],
+        ["calibrate", "--task", "t.json", "--model", "m.json"],
+        ["calibrate", "--task", "t.json", "--model", "m.json", "--out", "c.json", "--bogus", "1"],
+        ["evaluate", "--task", "t.json", "--model", "m.json", "--out", "c.json", "--bins", "x"],
+    ],
+    ids=["invalid-choice", "missing-out", "unknown-flag", "bins-not-a-number"],
+)
+def test_usage_errors_are_one_line(tmp_path, monkeypatch, capsys, argv):
+    """argparse's own errors print one error line, not its usage block, and exit 2."""
+    monkeypatch.chdir(tmp_path)
+    assert run(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error:")
+    assert captured.err.count("\n") == 1
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_help_still_prints_help_and_exits_0(capsys):
+    with pytest.raises(SystemExit) as exc:
+        run(["calibrate", "--help"])
+    assert exc.value.code == 0
+    assert capsys.readouterr().out.startswith("usage: pseudocal calibrate")
+
+
+# Two valid values of every option key, spelled as on the command line.
+OPTION_VALUES = {
+    "classes": ("4", "6"), "dim": ("3", "2"), "n_source": ("100", "120"),
+    "n_target": ("90", "80"), "mean_shift": ("0.5", "1.5"), "rotation": ("0.2", "0.3"),
+    "target_priors": ("0.5,0.5", "0.2,0.8"), "cluster_std": ("1.1", "0.9"), "seed": ("3", "4"),
+    "epochs": ("20", "30"), "lr": ("0.2", "0.1"), "gamma": ("2.5", "3"), "lam": ("0.7", "0.8"),
+    "label_mode": ("soft", "hard"), "lambda_policy": ("beta", "fixed"),
+    "pairing": ("same", "distinct"), "mixup_epochs": ("2", "3"),
+    "methods": ("none,vector", "matrix"), "bins": ("10", "12"),
+    "lambdas": ("0.6,0.7", "0.8"), "label_modes": ("hard", "soft,hard"), "seeds": ("0,1", "2"),
+}
+
+
+def test_flags_and_config_keys_are_one_option_set(tmp_path):
+    """Every option converts alike as a flag and as a config value, and the flag wins."""
+    assert set(OPTION_VALUES) == {key for c in cli._COMMANDS.values() for key in c.options}
+    parser = cli.build_parser()
+    (commands,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    config = tmp_path / "config.json"
+    for name, command in cli._COMMANDS.items():
+        actions = {action.dest: action for action in commands.choices[name]._actions}
+        assert [a.dest for a in actions.values() if a.type is not None] == []
+        paths = [arg for key in command.paths if actions[key].required
+                 for arg in (actions[key].option_strings[0], "doc.json")]
+
+        def options(*argv):
+            return cli._options(parser.parse_args([name, *paths, *argv]))
+
+        for key in command.options:
+            flag = actions[key].option_strings[0]
+            value, other = OPTION_VALUES[key]
+            by_flag = options(flag, value)
+            assert len(by_flag) == 1, (name, key)
+            givens = [value]
+            if value.replace(".", "", 1).isdigit():  # and as a JSON number
+                givens.append(json.loads(value))
+            for given in givens:
+                config.write_text(json.dumps({key: given}))
+                assert options("--config", str(config)) == by_flag, (name, key, given)
+            config.write_text(json.dumps({key: other}))
+            assert options("--config", str(config)) != by_flag, (name, key)
+            assert options("--config", str(config), flag, value) == by_flag, (name, key)
 
 
 def test_sweep_csv(workspace):
