@@ -4,8 +4,10 @@ One table, ``_COMMANDS``, declares each command's document paths and its
 options, each option with one converter; the flags and the config keys
 both come from it. An option may also be given in a flat JSON config file
 (--config); a flag wins over the config, and both pass through the same
-converter. An option given in neither place takes the library's default:
-the CLI's own defaults are only evaluate's method list and sweep's grid.
+converter. A config key that no command takes is a usage error, and one
+that only other commands take is ignored. An option given in neither
+place takes the library's default: the CLI's own defaults are only
+evaluate's method list and sweep's grid.
 Every usage error, argparse's own included, is one ``error:`` line and
 exit code 2. All randomness flows from --seed, so identical invocations
 produce byte-identical output documents.
@@ -45,8 +47,9 @@ def _options(args):
     """The command's options given by a flag, else by the config file, each converted.
 
     Keys given in neither place are left out, so the library's defaults
-    apply. An unreadable config file or a value a converter rejects is a
-    usage error.
+    apply. An unreadable config file, a config key that no command takes
+    or a value a converter rejects is a usage error; a key that only other
+    commands take is ignored, so one config can serve several commands.
     """
     path = args.config
     try:
@@ -54,6 +57,9 @@ def _options(args):
     except (OSError, InvalidInputError) as exc:
         raise _UsageError(f"cannot read config {path}: {exc}") from exc
 
+    unknown = sorted(set(config) - _CONFIG_KEYS)
+    if unknown:
+        raise _UsageError(f"config {path} holds {unknown[0]!r}, which no command takes")
     options = {}
     for key, convert in _COMMANDS[args.command].options.items():
         value = getattr(args, key)
@@ -96,6 +102,26 @@ def _int_list(text):
 
 def _names(text):
     return [name.strip() for name in str(text).split(",") if name.strip()]
+
+
+# Options whose value is one name from the library's own list.
+_CHOICES = {
+    "label_mode": pseudo_target.LABEL_MODES,
+    "lambda_policy": pseudo_target.LAMBDA_POLICIES,
+    "pairing": pseudo_target.PAIRINGS,
+}
+
+
+def _choice(key):
+    """The converter of option ``key``: a string that is one of ``_CHOICES[key]``."""
+    names = _CHOICES[key]
+
+    def convert(value):
+        if not isinstance(value, str) or value not in names:
+            raise ValueError(f"expected one of {', '.join(names)}")
+        return value
+
+    return convert
 
 
 def _check_lambda(value):
@@ -203,23 +229,19 @@ _COMMANDS = {
         "epochs": _int, "lr": _float, "gamma": _float, "seed": _int,
     }),
     "calibrate": _Command(cmd_calibrate, ("task", "model", "out", "provenance_out"), {
-        "lam": _check_lambda, "label_mode": str, "lambda_policy": str, "pairing": str,
+        "lam": _check_lambda, "label_mode": _choice("label_mode"),
+        "lambda_policy": _choice("lambda_policy"), "pairing": _choice("pairing"),
         "mixup_epochs": _int, "seed": _int,
     }),
     "evaluate": _Command(cmd_evaluate, ("task", "model", "out", "table_out", "bins_out"), {
-        "methods": _names, "bins": _int, "lam": _check_lambda, "label_mode": str, "seed": _int,
+        "methods": _names, "bins": _int, "lam": _check_lambda, "label_mode": _choice("label_mode"),
+        "seed": _int,
     }),
     "sweep": _Command(cmd_sweep, ("task", "model", "out"), {
         "lambdas": _float_list, "label_modes": _names, "seeds": _int_list, "bins": _int,
     }),
 }
-
-# Options whose flag takes one name from the library's own list.
-_CHOICES = {
-    "label_mode": pseudo_target.LABEL_MODES,
-    "lambda_policy": pseudo_target.LAMBDA_POLICIES,
-    "pairing": pseudo_target.PAIRINGS,
-}
+_CONFIG_KEYS = {key for command in _COMMANDS.values() for key in command.options}
 
 
 def build_parser():

@@ -6,7 +6,7 @@ import numpy as np
 
 from .documents import write_csv
 from .errors import InvalidInputError, LabelsRequiredError
-from .numerics import argmax_rows, check_finite, class_indices, log_softmax, softmax
+from .numerics import argmax_rows, check_finite, class_indices, log_softmax, reduce_classes, softmax
 
 DEFAULT_BINS = 15
 
@@ -68,7 +68,7 @@ class PredictionBatch:
 
     def confidences(self):
         """Max softmax probability per sample."""
-        return np.max(self.probabilities(), axis=1)
+        return reduce_classes(np.maximum, self.probabilities())[:, 0]
 
     def correct(self):
         """Boolean correctness flags; requires labels."""
@@ -160,7 +160,7 @@ def mean_brier(batch):
     p = batch.probabilities()
     onehot = np.zeros_like(p)
     onehot[np.arange(batch.n), batch.labels] = 1.0
-    return float(np.mean(np.sum((p - onehot) ** 2, axis=1) / batch.num_classes))
+    return float(np.mean(reduce_classes(np.add, (p - onehot) ** 2)[:, 0] / batch.num_classes))
 
 
 def bin_columns(*stats):

@@ -1,4 +1,5 @@
-"""Dense-array primitives: softmax, log-softmax, row-blocked argmax and finiteness, value checks."""
+"""Dense-array primitives: softmax, log-softmax, class-axis reductions, row-blocked argmax and
+finiteness, value checks."""
 
 import math
 import numbers
@@ -17,17 +18,25 @@ BLOCK_ROWS = 4096
 SEQUENTIAL_AXIS_LIMIT = 8
 
 
-def _reduce_classes(ufunc, a):
-    """``ufunc.reduce`` over the last axis (kept), bit for bit as numpy computes it.
+def reduce_classes(ufunc, a, out=None):
+    """``ufunc.reduce`` over the last (class) axis, kept, bit for bit as numpy computes it.
 
     Below SEQUENTIAL_AXIS_LIMIT classes this runs one ufunc call per class
     column in numpy's own left-to-right order, which skips numpy's per-row
     reduction overhead. From that limit on, numpy's order differs, so its
-    own reduction runs.
+    own reduction runs. ``out``, if given, is the ``a.shape[:-1] + (1,)``
+    array the result is written to and returned as.
     """
     if a.ndim == 0 or not 1 <= a.shape[-1] < SEQUENTIAL_AXIS_LIMIT:
-        return ufunc.reduce(a, axis=-1, keepdims=True)
-    out = a[..., :1].copy()
+        return ufunc.reduce(a, axis=-1, keepdims=True, out=out)
+    if out is None:
+        out = np.empty_like(a[..., :1])
+    # numpy's reduction starts from the ufunc's identity where it has one,
+    # so with np.add a row of -0.0 sums to +0.0.
+    if ufunc.identity is None:
+        np.copyto(out, a[..., :1])
+    else:
+        ufunc(a[..., :1], ufunc.identity, out=out)
     for j in range(1, a.shape[-1]):
         ufunc(out, a[..., j : j + 1], out=out)
     return out
@@ -41,8 +50,8 @@ def softmax(z):
     """
     z = np.asarray(z, dtype=np.float64)
     check_finite(z, "softmax: logits must be finite")
-    e = np.exp(z - _reduce_classes(np.maximum, z))
-    e /= _reduce_classes(np.add, e)
+    e = np.exp(z - reduce_classes(np.maximum, z))
+    e /= reduce_classes(np.add, e)
     return e
 
 
@@ -96,8 +105,8 @@ def log_softmax(z):
     """
     z = np.asarray(z, dtype=np.float64)
     check_finite(z, "log_softmax: logits must be finite")
-    d = z - _reduce_classes(np.maximum, z)
-    return d - np.log(_reduce_classes(np.add, np.exp(d)))
+    d = z - reduce_classes(np.maximum, z)
+    return d - np.log(reduce_classes(np.add, np.exp(d)))
 
 
 def row_blocks(n):

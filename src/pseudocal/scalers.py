@@ -15,7 +15,9 @@ import numpy as np
 from .documents import SCHEMA_VERSION, check_version, read_json, write_json
 from .errors import InvalidInputError, LabelsRequiredError, OptimizationError
 from .metrics import PredictionBatch
-from .numerics import check_finite, finite_array, is_finite_number, log_softmax, row_blocks
+from .numerics import (
+    check_finite, finite_array, is_finite_number, log_softmax, reduce_classes, row_blocks,
+)
 
 # Search bounds for the temperature. Wide enough to contain every
 # plausible optimum while keeping softmax(z/T) numerically sane;
@@ -87,9 +89,13 @@ class Calibrator:
         if self.kind == "temperature":
             z = z / self.temperature
         elif self.kind == "vector":
-            z = z * self.scale + self.bias
+            z = z * self.scale
+            z += self.bias
         elif self.kind == "matrix":
-            z = z @ self.weight.T + self.bias
+            z = z @ self.weight.T
+            z += self.bias
+        # One fresh array, frozen, goes into the batch without a copy.
+        z.setflags(write=False)
         return PredictionBatch(logits=z, labels=batch.labels)
 
 
@@ -99,7 +105,7 @@ def identity():
 
 def _cross_entropy(logp, labels, soft_labels):
     if soft_labels is not None:
-        return float(np.mean(-np.sum(soft_labels * logp, axis=1)))
+        return float(np.mean(-reduce_classes(np.add, soft_labels * logp)[:, 0]))
     return float(np.mean(-logp[np.arange(len(labels)), labels]))
 
 
@@ -157,7 +163,7 @@ def fit_temperature(batch, soft_labels=None):
     """
     soft_labels = _checked_soft_labels(batch, soft_labels)
     z = batch.logits
-    rowmax = np.max(z, axis=1)
+    rowmax = reduce_classes(np.maximum, z)
     blocks = row_blocks(batch.n)
     # One block x C buffer each for d = z - rowmax(z) and for exp(beta * d).
     d_buf = np.empty((blocks[0].stop, batch.num_classes))
@@ -165,7 +171,7 @@ def fit_temperature(batch, soft_labels=None):
 
     def shifted(rows):
         d = d_buf[: rows.stop - rows.start]
-        np.subtract(z[rows], rowmax[rows, None], out=d)
+        np.subtract(z[rows], rowmax[rows], out=d)
         return d
 
     d_y = np.empty(batch.n)
@@ -176,7 +182,7 @@ def fit_temperature(batch, soft_labels=None):
             d_y[rows] = d[np.arange(len(d)), batch.labels[rows]]
         else:
             d_y[rows] = np.einsum("ij,ij->i", soft_labels[rows], d)
-            mass[rows] = np.sum(soft_labels[rows], axis=1)
+            mass[rows] = reduce_classes(np.add, soft_labels[rows])[:, 0]
     row_slope = np.empty(batch.n)
     row_curvature = np.empty(batch.n)
 
@@ -187,7 +193,7 @@ def fit_temperature(batch, soft_labels=None):
             e = e_buf[: len(d)]
             np.multiply(d, beta, out=e)
             np.exp(e, out=e)
-            total = np.sum(e, axis=1)
+            total = reduce_classes(np.add, e)[:, 0]
             mean_d = np.einsum("ij,ij->i", e, d) / total
             var_d = np.einsum("ij,ij,ij->i", e, d, d) / total - mean_d**2
             row_slope[rows] = mass[rows] * mean_d - d_y[rows]
@@ -328,7 +334,7 @@ def _fit_affine(batch, theta, mask):
 
         def damped_hessian(v, p=p, damping=grad_norm):
             u = x @ v.T
-            u -= np.sum(p * u, axis=1, keepdims=True)
+            u -= reduce_classes(np.add, p * u)
             return mask * ((p * u).T @ x) / n + damping * v
 
         step = _conjugate_gradient(damped_hessian, -grad, min(0.5, math.sqrt(grad_norm)))

@@ -14,7 +14,9 @@ import numpy as np
 
 from .documents import SCHEMA_VERSION, check_version, read_json, write_json
 from .errors import InvalidInputError, InvalidSpecError, TrainingError
-from .numerics import argmax_rows, class_indices, finite_array, is_finite_number, is_integer, softmax
+from .numerics import (
+    argmax_rows, class_indices, finite_array, is_finite_number, is_integer, reduce_classes, softmax,
+)
 
 # Class means sit equally spaced on a circle of this radius in the first
 # two coordinates; keeps classes from collapsing onto each other.
@@ -262,9 +264,12 @@ def train(task, epochs=DEFAULT_EPOCHS, lr=DEFAULT_LR, gamma=1.0, track_history=F
     ``seed`` may also be a sequence of seeds: then one classifier per seed
     trains in the same loop, and they return as a tuple. Member m's weights
     are ``w[m]`` of a (k, d, C) stack and its bias ``b[m]`` of a (k, 1, C)
-    stack. The batched matmuls run each member's product with a lone
-    model's shapes, and every reduction keeps a lone model's order, so each
-    member is bit-identical to training it alone. A non-finite score raises
+    stack. All k members' scores live in one preallocated row-major
+    (n, k, C) buffer, which each epoch turns in place into probabilities
+    and then residuals. The batched matmuls write and read it through its
+    (k, n, C) view, so each member's product keeps a lone model's shapes,
+    and every reduction keeps a lone model's order, so each member is
+    bit-identical to training it alone. A non-finite score raises
     TrainingError at the first epoch where any member has one.
     """
     if not task.has_source:
@@ -276,27 +281,45 @@ def train(task, epochs=DEFAULT_EPOCHS, lr=DEFAULT_LR, gamma=1.0, track_history=F
     x = task.source_train_inputs
     y = task.source_train_labels
     n, d = x.shape
-    c = task.spec.n_classes
+    k, c = len(seeds), task.spec.n_classes
 
     w = np.stack([0.01 * np.random.default_rng(s).standard_normal((d, c)) for s in seeds])
-    b = np.zeros((len(seeds), 1, c))
-    onehot = np.zeros((n, c))
-    onehot[np.arange(n), y] = 1.0
+    b = np.zeros((k, 1, c))
+
+    # Every epoch-sized array is allocated once, here. Row i of the buffer
+    # holds all members' scores of sample i side by side, so the bias
+    # gradient sums rows over a k*C-wide axis, in a lone model's row order.
+    buf = np.empty((n, k, c))
+    stack = buf.transpose(1, 0, 2)  # member m's (n, C) slice is stack[m]
+    # Flat positions of each row's label in each member's slice: the
+    # residual p - onehot subtracts 1 there and leaves the rest as it is.
+    hot = ((np.arange(n) * k * c)[:, None] + np.arange(k) * c + y[:, None]).ravel()
+    finite = np.empty(buf.shape, dtype=bool)
+    row_stat = np.empty((n, k, 1))
+    w_step = np.empty_like(w)
+    b_step = np.empty(k * c)
 
     histories = [[] for _ in seeds]
     for epoch in range(1, epochs + 1):
-        # b is added into the scores and the residual overwrites probs in
-        # place: allocating them anew costs about a sixth of the loop's time.
-        scores = x @ w
-        scores += b
-        if not np.all(np.isfinite(scores)):
+        np.matmul(x, w, out=stack)
+        stack += b
+        if not np.isfinite(buf, out=finite).all():
             raise TrainingError(f"training diverged at epoch {epoch}", epoch=epoch)
-        probs = softmax(scores)
+        buf -= reduce_classes(np.maximum, buf, out=row_stat)
+        np.exp(buf, out=buf)
+        buf /= reduce_classes(np.add, buf, out=row_stat)
         if track_history:
-            losses = [_mean_ce(p, y) for p in probs]
-        residual = np.subtract(probs, onehot, out=probs)
-        w -= lr * (x.T @ residual / n)
-        b -= lr * np.mean(residual, axis=1, keepdims=True)
+            losses = [_mean_ce(p, y) for p in stack]
+        buf.reshape(-1)[hot] -= 1.0
+        # w -= lr * (x.T @ residual / n), and b likewise with the row mean.
+        np.matmul(x.T, stack, out=w_step)
+        w_step /= n
+        w_step *= lr
+        w -= w_step
+        np.add.reduce(buf.reshape(n, k * c), axis=0, out=b_step)
+        b_step /= n
+        b_step *= lr
+        b -= b_step.reshape(k, 1, c)
         if track_history:
             for history, loss, w_m, b_m in zip(histories, losses, w, b):
                 t_logits = (task.target_inputs @ w_m + b_m[0]) * gamma

@@ -188,13 +188,23 @@ def test_unsupported_task_version_is_a_one_line_error(workspace, capsys):
         ("calibrate", "config", lambda doc: doc.update(lam=True), 2),
         ("evaluate", "config", lambda doc: doc.update(bins=7.9), 2),
         ("sweep", "config", lambda doc: doc.update(bins=True), 2),
+        ("calibrate", "config", lambda doc: doc.update(label_mode="fuzzy"), 2),
+        ("calibrate", "config", lambda doc: doc.update(label_mode=True), 2),
+        ("calibrate", "config", lambda doc: doc.update(lambda_policy="uniform"), 2),
+        ("calibrate", "config", lambda doc: doc.update(pairing=["distinct"]), 2),
+        ("evaluate", "config", lambda doc: doc.update(label_mode="Hard"), 2),
+        ("calibrate", "config", lambda doc: doc.update(sed=5), 2),
+        ("evaluate", "config", lambda doc: doc.update(bin=7), 2),
     ],
     ids=["source-label-7", "source-labels-short", "narrow-target-inputs", "1d-target-inputs",
          "val-fraction-2", "empty-ensemble", "config-seed-string", "config-epochs-inf",
          "config-seed-negative", "train-config-epochs-string", "spec-mean-shift-string",
          "sweep-no-lambdas", "sweep-no-label-modes", "methods-repeated", "config-seed-null",
          "sweep-repeated", "config-seed-fraction", "config-seed-bool", "config-epochs-fraction",
-         "config-lambda-bool", "config-bins-fraction", "sweep-config-bins-bool"],
+         "config-lambda-bool", "config-bins-fraction", "sweep-config-bins-bool",
+         "config-label-mode-unknown", "config-label-mode-bool", "config-lambda-policy-unknown",
+         "config-pairing-list", "evaluate-config-label-mode-case", "config-key-misspelt",
+         "evaluate-config-key-misspelt"],
 )
 def test_malformed_input_is_a_one_line_error(
     workspace, tmp_path, capsys, command, damaged, damage, code
@@ -336,6 +346,19 @@ def test_config_file_with_flag_override(workspace, tmp_path):
     t1 = json.loads(out1.read_text())["temperature"]
     t2 = json.loads(out2.read_text())["temperature"]
     assert t1 != t2
+
+
+def test_config_keys_of_other_commands_are_ignored(workspace, tmp_path):
+    """One config can serve calibrate and evaluate: each reads its own keys only."""
+    root, task, model = workspace
+    config = tmp_path / "config.json"
+    # methods and bins are evaluate's, lambdas sweep's; a malformed value there goes unread
+    config.write_text(json.dumps({"seed": 9, "methods": "none", "bins": 7.9, "lambdas": ","}))
+    outs = [tmp_path / "by_config.json", tmp_path / "by_flag.json"]
+    common = ["calibrate", "--task", str(task), "--model", str(model)]
+    assert run([*common, "--config", str(config), "--out", str(outs[0])]) == 0
+    assert run([*common, "--seed", "9", "--out", str(outs[1])]) == 0
+    assert outs[0].read_bytes() == outs[1].read_bytes()
 
 
 def test_malformed_config_is_usage_error(workspace, tmp_path, capsys):

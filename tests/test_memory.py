@@ -56,6 +56,19 @@ def test_temperature_fit_holds_under_a_quarter_of_the_logits(monkeypatch, logits
     assert peak < logits.nbytes / 4
 
 
+@pytest.mark.parametrize("calibrator", [
+    scalers.Calibrator(kind="temperature", temperature=2.0),
+    scalers.Calibrator(kind="vector", scale=np.full(C, 0.5), bias=np.ones(C)),
+    scalers.Calibrator(kind="matrix", weight=np.eye(C), bias=np.ones(C)),
+])
+def test_applying_a_calibrator_allocates_one_logit_matrix(logits, calibrator):
+    # The transformed logits are frozen as made; the batch keeps them without a copy.
+    batch = metrics.PredictionBatch(logits=logits)
+    peak, calibrated = peak_bytes(calibrator.apply, batch)
+    assert not calibrated.logits.flags.writeable
+    assert peak < 1.5 * logits.nbytes
+
+
 def test_argmax_of_frozen_logits_does_not_copy_them(logits):
     expected = np.argmax(logits, axis=1)
     peak, labels = peak_bytes(numerics.argmax_rows, logits)
@@ -129,3 +142,16 @@ def test_cli_calibrate_never_holds_target_and_pseudo_logits_at_once(tmp_path, mo
     assert code == 0
     assert log.rows[0] == 500 and len(log.rows) == 2
     assert log.alive_at_call == [0, 0]
+
+
+def test_ensemble_training_holds_under_two_score_buffers():
+    # The k members' scores, probabilities and residuals share one (n, k, C)
+    # buffer; an epoch that allocated n x k x C temporaries (the scores, a
+    # shifted copy for the softmax, its exp) would pass two buffers.
+    task = synthetic.generate(synthetic.ShiftSpec(n_classes=10, n_source=8000, n_target=500, seed=6))
+    seeds = [0, 1, 2, 3, 4]
+    n = len(task.source_train_inputs)
+    buffer_bytes = n * len(seeds) * task.spec.n_classes * 8
+    peak, members = peak_bytes(lambda: synthetic.train(task, epochs=3, seed=seeds))
+    assert len(members) == len(seeds)
+    assert peak < 2 * buffer_bytes

@@ -6,7 +6,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra import numpy as hnp
 
 import pseudocal
 from pseudocal import numerics
@@ -172,6 +173,68 @@ def test_argmax_rows_matches_numpy_on_frozen_and_writeable_logits(monkeypatch, b
     z.setflags(write=False)
     np.testing.assert_array_equal(numerics.argmax_rows(z), expected)
     assert numerics.argmax_rows(np.zeros((0, 4))).shape == (0,)
+
+
+def _logit_stacks(min_classes, max_classes, elements):
+    shapes = st.tuples(st.integers(1, 40), st.integers(min_classes, max_classes))
+    return shapes.flatmap(lambda shape: hnp.arrays(np.float64, shape, elements=elements))
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.one_of(
+        _logit_stacks(2, 9, st.integers(-3, 3).map(float)),  # small integers: many ties
+        _logit_stacks(2, 9, st.floats(-1e6, 1e6)),
+    )
+)
+def test_argmax_rows_equals_numpy_argmax_with_ties_to_the_lowest(z):
+    np.testing.assert_array_equal(numerics.argmax_rows(z), np.argmax(z, axis=1))
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    _logit_stacks(1, 12, st.floats(-1e6, 1e6)).flatmap(
+        lambda z: st.sampled_from([z, z.reshape(1, *z.shape), z[0]])
+    )
+)
+def test_reduce_classes_is_numpys_reduction_bit_for_bit(z):
+    # Below SEQUENTIAL_AXIS_LIMIT classes the kernel walks columns; from it on numpy runs.
+    for ufunc in (np.maximum, np.add):
+        expected = ufunc.reduce(z, axis=-1, keepdims=True)
+        got = numerics.reduce_classes(ufunc, z)
+        assert got.shape == expected.shape
+        assert repr(got.tolist()) == repr(expected.tolist())
+        out = np.empty_like(expected)
+        assert numerics.reduce_classes(ufunc, z, out=out) is out
+        assert repr(out.tolist()) == repr(expected.tolist())
+
+
+def _literal(node):
+    try:
+        return ast.literal_eval(node)
+    except ValueError:
+        return None
+
+
+def test_only_numerics_reduces_along_the_class_axis():
+    # Max and sum over a short class axis go through numerics.reduce_classes,
+    # which skips numpy's per-row overhead and keeps its bits; the one argmax
+    # is argmax_rows.
+    offenders = []
+    for path in sorted(Path(pseudocal.__file__).parent.glob("*.py")):
+        if path.name == "numerics.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text())):
+            if not (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)):
+                continue
+            if node.func.attr not in ("sum", "max", "min", "argmax", "mean"):
+                continue
+            # np.sum(a, 1) names the axis second, a.sum(1) first
+            on_numpy = getattr(node.func.value, "id", None) == "np"
+            axes = [kw.value for kw in node.keywords if kw.arg == "axis"] + node.args[on_numpy:][:1]
+            if any(_literal(axis) in (1, -1) for axis in axes):
+                offenders.append(f"{path.name}:{node.lineno} calls {node.func.attr} along axis 1")
+    assert offenders == []
 
 
 def test_only_argmax_rows_takes_an_argmax():
