@@ -33,7 +33,6 @@ result = evaluate_all(
     task,
     methods=["none", "vector", "matrix", "ensemble", "pseudocal", "temp_oracle"],
     bins=15,
-    seed=0,
     mixup_cfg=MixupConfig(lam=0.65, seed=0),
 )
 print(result.table_text())

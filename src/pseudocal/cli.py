@@ -184,7 +184,7 @@ def cmd_evaluate(args, opts):
     cfg = pseudo_target.MixupConfig(**opts)
     task = synthetic.load_task(args.task)
     model = synthetic.load_model(args.model)
-    result = report.evaluate_all(model, task, methods, seed=cfg.seed, mixup_cfg=cfg, **bins)
+    result = report.evaluate_all(model, task, methods, mixup_cfg=cfg, **bins)
     with open(args.out, "w") as fh:
         fh.write(result.to_json())
     table = result.table_text()

@@ -6,7 +6,9 @@ import numpy as np
 
 from .documents import write_csv
 from .errors import InvalidInputError, LabelsRequiredError
-from .numerics import argmax_rows, check_finite, class_indices, log_softmax, reduce_classes, softmax
+from .numerics import (
+    argmax_rows, check_finite, class_indices, is_integer, log_softmax, reduce_classes, softmax,
+)
 
 DEFAULT_BINS = 15
 
@@ -98,6 +100,13 @@ def _require_labels(batch):
         raise LabelsRequiredError("operation requires a labeled batch")
 
 
+def check_bins(num_bins):
+    """``num_bins`` as an int; anything but an integer >= 1 (a bool too) is an InvalidInputError."""
+    if not (is_integer(num_bins) and num_bins >= 1):
+        raise InvalidInputError(f"the bin count must be an integer >= 1, got {num_bins!r}")
+    return int(num_bins)
+
+
 def _bin_index(confidences, num_bins):
     # (lower, upper] membership; a confidence of exactly 0 goes to bin 1.
     edges = np.linspace(0.0, 1.0, num_bins + 1)
@@ -112,8 +121,7 @@ def reliability_bins(batch, num_bins=DEFAULT_BINS):
     their confidence. Empty bins are recorded with count 0.
     """
     _require_labels(batch)
-    if num_bins < 1:
-        raise InvalidInputError("num_bins must be >= 1")
+    num_bins = check_bins(num_bins)
     conf = batch.confidences()
     correct = batch.correct().astype(np.float64)
     idx, edges = _bin_index(conf, num_bins)

@@ -243,8 +243,8 @@ def variant_pseudo_label(target_logits):
 
 def variant_filtered_pl(target_logits, threshold=FILTER_THRESHOLD):
     """Pseudo-label fit restricted to samples with confidence >= threshold."""
-    if not 0.0 < threshold < 1.0:
-        raise InvalidInputError("threshold must lie in (0, 1)")
+    if not (is_finite_number(threshold) and 0.0 < threshold < 1.0):
+        raise InvalidInputError(f"threshold must be a number in (0, 1), got {threshold!r}")
     pl = argmax_rows(target_logits)
     batch = PredictionBatch(logits=target_logits, labels=pl)
     keep = batch.confidences() >= threshold

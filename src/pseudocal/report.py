@@ -16,11 +16,12 @@ from . import pseudo_target, scalers, synthetic
 from .documents import SCHEMA_VERSION, json_text, write_csv
 from .errors import DataAccessError, InvalidInputError
 from .metrics import (
-    DEFAULT_BINS, PredictionBatch, bin_columns, ece, mean_brier, mean_nll, reliability_bins,
+    DEFAULT_BINS, PredictionBatch, bin_columns, check_bins, ece, mean_brier, mean_nll,
+    reliability_bins,
 )
-from .numerics import is_integer
+from .numerics import is_finite_number, is_integer
 
-# Members of the ensemble baseline, trained on seeds seed .. seed + ENSEMBLE_SIZE - 1.
+# Members of the ensemble baseline, trained on the run's seed and the next ENSEMBLE_SIZE - 1.
 ENSEMBLE_SIZE = 5
 
 
@@ -80,13 +81,12 @@ TARGET_LABELS = Access("target labels", lambda task: task.has_target_labels)
 
 
 class _Inputs:
-    """The data one evaluate_all call offers its methods; each input set is inferred once."""
+    """The data one run offers its methods; each input set is inferred once."""
 
-    def __init__(self, model, task, mixup_cfg, seed):
+    def __init__(self, model, task, mixup_cfg=None):
         self.model = model
         self.task = task
         self.mixup_cfg = mixup_cfg
-        self.seed = seed
         self.target_logits = pseudo_target.infer(model, task.target_inputs)
         self.target_batch = PredictionBatch(logits=self.target_logits, labels=task.target_labels)
         self.target_pseudo_labels = self.target_batch.predictions()
@@ -114,10 +114,10 @@ def _mixup(**change):
 
 
 def _fit_ensemble(data):
-    """Members trained as the model was (its train_config less the seed), on the run's seeds."""
+    """Members trained as the model was (its train_config less the seed), from the run's seed."""
     config = getattr(data.model, "train_config", {})
     member_config = {key: value for key, value in config.items() if key != "seed"}
-    seeds = range(data.seed, data.seed + ENSEMBLE_SIZE)
+    seeds = range(data.mixup_cfg.seed, data.mixup_cfg.seed + ENSEMBLE_SIZE)
     return synthetic.ensemble_train(data.task, seeds, **member_config), None
 
 
@@ -150,8 +150,12 @@ METHODS = {
 }
 
 
-def evaluate_all(model, task, methods, bins=DEFAULT_BINS, seed=0, mixup_cfg=None):
-    """Fit every requested method, apply it, and measure on the target."""
+def evaluate_all(model, task, methods, bins=DEFAULT_BINS, mixup_cfg=None):
+    """Fit every requested method, apply it, and measure on the target.
+
+    The run's one seed, ``mixup_cfg.seed``, drives the mixup and the
+    ensemble members alike. Arguments are checked before any inference.
+    """
     methods = list(methods)
     for name in methods:
         if name not in METHODS:
@@ -161,10 +165,11 @@ def evaluate_all(model, task, methods, bins=DEFAULT_BINS, seed=0, mixup_cfg=None
         sees = METHODS[name].sees
         if not sees.provided(task):
             raise DataAccessError(f"method {name!r} requires {sees.description}", method=name)
+    bins = check_bins(bins)
     if mixup_cfg is None:
-        mixup_cfg = pseudo_target.MixupConfig(seed=seed)
+        mixup_cfg = pseudo_target.MixupConfig()
 
-    data = _Inputs(model, task, mixup_cfg, seed)
+    data = _Inputs(model, task, mixup_cfg)
     results = {}
     bin_stats = {}
     correspondence = None
@@ -192,7 +197,7 @@ def evaluate_all(model, task, methods, bins=DEFAULT_BINS, seed=0, mixup_cfg=None
         "task": asdict(task.spec),
         "source_val_fraction": task.val_fraction,
         "bins": bins,
-        "seed": seed,
+        "seed": mixup_cfg.seed,
         "mixup": asdict(mixup_cfg),
         "methods": methods,
     }
@@ -215,16 +220,16 @@ def lambda_sweep(model, task, lambdas, label_modes, seeds, bins=DEFAULT_BINS):
     """Mean target ECE per (mix ratio, label mode) cell, averaged over seeds.
 
     Each (mix ratio, seed) pseudo set is built once and every label mode
-    is fitted on it. A value listed twice on any axis is rejected before
-    anything is inferred.
+    is fitted on it. Every argument, and a value listed twice on any axis,
+    is checked before anything is inferred.
     """
-    lambdas = [float(l) for l in lambdas]
-    label_modes, seeds = list(label_modes), list(seeds)
+    lambdas, label_modes, seeds = list(lambdas), list(label_modes), list(seeds)
+    bins = check_bins(bins)
     if not lambdas or not label_modes:
         raise InvalidInputError("sweep requires at least one mix ratio and one label mode")
     for lam in lambdas:
-        if not 0.5 < lam < 1.0:
-            raise InvalidInputError(f"sweep mix ratios must lie in (0.5, 1.0), got {lam}")
+        if not (is_finite_number(lam) and 0.5 < lam < 1.0):
+            raise InvalidInputError(f"sweep mix ratios must lie in (0.5, 1.0), got {lam!r}")
     for mode in label_modes:
         if mode not in pseudo_target.LABEL_MODES:
             raise InvalidInputError(f"unknown label mode {mode!r}")
@@ -237,19 +242,16 @@ def lambda_sweep(model, task, lambdas, label_modes, seeds, bins=DEFAULT_BINS):
             if given.count(value) > 1:
                 raise InvalidInputError(f"sweep lists {what} {value!r} more than once")
 
-    target_logits = pseudo_target.infer(model, task.target_inputs)
-    target_batch = PredictionBatch(logits=target_logits, labels=task.target_labels)
-    target_pseudo_labels = target_batch.predictions()
-
+    data = _Inputs(model, task)
     rows = []
     for lam in lambdas:
         values = [[] for _ in label_modes]
         for seed in seeds:
             cfg = pseudo_target.MixupConfig(lam=lam, seed=int(seed))
-            pseudo = pseudo_target.synthesize(model, task.target_inputs, target_pseudo_labels, cfg)
+            pseudo = pseudo_target.synthesize(model, task.target_inputs, data.target_pseudo_labels, cfg)
             for mode, mode_values in zip(label_modes, values):
                 cal = pseudo_target.fit_on_pseudo_set(pseudo, mode)
-                mode_values.append(ece(cal.apply(target_batch), bins))
+                mode_values.append(ece(cal.apply(data.target_batch), bins))
         for mode, mode_values in zip(label_modes, values):
             rows.append(
                 {

@@ -103,12 +103,6 @@ def identity():
     return Calibrator(kind="identity")
 
 
-def _cross_entropy(logp, labels, soft_labels):
-    if soft_labels is not None:
-        return float(np.mean(-reduce_classes(np.add, soft_labels * logp)[:, 0]))
-    return float(np.mean(-logp[np.arange(len(labels)), labels]))
-
-
 def _checked_soft_labels(batch, soft_labels):
     """The (n, C) soft-label matrix, or None to use the batch's hard labels."""
     if soft_labels is None:
@@ -124,24 +118,10 @@ def _checked_soft_labels(batch, soft_labels):
     return soft_labels
 
 
-def temperature_objective(batch, soft_labels=None):
-    """Exact mean NLL of softmax(z/T) against the batch labels, as a function of T.
-
-    This is the function :func:`fit_temperature` minimizes: cross-entropy
-    by log-softmax, with no probability clamp.
-    """
-    z = batch.logits
-    soft_labels = _checked_soft_labels(batch, soft_labels)
-
-    def objective(t):
-        return _cross_entropy(log_softmax(z / t), batch.labels, soft_labels)
-
-    return objective
-
-
 def fit_temperature(batch, soft_labels=None):
     """Fit the temperature minimizing the exact mean NLL over [T_MIN, T_MAX].
 
+    With hard labels that NLL is ``metrics.mean_nll(cal.apply(batch))``.
     ``soft_labels`` (an (n, C) matrix) overrides the batch's hard labels
     and turns the objective into cross-entropy against soft targets.
 
@@ -255,6 +235,8 @@ def nll_decomposition(batch, temperature):
     """
     if not batch.has_labels:
         raise LabelsRequiredError("nll decomposition requires labels")
+    if not (is_finite_number(temperature) and temperature > 0):
+        raise InvalidInputError(f"temperature must be a finite number > 0, got {temperature!r}")
     logp = log_softmax(batch.logits / temperature)
     per_sample = -logp[np.arange(batch.n), batch.labels]
     correct = batch.correct()
@@ -321,7 +303,7 @@ def _fit_affine(batch, theta, mask):
 
     def nll_and_probs(theta):
         logp = log_softmax(x @ theta.T)
-        return _cross_entropy(logp, labels, None), np.exp(logp)
+        return float(np.mean(-logp[rows, labels])), np.exp(logp)
 
     nll, p = nll_and_probs(theta)
     for _ in range(AFFINE_MAX_ITER):

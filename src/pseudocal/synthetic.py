@@ -275,6 +275,8 @@ def train(task, epochs=DEFAULT_EPOCHS, lr=DEFAULT_LR, gamma=1.0, track_history=F
     if not task.has_source:
         raise InvalidInputError("training requires source data")
     seeds = [seed] if np.ndim(seed) == 0 else list(seed)
+    if not seeds:
+        raise InvalidInputError("training needs at least one seed")
     configs = [{"epochs": epochs, "lr": lr, "gamma": float(gamma), "seed": s} for s in seeds]
     for config in configs:
         _check_train_config(config)

@@ -90,9 +90,7 @@ def test_criterion_05_hypothesis_class_nesting():
     rng = np.random.default_rng(105)
     for _ in range(20):
         batch = random_batch(rng, n_max=150)
-        nll_t = scalers.temperature_objective(batch)(
-            scalers.fit_temperature(batch).temperature
-        )
+        nll_t = metrics.mean_nll(scalers.fit_temperature(batch).apply(batch))
         nll_v = metrics.mean_nll(scalers.fit_vector(batch).apply(batch))
         nll_m = metrics.mean_nll(scalers.fit_matrix(batch).apply(batch))
         assert nll_v <= nll_t + 1e-6
@@ -243,7 +241,9 @@ def test_criterion_12_correspondence_diagnostic(tmp_path):
     wins = 0
     for seed in range(10):
         task, model, batch = bench_setup(seed)
-        result = report.evaluate_all(model, task, ["none", "pseudocal"], seed=seed)
+        result = report.evaluate_all(
+            model, task, ["none", "pseudocal"], mixup_cfg=pseudo_target.MixupConfig(seed=seed)
+        )
         path = tmp_path / f"result_{seed}.json"
         path.write_text(result.to_json())
         rate = json.loads(path.read_text())["correspondence_rate"]

@@ -97,6 +97,17 @@ def test_reliability_bins_confidence_on_edge():
     assert stats.confidence[0] == pytest.approx(0.5)
 
 
+def test_bin_count_must_be_an_integer_of_at_least_one():
+    b = metrics.PredictionBatch(logits=[[2.0, 0.0], [0.0, 1.0]], labels=[0, 0])
+    for bad in (0, -3, 2.5, 3.0, True, False, "3", None, math.nan, math.inf, []):
+        for measure in (metrics.reliability_bins, metrics.ece):
+            with pytest.raises(InvalidInputError, match="bin count"):
+                measure(b, bad)
+    stats = metrics.reliability_bins(b, np.int64(3))
+    assert stats.bin_count == 3 and type(stats.bin_count) is int
+    assert metrics.ece(b, np.int64(3)) == metrics.ece(b, 3)
+
+
 def test_ece_perfect_predictions():
     b = metrics.PredictionBatch(logits=[[80.0, 0.0], [0.0, 80.0]], labels=[0, 1])
     assert metrics.ece(b, 15) == pytest.approx(0.0, abs=1e-12)

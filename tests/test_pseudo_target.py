@@ -315,8 +315,9 @@ def test_variant_filtered_pl_threshold_and_empty():
     logits = pseudo_target.infer(model, task.target_inputs)
     cal = pseudo_target.variant_filtered_pl(logits, threshold=0.95)
     assert cal.temperature == pytest.approx(scalers.T_MIN)
-    with pytest.raises(InvalidInputError):
-        pseudo_target.variant_filtered_pl(logits, threshold=1.5)
+    for bad in (1.5, 0.0, 1.0, "x", None, True, np.nan, []):
+        with pytest.raises(InvalidInputError, match="threshold"):
+            pseudo_target.variant_filtered_pl(logits, threshold=bad)
     # uniform logits never reach high confidence
     flat = np.zeros((10, 3))
     flat[:, 0] = 0.1

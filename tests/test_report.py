@@ -1,11 +1,14 @@
+import inspect
 import io
 import json
+import math
 
 import numpy as np
 import pytest
 
 from pseudocal import metrics, pseudo_target, report, scalers, synthetic
 from pseudocal.errors import DataAccessError, InvalidInputError
+from pseudocal.pseudo_target import MixupConfig
 
 from _util import bench_setup
 
@@ -18,7 +21,7 @@ def cell():
 
 def test_none_method_equals_raw_ece(cell):
     task, model, batch = cell
-    result = report.evaluate_all(model, task, ["none"], bins=15, seed=0)
+    result = report.evaluate_all(model, task, ["none"], bins=15, mixup_cfg=MixupConfig(seed=0))
     assert result.methods["none"].ece == pytest.approx(metrics.ece(batch, 15), abs=1e-12)
     assert result.methods["none"].accuracy == pytest.approx(batch.accuracy())
 
@@ -57,15 +60,16 @@ def test_affine_baselines_require_source(cell):
             report.evaluate_all(model, target_only, [method])
         assert excinfo.value.method == method
     # source-free methods still run
-    result = report.evaluate_all(model, target_only, ["none", "pseudocal"], seed=0)
+    methods = ["none", "pseudocal"]
+    result = report.evaluate_all(model, target_only, methods, mixup_cfg=MixupConfig(seed=0))
     assert "pseudocal" in result.methods
 
 
 def test_result_document_deterministic(cell):
     task, model, _ = cell
     methods = ["none", "pseudocal", "temp_oracle", "vector"]
-    doc1 = report.evaluate_all(model, task, methods, seed=5).to_json()
-    doc2 = report.evaluate_all(model, task, methods, seed=5).to_json()
+    doc1 = report.evaluate_all(model, task, methods, mixup_cfg=MixupConfig(seed=5)).to_json()
+    doc2 = report.evaluate_all(model, task, methods, mixup_cfg=MixupConfig(seed=5)).to_json()
     assert doc1 == doc2
     assert "wall_clock" not in doc1
     parsed = json.loads(doc1)
@@ -77,19 +81,24 @@ def test_accuracy_identical_across_temperature_methods(cell):
     task, model, _ = cell
     methods = ["none", "temp_oracle", "pseudocal", "pseudo_label", "filtered_pl",
                "pseudocal_same", "beta_mixup"]
-    result = report.evaluate_all(model, task, methods, seed=1)
+    result = report.evaluate_all(model, task, methods, mixup_cfg=MixupConfig(seed=1))
     accs = {result.methods[m].accuracy for m in methods}
     assert len(accs) == 1
 
 
-def test_ensemble_method_row():
+@pytest.fixture(scope="module")
+def ensemble_cell():
     spec = synthetic.ShiftSpec(
         n_classes=5, dim=10, n_source=500, n_target=500,
         mean_shift=1.0, rotation=0.45, seed=21,
     )
     task = synthetic.generate(spec)
-    model = synthetic.train(task, epochs=120, lr=0.1, gamma=3.0, seed=21)
-    result = report.evaluate_all(model, task, ["none", "ensemble"], seed=21)
+    return task, synthetic.train(task, epochs=120, lr=0.1, gamma=3.0, seed=21)
+
+
+def test_ensemble_method_row(ensemble_cell):
+    task, model = ensemble_cell
+    result = report.evaluate_all(model, task, ["none", "ensemble"], mixup_cfg=MixupConfig(seed=21))
     row = result.methods["ensemble"]
     assert row.temperature is None
     assert 0.0 <= row.ece <= 1.0
@@ -98,9 +107,28 @@ def test_ensemble_method_row():
     assert abs(row.ece - result.methods["none"].ece) < 0.05
 
 
+def test_the_mixup_seed_is_the_run_seed_and_trains_the_ensemble(ensemble_cell):
+    task, model = ensemble_cell
+    assert "seed" not in inspect.signature(report.evaluate_all).parameters
+    result = report.evaluate_all(model, task, ["ensemble"], mixup_cfg=MixupConfig(seed=21))
+    assert result.meta["seed"] == 21
+    config = {key: value for key, value in model.train_config.items() if key != "seed"}
+    ensemble = synthetic.ensemble_train(task, range(21, 26), **config)
+    scored = metrics.PredictionBatch(
+        logits=ensemble.predict_logits(task.target_inputs), labels=task.target_labels
+    )
+    assert result.methods["ensemble"] == report.MethodResult(
+        ece=metrics.ece(scored),
+        nll=metrics.mean_nll(scored),
+        brier=metrics.mean_brier(scored),
+        accuracy=scored.accuracy(),
+    )
+
+
 def test_oracle_close_to_best(cell):
     task, model, batch = cell
-    result = report.evaluate_all(model, task, ["temp_oracle", "pseudocal"], seed=2)
+    methods = ["temp_oracle", "pseudocal"]
+    result = report.evaluate_all(model, task, methods, mixup_cfg=MixupConfig(seed=2))
     assert result.methods["temp_oracle"].ece <= result.methods["pseudocal"].ece + 0.02
     # the oracle row is the temperature fitted on the true target labels
     assert result.methods["temp_oracle"].temperature == scalers.fit_temperature(batch).temperature
@@ -108,7 +136,7 @@ def test_oracle_close_to_best(cell):
 
 def test_table_text_layout(cell):
     task, model, _ = cell
-    result = report.evaluate_all(model, task, ["none", "pseudocal"], seed=3)
+    result = report.evaluate_all(model, task, ["none", "pseudocal"], mixup_cfg=MixupConfig(seed=3))
     table = result.table_text()
     assert "method" in table.splitlines()[0]
     assert any(line.startswith("pseudocal") for line in table.splitlines())
@@ -117,7 +145,8 @@ def test_table_text_layout(cell):
 
 def test_method_bins_csv(cell):
     task, model, _ = cell
-    result = report.evaluate_all(model, task, ["none", "pseudocal"], bins=10, seed=4)
+    methods = ["none", "pseudocal"]
+    result = report.evaluate_all(model, task, methods, bins=10, mixup_cfg=MixupConfig(seed=4))
     buf = io.StringIO()
     report.method_bins_to_csv(result, buf)
     lines = buf.getvalue().strip().splitlines()
@@ -127,7 +156,17 @@ def test_method_bins_csv(cell):
 
 class NoInference:
     def predict_logits(self, inputs):
-        raise AssertionError("inferred before the sweep grid was checked")
+        raise AssertionError("inferred before the arguments were checked")
+
+
+BAD_BIN_COUNTS = (0, -1, 2.5, 15.0, True, "3", None, math.nan, math.inf, [])
+
+
+def test_evaluate_all_checks_the_bin_count_before_inferring(cell):
+    task, _, _ = cell
+    for bins in BAD_BIN_COUNTS:
+        with pytest.raises(InvalidInputError, match="bin count"):
+            report.evaluate_all(NoInference(), task, ["none"], bins=bins)
 
 
 def test_lambda_sweep_grid_and_validation(cell):
@@ -153,6 +192,12 @@ def test_lambda_sweep_grid_and_validation(cell):
     # a fractional seed would run as its integer part, a hidden repeat
     with pytest.raises(InvalidInputError, match="integers"):
         report.lambda_sweep(NoInference(), task, [0.6], ["hard"], [0, 0.5])
+    for lam in ("x", None, True, math.nan, math.inf, "0.6", []):
+        with pytest.raises(InvalidInputError, match="mix ratios"):
+            report.lambda_sweep(NoInference(), task, [lam], ["hard"], [0])
+    for bins in BAD_BIN_COUNTS:
+        with pytest.raises(InvalidInputError, match="bin count"):
+            report.lambda_sweep(NoInference(), task, [0.6], ["hard"], [0], bins=bins)
 
     rows = report.lambda_sweep(model, task, [0.6, 0.65], ["hard", "soft"], [0, 1])
     assert len(rows) == 4
@@ -194,7 +239,7 @@ def test_each_input_set_is_inferred_once(cell, monkeypatch):
         monkeypatch.setattr(cls, "predict_logits", counted)
     task, model, _ = cell
 
-    report.evaluate_all(model, task, list(report.METHODS), seed=0)
+    report.evaluate_all(model, task, list(report.METHODS), mixup_cfg=MixupConfig(seed=0))
     # target, source validation split, three mixed sets, the ensemble on the target
     assert len(calls) == 6
     calls.clear()

@@ -133,8 +133,8 @@ def test_fit_temperature_not_worse_than_uncalibrated():
     rng = np.random.default_rng(9)
     for _ in range(10):
         b = random_batch(rng)
-        objective = scalers.temperature_objective(b)
-        assert objective(scalers.fit_temperature(b).temperature) <= objective(1.0) + 1e-12
+        nll_fit = metrics.mean_nll(scalers.fit_temperature(b).apply(b))
+        assert nll_fit <= metrics.mean_nll(scalers.identity().apply(b)) + 1e-12
 
 
 def test_fit_temperature_soft_labels():
@@ -289,6 +289,14 @@ def test_nll_decomposition_identity():
         assert dec.total == pytest.approx(recomposed, abs=1e-9)
 
 
+def test_nll_decomposition_needs_a_positive_finite_temperature():
+    b = metrics.PredictionBatch(logits=[[3.0, 0.0], [0.0, 3.0]], labels=[0, 0])
+    for bad in (-1.0, 0.0, 0, True, "x", None, np.nan, np.inf, -np.inf, []):
+        with pytest.raises(InvalidInputError, match="temperature"):
+            scalers.nll_decomposition(b, bad)
+    assert scalers.nll_decomposition(b, 2).total == scalers.nll_decomposition(b, 2.0).total
+
+
 def test_nll_decomposition_contrasting_effects():
     rng = np.random.default_rng(21)
     b = random_batch(rng, n_max=50, correct_bias=0.6)
@@ -315,7 +323,7 @@ def test_family_nesting():
     rng = np.random.default_rng(27)
     for _ in range(8):
         b = random_batch(rng, n_max=120)
-        nll_t = scalers.temperature_objective(b)(scalers.fit_temperature(b).temperature)
+        nll_t = metrics.mean_nll(scalers.fit_temperature(b).apply(b))
         nll_v = metrics.mean_nll(scalers.fit_vector(b).apply(b))
         nll_m = metrics.mean_nll(scalers.fit_matrix(b).apply(b))
         assert nll_v <= nll_t + 1e-6
@@ -337,7 +345,7 @@ def test_converged_affine_fits_are_stationary():
 
 
 def _nll_chain(b):
-    nll_t = scalers.temperature_objective(b)(scalers.fit_temperature(b).temperature)
+    nll_t = metrics.mean_nll(scalers.fit_temperature(b).apply(b))
     vec, mat = scalers.fit_vector(b), scalers.fit_matrix(b)
     return nll_t, vec, metrics.mean_nll(vec.apply(b)), mat, metrics.mean_nll(mat.apply(b))
 
@@ -380,7 +388,7 @@ def test_hundred_class_matrix_fit_completes():
     b = metrics.PredictionBatch(logits=z, labels=y)
     mat = scalers.fit_matrix(b)
     assert mat.weight.shape == (100, 100)
-    nll_t = scalers.temperature_objective(b)(scalers.fit_temperature(b).temperature)
+    nll_t = metrics.mean_nll(scalers.fit_temperature(b).apply(b))
     assert metrics.mean_nll(mat.apply(b)) <= nll_t + 1e-6
 
 

@@ -212,6 +212,13 @@ def test_ensemble_needs_a_member():
         synthetic.ensemble_train(task, [], epochs=10, lr=0.1)
 
 
+def test_train_needs_a_seed():
+    task = synthetic.generate(synthetic.ShiftSpec(seed=9, n_source=200, n_target=200))
+    for bad in ([], (), range(0)):
+        with pytest.raises(InvalidInputError, match="at least one seed"):
+            synthetic.train(task, epochs=10, lr=0.1, seed=bad)
+
+
 def test_train_deterministic_per_seed():
     task = synthetic.generate(synthetic.ShiftSpec(seed=10, n_source=400, n_target=400))
     m1 = synthetic.train(task, epochs=50, lr=0.1, seed=3)
