@@ -7,7 +7,7 @@ import numpy as np
 from .documents import write_csv
 from .errors import InvalidInputError, LabelsRequiredError
 from .numerics import (
-    argmax_rows, check_finite, class_indices, is_integer, log_softmax, reduce_classes, softmax,
+    argmax_rows, class_indices, finite_array, is_integer, log_softmax, reduce_classes, softmax,
 )
 
 DEFAULT_BINS = 15
@@ -29,18 +29,11 @@ class PredictionBatch:
     labels: np.ndarray | None = None
 
     def __post_init__(self):
-        logits = self.logits
-        frozen = (
-            isinstance(logits, np.ndarray)
-            and logits.dtype == np.float64
-            and logits.flags.owndata
-            and not logits.flags.writeable
-        )
-        if not frozen:
-            logits = np.array(logits, dtype=np.float64)
-        if logits.ndim != 2 or logits.shape[0] < 1 or logits.shape[1] < 2:
+        logits = finite_array(self.logits, "logits", 2)
+        if logits.shape[0] < 1 or logits.shape[1] < 2:
             raise InvalidInputError(f"logits must be (n>=1, C>=2), got shape {logits.shape}")
-        check_finite(logits, "logits must be finite")
+        if not (logits is self.logits and logits.flags.owndata and not logits.flags.writeable):
+            logits = logits.copy()
         logits.setflags(write=False)
         object.__setattr__(self, "logits", logits)
         if self.labels is not None:

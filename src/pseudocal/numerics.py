@@ -65,6 +65,14 @@ def is_finite_number(value):
     return isinstance(value, numbers.Real) and not isinstance(value, bool) and math.isfinite(value)
 
 
+def listed(values, what):
+    """``values`` as a list; a value that is not iterable raises InvalidInputError."""
+    try:
+        return list(values)
+    except TypeError:
+        raise InvalidInputError(f"{what} must be a list, got {values!r}") from None
+
+
 def finite_array(values, what, ndim, integer=False):
     """``values`` as an ``ndim``-D array of finite numbers: float64, or int64 if ``integer``.
 
@@ -80,7 +88,7 @@ def finite_array(values, what, ndim, integer=False):
         raise InvalidInputError(
             f"{what} must be a {ndim}-D array of {kind}, got {array.dtype} {array.shape}"
         )
-    check_finite(array, f"non-finite values in {what}")
+    check_finite(array, f"{what} must be finite, found non-finite values")
     return array.astype(np.int64 if integer else np.float64, copy=False)
 
 

@@ -17,7 +17,7 @@ from .documents import write_csv
 from .errors import DegenerateTargetError, EmptyFilterError, InvalidInputError
 from .metrics import PredictionBatch
 from .numerics import (
-    argmax_rows, check_finite, class_indices, finite_array, is_finite_number, is_integer,
+    argmax_rows, class_indices, finite_array, is_finite_number, is_integer,
 )
 from .scalers import fit_temperature
 
@@ -114,10 +114,9 @@ def infer(model, inputs):
     copy. Logits that view other memory, or share the inputs' memory (a
     model that returns its inputs), are copied first rather than frozen.
     """
-    logits = np.asarray(model.predict_logits(inputs), dtype=np.float64)
-    if logits.ndim != 2 or logits.shape[0] != len(inputs):
+    logits = finite_array(model.predict_logits(inputs), "model logits", 2)
+    if logits.shape[0] != len(inputs):
         raise InvalidInputError("model returned logits with unexpected shape")
-    check_finite(logits, "model returned non-finite logits")
     if not logits.flags.owndata or np.may_share_memory(logits, inputs):
         logits = logits.copy()
     logits.setflags(write=False)
@@ -136,8 +135,8 @@ def synthesize(model, target_inputs, target_pseudo_labels, cfg):
     no part here: it is the fit's choice. Raises DegenerateTargetError when
     no pair at all survives.
     """
-    inputs = np.asarray(target_inputs, dtype=np.float64)
-    if inputs.ndim != 2 or inputs.shape[0] < 2:
+    inputs = finite_array(target_inputs, "target inputs", 2)
+    if inputs.shape[0] < 2:
         raise InvalidInputError("target inputs must be an (n>=2, d) matrix")
     n = inputs.shape[0]
     pl = finite_array(target_pseudo_labels, "target pseudo labels", 1, integer=True)
@@ -190,17 +189,17 @@ def synthesize(model, target_inputs, target_pseudo_labels, cfg):
 def fit_on_pseudo_set(pseudo, label_mode):
     """Fit a temperature on the pseudo set's logits against its hard or soft targets.
 
-    The soft targets put ``lam`` on ``pl_a`` and ``1 - lam`` on ``pl_b``;
-    their dense (n, C) matrix lives only for the fit.
+    The soft targets put ``lam`` on ``pl_a`` and ``1 - lam`` on ``pl_b``,
+    written in place into one (n, C) matrix that lives only for the fit.
     """
     if label_mode not in LABEL_MODES:
         raise InvalidInputError(f"unknown label mode {label_mode!r}")
     if label_mode == "hard":
         return fit_temperature(PredictionBatch(logits=pseudo.logits, labels=pseudo.hard_labels))
-    lam = pseudo.lam[:, None]
-    eye = np.eye(pseudo.logits.shape[1])
-    soft = lam * eye[pseudo.pl_a]
-    soft += (1.0 - lam) * eye[pseudo.pl_b]
+    rows = np.arange(pseudo.size)
+    soft = np.zeros(pseudo.logits.shape)
+    soft[rows, pseudo.pl_a] = pseudo.lam
+    soft[rows, pseudo.pl_b] += 1.0 - pseudo.lam
     return fit_temperature(PredictionBatch(logits=pseudo.logits), soft_labels=soft)
 
 

@@ -14,12 +14,12 @@ import numpy as np
 
 from . import pseudo_target, scalers, synthetic
 from .documents import SCHEMA_VERSION, json_text, write_csv
-from .errors import DataAccessError, InvalidInputError
+from .errors import DataAccessError, InvalidInputError, LabelsRequiredError
 from .metrics import (
     DEFAULT_BINS, PredictionBatch, bin_columns, check_bins, ece, mean_brier, mean_nll,
     reliability_bins,
 )
-from .numerics import is_finite_number, is_integer
+from .numerics import is_finite_number, is_integer, listed
 
 # Members of the ensemble baseline, trained on the run's seed and the next ENSEMBLE_SIZE - 1.
 ENSEMBLE_SIZE = 5
@@ -156,7 +156,7 @@ def evaluate_all(model, task, methods, bins=DEFAULT_BINS, mixup_cfg=None):
     The run's one seed, ``mixup_cfg.seed``, drives the mixup and the
     ensemble members alike. Arguments are checked before any inference.
     """
-    methods = list(methods)
+    methods = listed(methods, "methods")
     for name in methods:
         if name not in METHODS:
             raise InvalidInputError(f"unknown method {name!r}; valid: {', '.join(METHODS)}")
@@ -165,6 +165,8 @@ def evaluate_all(model, task, methods, bins=DEFAULT_BINS, mixup_cfg=None):
         sees = METHODS[name].sees
         if not sees.provided(task):
             raise DataAccessError(f"method {name!r} requires {sees.description}", method=name)
+    if not task.has_target_labels:
+        raise LabelsRequiredError("evaluation scores every method on the target and needs its labels")
     bins = check_bins(bins)
     if mixup_cfg is None:
         mixup_cfg = pseudo_target.MixupConfig()
@@ -190,7 +192,7 @@ def evaluate_all(model, task, methods, bins=DEFAULT_BINS, mixup_cfg=None):
             temperature=temp,
         )
         bin_stats[name] = reliability_bins(scored, bins)
-        if name == "pseudocal" and task.has_target_labels:
+        if name == "pseudocal":
             correspondence = pseudo_target.correspondence_rate(pseudo, task.target_labels)
 
     meta = {
@@ -223,7 +225,9 @@ def lambda_sweep(model, task, lambdas, label_modes, seeds, bins=DEFAULT_BINS):
     is fitted on it. Every argument, and a value listed twice on any axis,
     is checked before anything is inferred.
     """
-    lambdas, label_modes, seeds = list(lambdas), list(label_modes), list(seeds)
+    lambdas, label_modes, seeds = (listed(v, "each sweep axis") for v in (lambdas, label_modes, seeds))
+    if not task.has_target_labels:
+        raise LabelsRequiredError("the sweep scores ECE on the target and needs its labels")
     bins = check_bins(bins)
     if not lambdas or not label_modes:
         raise InvalidInputError("sweep requires at least one mix ratio and one label mode")

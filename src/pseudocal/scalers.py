@@ -16,7 +16,7 @@ from .documents import SCHEMA_VERSION, check_version, read_json, write_json
 from .errors import InvalidInputError, LabelsRequiredError, OptimizationError
 from .metrics import PredictionBatch
 from .numerics import (
-    check_finite, finite_array, is_finite_number, log_softmax, reduce_classes, row_blocks,
+    finite_array, is_finite_number, log_softmax, reduce_classes, row_blocks,
 )
 
 # Search bounds for the temperature. Wide enough to contain every
@@ -109,12 +109,9 @@ def _checked_soft_labels(batch, soft_labels):
         if not batch.has_labels:
             raise LabelsRequiredError("temperature fitting requires hard or soft labels")
         return None
-    soft_labels = np.asarray(soft_labels, dtype=np.float64)
-    if soft_labels.shape != batch.logits.shape:
-        raise InvalidInputError("soft labels must be an (n, C) matrix matching the logits")
-    check_finite(soft_labels, "soft labels must be finite and nonnegative")
-    if soft_labels.min() < 0:
-        raise InvalidInputError("soft labels must be finite and nonnegative")
+    soft_labels = finite_array(soft_labels, "soft labels", 2)
+    if soft_labels.shape != batch.logits.shape or soft_labels.min() < 0:
+        raise InvalidInputError("soft labels must be a nonnegative (n, C) matrix matching the logits")
     return soft_labels
 
 
@@ -237,7 +234,10 @@ def nll_decomposition(batch, temperature):
         raise LabelsRequiredError("nll decomposition requires labels")
     if not (is_finite_number(temperature) and temperature > 0):
         raise InvalidInputError(f"temperature must be a finite number > 0, got {temperature!r}")
-    logp = log_softmax(batch.logits / temperature)
+    with np.errstate(over="ignore", invalid="ignore"):
+        scaled = batch.logits / temperature
+        finite_array(scaled - reduce_classes(np.maximum, scaled), f"logits at T={temperature!r}", 2)
+    logp = log_softmax(scaled)
     per_sample = -logp[np.arange(batch.n), batch.labels]
     correct = batch.correct()
     n_c = int(np.sum(correct))
@@ -342,8 +342,6 @@ def fit_vector(batch):
     temperature scaling on the fitting set. ``converged`` is True when the
     NLL gradient norm fell below AFFINE_GRAD_TOL.
     """
-    if not batch.has_labels:
-        raise LabelsRequiredError("vector scaling requires labels")
     t = fit_temperature(batch).temperature
     c = batch.num_classes
     eye = np.eye(c)
@@ -363,8 +361,6 @@ def fit_matrix(batch):
     vector scaling on the fitting set. ``converged`` is True when the NLL
     gradient norm fell below AFFINE_GRAD_TOL.
     """
-    if not batch.has_labels:
-        raise LabelsRequiredError("matrix scaling requires labels")
     seed = fit_vector(batch)
     c = batch.num_classes
     theta, converged = _fit_affine(

@@ -15,7 +15,7 @@ import numpy as np
 from .documents import SCHEMA_VERSION, check_version, read_json, write_json
 from .errors import InvalidInputError, InvalidSpecError, TrainingError
 from .numerics import (
-    argmax_rows, class_indices, finite_array, is_finite_number, is_integer, reduce_classes, softmax,
+    argmax_rows, class_indices, finite_array, is_finite_number, is_integer, listed, reduce_classes, softmax,
 )
 
 # Class means sit equally spaced on a circle of this radius in the first
@@ -192,23 +192,24 @@ def generate(spec):
     )
 
 
-# A train_config holds some of these keys, each with a value that passes its check.
+# A train_config holds some of these keys, each value passing its check and stored as its type.
 _TRAIN_CONFIG_CHECKS = {
-    "epochs": lambda v: is_integer(v) and v >= 1,
-    "lr": lambda v: is_finite_number(v) and v > 0,
-    "gamma": lambda v: is_finite_number(v) and v >= 1,
-    "seed": lambda v: is_integer(v) and v >= 0,
+    "epochs": (int, lambda v: is_integer(v) and v >= 1),
+    "lr": (float, lambda v: is_finite_number(v) and v > 0),
+    "gamma": (float, lambda v: is_finite_number(v) and v >= 1),
+    "seed": (int, lambda v: is_integer(v) and v >= 0),
 }
 
 
-def _check_train_config(config):
+def _checked_train_config(config):
     if not isinstance(config, dict) or not all(
-        _TRAIN_CONFIG_CHECKS.get(key, lambda v: False)(value) for key, value in config.items()
+        _TRAIN_CONFIG_CHECKS.get(key, (None, lambda v: False))[1](value) for key, value in config.items()
     ):
         raise InvalidInputError(
             f"malformed train_config {config!r}: it takes integer epochs >= 1, finite lr > 0,"
             " finite gamma >= 1 and integer seed >= 0"
         )
+    return {key: _TRAIN_CONFIG_CHECKS[key][0](value) for key, value in config.items()}
 
 
 @dataclass(frozen=True)
@@ -230,7 +231,7 @@ class TrainedClassifier:
     def __post_init__(self):
         if not is_finite_number(self.gamma) or self.gamma < 1.0:
             raise InvalidInputError("gamma must be finite and >= 1")
-        _check_train_config(self.train_config)
+        object.__setattr__(self, "train_config", _checked_train_config(self.train_config))
         weights = finite_array(self.weights, "model weights", 2)
         bias = finite_array(self.bias, "model bias", 1)
         if bias.shape != weights.shape[1:]:
@@ -239,8 +240,8 @@ class TrainedClassifier:
         object.__setattr__(self, "bias", bias)
 
     def predict_logits(self, inputs):
-        inputs = np.asarray(inputs, dtype=np.float64)
-        if inputs.ndim != 2 or inputs.shape[1] != len(self.weights):
+        inputs = finite_array(inputs, "classifier inputs", 2)
+        if inputs.shape[1] != len(self.weights):
             raise InvalidInputError(
                 f"classifier takes (n, {len(self.weights)}) inputs, got shape {inputs.shape}"
             )
@@ -274,12 +275,10 @@ def train(task, epochs=DEFAULT_EPOCHS, lr=DEFAULT_LR, gamma=1.0, track_history=F
     """
     if not task.has_source:
         raise InvalidInputError("training requires source data")
-    seeds = [seed] if np.ndim(seed) == 0 else list(seed)
+    seeds = [seed] if is_integer(seed) else listed(seed, "training seeds")
     if not seeds:
         raise InvalidInputError("training needs at least one seed")
-    configs = [{"epochs": epochs, "lr": lr, "gamma": float(gamma), "seed": s} for s in seeds]
-    for config in configs:
-        _check_train_config(config)
+    configs = [_checked_train_config(dict(epochs=epochs, lr=lr, gamma=gamma, seed=s)) for s in seeds]
     x = task.source_train_inputs
     y = task.source_train_labels
     n, d = x.shape
@@ -339,7 +338,7 @@ def train(task, epochs=DEFAULT_EPOCHS, lr=DEFAULT_LR, gamma=1.0, track_history=F
         )
         for w_m, b_m, config, history in zip(w, b, configs, histories)
     )
-    return models[0] if np.ndim(seed) == 0 else models
+    return models[0] if is_integer(seed) else models
 
 
 @dataclass(frozen=True)
@@ -361,7 +360,7 @@ class EnsembleModel:
 
 def ensemble_train(task, seeds, epochs=DEFAULT_EPOCHS, lr=DEFAULT_LR, gamma=1.0):
     """Train one classifier per seed, all in one loop, and combine their predictions."""
-    seeds = [int(s) for s in seeds]
+    seeds = listed(seeds, "ensemble seeds")
     members = train(task, epochs, lr, gamma, seed=seeds) if seeds else ()
     return EnsembleModel(members=members)
 

@@ -56,6 +56,20 @@ def test_temperature_fit_holds_under_a_quarter_of_the_logits(monkeypatch, logits
     assert peak < logits.nbytes / 4
 
 
+def test_soft_fit_holds_one_target_matrix(monkeypatch, logits):
+    # The soft targets are one (n, C) matrix, written in place. Building it
+    # from rows of an identity matrix took two more such matrices at once.
+    monkeypatch.setattr(numerics, "BLOCK_ROWS", 1000)
+    rng = np.random.default_rng(5)
+    pseudo = pseudo_target.PseudoTargetSet(
+        logits=logits, index_a=np.arange(N), index_b=rng.permutation(N),
+        lam=rng.uniform(0.55, 0.95, N), pl_a=rng.integers(0, C, N), pl_b=rng.integers(0, C, N),
+    )
+    peak, cal = peak_bytes(pseudo_target.fit_on_pseudo_set, pseudo, "soft")
+    assert cal.kind == "temperature"
+    assert peak < 1.5 * logits.nbytes
+
+
 @pytest.mark.parametrize("calibrator", [
     scalers.Calibrator(kind="temperature", temperature=2.0),
     scalers.Calibrator(kind="vector", scale=np.full(C, 0.5), bias=np.ones(C)),

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from pseudocal import metrics, pseudo_target, report, scalers, synthetic
-from pseudocal.errors import DataAccessError, InvalidInputError
+from pseudocal.errors import DataAccessError, InvalidInputError, LabelsRequiredError
 from pseudocal.pseudo_target import MixupConfig
 
 from _util import bench_setup
@@ -167,6 +167,27 @@ def test_evaluate_all_checks_the_bin_count_before_inferring(cell):
     for bins in BAD_BIN_COUNTS:
         with pytest.raises(InvalidInputError, match="bin count"):
             report.evaluate_all(NoInference(), task, ["none"], bins=bins)
+
+
+def test_drivers_check_target_labels_and_lists_before_inferring(cell):
+    task, _, _ = cell
+    unlabeled = synthetic.SyntheticTask(
+        spec=task.spec,
+        source_inputs=task.source_inputs,
+        source_labels=task.source_labels,
+        target_inputs=task.target_inputs,
+        target_labels=None,
+    )
+    with pytest.raises(LabelsRequiredError):
+        report.evaluate_all(NoInference(), unlabeled, ["none"])
+    with pytest.raises(LabelsRequiredError):
+        report.lambda_sweep(NoInference(), unlabeled, [0.6], ["hard"], [0])
+    for bad in (None, 3, 0.6):
+        with pytest.raises(InvalidInputError, match="must be a list"):
+            report.evaluate_all(NoInference(), task, bad)
+        for lists in ((bad, ["hard"], [0]), ([0.6], bad, [0]), ([0.6], ["hard"], bad)):
+            with pytest.raises(InvalidInputError, match="must be a list"):
+                report.lambda_sweep(NoInference(), task, *lists)
 
 
 def test_lambda_sweep_grid_and_validation(cell):

@@ -297,6 +297,14 @@ def test_nll_decomposition_needs_a_positive_finite_temperature():
     assert scalers.nll_decomposition(b, 2).total == scalers.nll_decomposition(b, 2.0).total
 
 
+@pytest.mark.filterwarnings("error")
+def test_nll_decomposition_names_a_temperature_too_small_for_the_logits():
+    b = metrics.PredictionBatch(logits=[[3.0, 0.0], [0.0, 3.0]], labels=[0, 0])
+    for tiny in (5e-324, 1e-308):
+        with pytest.raises(InvalidInputError, match=f"T={tiny!r}"):
+            scalers.nll_decomposition(b, tiny)
+
+
 def test_nll_decomposition_contrasting_effects():
     rng = np.random.default_rng(21)
     b = random_batch(rng, n_max=50, correct_bias=0.6)
@@ -342,6 +350,67 @@ def test_converged_affine_fits_are_stationary():
                 grad_norm = affine_nll_gradient_norm(b.logits, b.labels, cal)
                 assert grad_norm < scalers.AFFINE_GRAD_TOL + 1e-12
     assert converged >= 50  # the check above is not vacuous
+
+
+class AffineSteps:
+    """Records each NLL an affine fit evaluates, and where each Newton-CG step begins.
+
+    Each step is scaled by ``stretch`` before the line search sees it.
+    """
+
+    def __init__(self, monkeypatch, labels, stretch):
+        self.events = []
+        log_softmax, solve = scalers.log_softmax, scalers._conjugate_gradient
+
+        def logged(z):
+            logp = log_softmax(z)
+            self.events.append(float(np.mean(-logp[np.arange(len(z)), labels])))
+            return logp
+
+        def stretched(*args):
+            self.events.append("step")
+            return stretch * solve(*args)
+
+        monkeypatch.setattr(scalers, "log_softmax", logged)
+        monkeypatch.setattr(scalers, "_conjugate_gradient", stretched)
+
+    def tries(self):
+        """The NLLs of the warm start, then of each line search's candidates in turn."""
+        runs = [[]]
+        for event in self.events:
+            if event == "step":
+                runs.append([])
+            else:
+                runs[-1].append(event)
+        return runs
+
+
+def test_affine_line_search_halves_an_overlong_step(monkeypatch):
+    b = random_batch(np.random.default_rng(47), n_max=200)
+    steps = AffineSteps(monkeypatch, b.labels, stretch=20.0)
+    cal = scalers.fit_vector(b)
+    start, *searches = steps.tries()
+    assert len(start) == 1 and searches
+    assert sum(len(tried) - 1 for tried in searches) >= 1  # at least one halving
+    accepted = start + [tried[-1] for tried in searches]
+    assert all(later <= earlier for earlier, later in zip(accepted, accepted[1:]))
+    grad_norm = affine_nll_gradient_norm(b.logits, b.labels, cal)
+    assert cal.converged == (grad_norm < scalers.AFFINE_GRAD_TOL)
+
+
+def test_affine_fit_stops_when_no_step_decreases_the_nll(monkeypatch):
+    # An ascent direction never passes the Armijo test: the warm start returns, unconverged.
+    b = random_batch(np.random.default_rng(47), n_max=200)
+    monkeypatch.setattr(scalers, "_ARMIJO_MAX_HALVINGS", 3)
+    steps = AffineSteps(monkeypatch, b.labels, stretch=-1.0)
+    cal = scalers.fit_vector(b)
+    start, tried = steps.tries()
+    assert len(tried) == 3 and min(tried) > start[0]
+    t = scalers.fit_temperature(b).temperature
+    np.testing.assert_array_equal(cal.scale, np.full(b.num_classes, 1.0 / t))
+    np.testing.assert_array_equal(cal.bias, np.zeros(b.num_classes))
+    assert not cal.converged
+    assert affine_nll_gradient_norm(b.logits, b.labels, cal) >= scalers.AFFINE_GRAD_TOL
 
 
 def _nll_chain(b):
