@@ -16,8 +16,6 @@ The sweep shows the medium mix-ratio band working best: ratios near
 
 from dataclasses import replace
 
-import numpy as np
-
 from pseudocal import (
     MixupConfig,
     PredictionBatch,
@@ -27,7 +25,7 @@ from pseudocal import (
     ece,
     generate,
     lambda_sweep,
-    synthesize,
+    pseudo_set,
     train,
     variant_filtered_pl,
     variant_pseudo_label,
@@ -56,7 +54,7 @@ for name, cal in fits.items():
 
 # The diagnostic behind the trick: mixed samples succeed or fail
 # together with their dominant constituent far above chance.
-pseudo = synthesize(model, task.target_inputs, np.argmax(batch.logits, axis=1), cfg)
+pseudo = pseudo_set(model, task.target_inputs, cfg)
 rate = correspondence_rate(pseudo, task.target_labels)
 print(f"\ncorrespondence rate: {rate:.3f} "
       f"(chance would be near {0.5:.2f}; deep-net benchmarks report >0.60)")

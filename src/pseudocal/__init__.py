@@ -36,6 +36,7 @@ from .pseudo_target import (
     calibrate,
     correspondence_rate,
     infer,
+    pseudo_set,
     synthesize,
     variant_filtered_pl,
     variant_pseudo_label,

@@ -6,8 +6,7 @@ both come from it. An option may also be given in a flat JSON config file
 (--config); a flag wins over the config, and both pass through the same
 converter. A config key that no command takes is a usage error, and one
 that only other commands take is ignored. An option given in neither
-place takes the library's default: the CLI's own defaults are only
-evaluate's method list and sweep's grid.
+place takes the library's default; the CLI holds none of its own.
 Every usage error, argparse's own included, is one ``error:`` line and
 exit code 2. All randomness flows from --seed, so identical invocations
 produce byte-identical output documents.
@@ -19,7 +18,6 @@ from typing import Callable, NamedTuple
 
 from . import documents, pseudo_target, report, scalers, synthetic
 from .errors import InvalidInputError, PseudocalError
-from .numerics import argmax_rows
 
 
 class _UsageError(Exception):
@@ -159,10 +157,7 @@ def cmd_calibrate(args, opts):
     cfg = pseudo_target.MixupConfig(**opts)
     task = synthetic.load_task(args.task)
     model = synthetic.load_model(args.model)
-    # The target logits die once their pseudo labels are taken, before the
-    # mixed set is inferred.
-    target_pseudo_labels = argmax_rows(pseudo_target.infer(model, task.target_inputs))
-    pseudo = pseudo_target.synthesize(model, task.target_inputs, target_pseudo_labels, cfg)
+    pseudo = pseudo_target.pseudo_set(model, task.target_inputs, cfg)
     calibrator = pseudo_target.fit_on_pseudo_set(pseudo, cfg.label_mode)
     scalers.save_calibrator(calibrator, args.out)
     if args.provenance_out is not None:
@@ -171,20 +166,14 @@ def cmd_calibrate(args, opts):
     return 0
 
 
-_EVALUATE_METHODS = ("none", "pseudocal", "temp_oracle")
-
-
 def cmd_evaluate(args, opts):
     """compare calibration methods on the target"""
-    methods = opts.pop("methods", _EVALUATE_METHODS)
-    if not methods:
-        raise _UsageError("--methods must name at least one method")
-    bins = {"bins": opts.pop("bins")} if "bins" in opts else {}
+    report_opts = {key: opts.pop(key) for key in ("methods", "bins") if key in opts}
     # One --seed drives the mixup and the ensemble members alike.
     cfg = pseudo_target.MixupConfig(**opts)
     task = synthetic.load_task(args.task)
     model = synthetic.load_model(args.model)
-    result = report.evaluate_all(model, task, methods, mixup_cfg=cfg, **bins)
+    result = report.evaluate_all(model, task, mixup_cfg=cfg, **report_opts)
     with open(args.out, "w") as fh:
         fh.write(result.to_json())
     table = result.table_text()
@@ -197,18 +186,11 @@ def cmd_evaluate(args, opts):
     return 0
 
 
-_SWEEP_GRID = {
-    "lambdas": (0.51, 0.55, 0.6, 0.65, 0.7, 0.8, 0.9),
-    "label_modes": pseudo_target.LABEL_MODES,
-    "seeds": (0, 1, 2, 3, 4),
-}
-
-
 def cmd_sweep(args, opts):
     """mix-ratio sensitivity sweep"""
     task = synthetic.load_task(args.task)
     model = synthetic.load_model(args.model)
-    rows = report.lambda_sweep(model, task, **{**_SWEEP_GRID, **opts})
+    rows = report.lambda_sweep(model, task, **opts)
     report.sweep_to_csv(rows, args.out)
     print(f"wrote sweep to {args.out}")
     return 0

@@ -87,6 +87,11 @@ class BinStats:
     confidence: np.ndarray
     n: int = field(default=0)
 
+    def ece(self):
+        """Expected calibration error: bin-weighted mean |accuracy - confidence|."""
+        weights = self.count / self.n
+        return float(np.sum(weights * np.abs(self.accuracy - self.confidence)))
+
 
 def _require_labels(batch):
     if not batch.has_labels:
@@ -138,10 +143,8 @@ def reliability_bins(batch, num_bins=DEFAULT_BINS):
 
 
 def ece(batch, num_bins=DEFAULT_BINS):
-    """Expected calibration error: bin-weighted mean |accuracy - confidence|."""
-    stats = reliability_bins(batch, num_bins)
-    weights = stats.count / stats.n
-    return float(np.sum(weights * np.abs(stats.accuracy - stats.confidence)))
+    """Expected calibration error of ``batch``'s reliability bins (``BinStats.ece``)."""
+    return reliability_bins(batch, num_bins).ece()
 
 
 def mean_nll(batch):

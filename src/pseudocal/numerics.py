@@ -42,14 +42,21 @@ def reduce_classes(ufunc, a, out=None):
     return out
 
 
+def _logit_stack(z, what):
+    """``z`` as a finite float64 array of any dimensionality, with at least one class."""
+    z = finite_array(z, f"{what} logits", None)
+    if z.shape[-1:] == (0,):
+        raise InvalidInputError(f"{what} logits need at least one class")
+    return z
+
+
 def softmax(z):
     """Numerically stable softmax along the last axis.
 
     Accepts a single logit vector or any stack of row vectors, such as an
     (n, C) matrix.
     """
-    z = np.asarray(z, dtype=np.float64)
-    check_finite(z, "softmax: logits must be finite")
+    z = _logit_stack(z, "softmax")
     e = np.exp(z - reduce_classes(np.maximum, z))
     e /= reduce_classes(np.add, e)
     return e
@@ -76,17 +83,19 @@ def listed(values, what):
 def finite_array(values, what, ndim, integer=False):
     """``values`` as an ``ndim``-D array of finite numbers: float64, or int64 if ``integer``.
 
-    An array that already is one is not copied. Anything else (strings,
-    None, booleans, ragged nesting, NaN, infinities) raises InvalidInputError.
+    ``ndim`` None takes any number of dimensions. An array that already is
+    one is not copied. Anything else (strings, None, booleans, ragged
+    nesting, NaN, infinities) raises InvalidInputError.
     """
     try:
         array = np.asarray(values)
     except ValueError as exc:  # ragged nesting
         raise InvalidInputError(f"{what} is not an array: {exc}") from exc
-    if array.ndim != ndim or array.dtype.kind not in ("iu" if integer else "iuf"):
+    if ndim not in (None, array.ndim) or array.dtype.kind not in ("iu" if integer else "iuf"):
+        shape = "an array" if ndim is None else f"a {ndim}-D array"
         kind = "integers" if integer else "numbers"
         raise InvalidInputError(
-            f"{what} must be a {ndim}-D array of {kind}, got {array.dtype} {array.shape}"
+            f"{what} must be {shape} of {kind}, got {array.dtype} {array.shape}"
         )
     check_finite(array, f"{what} must be finite, found non-finite values")
     return array.astype(np.int64 if integer else np.float64, copy=False)
@@ -111,8 +120,7 @@ def log_softmax(z):
     confidently wrong sample keeps its full loss instead of the ~27.6
     nats a 1e-12 probability clamp would cap it at.
     """
-    z = np.asarray(z, dtype=np.float64)
-    check_finite(z, "log_softmax: logits must be finite")
+    z = _logit_stack(z, "log_softmax")
     d = z - reduce_classes(np.maximum, z)
     return d - np.log(reduce_classes(np.add, np.exp(d)))
 

@@ -203,12 +203,19 @@ def fit_on_pseudo_set(pseudo, label_mode):
     return fit_temperature(PredictionBatch(logits=pseudo.logits), soft_labels=soft)
 
 
+def pseudo_set(model, target_inputs, cfg):
+    """PseudoCal's target pass: infer the target, take its pseudo labels and synthesize.
+
+    The target logits are freed once their pseudo labels are taken, before
+    the mixed set is inferred, so one n x C logit matrix is alive at a time.
+    """
+    return synthesize(model, target_inputs, argmax_rows(infer(model, target_inputs)), cfg)
+
+
 def calibrate(model, target_inputs, cfg=None):
     """PseudoCal: synthesize a pseudo-target set and fit a temperature on it."""
     cfg = cfg or MixupConfig()
-    # The target logits die once their pseudo labels are taken.
-    pseudo = synthesize(model, target_inputs, argmax_rows(infer(model, target_inputs)), cfg)
-    return fit_on_pseudo_set(pseudo, cfg.label_mode)
+    return fit_on_pseudo_set(pseudo_set(model, target_inputs, cfg), cfg.label_mode)
 
 
 def _pseudo_correct(pseudo):

@@ -23,6 +23,10 @@ from .numerics import is_finite_number, is_integer, listed
 
 # Members of the ensemble baseline, trained on the run's seed and the next ENSEMBLE_SIZE - 1.
 ENSEMBLE_SIZE = 5
+# What evaluate_all compares, and lambda_sweep's grid, when the caller names none.
+DEFAULT_METHODS = ("none", "pseudocal", "temp_oracle")
+SWEEP_LAMBDAS = (0.51, 0.55, 0.6, 0.65, 0.7, 0.8, 0.9)
+SWEEP_SEEDS = (0, 1, 2, 3, 4)
 
 
 @dataclass(frozen=True)
@@ -150,13 +154,15 @@ METHODS = {
 }
 
 
-def evaluate_all(model, task, methods, bins=DEFAULT_BINS, mixup_cfg=None):
+def evaluate_all(model, task, methods=DEFAULT_METHODS, bins=DEFAULT_BINS, mixup_cfg=None):
     """Fit every requested method, apply it, and measure on the target.
 
     The run's one seed, ``mixup_cfg.seed``, drives the mixup and the
     ensemble members alike. Arguments are checked before any inference.
     """
     methods = listed(methods, "methods")
+    if not methods:
+        raise InvalidInputError("evaluation requires at least one method")
     for name in methods:
         if name not in METHODS:
             raise InvalidInputError(f"unknown method {name!r}; valid: {', '.join(METHODS)}")
@@ -184,14 +190,14 @@ def evaluate_all(model, task, methods, bins=DEFAULT_BINS, mixup_cfg=None):
             logits = pseudo_target.infer(fitted, task.target_inputs)
             scored = PredictionBatch(logits=logits, labels=task.target_labels)
             temp = None
+        bin_stats[name] = reliability_bins(scored, bins)
         results[name] = MethodResult(
-            ece=ece(scored, bins),
+            ece=bin_stats[name].ece(),
             nll=mean_nll(scored),
             brier=mean_brier(scored),
             accuracy=scored.accuracy(),
             temperature=temp,
         )
-        bin_stats[name] = reliability_bins(scored, bins)
         if name == "pseudocal":
             correspondence = pseudo_target.correspondence_rate(pseudo, task.target_labels)
 
@@ -218,7 +224,8 @@ def method_bins_to_csv(result, path_or_file):
     write_csv(path_or_file, {"method": method, **bin_columns(*stats)})
 
 
-def lambda_sweep(model, task, lambdas, label_modes, seeds, bins=DEFAULT_BINS):
+def lambda_sweep(model, task, lambdas=SWEEP_LAMBDAS, label_modes=pseudo_target.LABEL_MODES,
+                 seeds=SWEEP_SEEDS, bins=DEFAULT_BINS):
     """Mean target ECE per (mix ratio, label mode) cell, averaged over seeds.
 
     Each (mix ratio, seed) pseudo set is built once and every label mode

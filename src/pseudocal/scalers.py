@@ -306,13 +306,16 @@ def _fit_affine(batch, theta, mask):
         return float(np.mean(-logp[rows, labels])), np.exp(logp)
 
     nll, p = nll_and_probs(theta)
-    for _ in range(AFFINE_MAX_ITER):
+    # One pass more than there are steps, so the last step's gradient is tested too.
+    for steps in range(AFFINE_MAX_ITER + 1):
         resid = p.copy()
         resid[rows, labels] -= 1.0
         grad = mask * (resid.T @ x) / n
         grad_norm = float(np.linalg.norm(grad))
         if grad_norm < AFFINE_GRAD_TOL:
             return theta, True
+        if steps == AFFINE_MAX_ITER:
+            break
 
         def damped_hessian(v, p=p, damping=grad_norm):
             u = x @ v.T

@@ -259,8 +259,10 @@ def _mean_ce(probs, labels):
 def train(task, epochs=DEFAULT_EPOCHS, lr=DEFAULT_LR, gamma=1.0, track_history=False, seed=0):
     """Full-batch gradient descent on source cross-entropy.
 
-    When ``track_history`` is set, records per-epoch source loss, target
-    error, and target mean NLL (all at the model's inference sharpening).
+    When ``track_history`` is set, records per epoch the source loss that
+    the epoch's step descends (the training loss, at scale 1, on the weights
+    from before the step), then the target error and target mean NLL after
+    the step, at the model's inference sharpening ``gamma``.
 
     ``seed`` may also be a sequence of seeds: then one classifier per seed
     trains in the same loop, and they return as a tuple. Member m's weights

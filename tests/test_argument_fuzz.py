@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from pseudocal import metrics, pseudo_target, report, scalers, synthetic
+from pseudocal import metrics, numerics, pseudo_target, report, scalers, synthetic
 from pseudocal.errors import PseudocalError
 from pseudocal.numerics import is_integer
 
@@ -145,6 +145,8 @@ def test_entry_points_take_any_array(data):
     matrix = st.lists(st.lists(CELLS, min_size=c, max_size=c), min_size=n, max_size=n)
     value = data.draw(st.one_of(matrix, NESTS), label="value")
     succeeds(metrics.PredictionBatch, value)
+    succeeds(numerics.softmax, value)
+    succeeds(numerics.log_softmax, value)
     succeeds(pseudo_target.infer, Returns(value), np.zeros((n, 1)))
     cfg = pseudo_target.MixupConfig()
     succeeds(pseudo_target.synthesize, Identity(), value, np.arange(n) % 2, cfg)

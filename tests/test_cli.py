@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from pseudocal import cli, pseudo_target, scalers, synthetic
+from pseudocal import cli, pseudo_target, report, scalers, synthetic
 from pseudocal.metrics import DEFAULT_BINS, PredictionBatch, ece, mean_brier, mean_nll
 
 
@@ -409,23 +409,26 @@ def test_subcommands_do_not_mutate_inputs(workspace, tmp_path):
 
 
 def test_commands_without_options_write_the_library_defaults(tmp_path):
-    """generate, train and calibrate given no option run the library's defaults."""
+    """Every command given no option runs the library's defaults."""
     task = synthetic.generate(synthetic.ShiftSpec())
     model = synthetic.train(task)
     calibrator = pseudo_target.calibrate(model, task.target_inputs)
     synthetic.save_task(task, tmp_path / "lib_task.json")
     synthetic.save_model(model, tmp_path / "lib_model.json")
     scalers.save_calibrator(calibrator, tmp_path / "lib_cal.json")
+    (tmp_path / "lib_result.json").write_text(report.evaluate_all(model, task).to_json())
+    report.sweep_to_csv(report.lambda_sweep(model, task), tmp_path / "lib_sweep.csv")
 
     task_path, model_path = tmp_path / "task.json", tmp_path / "model.json"
     assert run(["generate", "--out", str(task_path)]) == 0
     assert run(["train", "--task", str(task_path), "--out", str(model_path)]) == 0
-    assert run([
-        "calibrate", "--task", str(task_path), "--model", str(model_path),
-        "--out", str(tmp_path / "cal.json"),
-    ]) == 0
-    for name in ("task", "model", "cal"):
-        assert file_hash(tmp_path / f"{name}.json") == file_hash(tmp_path / f"lib_{name}.json")
+    for command, out in (("calibrate", "cal.json"), ("evaluate", "result.json"), ("sweep", "sweep.csv")):
+        assert run([
+            command, "--task", str(task_path), "--model", str(model_path),
+            "--out", str(tmp_path / out),
+        ]) == 0
+    for name in ("task.json", "model.json", "cal.json", "result.json", "sweep.csv"):
+        assert file_hash(tmp_path / name) == file_hash(tmp_path / f"lib_{name}")
 
 
 def test_ensemble_row_trains_members_as_the_model_was_trained(tmp_path):
@@ -484,3 +487,22 @@ def test_cli_holds_no_library_default_and_no_copied_choice_list():
                 assert action.choices is owners[action.dest], (command.prog, action.dest)
                 seen.add(action.dest)
     assert seen == set(owners)
+
+
+def test_cli_makes_no_pipeline_step_of_its_own():
+    """The CLI converts, loads, calls the library and writes; PseudoCal's target pass is
+    ``pseudo_target.pseudo_set``, and no numerics primitive is called from here."""
+    tree = ast.parse(Path(cli.__file__).read_text())
+    names = {
+        node.id if isinstance(node, ast.Name) else node.attr if isinstance(node, ast.Attribute)
+        else node.name
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.Name, ast.Attribute, ast.alias))
+    }
+    assert names & {"infer", "synthesize", "argmax_rows"} == set()
+    imported = [
+        name
+        for node in ast.walk(tree) if isinstance(node, (ast.Import, ast.ImportFrom))
+        for name in (getattr(node, "module", None) or "", *(alias.name for alias in node.names))
+    ]
+    assert [name for name in imported if name.split(".")[-1] == "numerics"] == []

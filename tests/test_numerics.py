@@ -51,6 +51,15 @@ def test_softmax_rejects_nonfinite():
         numerics.softmax([np.inf, 0.0])
 
 
+@pytest.mark.parametrize(
+    "value", ["abc", [[1.0, 2.0], [3.0]], [["1", "2"]], [True, False], None, [], [[], []]]
+)
+def test_softmax_and_log_softmax_take_only_arrays_of_numbers(value):
+    for fn in (numerics.softmax, numerics.log_softmax):
+        with pytest.raises(InvalidInputError):
+            fn(value)
+
+
 @given(
     st.lists(st.floats(-30, 30), min_size=2, max_size=8),
     st.floats(-50, 50),

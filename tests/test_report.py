@@ -182,6 +182,8 @@ def test_drivers_check_target_labels_and_lists_before_inferring(cell):
         report.evaluate_all(NoInference(), unlabeled, ["none"])
     with pytest.raises(LabelsRequiredError):
         report.lambda_sweep(NoInference(), unlabeled, [0.6], ["hard"], [0])
+    with pytest.raises(InvalidInputError, match="at least one method"):
+        report.evaluate_all(NoInference(), task, [])
     for bad in (None, 3, 0.6):
         with pytest.raises(InvalidInputError, match="must be a list"):
             report.evaluate_all(NoInference(), task, bad)

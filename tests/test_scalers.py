@@ -413,6 +413,18 @@ def test_affine_fit_stops_when_no_step_decreases_the_nll(monkeypatch):
     assert affine_nll_gradient_norm(b.logits, b.labels, cal) >= scalers.AFFINE_GRAD_TOL
 
 
+def test_affine_fit_tests_the_gradient_at_the_step_cap(monkeypatch):
+    # This fit takes exactly 8 Newton-CG steps: a cap of 8 must still see
+    # its last step's gradient, and a cap of 7 stops short of the optimum.
+    b = random_batch(np.random.default_rng(47), n_max=200)
+    for cap, converges in ((8, True), (7, False)):
+        monkeypatch.setattr(scalers, "AFFINE_MAX_ITER", cap)
+        cal = scalers.fit_vector(b)
+        grad_norm = affine_nll_gradient_norm(b.logits, b.labels, cal)
+        assert (grad_norm < scalers.AFFINE_GRAD_TOL) == converges
+        assert cal.converged == converges
+
+
 def _nll_chain(b):
     nll_t = metrics.mean_nll(scalers.fit_temperature(b).apply(b))
     vec, mat = scalers.fit_vector(b), scalers.fit_matrix(b)
