@@ -67,7 +67,7 @@ def _options(args):
             value = config[key]
         try:
             options[_PARAMETERS.get(key, key)] = convert(value)
-        except (TypeError, ValueError, OverflowError) as exc:
+        except (TypeError, ValueError, OverflowError, InvalidInputError) as exc:
             raise _UsageError(f"malformed {key} {value!r}: {exc}") from exc
     return options
 
@@ -102,7 +102,7 @@ def _names(text):
     return [name.strip() for name in str(text).split(",") if name.strip()]
 
 
-# Options whose value is one name from the library's own list.
+# argparse's choices of the options whose value is one name from the library's own list.
 _CHOICES = {
     "label_mode": pseudo_target.LABEL_MODES,
     "lambda_policy": pseudo_target.LAMBDA_POLICIES,
@@ -110,23 +110,13 @@ _CHOICES = {
 }
 
 
-def _choice(key):
-    """The converter of option ``key``: a string that is one of ``_CHOICES[key]``."""
-    names = _CHOICES[key]
+def _mixup(key, parse=lambda value: value):
+    """Converter of ``MixupConfig`` field ``key``: ``parse``'s value if a default config takes it."""
 
     def convert(value):
-        if not isinstance(value, str) or value not in names:
-            raise ValueError(f"expected one of {', '.join(names)}")
-        return value
+        return getattr(pseudo_target.MixupConfig(**{key: parse(value)}), key)
 
     return convert
-
-
-def _check_lambda(value):
-    lam = _float(value)
-    if not 0.5 < lam <= 1.0:
-        raise _UsageError(f"--lambda must lie in (0.5, 1.0], got {lam}")
-    return lam
 
 
 def cmd_generate(args, opts):
@@ -211,13 +201,13 @@ _COMMANDS = {
         "epochs": _int, "lr": _float, "gamma": _float, "seed": _int,
     }),
     "calibrate": _Command(cmd_calibrate, ("task", "model", "out", "provenance_out"), {
-        "lam": _check_lambda, "label_mode": _choice("label_mode"),
-        "lambda_policy": _choice("lambda_policy"), "pairing": _choice("pairing"),
+        "lam": _mixup("lam", _float), "label_mode": _mixup("label_mode"),
+        "lambda_policy": _mixup("lambda_policy"), "pairing": _mixup("pairing"),
         "mixup_epochs": _int, "seed": _int,
     }),
     "evaluate": _Command(cmd_evaluate, ("task", "model", "out", "table_out", "bins_out"), {
-        "methods": _names, "bins": _int, "lam": _check_lambda, "label_mode": _choice("label_mode"),
-        "seed": _int,
+        "methods": _names, "bins": _int, "lam": _mixup("lam", _float),
+        "label_mode": _mixup("label_mode"), "seed": _int,
     }),
     "sweep": _Command(cmd_sweep, ("task", "model", "out"), {
         "lambdas": _float_list, "label_modes": _names, "seeds": _int_list, "bins": _int,

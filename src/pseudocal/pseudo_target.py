@@ -62,12 +62,13 @@ class MixupConfig:
             raise InvalidInputError(
                 f"mixup epochs and seed must be integers, got {self.epochs!r}, {self.seed!r}"
             )
-        if self.lambda_policy not in LAMBDA_POLICIES:
-            raise InvalidInputError(f"unknown lambda policy {self.lambda_policy!r}")
-        if self.label_mode not in LABEL_MODES:
-            raise InvalidInputError(f"unknown label mode {self.label_mode!r}")
-        if self.pairing not in PAIRINGS:
-            raise InvalidInputError(f"unknown pairing rule {self.pairing!r}")
+        for what, value, names in (
+            ("lambda policy", self.lambda_policy, LAMBDA_POLICIES),
+            ("label mode", self.label_mode, LABEL_MODES),
+            ("pairing rule", self.pairing, PAIRINGS),
+        ):
+            if value not in names:
+                raise InvalidInputError(f"unknown {what} {value!r}; expected one of {', '.join(names)}")
         if self.lambda_policy == "fixed" and not 0.5 < self.lam <= 1.0:
             raise InvalidInputError(
                 f"fixed mix ratio must lie in (0.5, 1.0], got {self.lam}"
@@ -247,16 +248,14 @@ def variant_pseudo_label(target_logits):
     return fit_temperature(PredictionBatch(logits=target_logits, labels=pl))
 
 
-def variant_filtered_pl(target_logits, threshold=FILTER_THRESHOLD):
-    """Pseudo-label fit restricted to samples with confidence >= threshold."""
-    if not (is_finite_number(threshold) and 0.0 < threshold < 1.0):
-        raise InvalidInputError(f"threshold must be a number in (0, 1), got {threshold!r}")
+def variant_filtered_pl(target_logits):
+    """Pseudo-label fit restricted to samples with confidence >= FILTER_THRESHOLD."""
     pl = argmax_rows(target_logits)
     batch = PredictionBatch(logits=target_logits, labels=pl)
-    keep = batch.confidences() >= threshold
+    keep = batch.confidences() >= FILTER_THRESHOLD
     if not np.any(keep):
         raise EmptyFilterError(
-            f"no sample reaches confidence {threshold}; filtered pseudo-label fit is empty"
+            f"no sample reaches confidence {FILTER_THRESHOLD}; filtered pseudo-label fit is empty"
         )
     return fit_temperature(PredictionBatch(logits=batch.logits[keep], labels=pl[keep]))
 

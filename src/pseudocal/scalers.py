@@ -244,11 +244,7 @@ def nll_decomposition(batch, temperature):
     n_w = batch.n - n_c
     correct_term = float(np.mean(per_sample[correct])) if n_c else 0.0
     wrong_term = float(np.mean(per_sample[~correct])) if n_w else 0.0
-    total = float(np.mean(per_sample))
-    recomposed = (n_c * correct_term + n_w * wrong_term) / batch.n
-    if abs(total - recomposed) > 1e-9:  # pragma: no cover - float identity
-        raise InvalidInputError("decomposition identity violated beyond tolerance")
-    return NllDecomposition(total, correct_term, wrong_term, n_c, n_w)
+    return NllDecomposition(float(np.mean(per_sample)), correct_term, wrong_term, n_c, n_w)
 
 
 def _conjugate_gradient(matvec, rhs, rtol):

@@ -106,7 +106,7 @@ class SyntheticTask:
         if self.has_target_labels:
             labels = class_indices(self.target_labels, len(target), c, "target labels")
             object.__setattr__(self, "target_labels", labels)
-        if not 0.0 < self.val_fraction < 1.0:
+        if not (is_finite_number(self.val_fraction) and 0.0 < self.val_fraction < 1.0):
             raise InvalidInputError(f"val_fraction must lie in (0, 1), got {self.val_fraction!r}")
         if self.has_source:
             source = finite_array(self.source_inputs, "source inputs", 2)
@@ -350,8 +350,11 @@ class EnsembleModel:
     members: tuple
 
     def __post_init__(self):
-        if len(self.members) < 1:
-            raise InvalidInputError("an ensemble needs at least one member")
+        models = isinstance(self.members, tuple) and all(
+            callable(getattr(m, "predict_logits", None)) for m in self.members
+        )
+        if not (models and self.members):
+            raise InvalidInputError("an ensemble needs a tuple of at least one member model")
 
     def predict_logits(self, inputs):
         probs = [softmax(m.predict_logits(inputs)) for m in self.members]

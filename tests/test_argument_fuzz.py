@@ -1,4 +1,4 @@
-"""Hypothesis fuzz of the library's scalar, list and array arguments.
+"""Hypothesis fuzz of the library's scalar, list and array arguments and record fields.
 
 Each call either succeeds or raises a PseudocalError, never a bare
 TypeError or ValueError. A driver (evaluate_all, lambda_sweep) that
@@ -7,6 +7,7 @@ raises must do so before it asks its model for a single logit.
 
 import json
 import math
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -75,7 +76,6 @@ def succeeds(call, *args, **kwargs):
 def test_metric_and_fit_scalars(cell, value):
     task, model, batch = cell
     assert succeeds(metrics.reliability_bins, batch, value) == succeeds(metrics.ece, batch, value)
-    succeeds(pseudo_target.variant_filtered_pl, batch.logits, threshold=value)
     succeeds(scalers.nll_decomposition, batch, value)
 
 
@@ -154,3 +154,33 @@ def test_entry_points_take_any_array(data):
     succeeds(scalers.fit_temperature, batch, value)
     model = synthetic.TrainedClassifier(weights=np.ones((c, 2)), bias=np.zeros(2))
     succeeds(model.predict_logits, value)
+
+
+def record(cls, field, **valid):
+    """Builds ``cls`` from one value of ``field``, its other fields valid."""
+    return lambda value: cls(**{**valid, field: value})
+
+
+TASK = dict(
+    spec=synthetic.ShiftSpec(n_classes=2), source_inputs=np.zeros((4, 2)),
+    source_labels=[0, 1, 0, 1], target_inputs=np.zeros((2, 2)), target_labels=None,
+)
+MODEL = dict(weights=np.ones((2, 2)), bias=np.zeros(2))
+RECORD_FIELDS = {
+    **{f"MixupConfig.{f.name}": record(pseudo_target.MixupConfig, f.name)
+       for f in fields(pseudo_target.MixupConfig)},
+    **{f"ShiftSpec.{f.name}": record(synthetic.ShiftSpec, f.name) for f in fields(synthetic.ShiftSpec)},
+    "SyntheticTask.val_fraction": record(synthetic.SyntheticTask, "val_fraction", **TASK),
+    "TrainedClassifier.gamma": record(synthetic.TrainedClassifier, "gamma", **MODEL),
+    "TrainedClassifier.train_config": record(synthetic.TrainedClassifier, "train_config", **MODEL),
+    **{f"Calibrator.{f.name}": record(scalers.Calibrator, f.name, kind="temperature", temperature=1.0)
+       for f in fields(scalers.Calibrator)},
+    "EnsembleModel.members": record(synthetic.EnsembleModel, "members"),
+}
+
+
+@pytest.mark.parametrize("field", sorted(RECORD_FIELDS))
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(value=VALUES)
+def test_records_check_each_field_in_their_constructor(field, value):
+    succeeds(RECORD_FIELDS[field], value)

@@ -313,16 +313,13 @@ def test_variant_pseudo_label_hits_sharpening_bound():
 def test_variant_filtered_pl_threshold_and_empty():
     task, model = shifted_task_and_model()
     logits = pseudo_target.infer(model, task.target_inputs)
-    cal = pseudo_target.variant_filtered_pl(logits, threshold=0.95)
+    cal = pseudo_target.variant_filtered_pl(logits)
     assert cal.temperature == pytest.approx(scalers.T_MIN)
-    for bad in (1.5, 0.0, 1.0, "x", None, True, np.nan, []):
-        with pytest.raises(InvalidInputError, match="threshold"):
-            pseudo_target.variant_filtered_pl(logits, threshold=bad)
     # uniform logits never reach high confidence
     flat = np.zeros((10, 3))
     flat[:, 0] = 0.1
     with pytest.raises(EmptyFilterError):
-        pseudo_target.variant_filtered_pl(flat, threshold=0.95)
+        pseudo_target.variant_filtered_pl(flat)
 
 
 def test_variant_same_label_uses_agreeing_pairs():

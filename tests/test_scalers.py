@@ -289,6 +289,19 @@ def test_nll_decomposition_identity():
         assert dec.total == pytest.approx(recomposed, abs=1e-9)
 
 
+def test_nll_decomposition_holds_at_a_large_nll():
+    # Mean NLL 9.3e6: the mean and its recomposition differ by 2 ulp (3.7e-9),
+    # which is float rounding, not an input fault.
+    rng = np.random.default_rng(0)
+    n, c = int(rng.integers(100, 5000)), int(rng.integers(2, 20))
+    logits = rng.standard_normal((n, c)) * 10 ** rng.uniform(1, 6)
+    b = metrics.PredictionBatch(logits=logits, labels=rng.integers(0, c, n))
+    dec = scalers.nll_decomposition(b, 0.05)
+    assert dec.total > 1e6
+    recomposed = (dec.n_correct * dec.correct_term + dec.n_wrong * dec.wrong_term) / b.n
+    assert dec.total == pytest.approx(recomposed, rel=1e-12, abs=0)
+
+
 def test_nll_decomposition_needs_a_positive_finite_temperature():
     b = metrics.PredictionBatch(logits=[[3.0, 0.0], [0.0, 3.0]], labels=[0, 0])
     for bad in (-1.0, 0.0, 0, True, "x", None, np.nan, np.inf, -np.inf, []):
