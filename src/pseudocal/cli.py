@@ -121,10 +121,6 @@ def _mixup(key, parse=lambda value: value):
 
 def cmd_generate(args, opts):
     """generate a synthetic source/target task"""
-    n_classes = opts.get("n_classes", synthetic.ShiftSpec.n_classes)
-    priors = opts.get("target_priors")
-    if priors is not None and len(priors) != n_classes:
-        raise _UsageError(f"need {n_classes} prior entries, got {len(priors)}")
     task = synthetic.generate(synthetic.ShiftSpec(**opts))
     synthetic.save_task(task, args.out)
     print(f"wrote task to {args.out}")

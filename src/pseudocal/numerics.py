@@ -73,11 +73,14 @@ def is_finite_number(value):
 
 
 def listed(values, what):
-    """``values`` as a list; a value that is not iterable raises InvalidInputError."""
+    """``values`` as a non-empty list of ``what``; anything else raises InvalidInputError."""
     try:
-        return list(values)
+        values = list(values)
     except TypeError:
-        raise InvalidInputError(f"{what} must be a list, got {values!r}") from None
+        raise InvalidInputError(f"{what}s must be a list, got {values!r}") from None
+    if not values:
+        raise InvalidInputError(f"need at least one {what}")
+    return values
 
 
 def finite_array(values, what, ndim, integer=False):

@@ -77,6 +77,13 @@ class MixupConfig:
             raise InvalidInputError(f"mixup needs epochs >= 1 and seed >= 0: {self.epochs}, {self.seed}")
 
 
+def checked_config(cfg):
+    """``cfg`` if it is a MixupConfig; anything else raises InvalidInputError."""
+    if not isinstance(cfg, MixupConfig):
+        raise InvalidInputError(f"mixup config must be a MixupConfig, got {cfg!r}")
+    return cfg
+
+
 @dataclass(frozen=True)
 class PseudoTargetSet:
     """Mixed samples' logits, with the pair each was mixed from.
@@ -136,6 +143,7 @@ def synthesize(model, target_inputs, target_pseudo_labels, cfg):
     no part here: it is the fit's choice. Raises DegenerateTargetError when
     no pair at all survives.
     """
+    cfg = checked_config(cfg)
     inputs = finite_array(target_inputs, "target inputs", 2)
     if inputs.shape[0] < 2:
         raise InvalidInputError("target inputs must be an (n>=2, d) matrix")
@@ -193,9 +201,7 @@ def fit_on_pseudo_set(pseudo, label_mode):
     The soft targets put ``lam`` on ``pl_a`` and ``1 - lam`` on ``pl_b``,
     written in place into one (n, C) matrix that lives only for the fit.
     """
-    if label_mode not in LABEL_MODES:
-        raise InvalidInputError(f"unknown label mode {label_mode!r}")
-    if label_mode == "hard":
+    if MixupConfig(label_mode=label_mode).label_mode == "hard":
         return fit_temperature(PredictionBatch(logits=pseudo.logits, labels=pseudo.hard_labels))
     rows = np.arange(pseudo.size)
     soft = np.zeros(pseudo.logits.shape)
@@ -210,12 +216,13 @@ def pseudo_set(model, target_inputs, cfg):
     The target logits are freed once their pseudo labels are taken, before
     the mixed set is inferred, so one n x C logit matrix is alive at a time.
     """
+    cfg = checked_config(cfg)
     return synthesize(model, target_inputs, argmax_rows(infer(model, target_inputs)), cfg)
 
 
 def calibrate(model, target_inputs, cfg=None):
     """PseudoCal: synthesize a pseudo-target set and fit a temperature on it."""
-    cfg = cfg or MixupConfig()
+    cfg = MixupConfig() if cfg is None else cfg
     return fit_on_pseudo_set(pseudo_set(model, target_inputs, cfg), cfg.label_mode)
 
 

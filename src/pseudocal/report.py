@@ -8,6 +8,7 @@ the target labels it is defined by.
 
 from dataclasses import asdict, dataclass, field, replace
 from functools import cached_property
+from itertools import product
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -19,7 +20,7 @@ from .metrics import (
     DEFAULT_BINS, PredictionBatch, bin_columns, check_bins, ece, mean_brier, mean_nll,
     reliability_bins,
 )
-from .numerics import is_finite_number, is_integer, listed
+from .numerics import finite_array, listed
 
 # Members of the ensemble baseline, trained on the run's seed and the next ENSEMBLE_SIZE - 1.
 ENSEMBLE_SIZE = 5
@@ -154,28 +155,33 @@ METHODS = {
 }
 
 
+def _each_once(what, values):
+    """Raise InvalidInputError if the list ``values`` of ``what`` names a value twice."""
+    for value in values:
+        if values.count(value) > 1:
+            raise InvalidInputError(f"{what} {value!r} is listed more than once")
+
+
 def evaluate_all(model, task, methods=DEFAULT_METHODS, bins=DEFAULT_BINS, mixup_cfg=None):
     """Fit every requested method, apply it, and measure on the target.
 
     The run's one seed, ``mixup_cfg.seed``, drives the mixup and the
     ensemble members alike. Arguments are checked before any inference.
     """
-    methods = listed(methods, "methods")
-    if not methods:
-        raise InvalidInputError("evaluation requires at least one method")
+    methods = listed(methods, "method")
     for name in methods:
         if name not in METHODS:
             raise InvalidInputError(f"unknown method {name!r}; valid: {', '.join(METHODS)}")
-        if methods.count(name) > 1:
-            raise InvalidInputError(f"method {name!r} is listed more than once")
         sees = METHODS[name].sees
         if not sees.provided(task):
             raise DataAccessError(f"method {name!r} requires {sees.description}", method=name)
+    _each_once("method", methods)
     if not task.has_target_labels:
         raise LabelsRequiredError("evaluation scores every method on the target and needs its labels")
     bins = check_bins(bins)
     if mixup_cfg is None:
         mixup_cfg = pseudo_target.MixupConfig()
+    pseudo_target.checked_config(mixup_cfg)
 
     data = _Inputs(model, task, mixup_cfg)
     results = {}
@@ -232,33 +238,23 @@ def lambda_sweep(model, task, lambdas=SWEEP_LAMBDAS, label_modes=pseudo_target.L
     is fitted on it. Every argument, and a value listed twice on any axis,
     is checked before anything is inferred.
     """
-    lambdas, label_modes, seeds = (listed(v, "each sweep axis") for v in (lambdas, label_modes, seeds))
+    axes = {"mix ratio": lambdas, "label mode": label_modes, "seed": seeds}
+    axes = {what: listed(given, what) for what, given in axes.items()}
+    lambdas, label_modes, seeds = axes.values()
     if not task.has_target_labels:
         raise LabelsRequiredError("the sweep scores ECE on the target and needs its labels")
     bins = check_bins(bins)
-    if not lambdas or not label_modes:
-        raise InvalidInputError("sweep requires at least one mix ratio and one label mode")
-    for lam in lambdas:
-        if not (is_finite_number(lam) and 0.5 < lam < 1.0):
-            raise InvalidInputError(f"sweep mix ratios must lie in (0.5, 1.0), got {lam!r}")
-    for mode in label_modes:
-        if mode not in pseudo_target.LABEL_MODES:
-            raise InvalidInputError(f"unknown label mode {mode!r}")
-    if not seeds:
-        raise InvalidInputError("sweep requires at least one seed")
-    if not all(is_integer(seed) and seed >= 0 for seed in seeds):
-        raise InvalidInputError(f"sweep seeds must be integers >= 0, got {seeds}")
-    for what, given in (("mix ratio", lambdas), ("label mode", label_modes), ("seed", seeds)):
-        for value in given:
-            if given.count(value) > 1:
-                raise InvalidInputError(f"sweep lists {what} {value!r} more than once")
+    for lam, mode, seed in product(lambdas, label_modes, seeds):
+        pseudo_target.MixupConfig(lam=lam, label_mode=mode, seed=seed)  # checks the cell
+    for what, given in axes.items():
+        _each_once(what, given)
 
     data = _Inputs(model, task)
     rows = []
     for lam in lambdas:
         values = [[] for _ in label_modes]
         for seed in seeds:
-            cfg = pseudo_target.MixupConfig(lam=lam, seed=int(seed))
+            cfg = pseudo_target.MixupConfig(lam=lam, seed=seed)
             pseudo = pseudo_target.synthesize(model, task.target_inputs, data.target_pseudo_labels, cfg)
             for mode, mode_values in zip(label_modes, values):
                 cal = pseudo_target.fit_on_pseudo_set(pseudo, mode)
@@ -284,7 +280,9 @@ def sweep_to_csv(rows, path_or_file):
 
 def history_to_csv(history, path_or_file):
     """Training-history CSV: epoch, source_loss, target_error, target_nll."""
-    history = np.asarray(history)
+    history = finite_array(history, "training history", 2)
+    if history.shape[1] != 4:
+        raise InvalidInputError(f"training history must have 4 columns, got {history.shape[1]}")
     write_csv(path_or_file, {
         "epoch": history[:, 0].astype(int),
         "source_loss": history[:, 1],

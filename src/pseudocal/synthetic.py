@@ -277,9 +277,7 @@ def train(task, epochs=DEFAULT_EPOCHS, lr=DEFAULT_LR, gamma=1.0, track_history=F
     """
     if not task.has_source:
         raise InvalidInputError("training requires source data")
-    seeds = [seed] if is_integer(seed) else listed(seed, "training seeds")
-    if not seeds:
-        raise InvalidInputError("training needs at least one seed")
+    seeds = [seed] if is_integer(seed) else listed(seed, "seed")
     configs = [_checked_train_config(dict(epochs=epochs, lr=lr, gamma=gamma, seed=s)) for s in seeds]
     x = task.source_train_inputs
     y = task.source_train_labels
@@ -365,8 +363,7 @@ class EnsembleModel:
 
 def ensemble_train(task, seeds, epochs=DEFAULT_EPOCHS, lr=DEFAULT_LR, gamma=1.0):
     """Train one classifier per seed, all in one loop, and combine their predictions."""
-    seeds = listed(seeds, "ensemble seeds")
-    members = train(task, epochs, lr, gamma, seed=seeds) if seeds else ()
+    members = train(task, epochs, lr, gamma, seed=listed(seeds, "member seed"))
     return EnsembleModel(members=members)
 
 
@@ -418,6 +415,8 @@ def model_to_dict(model):
 
 def model_from_dict(doc):
     check_version(doc, "model")
+    if doc["kind"] not in ("logistic", "ensemble"):
+        raise InvalidInputError(f"unknown model kind {doc['kind']!r}; expected logistic or ensemble")
     if doc["kind"] == "ensemble":
         return EnsembleModel(members=tuple(model_from_dict(m) for m in doc["members"]))
     return TrainedClassifier(

@@ -1,10 +1,11 @@
 """Hypothesis fuzz of the library's scalar, list and array arguments and record fields.
 
 Each call either succeeds or raises a PseudocalError, never a bare
-TypeError or ValueError. A driver (evaluate_all, lambda_sweep) that
-raises must do so before it asks its model for a single logit.
+TypeError or ValueError. A driver (evaluate_all, lambda_sweep, pseudo_set,
+calibrate) that raises must do so before it asks its model for a single logit.
 """
 
+import io
 import json
 import math
 from dataclasses import fields
@@ -105,19 +106,29 @@ def test_ensemble_trains_only_integer_seeds(cell, seeds):
     ))
 
 
+# A mixup config argument: a valid one, None (the default where a function has one) or any value.
+CONFIGS = st.one_of(st.builds(pseudo_target.MixupConfig, seed=st.integers(0, 3)), VALUES)
+
+
 @settings(max_examples=150, deadline=None, derandomize=True)
 @given(data=st.data())
 def test_drivers_check_arguments_before_inferring(cell, data):
     task, model, _ = cell
     counting = CountingModel(model)
     bins = data.draw(SCALARS, label="bins")
-    if data.draw(st.booleans(), label="sweep"):
+    driver = data.draw(st.sampled_from(["sweep", "evaluate", "pseudo_set", "calibrate"]), label="driver")
+    if driver == "sweep":
         lambdas = data.draw(st.one_of(LISTS, VALUES), label="lambdas")
+        modes = data.draw(st.one_of(st.just(["hard"]), LISTS, VALUES), label="label_modes")
         seeds = data.draw(st.one_of(st.lists(VALUES, max_size=2), VALUES), label="seeds")
-        ok = succeeds(report.lambda_sweep, counting, task, lambdas, ["hard"], seeds, bins=bins)
-    else:
+        ok = succeeds(report.lambda_sweep, counting, task, lambdas, modes, seeds, bins=bins)
+    elif driver == "evaluate":
         methods = data.draw(st.one_of(st.just(["none"]), VALUES), label="methods")
-        ok = succeeds(report.evaluate_all, counting, task, methods, bins=bins)
+        cfg = data.draw(CONFIGS, label="mixup_cfg")
+        ok = succeeds(report.evaluate_all, counting, task, methods, bins=bins, mixup_cfg=cfg)
+    else:
+        entry = getattr(pseudo_target, driver)
+        ok = succeeds(entry, counting, task.target_inputs, data.draw(CONFIGS, label="cfg"))
     assert ok or counting.calls == 0
 
 
@@ -141,7 +152,7 @@ class Identity:
 def test_entry_points_take_any_array(data):
     # An n x c matrix of any entries, or any nesting; each entry point's
     # other arguments are sized so that a well-formed matrix can succeed.
-    n, c = data.draw(st.integers(1, 4), label="n"), data.draw(st.integers(1, 3), label="c")
+    n, c = data.draw(st.integers(1, 4), label="n"), data.draw(st.integers(1, 4), label="c")
     matrix = st.lists(st.lists(CELLS, min_size=c, max_size=c), min_size=n, max_size=n)
     value = data.draw(st.one_of(matrix, NESTS), label="value")
     succeeds(metrics.PredictionBatch, value)
@@ -154,6 +165,7 @@ def test_entry_points_take_any_array(data):
     succeeds(scalers.fit_temperature, batch, value)
     model = synthetic.TrainedClassifier(weights=np.ones((c, 2)), bias=np.zeros(2))
     succeeds(model.predict_logits, value)
+    succeeds(report.history_to_csv, value, io.StringIO())
 
 
 def record(cls, field, **valid):

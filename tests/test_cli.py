@@ -386,10 +386,14 @@ def test_generate_with_target_priors(tmp_path, capsys):
     assert run([
         "generate", "--target-priors", "0.5,oops", "--out", str(tmp_path / "x.json"),
     ]) == 2
+    # a prior count other than the class count is ShiftSpec's rule, so exit 1
+    capsys.readouterr()
     assert run([
         "generate", "--target-priors", "0.5,0.5", "--out", str(tmp_path / "x.json"),
-    ]) == 2
-    capsys.readouterr()
+    ]) == 1
+    assert capsys.readouterr().err == (
+        "error: InvalidSpecError: target priors must have one entry per class\n"
+    )
 
 
 def test_subcommands_do_not_mutate_inputs(workspace, tmp_path):

@@ -103,6 +103,17 @@ def cell(tmp_path_factory):
     return root, docs
 
 
+def test_model_kind_is_logistic_or_ensemble(cell):
+    _, docs = cell
+    for kind in ("svm", "Logistic", None, 3):
+        with pytest.raises(InvalidInputError, match="expected logistic or ensemble"):
+            synthetic.model_from_dict({**docs["model"], "kind": kind})
+    ensemble = copy.deepcopy(docs["ensemble"])
+    ensemble["members"][1]["kind"] = "x"
+    with pytest.raises(InvalidInputError, match="unknown model kind 'x'"):
+        synthetic.model_from_dict(ensemble)
+
+
 def _paths(doc, prefix=()):
     """Every entry of ``doc``: each key of a mapping, the first and last item of a list."""
     yield prefix

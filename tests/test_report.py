@@ -1,7 +1,10 @@
+import ast
 import inspect
 import io
 import json
 import math
+from dataclasses import asdict
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -196,8 +199,8 @@ def test_lambda_sweep_grid_and_validation(cell):
     task, model, _ = cell
     with pytest.raises(InvalidInputError):
         report.lambda_sweep(model, task, [0.5], ["hard"], [0])
-    with pytest.raises(InvalidInputError):
-        report.lambda_sweep(model, task, [1.0], ["hard"], [0])
+    # 1.0, the closed end of MixupConfig's (0.5, 1.0], runs
+    assert len(report.lambda_sweep(model, task, [1.0], ["hard"], [0])) == 1
     with pytest.raises(InvalidInputError):
         report.lambda_sweep(model, task, [0.65], ["fuzzy"], [0])
     with pytest.raises(InvalidInputError):
@@ -216,7 +219,7 @@ def test_lambda_sweep_grid_and_validation(cell):
     with pytest.raises(InvalidInputError, match="integers"):
         report.lambda_sweep(NoInference(), task, [0.6], ["hard"], [0, 0.5])
     for lam in ("x", None, True, math.nan, math.inf, "0.6", []):
-        with pytest.raises(InvalidInputError, match="mix ratios"):
+        with pytest.raises(InvalidInputError, match="mix ratio"):
             report.lambda_sweep(NoInference(), task, [lam], ["hard"], [0])
     for bins in BAD_BIN_COUNTS:
         with pytest.raises(InvalidInputError, match="bin count"):
@@ -231,6 +234,38 @@ def test_lambda_sweep_grid_and_validation(cell):
     report.sweep_to_csv(rows, buf)
     text = buf.getvalue()
     assert text.splitlines()[0] == "lambda,label_mode,mean_ece,std_ece,n_seeds"
+
+
+def test_lambda_sweep_takes_mixup_configs_rules(cell):
+    task, model, batch = cell
+    default = MixupConfig()
+    for bad in (
+        *({"lam": lam} for lam in (0.5, 1.5, math.nan, "x", True)),
+        {"label_mode": "fuzzy"},
+        *({"seed": seed} for seed in (-1, 0.5, True)),
+    ):
+        with pytest.raises(InvalidInputError) as expected:
+            MixupConfig(**bad)
+        cfg = {**asdict(default), **bad}
+        with pytest.raises(InvalidInputError) as raised:
+            report.lambda_sweep(NoInference(), task, [cfg["lam"]], [cfg["label_mode"]], [cfg["seed"]])
+        assert str(raised.value) == str(expected.value)
+
+    (row,) = report.lambda_sweep(model, task, [1.0], ["hard"], [0])
+    calibrator = pseudo_target.calibrate(model, task.target_inputs, MixupConfig(lam=1.0, seed=0))
+    assert row["mean_ece"] == metrics.ece(calibrator.apply(batch))
+
+
+def test_report_keeps_no_value_rule_of_its_own():
+    """The drivers' scalar rules belong to MixupConfig, check_bins and listed, not to report.py."""
+    tree = ast.parse(Path(report.__file__).read_text())
+    names = {
+        node.id if isinstance(node, ast.Name) else node.attr if isinstance(node, ast.Attribute)
+        else node.name
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.Name, ast.Attribute, ast.alias))
+    }
+    assert names & {"is_integer", "is_finite_number"} == set()
 
 
 def test_history_csv(tmp_path):
