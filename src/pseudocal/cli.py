@@ -1,10 +1,11 @@
 """Command-line front end: generate, train, calibrate, evaluate, sweep.
 
 One table, ``_COMMANDS``, declares each command's document paths and its
-options, each option with one converter; the flags and the config keys
-both come from it. An option may also be given in a flat JSON config file
-(--config); a flag wins over the config, and both pass through the same
-converter. A config key that no command takes is a usage error, and one
+options, each option with one converter from text; the flags and the
+config keys both come from it. An option may also be given in a flat JSON
+config file (--config); a flag wins over the config. A config value is
+converted as the text of its flag, ``str(value)``, so ``{"seed": 5}`` is
+``--seed 5``. A config key that no command takes is a usage error, and one
 that only other commands take is ignored. An option given in neither
 place takes the library's default; the CLI holds none of its own.
 Every usage error, argparse's own included, is one ``error:`` line and
@@ -44,6 +45,7 @@ _PARAMETERS = {"classes": "n_classes", "mixup_epochs": "epochs"}
 def _options(args):
     """The command's options given by a flag, else by the config file, each converted.
 
+    A config value is converted as the text of its flag, ``str(value)``.
     Keys given in neither place are left out, so the library's defaults
     apply. An unreadable config file, a config key that no command takes
     or a value a converter rejects is a usage error; a key that only other
@@ -66,40 +68,19 @@ def _options(args):
                 continue
             value = config[key]
         try:
-            options[_PARAMETERS.get(key, key)] = convert(value)
-        except (TypeError, ValueError, OverflowError, InvalidInputError) as exc:
+            options[_PARAMETERS.get(key, key)] = convert(str(value))
+        except (ValueError, InvalidInputError) as exc:
             raise _UsageError(f"malformed {key} {value!r}: {exc}") from exc
     return options
 
 
-def _int(value):
-    """A whole number: an int or a string that spells one, never a bool or a float."""
-    if isinstance(value, bool) or not isinstance(value, (int, str)):
-        raise TypeError(f"expected a whole number, got {type(value).__name__}")
-    return int(value)
-
-
-def _float(value):
-    """A number, or a string that spells one, but never a bool."""
-    if isinstance(value, bool):
-        raise TypeError("expected a number, got bool")
-    return float(value)
-
-
 def _priors(text):
-    return None if text is None else tuple(float(p) for p in str(text).split(","))
+    return tuple(float(p) for p in text.split(","))
 
 
-def _float_list(text):
-    return [float(v) for v in str(text).split(",") if v != ""]
-
-
-def _int_list(text):
-    return [int(v) for v in str(text).split(",") if v != ""]
-
-
-def _names(text):
-    return [name.strip() for name in str(text).split(",") if name.strip()]
+def _each(parse):
+    """Converter of a comma-separated list: ``parse`` of each item that is not blank."""
+    return lambda text: [parse(item) for item in text.split(",") if item.strip()]
 
 
 # argparse's choices of the options whose value is one name from the library's own list.
@@ -185,28 +166,28 @@ def cmd_sweep(args, opts):
 class _Command(NamedTuple):
     run: Callable  # run(args, options); its docstring is the command's help
     paths: tuple  # document paths; the ``*_out`` ones are optional
-    options: dict  # option key -> its one converter, for flags and config values alike
+    options: dict  # option key -> its one converter from the flag's text
 
 
 _COMMANDS = {
     "generate": _Command(cmd_generate, ("out",), {
-        "classes": _int, "dim": _int, "n_source": _int, "n_target": _int, "mean_shift": _float,
-        "rotation": _float, "target_priors": _priors, "cluster_std": _float, "seed": _int,
+        "classes": int, "dim": int, "n_source": int, "n_target": int, "mean_shift": float,
+        "rotation": float, "target_priors": _priors, "cluster_std": float, "seed": int,
     }),
     "train": _Command(cmd_train, ("task", "out", "history_out"), {
-        "epochs": _int, "lr": _float, "gamma": _float, "seed": _int,
+        "epochs": int, "lr": float, "gamma": float, "seed": int,
     }),
     "calibrate": _Command(cmd_calibrate, ("task", "model", "out", "provenance_out"), {
-        "lam": _mixup("lam", _float), "label_mode": _mixup("label_mode"),
+        "lam": _mixup("lam", float), "label_mode": _mixup("label_mode"),
         "lambda_policy": _mixup("lambda_policy"), "pairing": _mixup("pairing"),
-        "mixup_epochs": _int, "seed": _int,
+        "mixup_epochs": int, "seed": int,
     }),
     "evaluate": _Command(cmd_evaluate, ("task", "model", "out", "table_out", "bins_out"), {
-        "methods": _names, "bins": _int, "lam": _mixup("lam", _float),
-        "label_mode": _mixup("label_mode"), "seed": _int,
+        "methods": _each(str.strip), "bins": int, "lam": _mixup("lam", float),
+        "label_mode": _mixup("label_mode"), "seed": int,
     }),
     "sweep": _Command(cmd_sweep, ("task", "model", "out"), {
-        "lambdas": _float_list, "label_modes": _names, "seeds": _int_list, "bins": _int,
+        "lambdas": _each(float), "label_modes": _each(str.strip), "seeds": _each(int), "bins": int,
     }),
 }
 _CONFIG_KEYS = {key for command in _COMMANDS.values() for key in command.options}

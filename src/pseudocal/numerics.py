@@ -75,6 +75,8 @@ def is_finite_number(value):
 def listed(values, what):
     """``values`` as a non-empty list of ``what``; anything else raises InvalidInputError."""
     try:
+        if isinstance(values, (str, bytes)):  # iterable, but one value, not a list of them
+            raise TypeError
         values = list(values)
     except TypeError:
         raise InvalidInputError(f"{what}s must be a list, got {values!r}") from None

@@ -170,7 +170,7 @@ def evaluate_all(model, task, methods=DEFAULT_METHODS, bins=DEFAULT_BINS, mixup_
     """
     methods = listed(methods, "method")
     for name in methods:
-        if name not in METHODS:
+        if not isinstance(name, str) or name not in METHODS:
             raise InvalidInputError(f"unknown method {name!r}; valid: {', '.join(METHODS)}")
         sees = METHODS[name].sees
         if not sees.provided(task):

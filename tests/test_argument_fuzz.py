@@ -30,6 +30,10 @@ VALUES = st.one_of(
 )
 SCALARS = st.one_of(VALUES, st.just([]))
 LISTS = st.lists(VALUES, max_size=3)
+# List entries: scalars, and lists and dicts, which cannot be hashed.
+ENTRIES = st.one_of(
+    VALUES, st.lists(VALUES, max_size=2), st.dictionaries(st.just("x"), VALUES, max_size=1)
+)
 # Array entries: numbers, non-finite values, booleans, None and strings.
 CELLS = st.one_of(
     st.floats(-5.0, 5.0),
@@ -123,7 +127,9 @@ def test_drivers_check_arguments_before_inferring(cell, data):
         seeds = data.draw(st.one_of(st.lists(VALUES, max_size=2), VALUES), label="seeds")
         ok = succeeds(report.lambda_sweep, counting, task, lambdas, modes, seeds, bins=bins)
     elif driver == "evaluate":
-        methods = data.draw(st.one_of(st.just(["none"]), VALUES), label="methods")
+        methods = data.draw(
+            st.one_of(st.just(["none"]), st.lists(ENTRIES, max_size=2), VALUES), label="methods"
+        )
         cfg = data.draw(CONFIGS, label="mixup_cfg")
         ok = succeeds(report.evaluate_all, counting, task, methods, bins=bins, mixup_cfg=cfg)
     else:

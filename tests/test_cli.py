@@ -1,10 +1,13 @@
 import argparse
 import ast
+import contextlib
 import hashlib
+import io
 import json
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from pseudocal import cli, pseudo_target, report, scalers, synthetic
 from pseudocal.metrics import DEFAULT_BINS, PredictionBatch, ece, mean_brier, mean_nll
@@ -303,6 +306,48 @@ def test_flags_and_config_keys_are_one_option_set(tmp_path):
             assert options("--config", str(config), flag, value) == by_flag, (name, key)
 
 
+def _run_quietly(argv):
+    """Exit code and stderr of one CLI run."""
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        code = run(argv)
+    return code, err.getvalue()
+
+
+# JSON scalars, and short strings such as flags carry; integers stay small, as sizes allocate.
+# argparse (3.11) reads ``--seed=--`` as an empty list, so the flag cannot carry the text "--".
+CONFIG_VALUES = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(-3, 40),
+    st.floats(),
+    st.text(alphabet="0123456789.,-+eE xInfa", max_size=5).filter(lambda text: text != "--"),
+    st.sampled_from(["hard", "soft", "none", "pseudocal", "beta", "same", "0.6, ", "1,2"]),
+)
+OPTIONS = [(name, key) for name, command in cli._COMMANDS.items() for key in command.options]
+
+
+@pytest.mark.parametrize("name, key", OPTIONS, ids=[f"{n}-{k}" for n, k in OPTIONS])
+@settings(max_examples=15, deadline=None, derandomize=True)
+@given(value=CONFIG_VALUES)
+def test_config_value_converts_as_the_text_of_its_flag(workspace, name, key, value):
+    """``{key: value}`` in a config file is ``--flag str(value)``: the same exit code and,
+    for an option without argparse choices, the same error after its ``malformed`` prefix."""
+    root, task, model = workspace
+    documents = {"task": task, "model": model, "out": root / "out"}
+    paths = [f"--{path}={documents[path]}" for path in cli._COMMANDS[name].paths if path in documents]
+    flag = "--lambda" if key == "lam" else "--" + key.replace("_", "-")
+    config = root / "config.json"
+    config.write_text(json.dumps({key: value}))
+    by_config = _run_quietly([name, *paths, "--config", str(config)])
+    by_flag = _run_quietly([name, *paths, f"{flag}={value}"])
+    assert by_config[0] == by_flag[0], (by_config, by_flag)
+    if key not in cli._CHOICES:
+        assert by_config[1].replace(f"malformed {key} {value!r}: ", "", 1) == by_flag[1].replace(
+            f"malformed {key} {str(value)!r}: ", "", 1
+        )
+
+
 def test_sweep_csv(workspace):
     root, task, model = workspace
     out = root / "sweep.csv"
@@ -510,3 +555,26 @@ def test_cli_makes_no_pipeline_step_of_its_own():
         for name in (getattr(node, "module", None) or "", *(alias.name for alias in node.names))
     ]
     assert [name for name in imported if name.split(".")[-1] == "numerics"] == []
+
+
+def test_cli_branches_on_type_only_in_reading_the_config():
+    """No converter tests a value's type: every option converts from its flag's text."""
+    tree = ast.parse(Path(cli.__file__).read_text())
+
+    def isinstance_calls(node):
+        return [call for call in ast.walk(node)
+                if isinstance(call, ast.Call) and getattr(call.func, "id", None) == "isinstance"]
+
+    (reader,) = [node for node in tree.body
+                 if isinstance(node, ast.FunctionDef) and node.name == "_config_from_dict"]
+    assert isinstance_calls(tree) == isinstance_calls(reader) != []
+
+
+def test_unwritable_output_is_a_one_line_error(tmp_path, capsys):
+    out = tmp_path / "missing" / "task.json"
+    assert run(["generate", "--n-source", "100", "--n-target", "100", "--out", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error:")
+    assert captured.err.count("\n") == 1
+    assert "Traceback" not in captured.err
+    assert not out.parent.exists()

@@ -183,6 +183,10 @@ def test_labels_required():
         metrics.mean_nll(b)
     with pytest.raises(LabelsRequiredError):
         metrics.mean_brier(b)
+    with pytest.raises(LabelsRequiredError, match="correctness"):
+        b.correct()
+    with pytest.raises(LabelsRequiredError, match="correctness"):
+        b.accuracy()
 
 
 def test_bin_stats_csv():

@@ -30,9 +30,10 @@ def test_none_method_equals_raw_ece(cell):
 
 
 def test_unknown_method_rejected(cell):
-    task, model, _ = cell
-    with pytest.raises(InvalidInputError):
-        report.evaluate_all(model, task, ["nonsense"])
+    task, _, _ = cell
+    for bad in ("nonsense", ["x"], {}, 3, None):  # lists and dicts cannot be hashed
+        with pytest.raises(InvalidInputError, match="unknown method"):
+            report.evaluate_all(NoInference(), task, [bad])
 
 
 def test_oracle_requires_target_labels(cell):
@@ -187,7 +188,7 @@ def test_drivers_check_target_labels_and_lists_before_inferring(cell):
         report.lambda_sweep(NoInference(), unlabeled, [0.6], ["hard"], [0])
     with pytest.raises(InvalidInputError, match="at least one method"):
         report.evaluate_all(NoInference(), task, [])
-    for bad in (None, 3, 0.6):
+    for bad in (None, 3, 0.6, "pseudocal", b"01"):  # a string is not a list of its characters
         with pytest.raises(InvalidInputError, match="must be a list"):
             report.evaluate_all(NoInference(), task, bad)
         for lists in ((bad, ["hard"], [0]), ([0.6], bad, [0]), ([0.6], ["hard"], bad)):

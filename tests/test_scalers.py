@@ -310,6 +310,11 @@ def test_nll_decomposition_needs_a_positive_finite_temperature():
     assert scalers.nll_decomposition(b, 2).total == scalers.nll_decomposition(b, 2.0).total
 
 
+def test_nll_decomposition_requires_labels():
+    with pytest.raises(LabelsRequiredError):
+        scalers.nll_decomposition(metrics.PredictionBatch(logits=[[3.0, 0.0]]), 1.0)
+
+
 @pytest.mark.filterwarnings("error")
 def test_nll_decomposition_names_a_temperature_too_small_for_the_logits():
     b = metrics.PredictionBatch(logits=[[3.0, 0.0], [0.0, 3.0]], labels=[0, 0])

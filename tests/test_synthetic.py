@@ -20,6 +20,8 @@ def test_spec_validation():
         synthetic.ShiftSpec(target_priors=(0.0,) * 5)
     with pytest.raises(InvalidSpecError):
         synthetic.ShiftSpec(target_priors=(0.9, 0.2, 0.0, 0.0, -0.1))
+    with pytest.raises(InvalidSpecError, match="sum to 1"):
+        synthetic.ShiftSpec(target_priors=(0.5, 0.2, 0.1, 0.1, 0.05))
     with pytest.raises(InvalidSpecError):
         synthetic.ShiftSpec(cluster_std=0.0)
     with pytest.raises(InvalidSpecError):
@@ -217,6 +219,8 @@ def test_train_needs_a_seed():
     for bad in ([], (), range(0)):
         with pytest.raises(InvalidInputError, match="at least one seed"):
             synthetic.train(task, epochs=10, lr=0.1, seed=bad)
+    with pytest.raises(InvalidInputError, match="seeds must be a list, got '5'"):
+        synthetic.train(task, epochs=10, lr=0.1, seed="5")
 
 
 def test_train_deterministic_per_seed():
