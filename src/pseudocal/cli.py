@@ -63,6 +63,8 @@ def _options(args):
     options = {}
     for key, convert in _COMMANDS[args.command].options.items():
         value = getattr(args, key)
+        if value == []:  # argparse (3.11) strips the value of --flag=-- to an empty list
+            value = "--"
         if value is None:
             if key not in config:
                 continue

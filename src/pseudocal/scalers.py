@@ -133,6 +133,13 @@ def fit_temperature(batch, soft_labels=None):
     it is the constrained optimum, not a failed search. Raises
     OptimizationError if the search does not converge.
 
+    A bound's slope is taken only when the answer may lie there: for an
+    end of the bracket that no iterate has moved, at the second bisection
+    step that leans on it, or once the search stops. Those probes never
+    move the bracket, so the iterates, and T bit for bit, are those of a
+    search that probes both bounds first; an interior optimum takes no
+    pass at a bound, and a bound optimum up to three more than that search.
+
     Each gradient pass walks the logits in blocks of ``numerics.BLOCK_ROWS``
     rows, so the fit holds O(n + BLOCK_ROWS * C) floats next to the logits,
     and every row's terms are averaged over all n rows at once: the fitted
@@ -140,8 +147,9 @@ def fit_temperature(batch, soft_labels=None):
     """
     soft_labels = _checked_soft_labels(batch, soft_labels)
     z = batch.logits
-    rowmax = reduce_classes(np.maximum, z)
-    blocks = row_blocks(batch.n)
+    n = batch.n
+    rowmax = np.empty((n, 1))
+    blocks = row_blocks(n)
     # One block x C buffer each for d = z - rowmax(z) and for exp(beta * d).
     d_buf = np.empty((blocks[0].stop, batch.num_classes))
     e_buf = np.empty_like(d_buf)
@@ -151,17 +159,19 @@ def fit_temperature(batch, soft_labels=None):
         np.subtract(z[rows], rowmax[rows], out=d)
         return d
 
-    d_y = np.empty(batch.n)
-    mass = np.ones(batch.n)
+    # One read of the logits: each block's row max, then its target share of d.
+    d_y = np.empty(n)
+    mass = None if soft_labels is None else np.empty(n)  # None: 1 per row
     for rows in blocks:
+        reduce_classes(np.maximum, z[rows], out=rowmax[rows])
         d = shifted(rows)
         if soft_labels is None:
             d_y[rows] = d[np.arange(len(d)), batch.labels[rows]]
         else:
             d_y[rows] = np.einsum("ij,ij->i", soft_labels[rows], d)
             mass[rows] = reduce_classes(np.add, soft_labels[rows])[:, 0]
-    row_slope = np.empty(batch.n)
-    row_curvature = np.empty(batch.n)
+    row_slope = np.empty(n)
+    row_curvature = np.empty(n)
 
     def slope_and_curvature(beta):
         for rows in blocks:
@@ -171,26 +181,39 @@ def fit_temperature(batch, soft_labels=None):
             np.multiply(d, beta, out=e)
             np.exp(e, out=e)
             total = reduce_classes(np.add, e)[:, 0]
-            mean_d = np.einsum("ij,ij->i", e, d) / total
-            var_d = np.einsum("ij,ij,ij->i", e, d, d) / total - mean_d**2
-            row_slope[rows] = mass[rows] * mean_d - d_y[rows]
-            row_curvature[rows] = mass[rows] * var_d
-        slope = float(np.mean(row_slope))
+            mean_d = np.einsum("ij,ij->i", e, d)
+            mean_d /= total
+            var_d = np.einsum("ij,ij,ij->i", e, d, d, out=row_curvature[rows])
+            var_d /= total
+            var_d -= mean_d**2
+            if mass is not None:  # a unit mass would multiply each term by 1.0
+                var_d *= mass[rows]
+                mean_d *= mass[rows]
+            np.subtract(mean_d, d_y[rows], out=row_slope[rows])
+        # np.mean's own pairwise sum and division, without its Python wrapper.
+        slope = float(np.add.reduce(row_slope) / n)
         if not math.isfinite(slope):
             raise OptimizationError(f"NLL gradient is not finite at T={1.0 / beta!r}", probe=1.0 / beta)
-        return slope, float(np.mean(row_curvature))
+        return slope, float(np.add.reduce(row_curvature) / n)
 
-    lo, hi = 1.0 / T_MAX, 1.0 / T_MIN
-    if slope_and_curvature(lo)[0] >= 0.0:
-        return Calibrator(kind="temperature", temperature=T_MAX)
-    if slope_and_curvature(hi)[0] <= 0.0:
-        return Calibrator(kind="temperature", temperature=T_MIN)
+    probed = set()
+
+    def bound_optimum(lo, hi):
+        """The bound T at an unprobed end of [lo, hi] where the NLL still falls, or None."""
+        # 1/T_MAX first: a flat NLL (every row a tie) is fitted with T_MAX.
+        for end, t, sign in ((1.0 / T_MAX, T_MAX, 1.0), (1.0 / T_MIN, T_MIN, -1.0)):
+            if end in (lo, hi) and end not in probed:
+                probed.add(end)
+                if sign * slope_and_curvature(end)[0] >= 0.0:
+                    return t
+        return None
 
     # Newton steps on the increasing gradient, kept inside the sign bracket
     # [lo, hi]; a step that leaves the bracket, or does not at least halve
     # the step before last, falls back to bisection. The bracket spans a
     # factor of 400, so it is halved in log beta.
-    beta, step, last_step = 1.0, hi - lo, hi - lo
+    lo, hi = 1.0 / T_MAX, 1.0 / T_MIN
+    beta, step, last_step, bisections, stopped = 1.0, hi - lo, hi - lo, 0, True
     for _ in range(NEWTON_MAX_ITER):
         slope, curvature = slope_and_curvature(beta)
         if slope > 0.0:
@@ -203,11 +226,19 @@ def fit_temperature(batch, soft_labels=None):
         if lo <= beta + newton <= hi and abs(newton) <= 0.5 * abs(last_step):
             last_step, step = step, newton
         else:
+            bisections += 1
+            if bisections == 2 and (bound := bound_optimum(lo, hi)) is not None:
+                return Calibrator(kind="temperature", temperature=bound)
             last_step, step = step, np.sqrt(lo * hi) - beta
         beta += step
         if abs(step) <= NEWTON_REL_TOL * beta:
             break
     else:
+        stopped = False
+    bound = bound_optimum(lo, hi)
+    if bound is not None:
+        return Calibrator(kind="temperature", temperature=bound)
+    if not stopped:
         raise OptimizationError(
             f"temperature fit did not converge in {NEWTON_MAX_ITER} Newton/bisection steps",
             probe=1.0 / beta,

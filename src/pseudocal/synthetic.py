@@ -66,6 +66,10 @@ class ShiftSpec:
             raise InvalidSpecError("sample counts must be at least the class count")
         if self.cluster_std <= 0 or self.seed < 0:
             raise InvalidSpecError("cluster_std must be positive and the seed nonnegative")
+        # The largest of generate's (rows, dim) float64 arrays must be one numpy can shape.
+        rows = max(self.n_classes, self.n_source, self.n_target)
+        if rows * self.dim * np.dtype(np.float64).itemsize > np.iinfo(np.intp).max:
+            raise InvalidSpecError(f"a {rows} x {self.dim} array is too large for numpy")
         if self.target_priors is not None:
             try:
                 priors = finite_array(self.target_priors, "target priors", 1)

@@ -315,13 +315,12 @@ def _run_quietly(argv):
 
 
 # JSON scalars, and short strings such as flags carry; integers stay small, as sizes allocate.
-# argparse (3.11) reads ``--seed=--`` as an empty list, so the flag cannot carry the text "--".
 CONFIG_VALUES = st.one_of(
     st.none(),
     st.booleans(),
     st.integers(-3, 40),
     st.floats(),
-    st.text(alphabet="0123456789.,-+eE xInfa", max_size=5).filter(lambda text: text != "--"),
+    st.text(alphabet="0123456789.,-+eE xInfa", max_size=5),
     st.sampled_from(["hard", "soft", "none", "pseudocal", "beta", "same", "0.6, ", "1,2"]),
 )
 OPTIONS = [(name, key) for name, command in cli._COMMANDS.items() for key in command.options]
@@ -439,6 +438,30 @@ def test_generate_with_target_priors(tmp_path, capsys):
     assert capsys.readouterr().err == (
         "error: InvalidSpecError: target priors must have one entry per class\n"
     )
+
+
+def test_generate_rejects_a_size_numpy_cannot_shape(tmp_path, capsys):
+    # numpy refuses a 10 x 10**20 shape without allocating; ShiftSpec rejects it first.
+    out = tmp_path / "huge.json"
+    assert run([
+        "generate", "--dim", "100000000000000000000", "--n-source", "10", "--n-target", "10",
+        "--out", str(out),
+    ]) == 1
+    assert capsys.readouterr().err == (
+        "error: InvalidSpecError: a 10 x 100000000000000000000 array is too large for numpy\n"
+    )
+    assert not out.exists()
+
+
+def test_flag_equals_double_dash_is_the_text_double_dash(workspace, tmp_path):
+    # argparse (3.11) hands --flag=-- over as an empty list; the option reads it as "--".
+    root, task, model = workspace
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"mixup_epochs": "--"}))
+    base = ["calibrate", "--task", str(task), "--model", str(model), "--out", str(tmp_path / "c.json")]
+    expected = (2, "error: malformed mixup_epochs '--': invalid literal for int() with base 10: '--'\n")
+    assert _run_quietly([*base, "--mixup-epochs=--"]) == expected
+    assert _run_quietly([*base, "--config", str(config)]) == expected
 
 
 def test_subcommands_do_not_mutate_inputs(workspace, tmp_path):

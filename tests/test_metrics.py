@@ -1,10 +1,13 @@
 import io
 import math
 
+import hypothesis.extra.numpy as hnp
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from pseudocal import metrics
+from pseudocal.numerics import reduce_classes
 from pseudocal.errors import InvalidInputError, LabelsRequiredError
 
 from _util import brier, ece_bruteforce, nll, random_batch
@@ -171,6 +174,26 @@ def test_mean_metrics_match_per_sample_oracle():
         brier_sum = sum(brier(probs[i], int(b.labels[i])) for i in range(b.n))
         assert metrics.mean_nll(b) == pytest.approx(nll_sum / b.n, abs=1e-12)
         assert metrics.mean_brier(b) == pytest.approx(brier_sum / b.n, abs=1e-12)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.tuples(st.integers(1, 20), st.integers(2, 16)).flatmap(
+        lambda shape: hnp.arrays(
+            np.float64,
+            shape,
+            elements=st.one_of(
+                st.integers(-3, 3).map(float),  # small integers: ties for the max
+                st.sampled_from([-1e3, 1e3]),
+                st.floats(-1e3, 1e3),
+            ),
+        )
+    )
+)
+def test_confidences_are_the_max_probability_bit_for_bit(z):
+    b = metrics.PredictionBatch(logits=z)
+    expected = reduce_classes(np.maximum, b.probabilities())[:, 0]
+    assert repr(b.confidences().tolist()) == repr(expected.tolist())
 
 
 def test_labels_required():

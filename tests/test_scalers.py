@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from pseudocal import metrics, numerics, scalers
+from pseudocal import metrics, numerics, pseudo_target, report, scalers
 from pseudocal.errors import InvalidInputError, LabelsRequiredError, OptimizationError
 
 from _util import (
@@ -103,6 +103,13 @@ def _fit_cases(rng, n, c):
     ]
 
 
+def _fit(z, labels):
+    """fit_temperature on hard class indices or an (n, C) soft-label matrix."""
+    if labels.ndim == 2:
+        return scalers.fit_temperature(metrics.PredictionBatch(logits=z), soft_labels=labels)
+    return scalers.fit_temperature(metrics.PredictionBatch(logits=z, labels=labels))
+
+
 @pytest.mark.parametrize("block_rows", [1, 7, 64, numerics.BLOCK_ROWS])
 def test_blocked_fit_is_bit_identical_to_the_whole_array_fit(monkeypatch, block_rows):
     # Summing the slope block by block instead moves T in its last bits on
@@ -116,10 +123,7 @@ def test_blocked_fit_is_bit_identical_to_the_whole_array_fit(monkeypatch, block_
         if block_rows > 1 and n % block_rows == 0:
             n += 1
         for name, z, labels in _fit_cases(rng, n, c):
-            if labels.ndim == 2:
-                t = scalers.fit_temperature(metrics.PredictionBatch(logits=z), soft_labels=labels)
-            else:
-                t = scalers.fit_temperature(metrics.PredictionBatch(logits=z, labels=labels))
+            t = _fit(z, labels)
             expected = unblocked_temperature(z, labels)
             assert repr(t.temperature) == repr(expected), (name, n, c)
             bound = {"t_min": scalers.T_MIN, "t_max": scalers.T_MAX}.get(name)
@@ -127,6 +131,110 @@ def test_blocked_fit_is_bit_identical_to_the_whole_array_fit(monkeypatch, block_
                 assert scalers.T_MIN < expected < scalers.T_MAX, (name, n, c)
             else:
                 assert expected == bound
+
+
+class _PassCounter:
+    """Counts class-axis sums and maxima over 2-D arrays in scalers. On logits of one row
+    block, a fit sums once per slope pass, and once more for a soft-label fit's target mass."""
+
+    def __init__(self, monkeypatch):
+        self.sums, self.maxima = 0, []
+        reduce_classes = scalers.reduce_classes
+
+        def counting(ufunc, a, out=None):
+            if a.ndim == 2 and ufunc is np.add:
+                self.sums += 1
+            elif a.ndim == 2 and ufunc is np.maximum:
+                self.maxima.append(len(a))
+            return reduce_classes(ufunc, a, out=out)
+
+        monkeypatch.setattr(scalers, "reduce_classes", counting)
+
+
+@pytest.fixture(scope="module")
+def sweep_fits():
+    """Every temperature fit of the default sweep grid on the bench cell, as (logits, targets, T),
+    and the slope passes they made; then the pseudo-label fit on the cell's target logits."""
+    task, model, batch = bench_setup(0)
+    fits, passes = [], []
+    patch = pytest.MonkeyPatch()
+    counter = _PassCounter(patch)
+
+    def recording(batch, soft_labels=None):
+        before = counter.sums
+        cal = scalers.fit_temperature(batch, soft_labels)
+        passes.append(counter.sums - before - (soft_labels is not None))
+        targets = batch.labels if soft_labels is None else np.array(soft_labels)
+        fits.append((batch.logits, targets, cal.temperature))
+        return cal
+
+    patch.setattr(pseudo_target, "fit_temperature", recording)
+    try:
+        report.lambda_sweep(model, task)
+        sweep_passes = sum(passes)
+        pseudo_target.variant_pseudo_label(batch.logits)
+    finally:
+        patch.undo()
+    return fits, sweep_passes, passes[-1]
+
+
+def test_lazy_bound_probes_keep_every_temperature_bit_for_bit(sweep_fits):
+    # The oracle probes both bounds before its first Newton step; the fit probes a
+    # bound only when the answer may lie there, and must return the same bits.
+    rng = np.random.default_rng(20)
+    cases = []
+    for _ in range(250):
+        n, c = int(rng.integers(1, 301)), int(rng.integers(2, 13))
+        cases += [(z, labels) for _, z, labels in _fit_cases(rng, n, c)]
+    for _ in range(50):  # flat targets end at T_MAX, a batch of ties has no slope at all
+        n, c = int(rng.integers(1, 301)), int(rng.integers(2, 13))
+        cases.append((rng.standard_normal((n, c)), np.full((n, c), 1.0 / c)))
+        cases.append((np.zeros((n, c)), rng.integers(0, c, n)))
+    at = {"interior": 0, scalers.T_MIN: 0, scalers.T_MAX: 0}
+    for z, labels in cases:
+        t = _fit(z, labels).temperature
+        assert repr(t) == repr(unblocked_temperature(z, labels)), (z.shape, labels.ndim)
+        at[t if t in at else "interior"] += 1
+    assert min(at.values()) >= 250, at
+
+    fits, _, _ = sweep_fits
+    assert len(fits) == 2 * len(report.SWEEP_LAMBDAS) * len(report.SWEEP_SEEDS) + 1
+    for z, targets, t in fits:
+        assert repr(t) == repr(unblocked_temperature(z, targets))
+    assert fits[-1][2] == scalers.T_MIN  # the pseudo-label fit ends at the sharpening bound
+
+
+def test_fit_makes_only_the_passes_its_answer_needs(monkeypatch, sweep_fits):
+    _, sweep_passes, pseudo_label_passes = sweep_fits
+    # Probing both bounds first took 610 passes over the grid's 70 fits.
+    assert sweep_passes <= 500
+    # An eager search takes one pass to find T_MAX and two to find T_MIN; probing
+    # lazily costs a bound fit at most three more.
+    counter = _PassCounter(monkeypatch)
+    eager = {scalers.T_MAX: 1, scalers.T_MIN: 2}
+    assert pseudo_label_passes <= eager[scalers.T_MIN] + 3
+    rng = np.random.default_rng(21)
+    for _ in range(100):
+        n, c = int(rng.integers(1, 301)), int(rng.integers(2, 13))
+        for name, z, labels in _fit_cases(rng, n, c)[2:]:  # hard labels that end at a bound
+            before = counter.sums
+            cal = _fit(z, labels)
+            passes = counter.sums - before
+            assert cal.temperature == {"t_min": scalers.T_MIN, "t_max": scalers.T_MAX}[name]
+            assert passes <= eager[cal.temperature] + 3, (name, passes)
+
+
+def test_pre_pass_reads_each_block_of_logits_once(monkeypatch):
+    # The row max is taken block by block with the targets, never over the whole matrix.
+    monkeypatch.setattr(numerics, "BLOCK_ROWS", 7)
+    counter = _PassCounter(monkeypatch)
+    b = random_batch(np.random.default_rng(22), n_max=60, c_max=9)
+    blocks = [min(7, b.n - start) for start in range(0, b.n, 7)]
+    assert len(blocks) > 2
+    t = scalers.fit_temperature(b).temperature
+    assert counter.maxima == blocks
+    assert counter.sums % len(blocks) == 0
+    assert repr(t) == repr(unblocked_temperature(b.logits, b.labels))
 
 
 def test_fit_temperature_not_worse_than_uncalibrated():

@@ -26,6 +26,8 @@ def test_spec_validation():
         synthetic.ShiftSpec(cluster_std=0.0)
     with pytest.raises(InvalidSpecError):
         synthetic.ShiftSpec(seed=-1)
+    with pytest.raises(InvalidSpecError, match="too large for numpy"):
+        synthetic.ShiftSpec(dim=10**20, n_source=10, n_target=10)  # numpy refuses it unallocated
     # every field is type-checked, and a bool is not a number
     for bad in (
         dict(mean_shift="x"),
