@@ -149,8 +149,8 @@ def synthesize(model, target_inputs, target_pseudo_labels, cfg):
         raise InvalidInputError("target inputs must be an (n>=2, d) matrix")
     n = inputs.shape[0]
     pl = finite_array(target_pseudo_labels, "target pseudo labels", 1, integer=True)
-    if pl.shape != (n,):
-        raise InvalidInputError("target pseudo labels must hold one label per target input")
+    if pl.shape != (n,) or pl.min() < 0:
+        raise InvalidInputError("target pseudo labels must hold one label >= 0 per target input")
 
     rng = np.random.default_rng(cfg.seed)
     parts = []
@@ -188,7 +188,7 @@ def synthesize(model, target_inputs, target_pseudo_labels, cfg):
     del parts  # the per-epoch copies must not outlive the mixed-set inference
     logits = infer(model, mixed)
     del mixed
-    if pl.min() < 0 or pl.max() >= logits.shape[1]:
+    if pl.max() >= logits.shape[1]:
         raise InvalidInputError(f"target pseudo labels must lie in [0, {logits.shape[1]})")
     return PseudoTargetSet(
         logits=logits, index_a=idx_a, index_b=idx_b, lam=lam, pl_a=pl[idx_a], pl_b=pl[idx_b]
@@ -256,15 +256,14 @@ def variant_pseudo_label(target_logits):
 
 
 def variant_filtered_pl(target_logits):
-    """Pseudo-label fit restricted to samples with confidence >= FILTER_THRESHOLD."""
-    pl = argmax_rows(target_logits)
-    batch = PredictionBatch(logits=target_logits, labels=pl)
+    """The pseudo-label fit on the samples with confidence >= FILTER_THRESHOLD."""
+    batch = PredictionBatch(logits=target_logits)
     keep = batch.confidences() >= FILTER_THRESHOLD
     if not np.any(keep):
         raise EmptyFilterError(
             f"no sample reaches confidence {FILTER_THRESHOLD}; filtered pseudo-label fit is empty"
         )
-    return fit_temperature(PredictionBatch(logits=batch.logits[keep], labels=pl[keep]))
+    return variant_pseudo_label(batch.logits[keep])
 
 
 def write_provenance_csv(pseudo, path_or_file):

@@ -42,11 +42,19 @@ _ARMIJO_C = 1e-4
 _ARMIJO_MAX_HALVINGS = 50
 
 
+# The parameter fields each calibrator kind holds; any other must be None.
+_KIND_FIELDS = {
+    "identity": (), "temperature": ("temperature",),
+    "vector": ("scale", "bias"), "matrix": ("weight", "bias"),
+}
+
+
 @dataclass(frozen=True)
 class Calibrator:
     """A fitted post-hoc transform applied to logits.
 
-    kind is one of "identity", "temperature", "vector", "matrix".
+    kind is one of "identity", "temperature", "vector", "matrix", and a
+    calibrator holds exactly its kind's fields (``_KIND_FIELDS``).
     ``converged`` is False when a vector/matrix fit stopped before the
     exact NLL's gradient norm fell below AFFINE_GRAD_TOL (the iteration
     cap, or no decrease left in floating point); the temperature fit
@@ -63,8 +71,11 @@ class Calibrator:
     converged: bool = True
 
     def __post_init__(self):
-        if self.kind not in ("identity", "temperature", "vector", "matrix"):
+        if not isinstance(self.kind, str) or self.kind not in _KIND_FIELDS:
             raise InvalidInputError(f"unknown calibrator kind {self.kind!r}")
+        for name in ("temperature", "scale", "bias", "weight"):
+            if getattr(self, name) is not None and name not in _KIND_FIELDS[self.kind]:
+                raise InvalidInputError(f"{self.kind} calibrator has no {name}")
         if self.kind == "temperature":
             t = self.temperature
             if not is_finite_number(t) or not T_MIN <= t <= T_MAX:
@@ -301,35 +312,31 @@ def _conjugate_gradient(matvec, rhs, rtol):
     return s
 
 
-def _fit_affine(batch, theta, mask):
+def _fit_affine(batch, theta, logits_of, pullback):
     """Minimize the exact affine NLL by damped Newton-CG from ``theta``.
 
-    ``theta = [W | b]`` is a (C, C+1) matrix acting on the features
-    ``x = [z, 1]``, so the calibrated logits are ``x @ theta.T``. Only the
-    entries where ``mask`` is 1 are free: the diagonal of W and b for
-    vector scaling, everything for matrix scaling.
-
+    ``logits_of(theta)`` gives the calibrated (n, C) logits and is linear
+    in ``theta``; ``pullback(r)``, its adjoint, takes an (n, C) matrix back
+    to ``theta``'s shape, so the solver works in the map's own parameters.
     The NLL is the mean cross-entropy by log-softmax, with no probability
-    clamp: convex and smooth (multinomial logistic regression on x), with
-    gradient ``(p - onehot)^T x / n`` and Hessian-vector product
-    ``(p * (u - rowsum(p * u)))^T x / n`` for ``u = x v^T``. Each step
-    solves ``(H + |g| I) s = -g`` by conjugate gradients to a relative
-    residual of ``min(0.5, sqrt(|g|))``, then backtracks (Armijo) on the
-    exact NLL. The damping ``|g|`` makes the system positive definite
-    despite softmax's shift invariance and bounds every step by 1, so
-    separable data, whose optimum lies at infinity, never overflows. Memory
-    is O(n C): the (C(C+1))^2 Hessian is never formed.
+    clamp: convex and smooth, with gradient ``pullback(p - onehot) / n``
+    and Hessian-vector product ``pullback(p * (u - rowsum(p * u))) / n``
+    for ``u = logits_of(v)``. Each step solves ``(H + |g| I) s = -g`` by
+    conjugate gradients to a relative residual of ``min(0.5, sqrt(|g|))``,
+    then backtracks (Armijo) on the exact NLL. The damping ``|g|`` makes
+    the system positive definite despite softmax's shift invariance and
+    bounds every step by 1, so separable data, whose optimum lies at
+    infinity, never overflows. The Hessian is never formed.
 
     Descent is monotone, so the result's NLL never exceeds the warm
     start's. Returns the parameters and whether the gradient norm fell
     below AFFINE_GRAD_TOL within AFFINE_MAX_ITER steps.
     """
     n = batch.n
-    x = np.hstack([batch.logits, np.ones((n, 1))])
     rows, labels = np.arange(n), batch.labels
 
     def nll_and_probs(theta):
-        logp = log_softmax(x @ theta.T)
+        logp = log_softmax(logits_of(theta))
         return float(np.mean(-logp[rows, labels])), np.exp(logp)
 
     nll, p = nll_and_probs(theta)
@@ -337,7 +344,7 @@ def _fit_affine(batch, theta, mask):
     for steps in range(AFFINE_MAX_ITER + 1):
         resid = p.copy()
         resid[rows, labels] -= 1.0
-        grad = mask * (resid.T @ x) / n
+        grad = pullback(resid) / n
         grad_norm = float(np.linalg.norm(grad))
         if grad_norm < AFFINE_GRAD_TOL:
             return theta, True
@@ -345,9 +352,9 @@ def _fit_affine(batch, theta, mask):
             break
 
         def damped_hessian(v, p=p, damping=grad_norm):
-            u = x @ v.T
+            u = logits_of(v)
             u -= reduce_classes(np.add, p * u)
-            return mask * ((p * u).T @ x) / n + damping * v
+            return pullback(p * u) / n + damping * v
 
         step = _conjugate_gradient(damped_hessian, -grad, min(0.5, math.sqrt(grad_norm)))
         slope = float(np.sum(grad * step))
@@ -373,14 +380,19 @@ def fit_vector(batch):
     NLL gradient norm fell below AFFINE_GRAD_TOL.
     """
     t = fit_temperature(batch).temperature
-    c = batch.num_classes
-    eye = np.eye(c)
-    theta, converged = _fit_affine(
-        batch, np.hstack([eye / t, np.zeros((c, 1))]), np.hstack([eye, np.ones((c, 1))])
-    )
-    return Calibrator(
-        kind="vector", scale=np.diag(theta).copy(), bias=theta[:, c].copy(), converged=converged
-    )
+    z, c, ones = batch.logits, batch.num_classes, np.ones(batch.n)
+
+    def logits_of(theta):  # theta = [scale, bias], mapped as Calibrator.apply does
+        u = z * theta[0]
+        u += theta[1]
+        return u
+
+    def pullback(r):  # column sums as products with ones: numpy's axis-0 sum is slow at small C
+        return np.array([ones @ (r * z), ones @ r])
+
+    start = np.stack([np.full(c, 1.0 / t), np.zeros(c)])
+    theta, converged = _fit_affine(batch, start, logits_of, pullback)
+    return Calibrator(kind="vector", scale=theta[0], bias=theta[1], converged=converged)
 
 
 def fit_matrix(batch):
@@ -392,12 +404,11 @@ def fit_matrix(batch):
     gradient norm fell below AFFINE_GRAD_TOL.
     """
     seed = fit_vector(batch)
-    c = batch.num_classes
-    theta, converged = _fit_affine(
-        batch, np.hstack([np.diag(seed.scale), seed.bias[:, None]]), np.ones((c, c + 1))
-    )
+    x = np.hstack([batch.logits, np.ones((batch.n, 1))])  # theta = [W | b] acts on [z, 1]
+    start = np.hstack([np.diag(seed.scale), seed.bias[:, None]])
+    theta, converged = _fit_affine(batch, start, lambda theta: x @ theta.T, lambda r: r.T @ x)
     return Calibrator(
-        kind="matrix", weight=theta[:, :c].copy(), bias=theta[:, c].copy(), converged=converged
+        kind="matrix", weight=theta[:, :-1].copy(), bias=theta[:, -1].copy(), converged=converged
     )
 
 

@@ -4,14 +4,14 @@ from dataclasses import fields, replace
 import numpy as np
 import pytest
 
-from pseudocal import metrics, pseudo_target, scalers, synthetic
+from pseudocal import metrics, numerics, pseudo_target, scalers, synthetic
 from pseudocal.errors import (
     DegenerateTargetError,
     EmptyFilterError,
     InvalidInputError,
 )
 
-from _util import chance_correspondence, two_hot
+from _util import bench_setup, chance_correspondence, two_hot
 
 
 class IdentityModel:
@@ -134,6 +134,19 @@ def test_synthesize_checks_target_pseudo_labels():
     for bad in (pl[:-1], pl.astype(float) + 0.5, np.where(pl == 2, 3, pl), pl - 1, pl[:, None]):
         with pytest.raises(InvalidInputError, match="target pseudo labels"):
             pseudo_target.synthesize(IdentityModel(), x, bad, cfg)
+
+
+class NoInference:
+    def predict_logits(self, inputs):
+        raise AssertionError("inferred before the pseudo labels were checked")
+
+
+def test_synthesize_rejects_negative_pseudo_labels_before_inferring():
+    # The upper bound needs the class count, which only inference gives.
+    x = np.random.default_rng(3).standard_normal((10, 3))
+    pl = np.arange(10) % 3 - 1
+    with pytest.raises(InvalidInputError, match="target pseudo labels"):
+        pseudo_target.synthesize(NoInference(), x, pl, pseudo_target.MixupConfig())
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
@@ -320,6 +333,22 @@ def test_variant_filtered_pl_threshold_and_empty():
     flat[:, 0] = 0.1
     with pytest.raises(EmptyFilterError):
         pseudo_target.variant_filtered_pl(flat)
+
+
+def test_variant_filtered_pl_is_the_pseudo_label_fit_on_the_kept_rows():
+    def labelled_then_filtered(z):  # argmax of every row, then the confident rows' fit
+        pl = numerics.argmax_rows(z)
+        batch = metrics.PredictionBatch(logits=z, labels=pl)
+        keep = batch.confidences() >= pseudo_target.FILTER_THRESHOLD
+        return scalers.fit_temperature(metrics.PredictionBatch(logits=z[keep], labels=pl[keep]))
+
+    rng = np.random.default_rng(11)
+    cells = [bench_setup(0)[2].logits]
+    cells += [rng.standard_normal((300, c)) * s for c, s in ((2, 3.0), (5, 6.0), (12, 10.0))]
+    cells.append(np.round(cells[-1]))  # ties in the argmax
+    for z in cells:
+        expected = labelled_then_filtered(z).temperature
+        assert repr(pseudo_target.variant_filtered_pl(z).temperature) == repr(expected)
 
 
 def test_variant_same_label_uses_agreeing_pairs():

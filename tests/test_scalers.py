@@ -551,6 +551,44 @@ def test_affine_fit_tests_the_gradient_at_the_step_cap(monkeypatch):
         assert cal.converged == converges
 
 
+def test_vector_fit_solves_only_its_own_parameters(monkeypatch):
+    # Each Newton-CG system has the 2C unknowns of scale and bias, not the
+    # C(C+1) entries of a full affine map.
+    b = random_batch(np.random.default_rng(47), n_max=200, c_max=8)
+    sizes, solve = [], scalers._conjugate_gradient
+
+    def recorded(matvec, rhs, rtol):
+        sizes.append(rhs.size)
+        return solve(matvec, rhs, rtol)
+
+    monkeypatch.setattr(scalers, "_conjugate_gradient", recorded)
+    scalers.fit_vector(b)
+    assert sizes and set(sizes) == {2 * b.num_classes}
+
+
+# Fitting-set mean NLL of (vector, matrix) on the bench source split per model
+# seed, as the solver found them when it fitted vector scaling as a masked
+# C x (C+1) matrix. Only the order of float sums differs since.
+MASKED_SOLVER_NLL = {
+    0: (0.21399588956011176, 0.19895232965354287),
+    1: (0.1695254450597459, 0.146530801877084),
+    2: (0.1836143061582547, 0.16653230086006668),
+    3: (0.18297892384939746, 0.16468458387733376),
+}
+
+
+@pytest.mark.parametrize("seed", sorted(MASKED_SOLVER_NLL))
+def test_affine_fits_keep_their_nll_on_bench_source_splits(seed):
+    task, model, _ = bench_setup(seed)
+    b = metrics.PredictionBatch(
+        logits=pseudo_target.infer(model, task.source_val_inputs), labels=task.source_val_labels
+    )
+    nll_v, nll_m = MASKED_SOLVER_NLL[seed]
+    vec, mat = scalers.fit_vector(b), scalers.fit_matrix(b)
+    assert metrics.mean_nll(vec.apply(b)) == pytest.approx(nll_v, rel=0, abs=1e-12)
+    assert metrics.mean_nll(mat.apply(b)) == pytest.approx(nll_m, rel=0, abs=1e-8)
+
+
 def _nll_chain(b):
     nll_t = metrics.mean_nll(scalers.fit_temperature(b).apply(b))
     vec, mat = scalers.fit_vector(b), scalers.fit_matrix(b)
@@ -623,6 +661,24 @@ def test_calibrator_json_roundtrip(tmp_path):
         scalers.load_calibrator(path)
 
 
+# A valid two-class document of each kind, and every field that belongs to
+# another kind, with a value that would be valid there.
+EYE = [[1.0, 0.0], [0.0, 1.0]]
+KIND_DOCS = {
+    "identity": {"schema_version": 1, "kind": "identity"},
+    "temperature": {"schema_version": 1, "kind": "temperature", "temperature": 2.0},
+    "vector": {"schema_version": 1, "kind": "vector", "scale": [1.0, 2.0], "bias": [0.0, 0.0]},
+    "matrix": {"schema_version": 1, "kind": "matrix", "weight": EYE, "bias": [0.0, 0.0]},
+}
+FIELD_VALUES = {"temperature": 3.0, "scale": [1.0, 1.0], "bias": [0.0, 0.0], "weight": EYE}
+STRAY_FIELDS = [
+    (kind, name, value)
+    for kind, doc in KIND_DOCS.items()
+    for name, value in FIELD_VALUES.items()
+    if name not in doc
+]
+
+
 @pytest.mark.parametrize(
     "doc",
     [
@@ -640,15 +696,24 @@ def test_calibrator_json_roundtrip(tmp_path):
         {"schema_version": 1, "kind": "vector", "scale": [1.0, float("nan")], "bias": [0.0, 0.0]},
         {"schema_version": 1, "kind": "matrix", "weight": [[1.0, 0.0], [0.0]], "bias": [0.0, 0.0]},
         {"schema_version": 1, "kind": "temperature", "temperature": 2.0, "converged": "no"},
-    ],
+    ] + [{**KIND_DOCS[kind], name: value} for kind, name, value in STRAY_FIELDS],
     ids=["vector-lengths", "vector-2d", "vector-no-bias", "matrix-not-square",
          "matrix-vs-bias", "unknown-version", "no-version", "no-kind",
          "temperature-string", "temperature-bool", "scale-strings", "scale-nan",
-         "weight-ragged", "converged-string"],
+         "weight-ragged", "converged-string"]
+    + [f"{kind}-with-{name}" for kind, name, _ in STRAY_FIELDS],
 )
 def test_malformed_calibrator_document_is_rejected(doc):
     with pytest.raises(InvalidInputError):
         scalers.calibrator_from_dict(doc)
+
+
+def test_stray_field_documents_differ_from_a_valid_one_only_by_that_field():
+    for kind, doc in KIND_DOCS.items():
+        assert scalers.calibrator_from_dict(doc).kind == kind
+    for kind, name, value in STRAY_FIELDS:
+        with pytest.raises(InvalidInputError, match=f"{kind} calibrator has no {name}"):
+            scalers.calibrator_from_dict({**KIND_DOCS[kind], name: value})
 
 
 def test_calibrator_checks_affine_shapes():
