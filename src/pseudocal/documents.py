@@ -1,7 +1,8 @@
 """The one document layer: every JSON and CSV file the package reads or writes.
 
-Records' ``*_from_dict`` functions map keys to constructor arguments, and
-the constructors validate them; this module owns only the encoding.
+Records' ``*_from_dict`` functions pass the entries ``check_document``
+returns to the record's constructor, which validates the values; this
+module owns only the encoding.
 """
 
 import csv
@@ -14,11 +15,24 @@ from .errors import InvalidInputError
 SCHEMA_VERSION = 1
 
 
-def check_version(doc, what):
-    """Reject a ``what`` document that is not a JSON object of this schema version."""
+def check_document(doc, what, required, optional=()):
+    """The entries of ``doc``, a ``what`` document, other than its ``schema_version``.
+
+    A document that is not a JSON object of this schema version, a key
+    outside ``required`` and ``optional`` (a misspelt one too) and a
+    missing ``required`` key each raise InvalidInputError.
+    """
     version = doc.get("schema_version") if isinstance(doc, dict) else None
     if version != SCHEMA_VERSION:
         raise InvalidInputError(f"unsupported {what} document schema_version {version!r}")
+    entries = {key: value for key, value in doc.items() if key != "schema_version"}
+    for key in entries:
+        if key not in required and key not in optional:
+            raise InvalidInputError(f"a {what} document has no key {key!r}")
+    for key in required:
+        if key not in entries:
+            raise InvalidInputError(f"a {what} document needs the key {key!r}")
+    return entries
 
 
 def json_text(doc, indent=None):

@@ -1,6 +1,6 @@
 """Calibration-error metrics and reliability-diagram bin statistics."""
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -84,7 +84,10 @@ class PredictionBatch:
 
 @dataclass(frozen=True)
 class BinStats:
-    """Per-bin accuracy/confidence records over an equal-width partition of (0, 1]."""
+    """Per-bin accuracy/confidence records over an equal-width partition of (0, 1].
+
+    ``n``, the number of binned samples, is the sum of ``count``.
+    """
 
     bin_count: int
     lower: np.ndarray
@@ -92,7 +95,10 @@ class BinStats:
     count: np.ndarray
     accuracy: np.ndarray
     confidence: np.ndarray
-    n: int = field(default=0)
+
+    @property
+    def n(self):
+        return int(self.count.sum())
 
     def ece(self):
         """Expected calibration error: bin-weighted mean |accuracy - confidence|."""
@@ -145,7 +151,6 @@ def reliability_bins(batch, num_bins=DEFAULT_BINS):
         count=count,
         accuracy=acc,
         confidence=mean_conf,
-        n=batch.n,
     )
 
 

@@ -12,7 +12,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .documents import SCHEMA_VERSION, check_version, read_json, write_json
+from .documents import SCHEMA_VERSION, check_document, read_json, write_json
 from .errors import InvalidInputError, LabelsRequiredError, OptimizationError
 from .metrics import PredictionBatch
 from .numerics import (
@@ -42,11 +42,12 @@ _ARMIJO_C = 1e-4
 _ARMIJO_MAX_HALVINGS = 50
 
 
-# The parameter fields each calibrator kind holds; any other must be None.
+# Each calibrator kind's parameter fields and their array dimensions (0: a number).
 _KIND_FIELDS = {
-    "identity": (), "temperature": ("temperature",),
-    "vector": ("scale", "bias"), "matrix": ("weight", "bias"),
+    "identity": {}, "temperature": {"temperature": 0},
+    "vector": {"scale": 1, "bias": 1}, "matrix": {"weight": 2, "bias": 1},
 }
+_PARAMETERS = tuple(dict.fromkeys(name for fields in _KIND_FIELDS.values() for name in fields))
 
 
 @dataclass(frozen=True)
@@ -54,13 +55,13 @@ class Calibrator:
     """A fitted post-hoc transform applied to logits.
 
     kind is one of "identity", "temperature", "vector", "matrix", and a
-    calibrator holds exactly its kind's fields (``_KIND_FIELDS``).
+    calibrator holds exactly its kind's fields (``_KIND_FIELDS``), which
+    are its document's keys next to ``kind`` and ``converged``.
     ``converged`` is False when a vector/matrix fit stopped before the
     exact NLL's gradient norm fell below AFFINE_GRAD_TOL (the iteration
     cap, or no decrease left in floating point); the temperature fit
     raises instead. It is a warning flag and never blocks applying the
-    calibrator. ``scale``, ``bias`` and ``weight``, where given, are
-    finite float64 arrays.
+    calibrator. ``scale``, ``bias`` and ``weight``, where set, are finite float64 arrays.
     """
 
     kind: str
@@ -73,23 +74,23 @@ class Calibrator:
     def __post_init__(self):
         if not isinstance(self.kind, str) or self.kind not in _KIND_FIELDS:
             raise InvalidInputError(f"unknown calibrator kind {self.kind!r}")
-        for name in ("temperature", "scale", "bias", "weight"):
-            if getattr(self, name) is not None and name not in _KIND_FIELDS[self.kind]:
+        fields = _KIND_FIELDS[self.kind]
+        for name in _PARAMETERS:
+            if name in fields and getattr(self, name) is None:
+                raise InvalidInputError(f"{self.kind} calibrator needs {name}")
+            if name not in fields and getattr(self, name) is not None:
                 raise InvalidInputError(f"{self.kind} calibrator has no {name}")
-        if self.kind == "temperature":
-            t = self.temperature
-            if not is_finite_number(t) or not T_MIN <= t <= T_MAX:
-                raise InvalidInputError(f"temperature must be a number in [{T_MIN}, {T_MAX}], got {t!r}")
+        for name, ndim in fields.items():
+            value = getattr(self, name)
+            if ndim:
+                object.__setattr__(self, name, finite_array(value, f"calibrator {name}", ndim))
+            elif not (is_finite_number(value) and T_MIN <= value <= T_MAX):
+                raise InvalidInputError(f"temperature must be a number in [{T_MIN}, {T_MAX}], got {value!r}")
         if not isinstance(self.converged, bool):
             raise InvalidInputError(f"converged must be true or false, got {self.converged!r}")
-        for name, ndim in (("scale", 1), ("bias", 1), ("weight", 2)):
-            value = getattr(self, name)
-            if value is not None:
-                object.__setattr__(self, name, finite_array(value, f"calibrator {name}", ndim))
-        c = len(self.bias) if self.bias is not None else None
-        if self.kind == "vector" and (c is None or np.shape(self.scale) != (c,)):
+        if self.kind == "vector" and self.scale.shape != self.bias.shape:
             raise InvalidInputError("vector calibrator needs 1-D scale and bias of equal length")
-        if self.kind == "matrix" and (c is None or np.shape(self.weight) != (c, c)):
+        if self.kind == "matrix" and self.weight.shape != 2 * self.bias.shape:
             raise InvalidInputError("matrix calibrator needs a square weight matching its bias")
 
     def apply(self, batch):
@@ -414,24 +415,13 @@ def fit_matrix(batch):
 
 def calibrator_to_dict(calibrator):
     doc = {"schema_version": SCHEMA_VERSION, "kind": calibrator.kind, "converged": calibrator.converged}
-    if calibrator.temperature is not None:
-        doc["temperature"] = calibrator.temperature
-    for name in ("scale", "bias", "weight"):
-        if getattr(calibrator, name) is not None:
-            doc[name] = getattr(calibrator, name).tolist()
+    for name in _KIND_FIELDS[calibrator.kind]:
+        doc[name] = np.asarray(getattr(calibrator, name)).tolist()
     return doc
 
 
 def calibrator_from_dict(doc):
-    check_version(doc, "calibrator")
-    return Calibrator(
-        kind=doc.get("kind"),
-        temperature=doc.get("temperature"),
-        scale=doc.get("scale"),
-        bias=doc.get("bias"),
-        weight=doc.get("weight"),
-        converged=doc.get("converged", True),
-    )
+    return Calibrator(**check_document(doc, "calibrator", ("kind",), ("converged",) + _PARAMETERS))
 
 
 def save_calibrator(calibrator, path):

@@ -12,7 +12,7 @@ from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
 
-from .documents import SCHEMA_VERSION, check_version, read_json, write_json
+from .documents import SCHEMA_VERSION, check_document, read_json, write_json
 from .errors import InvalidInputError, InvalidSpecError, TrainingError
 from .numerics import (
     argmax_rows, class_indices, finite_array, is_finite_number, is_integer, listed, reduce_classes, softmax,
@@ -87,7 +87,7 @@ class ShiftSpec:
             object.__setattr__(self, "target_priors", tuple(float(p) for p in priors))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, kw_only=True)
 class SyntheticTask:
     """A generated source/target problem with labels held out for diagnostics.
 
@@ -97,10 +97,10 @@ class SyntheticTask:
     """
 
     spec: ShiftSpec
-    source_inputs: np.ndarray | None
-    source_labels: np.ndarray | None
+    source_inputs: np.ndarray | None = None
+    source_labels: np.ndarray | None = None
     target_inputs: np.ndarray
-    target_labels: np.ndarray | None
+    target_labels: np.ndarray | None = None
     val_fraction: float = VAL_FRACTION
 
     def __post_init__(self):
@@ -372,6 +372,14 @@ def ensemble_train(task, seeds, epochs=DEFAULT_EPOCHS, lr=DEFAULT_LR, gamma=1.0)
 
 
 _SPEC_KEYS = {f.name for f in fields(ShiftSpec)}
+# The required and the optional keys of each document besides schema_version.
+_TASK_KEYS = (
+    ("spec", "target_inputs"), ("source_inputs", "source_labels", "target_labels", "val_fraction")
+)
+_MODEL_KEYS = {
+    "logistic": (("kind", "weights", "bias", "gamma"), ("train_config",)),
+    "ensemble": (("kind", "members"), ()),
+}
 
 
 def task_to_dict(task):
@@ -387,48 +395,30 @@ def task_to_dict(task):
 
 
 def task_from_dict(doc):
-    check_version(doc, "task")
-    if set(doc["spec"]) != _SPEC_KEYS:
+    entries = check_document(doc, "task", *_TASK_KEYS)
+    if set(entries["spec"]) != _SPEC_KEYS:
         raise InvalidInputError(f"task spec needs exactly the keys {sorted(_SPEC_KEYS)}")
-    return SyntheticTask(
-        spec=ShiftSpec(**doc["spec"]),
-        source_inputs=doc.get("source_inputs"),
-        source_labels=doc.get("source_labels"),
-        target_inputs=doc["target_inputs"],
-        target_labels=doc.get("target_labels"),
-        val_fraction=doc.get("val_fraction", VAL_FRACTION),
-    )
+    return SyntheticTask(**{**entries, "spec": ShiftSpec(**entries["spec"])})
 
 
 def model_to_dict(model):
     if isinstance(model, EnsembleModel):
-        return {
-            "schema_version": SCHEMA_VERSION,
-            "kind": "ensemble",
-            "members": [model_to_dict(m) for m in model.members],
-        }
-    return {
-        "schema_version": SCHEMA_VERSION,
-        "kind": "logistic",
-        "weights": model.weights.tolist(),
-        "bias": model.bias.tolist(),
-        "gamma": model.gamma,
-        "train_config": model.train_config,
-    }
+        doc = {"kind": "ensemble", "members": [model_to_dict(m) for m in model.members]}
+    else:
+        doc = {"kind": "logistic", "weights": model.weights.tolist(), "bias": model.bias.tolist(),
+               "gamma": model.gamma, "train_config": model.train_config}
+    return {"schema_version": SCHEMA_VERSION, **doc}
 
 
 def model_from_dict(doc):
-    check_version(doc, "model")
-    if doc["kind"] not in ("logistic", "ensemble"):
-        raise InvalidInputError(f"unknown model kind {doc['kind']!r}; expected logistic or ensemble")
-    if doc["kind"] == "ensemble":
-        return EnsembleModel(members=tuple(model_from_dict(m) for m in doc["members"]))
-    return TrainedClassifier(
-        weights=doc["weights"],
-        bias=doc["bias"],
-        gamma=doc["gamma"],
-        train_config=doc.get("train_config", {}),
-    )
+    kind = doc.get("kind") if isinstance(doc, dict) else None
+    if not isinstance(kind, str) or kind not in _MODEL_KEYS:
+        raise InvalidInputError(f"unknown model kind {kind!r}; expected logistic or ensemble")
+    entries = check_document(doc, "model", *_MODEL_KEYS[kind])
+    del entries["kind"]
+    if kind == "ensemble":
+        return EnsembleModel(members=tuple(model_from_dict(m) for m in entries["members"]))
+    return TrainedClassifier(**entries)
 
 
 def save_task(task, path):

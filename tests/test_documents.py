@@ -3,6 +3,9 @@
 No module but ``documents.py`` imports json or csv, assigns SCHEMA_VERSION
 or holds the ``.10g`` number format of the CSV files.
 
+Every record's ``*_from_dict`` goes through ``documents.check_document``,
+and renaming any key of a valid document makes its loader fail.
+
 The fuzz tests damage valid task, model, calibrator and config documents
 of a tiny cell one entry at a time (drop it, or swap in a value of
 another type, NaN, an infinity, an out-of-range number or a ragged
@@ -15,6 +18,7 @@ import contextlib
 import copy
 import io
 import json
+import re
 import warnings
 from functools import reduce
 from pathlib import Path
@@ -64,6 +68,20 @@ def test_only_the_documents_module_encodes_documents():
     assert offenders == []
 
 
+def test_every_loader_calls_the_key_check():
+    loaders = {}
+    for name in ("synthetic.py", "scalers.py"):
+        for node in ast.walk(ast.parse((SRC / name).read_text())):
+            if isinstance(node, ast.FunctionDef) and node.name.endswith("_from_dict"):
+                calls = {
+                    getattr(call.func, "id", getattr(call.func, "attr", None))
+                    for call in ast.walk(node) if isinstance(call, ast.Call)
+                }
+                loaders[node.name] = "check_document" in calls
+    assert {"task_from_dict", "model_from_dict", "calibrator_from_dict"} <= set(loaders)
+    assert [name for name, checked in loaders.items() if not checked] == []
+
+
 def test_write_csv_formats_float_int_and_str_columns():
     buf = io.StringIO()
     documents.write_csv(buf, {
@@ -95,6 +113,7 @@ def cell(tmp_path_factory):
         "temperature": _plain(scalers.calibrator_to_dict(scalers.fit_temperature(batch))),
         "matrix": _plain(scalers.calibrator_to_dict(scalers.fit_matrix(batch))),
         "vector": _plain(scalers.calibrator_to_dict(scalers.fit_vector(batch))),
+        "identity": _plain(scalers.calibrator_to_dict(scalers.identity())),
         "config": {"lam": 0.7, "label_mode": "soft", "lambda_policy": "fixed",
                    "pairing": "distinct", "mixup_epochs": 2, "seed": 1},
     }
@@ -207,3 +226,79 @@ def test_cli_succeeds_or_prints_one_error_line_on_damaged_documents(cell, data):
             assert code in (1, 2)
             assert len(lines) == 1 and lines[0].startswith("error:"), lines
             assert not out.exists()
+
+
+def _parent(doc, path):
+    """The mapping or list that holds the entry at ``path``."""
+    return reduce(lambda d, key: d[key], path[:-1], doc)
+
+
+def _key_paths(doc):
+    """The path of every key of every mapping in ``doc``, ensemble members included."""
+    return [path for path in _paths(doc) if path and isinstance(_parent(doc, path), dict)]
+
+
+def _renamed(doc, path):
+    """A copy of ``doc`` with the key at ``path`` renamed to itself plus ``_x``."""
+    doc = copy.deepcopy(doc)
+    parent = _parent(doc, path)
+    parent[path[-1] + "_x"] = parent.pop(path[-1])
+    return doc
+
+
+@pytest.mark.parametrize("kind", sorted([*LOADERS, "identity"]))
+def test_renaming_any_key_makes_loading_fail(cell, kind):
+    root, docs = cell
+    path = root / f"renamed-{kind}.json"
+    loader = LOADERS.get(kind, scalers.load_calibrator)
+    for key_path in _key_paths(docs[kind]):
+        path.write_text(json.dumps(_renamed(docs[kind], key_path)))
+        # A document's own key is named, but for a lost schema_version or model
+        # kind; a spec or train_config key fails by the spec's or config's rule.
+        in_document = "schema_version" in _parent(docs[kind], key_path)
+        named = in_document and key_path[-1] not in ("schema_version", "kind")
+        with pytest.raises(InvalidInputError, match=re.escape(repr(key_path[-1] + "_x")) if named else None):
+            loader(path)
+
+
+@pytest.mark.parametrize("kind", ["task", "model", "ensemble"])
+def test_cli_exits_1_on_a_renamed_task_or_model_key(cell, kind):
+    root, docs = cell
+    renamed = root / f"renamed-{kind}.json"
+    out = root / "out.json"
+    what = "task" if kind == "task" else "model"
+    files = {"task": root / "task.json", "model": root / "model.json", what: renamed}
+    inputs = ["--task", str(files["task"]), "--model", str(files["model"]), "--out", str(out)]
+    for key_path in _key_paths(docs[kind]):
+        renamed.write_text(json.dumps(_renamed(docs[kind], key_path)))
+        for argv in (["calibrate", *inputs], ["evaluate", "--methods", "ensemble", *inputs]):
+            code, lines = _run_cli(argv)
+            assert code == 1 and len(lines) == 1 and lines[0].startswith("error:"), (key_path, lines)
+            assert not out.exists()
+
+
+# Keys that a loader used to drop, each next to a valid document's own keys.
+MISSPELT = [
+    ("task", "val_fractoin", 0.5), ("model", "train_confg", {}), ("temperature", "temprature", 3.0),
+    ("temperature", "weights", [1.0]), ("vector", "convereged", False),
+]
+
+
+@pytest.mark.parametrize("kind, key, value", MISSPELT, ids=[key for _, key, _ in MISSPELT])
+def test_a_misspelt_key_is_named_by_its_loader(cell, kind, key, value):
+    root, docs = cell
+    path = root / f"misspelt-{kind}.json"
+    path.write_text(json.dumps({**docs[kind], key: value}))
+    with pytest.raises(InvalidInputError, match=re.escape(f"document has no key {key!r}")):
+        LOADERS[kind](path)
+
+
+# No command reads a calibrator document, so only the task and model reach the CLI.
+@pytest.mark.parametrize("kind, key, value", MISSPELT[:2], ids=[key for _, key, _ in MISSPELT[:2]])
+def test_evaluate_names_a_misspelt_task_or_model_key(cell, kind, key, value):
+    root, docs = cell
+    files = {"task": root / "task.json", "model": root / "model.json", kind: root / f"misspelt-{kind}.json"}
+    files[kind].write_text(json.dumps({**docs[kind], key: value}))
+    code, lines = _run_cli(["evaluate", "--methods", "vector,ensemble", "--task", str(files["task"]),
+                            "--model", str(files["model"]), "--out", str(root / "out.json")])
+    assert code == 1 and len(lines) == 1 and lines[0].startswith("error:") and repr(key) in lines[0], lines

@@ -1,5 +1,6 @@
 import io
 import math
+import warnings
 
 import hypothesis.extra.numpy as hnp
 import numpy as np
@@ -119,6 +120,17 @@ def test_ece_perfect_predictions():
 def test_ece_hand_case():
     b = batch_with_confidences([0.6, 0.7, 0.8, 0.9], [1, 0, 0, 1])
     assert metrics.ece(b, 2) == pytest.approx(0.25, abs=1e-12)
+
+
+def test_hand_built_bin_stats_weigh_ece_by_count_without_warning():
+    stats = metrics.BinStats(
+        bin_count=2, lower=np.array([0.0, 0.5]), upper=np.array([0.5, 1.0]), count=np.array([1, 3]),
+        accuracy=np.array([0.0, 1.0]), confidence=np.array([0.4, 0.8]),
+    )
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert stats.n == 4
+        assert stats.ece() == pytest.approx(0.25 * 0.4 + 0.75 * 0.2, rel=1e-15)
 
 
 def test_ece_matches_bruteforce():

@@ -716,6 +716,23 @@ def test_stray_field_documents_differ_from_a_valid_one_only_by_that_field():
             scalers.calibrator_from_dict({**KIND_DOCS[kind], name: value})
 
 
+def test_a_missing_field_is_named_by_its_kind():
+    for kind, doc in KIND_DOCS.items():
+        for name in set(doc) - {"schema_version", "kind"}:
+            with pytest.raises(InvalidInputError, match=f"^{kind} calibrator needs {name}$"):
+                scalers.calibrator_from_dict({key: value for key, value in doc.items() if key != name})
+
+
+@pytest.mark.parametrize("converged", [True, False])
+@pytest.mark.parametrize("kind", sorted(KIND_DOCS))
+def test_each_kind_round_trips_through_a_document_of_exactly_its_keys(kind, converged):
+    cal = scalers.calibrator_from_dict({**KIND_DOCS[kind], "converged": converged})
+    doc = scalers.calibrator_to_dict(cal)
+    assert set(doc) == set(KIND_DOCS[kind]) | {"converged"}
+    assert doc == {**KIND_DOCS[kind], "converged": converged}
+    assert scalers.calibrator_to_dict(scalers.calibrator_from_dict(doc)) == doc
+
+
 def test_calibrator_checks_affine_shapes():
     with pytest.raises(InvalidInputError):
         scalers.Calibrator(kind="vector", scale=np.ones(2), bias=np.zeros(1))
