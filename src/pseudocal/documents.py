@@ -7,6 +7,7 @@ module owns only the encoding.
 
 import csv
 import json
+from collections.abc import Mapping
 
 import numpy as np
 
@@ -15,24 +16,35 @@ from .errors import InvalidInputError
 SCHEMA_VERSION = 1
 
 
+def check_keys(mapping, what, required, optional=()):
+    """The entries of ``mapping``, a ``what``, as a new dict.
+
+    Anything but a mapping, a key outside ``required`` and ``optional`` (a
+    misspelt one too) and a missing ``required`` key each raise
+    InvalidInputError, which names the key.
+    """
+    if not isinstance(mapping, Mapping):
+        raise InvalidInputError(f"a {what} must be a mapping, got {type(mapping).__name__}")
+    for key in mapping:
+        if key not in required and key not in optional:
+            raise InvalidInputError(f"a {what} has no key {key!r}")
+    for key in required:
+        if key not in mapping:
+            raise InvalidInputError(f"a {what} needs the key {key!r}")
+    return dict(mapping)
+
+
 def check_document(doc, what, required, optional=()):
     """The entries of ``doc``, a ``what`` document, other than its ``schema_version``.
 
-    A document that is not a JSON object of this schema version, a key
-    outside ``required`` and ``optional`` (a misspelt one too) and a
-    missing ``required`` key each raise InvalidInputError.
+    A document that is not a JSON object of this schema version raises
+    InvalidInputError, and so do its keys where ``check_keys`` rejects them.
     """
     version = doc.get("schema_version") if isinstance(doc, dict) else None
     if version != SCHEMA_VERSION:
         raise InvalidInputError(f"unsupported {what} document schema_version {version!r}")
     entries = {key: value for key, value in doc.items() if key != "schema_version"}
-    for key in entries:
-        if key not in required and key not in optional:
-            raise InvalidInputError(f"a {what} document has no key {key!r}")
-    for key in required:
-        if key not in entries:
-            raise InvalidInputError(f"a {what} document needs the key {key!r}")
-    return entries
+    return check_keys(entries, f"{what} document", required, optional)
 
 
 def json_text(doc, indent=None):

@@ -106,6 +106,13 @@ def finite_array(values, what, ndim, integer=False):
     return array.astype(np.int64 if integer else np.float64, copy=False)
 
 
+def frozen_copy(values, what, ndim):
+    """A read-only copy of ``finite_array(values, what, ndim)``: no caller's array can change it."""
+    array = finite_array(values, what, ndim).copy()
+    array.setflags(write=False)
+    return array
+
+
 def class_indices(values, n_rows, n_classes, what):
     """``values`` as ``n_rows`` (None: any number of) int64 class indices in [0, n_classes).
 

@@ -137,11 +137,11 @@ def synthesize(model, target_inputs, target_pseudo_labels, cfg):
     ``target_pseudo_labels`` is the model's predicted class per target
     input (``argmax_rows`` of its logits), so the caller can drop the
     target logits before the mixed set is inferred. Per epoch: shuffle,
-    pair sample i with shuffled counterpart, keep pairs according to
-    ``cfg.pairing`` and mix inputs with the mix ratio. The mixed inputs are
-    inferred once, and the set carries those logits. The label mode plays
-    no part here: it is the fit's choice. Raises DegenerateTargetError when
-    no pair at all survives.
+    pair sample i with shuffled counterpart, draw the mix ratios and keep
+    pairs according to ``cfg.pairing``. After the last epoch, every kept
+    pair's inputs are mixed with its ratio and inferred once, and the set
+    carries those logits. The label mode plays no part here: it is the
+    fit's choice. Raises DegenerateTargetError when no pair at all survives.
     """
     cfg = checked_config(cfg)
     inputs = finite_array(target_inputs, "target inputs", 2)
@@ -153,27 +153,22 @@ def synthesize(model, target_inputs, target_pseudo_labels, cfg):
         raise InvalidInputError("target pseudo labels must hold one label >= 0 per target input")
 
     rng = np.random.default_rng(cfg.seed)
-    parts = []
+    pairs = []
     for _ in range(cfg.epochs):
         perm = rng.permutation(n)
-        pl_a, pl_b = pl, pl[perm]
         if cfg.lambda_policy == "beta":
             lam = rng.beta(BETA_ALPHA, BETA_ALPHA, size=n)
         else:
             lam = np.full(n, cfg.lam)
         if cfg.pairing == "distinct":
-            keep = pl_a != pl_b
+            keep = pl != pl[perm]
         else:
-            keep = (pl_a == pl_b) & (np.arange(n) != perm)
-        if not np.any(keep):
-            continue
-        idx_a = np.flatnonzero(keep)
-        idx_b = perm[keep]
-        lam = lam[keep]
-        mixed = lam[:, None] * inputs[idx_a] + (1.0 - lam[:, None]) * inputs[idx_b]
-        parts.append((mixed, idx_a, idx_b, lam))
+            keep = (pl == pl[perm]) & (np.arange(n) != perm)
+        pairs.append((np.flatnonzero(keep), perm[keep], lam[keep]))
+    idx_a, idx_b, lam = (np.concatenate(col) for col in zip(*pairs))
+    del pairs
 
-    if not parts:
+    if not idx_a.size:
         single = int(pl[0]) if np.all(pl == pl[0]) else None
         detail = (
             f"every target sample received pseudo label {single}"
@@ -184,10 +179,7 @@ def synthesize(model, target_inputs, target_pseudo_labels, cfg):
             f"pseudo-target synthesis is degenerate: {detail}", predicted_class=single
         )
 
-    mixed, idx_a, idx_b, lam = (np.concatenate(col) for col in zip(*parts))
-    del parts  # the per-epoch copies must not outlive the mixed-set inference
-    logits = infer(model, mixed)
-    del mixed
+    logits = infer(model, lam[:, None] * inputs[idx_a] + (1.0 - lam[:, None]) * inputs[idx_b])
     if pl.max() >= logits.shape[1]:
         raise InvalidInputError(f"target pseudo labels must lie in [0, {logits.shape[1]})")
     return PseudoTargetSet(

@@ -6,6 +6,7 @@ baselines see the labeled source validation split, and the oracle sees
 the target labels it is defined by.
 """
 
+import copy
 from dataclasses import asdict, dataclass, field, replace
 from functools import cached_property
 from itertools import product
@@ -51,7 +52,7 @@ class ExperimentResult:
     def to_dict(self):
         return {
             "schema_version": SCHEMA_VERSION,
-            "meta": self.meta,
+            "meta": copy.deepcopy(self.meta),
             "methods": {name: asdict(r) for name, r in self.methods.items()},
             "correspondence_rate": self.correspondence_rate,
         }

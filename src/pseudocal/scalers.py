@@ -16,7 +16,7 @@ from .documents import SCHEMA_VERSION, check_document, read_json, write_json
 from .errors import InvalidInputError, LabelsRequiredError, OptimizationError
 from .metrics import PredictionBatch
 from .numerics import (
-    finite_array, is_finite_number, log_softmax, reduce_classes, row_blocks,
+    finite_array, frozen_copy, is_finite_number, log_softmax, reduce_classes, row_blocks,
 )
 
 # Search bounds for the temperature. Wide enough to contain every
@@ -61,7 +61,7 @@ class Calibrator:
     exact NLL's gradient norm fell below AFFINE_GRAD_TOL (the iteration
     cap, or no decrease left in floating point); the temperature fit
     raises instead. It is a warning flag and never blocks applying the
-    calibrator. ``scale``, ``bias`` and ``weight``, where set, are finite float64 arrays.
+    calibrator. ``scale``, ``bias`` and ``weight``, where set, are read-only float64 copies.
     """
 
     kind: str
@@ -83,7 +83,7 @@ class Calibrator:
         for name, ndim in fields.items():
             value = getattr(self, name)
             if ndim:
-                object.__setattr__(self, name, finite_array(value, f"calibrator {name}", ndim))
+                object.__setattr__(self, name, frozen_copy(value, f"calibrator {name}", ndim))
             elif not (is_finite_number(value) and T_MIN <= value <= T_MAX):
                 raise InvalidInputError(f"temperature must be a number in [{T_MIN}, {T_MAX}], got {value!r}")
         if not isinstance(self.converged, bool):
@@ -187,8 +187,7 @@ def fit_temperature(batch, soft_labels=None):
 
     def slope_and_curvature(beta):
         for rows in blocks:
-            # A single block's d is still in its buffer from the pass above.
-            d = shifted(rows) if len(blocks) > 1 else d_buf
+            d = shifted(rows)
             e = e_buf[: len(d)]
             np.multiply(d, beta, out=e)
             np.exp(e, out=e)
@@ -408,9 +407,7 @@ def fit_matrix(batch):
     x = np.hstack([batch.logits, np.ones((batch.n, 1))])  # theta = [W | b] acts on [z, 1]
     start = np.hstack([np.diag(seed.scale), seed.bias[:, None]])
     theta, converged = _fit_affine(batch, start, lambda theta: x @ theta.T, lambda r: r.T @ x)
-    return Calibrator(
-        kind="matrix", weight=theta[:, :-1].copy(), bias=theta[:, -1].copy(), converged=converged
-    )
+    return Calibrator(kind="matrix", weight=theta[:, :-1], bias=theta[:, -1], converged=converged)
 
 
 def calibrator_to_dict(calibrator):

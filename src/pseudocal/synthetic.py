@@ -9,13 +9,15 @@ it through the black-box inference contract used by the calibrators.
 """
 
 from dataclasses import asdict, dataclass, field, fields
+from types import MappingProxyType
 
 import numpy as np
 
-from .documents import SCHEMA_VERSION, check_document, read_json, write_json
+from .documents import SCHEMA_VERSION, check_document, check_keys, read_json, write_json
 from .errors import InvalidInputError, InvalidSpecError, TrainingError
 from .numerics import (
-    argmax_rows, class_indices, finite_array, is_finite_number, is_integer, listed, reduce_classes, softmax,
+    argmax_rows, class_indices, finite_array, frozen_copy, is_finite_number, is_integer, listed,
+    reduce_classes, softmax,
 )
 
 # Class means sit equally spaced on a circle of this radius in the first
@@ -198,22 +200,22 @@ def generate(spec):
 
 # A train_config holds some of these keys, each value passing its check and stored as its type.
 _TRAIN_CONFIG_CHECKS = {
-    "epochs": (int, lambda v: is_integer(v) and v >= 1),
-    "lr": (float, lambda v: is_finite_number(v) and v > 0),
-    "gamma": (float, lambda v: is_finite_number(v) and v >= 1),
-    "seed": (int, lambda v: is_integer(v) and v >= 0),
+    "epochs": (int, lambda v: is_integer(v) and v >= 1, "an integer >= 1"),
+    "lr": (float, lambda v: is_finite_number(v) and v > 0, "a finite number > 0"),
+    "gamma": (float, lambda v: is_finite_number(v) and v >= 1, "a finite number >= 1"),
+    "seed": (int, lambda v: is_integer(v) and v >= 0, "an integer >= 0"),
 }
 
 
 def _checked_train_config(config):
-    if not isinstance(config, dict) or not all(
-        _TRAIN_CONFIG_CHECKS.get(key, (None, lambda v: False))[1](value) for key, value in config.items()
-    ):
-        raise InvalidInputError(
-            f"malformed train_config {config!r}: it takes integer epochs >= 1, finite lr > 0,"
-            " finite gamma >= 1 and integer seed >= 0"
-        )
-    return {key: _TRAIN_CONFIG_CHECKS[key][0](value) for key, value in config.items()}
+    """``config`` as a read-only mapping of each key to its value, cast to the key's type."""
+    config = check_keys(config, "train_config", (), _TRAIN_CONFIG_CHECKS)
+    for key, value in config.items():
+        cast, check, rule = _TRAIN_CONFIG_CHECKS[key]
+        if not check(value):
+            raise InvalidInputError(f"train_config {key} must be {rule}, got {value!r}")
+        config[key] = cast(value)
+    return MappingProxyType(config)
 
 
 @dataclass(frozen=True)
@@ -223,7 +225,8 @@ class TrainedClassifier:
     Inference returns (X @ weights + bias) * gamma; gamma > 1 inflates
     confidence without moving any decision boundary. ``train_config``
     records how it was trained (the ensemble baseline trains its members
-    the same way): some of epochs, lr, gamma and seed.
+    the same way): some of epochs, lr, gamma and seed, in a read-only
+    mapping. ``weights`` and ``bias`` are read-only copies of the given arrays.
     """
 
     weights: np.ndarray
@@ -236,12 +239,10 @@ class TrainedClassifier:
         if not is_finite_number(self.gamma) or self.gamma < 1.0:
             raise InvalidInputError("gamma must be finite and >= 1")
         object.__setattr__(self, "train_config", _checked_train_config(self.train_config))
-        weights = finite_array(self.weights, "model weights", 2)
-        bias = finite_array(self.bias, "model bias", 1)
-        if bias.shape != weights.shape[1:]:
+        object.__setattr__(self, "weights", frozen_copy(self.weights, "model weights", 2))
+        object.__setattr__(self, "bias", frozen_copy(self.bias, "model bias", 1))
+        if self.bias.shape != self.weights.shape[1:]:
             raise InvalidInputError("classifier needs a (d, C) weight matrix and a length-C bias")
-        object.__setattr__(self, "weights", weights)
-        object.__setattr__(self, "bias", bias)
 
     def predict_logits(self, inputs):
         inputs = finite_array(inputs, "classifier inputs", 2)
@@ -271,13 +272,13 @@ def train(task, epochs=DEFAULT_EPOCHS, lr=DEFAULT_LR, gamma=1.0, track_history=F
     ``seed`` may also be a sequence of seeds: then one classifier per seed
     trains in the same loop, and they return as a tuple. Member m's weights
     are ``w[m]`` of a (k, d, C) stack and its bias ``b[m]`` of a (k, 1, C)
-    stack. All k members' scores live in one preallocated row-major
-    (n, k, C) buffer, which each epoch turns in place into probabilities
-    and then residuals. The batched matmuls write and read it through its
-    (k, n, C) view, so each member's product keeps a lone model's shapes,
-    and every reduction keeps a lone model's order, so each member is
-    bit-identical to training it alone. A non-finite score raises
-    TrainingError at the first epoch where any member has one.
+    stack. All k members' scores live in one row-major (n, k, C) buffer,
+    which each epoch turns in place into probabilities and then residuals.
+    The batched matmuls write and read it through its (k, n, C) view, so
+    each member's product keeps a lone model's shapes, and every reduction
+    keeps a lone model's order, so each member is bit-identical to
+    training it alone. A non-finite score raises TrainingError at the
+    first epoch where any member has one.
     """
     if not task.has_source:
         raise InvalidInputError("training requires source data")
@@ -291,40 +292,28 @@ def train(task, epochs=DEFAULT_EPOCHS, lr=DEFAULT_LR, gamma=1.0, track_history=F
     w = np.stack([0.01 * np.random.default_rng(s).standard_normal((d, c)) for s in seeds])
     b = np.zeros((k, 1, c))
 
-    # Every epoch-sized array is allocated once, here. Row i of the buffer
-    # holds all members' scores of sample i side by side, so the bias
-    # gradient sums rows over a k*C-wide axis, in a lone model's row order.
+    # Row i of the buffer holds all members' scores of sample i side by side, so
+    # the bias gradient sums rows over a k*C-wide axis, in a lone model's row order.
     buf = np.empty((n, k, c))
     stack = buf.transpose(1, 0, 2)  # member m's (n, C) slice is stack[m]
     # Flat positions of each row's label in each member's slice: the
     # residual p - onehot subtracts 1 there and leaves the rest as it is.
     hot = ((np.arange(n) * k * c)[:, None] + np.arange(k) * c + y[:, None]).ravel()
-    finite = np.empty(buf.shape, dtype=bool)
-    row_stat = np.empty((n, k, 1))
-    w_step = np.empty_like(w)
-    b_step = np.empty(k * c)
 
     histories = [[] for _ in seeds]
     for epoch in range(1, epochs + 1):
         np.matmul(x, w, out=stack)
         stack += b
-        if not np.isfinite(buf, out=finite).all():
+        if not np.isfinite(buf).all():
             raise TrainingError(f"training diverged at epoch {epoch}", epoch=epoch)
-        buf -= reduce_classes(np.maximum, buf, out=row_stat)
+        buf -= reduce_classes(np.maximum, buf)
         np.exp(buf, out=buf)
-        buf /= reduce_classes(np.add, buf, out=row_stat)
+        buf /= reduce_classes(np.add, buf)
         if track_history:
             losses = [_mean_ce(p, y) for p in stack]
         buf.reshape(-1)[hot] -= 1.0
-        # w -= lr * (x.T @ residual / n), and b likewise with the row mean.
-        np.matmul(x.T, stack, out=w_step)
-        w_step /= n
-        w_step *= lr
-        w -= w_step
-        np.add.reduce(buf.reshape(n, k * c), axis=0, out=b_step)
-        b_step /= n
-        b_step *= lr
-        b -= b_step.reshape(k, 1, c)
+        w -= x.T @ stack / n * lr
+        b -= (np.add.reduce(buf.reshape(n, k * c), axis=0) / n * lr).reshape(k, 1, c)
         if track_history:
             for history, loss, w_m, b_m in zip(histories, losses, w, b):
                 t_logits = (task.target_inputs @ w_m + b_m[0]) * gamma
@@ -334,8 +323,8 @@ def train(task, epochs=DEFAULT_EPOCHS, lr=DEFAULT_LR, gamma=1.0, track_history=F
 
     models = tuple(
         TrainedClassifier(
-            weights=w_m.copy(),
-            bias=b_m[0].copy(),
+            weights=w_m,
+            bias=b_m[0],
             gamma=float(gamma),
             train_config=config,
             history=np.asarray(history) if track_history else None,
@@ -371,7 +360,7 @@ def ensemble_train(task, seeds, epochs=DEFAULT_EPOCHS, lr=DEFAULT_LR, gamma=1.0)
     return EnsembleModel(members=members)
 
 
-_SPEC_KEYS = {f.name for f in fields(ShiftSpec)}
+_SPEC_KEYS = tuple(f.name for f in fields(ShiftSpec))
 # The required and the optional keys of each document besides schema_version.
 _TASK_KEYS = (
     ("spec", "target_inputs"), ("source_inputs", "source_labels", "target_labels", "val_fraction")
@@ -396,9 +385,8 @@ def task_to_dict(task):
 
 def task_from_dict(doc):
     entries = check_document(doc, "task", *_TASK_KEYS)
-    if set(entries["spec"]) != _SPEC_KEYS:
-        raise InvalidInputError(f"task spec needs exactly the keys {sorted(_SPEC_KEYS)}")
-    return SyntheticTask(**{**entries, "spec": ShiftSpec(**entries["spec"])})
+    spec = ShiftSpec(**check_keys(entries["spec"], "task spec", _SPEC_KEYS))
+    return SyntheticTask(**{**entries, "spec": spec})
 
 
 def model_to_dict(model):
@@ -406,7 +394,7 @@ def model_to_dict(model):
         doc = {"kind": "ensemble", "members": [model_to_dict(m) for m in model.members]}
     else:
         doc = {"kind": "logistic", "weights": model.weights.tolist(), "bias": model.bias.tolist(),
-               "gamma": model.gamma, "train_config": model.train_config}
+               "gamma": model.gamma, "train_config": dict(model.train_config)}
     return {"schema_version": SCHEMA_VERSION, **doc}
 
 

@@ -253,10 +253,10 @@ def test_renaming_any_key_makes_loading_fail(cell, kind):
     loader = LOADERS.get(kind, scalers.load_calibrator)
     for key_path in _key_paths(docs[kind]):
         path.write_text(json.dumps(_renamed(docs[kind], key_path)))
-        # A document's own key is named, but for a lost schema_version or model
-        # kind; a spec or train_config key fails by the spec's or config's rule.
+        # Every key is named, a spec or train_config key too, but for a
+        # document's lost schema_version or kind.
         in_document = "schema_version" in _parent(docs[kind], key_path)
-        named = in_document and key_path[-1] not in ("schema_version", "kind")
+        named = not (in_document and key_path[-1] in ("schema_version", "kind"))
         with pytest.raises(InvalidInputError, match=re.escape(repr(key_path[-1] + "_x")) if named else None):
             loader(path)
 

@@ -116,6 +116,61 @@ def test_synthesize_multi_epoch_and_determinism():
     assert other.size != p1.size or not np.array_equal(other.logits, p1.logits)
 
 
+def per_epoch_synthesis(model, x, pl, cfg):
+    """A plain reference of synthesize: each epoch draws, keeps and mixes its own pairs.
+
+    Returns the fields of the pseudo set (None if it is empty) and the
+    number of pairs each epoch kept.
+    """
+    rng = np.random.default_rng(cfg.seed)
+    n = len(x)
+    rows, mixed, kept = [], [], []
+    for _ in range(cfg.epochs):
+        perm = rng.permutation(n)
+        lam = rng.beta(0.3, 0.3, size=n) if cfg.lambda_policy == "beta" else np.full(n, cfg.lam)
+        epoch = [
+            (a, b, lam[a]) for a, b in enumerate(perm)
+            if (pl[a] != pl[b] if cfg.pairing == "distinct" else pl[a] == pl[b] and a != b)
+        ]
+        mixed += [w * x[a] + (1.0 - w) * x[b] for a, b, w in epoch]
+        rows += epoch
+        kept.append(len(epoch))
+    if not rows:
+        return None, kept
+    index_a = np.array([a for a, _, _ in rows])
+    index_b = np.array([b for _, b, _ in rows])
+    fields = {
+        "index_a": index_a, "index_b": index_b, "lam": np.array([w for _, _, w in rows]),
+        "pl_a": pl[index_a], "pl_b": pl[index_b], "logits": model.predict_logits(np.array(mixed)),
+    }
+    return fields, kept
+
+
+@pytest.mark.parametrize("pairing", pseudo_target.PAIRINGS)
+@pytest.mark.parametrize("policy", pseudo_target.LAMBDA_POLICIES)
+def test_multi_epoch_synthesis_matches_a_per_epoch_reference(policy, pairing):
+    rng = np.random.default_rng(9)
+    model = synthetic.TrainedClassifier(weights=rng.standard_normal((3, 4)), bias=rng.standard_normal(4))
+    x = rng.standard_normal((40, 3))
+    # Two targets keep no pair in an epoch whose permutation is the identity:
+    # distinct pairing needs their labels to differ, same pairing to agree.
+    pair = x[:2], np.array([0, 1] if pairing == "distinct" else [2, 2])
+
+    def config(epochs, seed):
+        return pseudo_target.MixupConfig(lambda_policy=policy, pairing=pairing, epochs=epochs, seed=seed)
+
+    def kept(seed):
+        return per_epoch_synthesis(model, *pair, config(4, seed))[1]
+
+    seed = next(s for s in range(100) if 0 in kept(s) and sum(kept(s)) > 0)
+    for inputs, pl, epochs in [(x, numerics.argmax_rows(model.predict_logits(x)), 3), (*pair, 4)]:
+        want, _ = per_epoch_synthesis(model, inputs, pl, config(epochs, seed))
+        got = pseudo_target.synthesize(model, inputs, pl, config(epochs, seed))
+        for name, value in want.items():
+            assert getattr(got, name).dtype == value.dtype, name
+            assert getattr(got, name).tobytes() == value.tobytes(), name
+
+
 def test_synthesize_degenerate_when_predictions_collapse():
     x = np.zeros((10, 3))
     x[:, 1] = 4.0  # every sample predicted as class 1

@@ -81,6 +81,16 @@ def test_result_document_deterministic(cell):
     assert parsed["correspondence_rate"] is not None
 
 
+def test_result_document_shares_no_mutable_state_with_the_result(cell):
+    task, model, _ = cell
+    result = report.evaluate_all(model, task, ["none"], mixup_cfg=MixupConfig(seed=5))
+    text = result.to_json()
+    doc = result.to_dict()
+    doc["meta"]["seed"] = 99
+    doc["meta"]["task"]["n_classes"] = 99
+    assert result.to_json() == text
+
+
 def test_accuracy_identical_across_temperature_methods(cell):
     task, model, _ = cell
     methods = ["none", "temp_oracle", "pseudocal", "pseudo_label", "filtered_pl",

@@ -637,6 +637,20 @@ def test_hundred_class_matrix_fit_completes():
     assert metrics.mean_nll(mat.apply(b)) <= nll_t + 1e-6
 
 
+@pytest.mark.parametrize("kind, fields", [
+    ("vector", {"scale": np.ones(3), "bias": np.zeros(3)}),
+    ("matrix", {"weight": np.eye(3), "bias": np.zeros(3)}),
+])
+def test_a_calibrator_holds_read_only_copies_of_its_arrays(kind, fields):
+    cal = scalers.Calibrator(kind=kind, **fields)
+    for name, array in fields.items():
+        held = getattr(cal, name).copy()
+        array[0] = 5.0
+        np.testing.assert_array_equal(getattr(cal, name), held)
+        with pytest.raises(ValueError):
+            getattr(cal, name)[0] = 5.0
+
+
 def test_calibrator_json_roundtrip(tmp_path):
     cases = [
         scalers.Calibrator(kind="temperature", temperature=2.5),

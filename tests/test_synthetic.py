@@ -302,6 +302,41 @@ def test_task_json_roundtrip(tmp_path):
     np.testing.assert_array_equal(loaded.source_labels, task.source_labels)
 
 
+def test_a_model_document_shares_no_train_config_with_the_model():
+    task = synthetic.generate(synthetic.ShiftSpec(seed=15, n_source=60, n_target=20))
+    model = synthetic.train(task, epochs=3, seed=15)
+    doc = synthetic.model_to_dict(model)
+    doc["train_config"]["epochs"] = 999
+    assert model.train_config["epochs"] == 3
+    with pytest.raises(TypeError):
+        model.train_config["lr"] = "x"
+    assert synthetic.model_from_dict(synthetic.model_to_dict(model)).train_config == model.train_config
+
+
+def test_a_classifier_holds_read_only_copies_of_its_arrays():
+    task = synthetic.generate(synthetic.ShiftSpec(seed=15, n_source=60, n_target=20))
+    model = synthetic.train(task, epochs=3, seed=15)
+    weights, bias = np.ones((10, 5)), np.zeros(5)
+    held = synthetic.TrainedClassifier(weights=weights, bias=bias)
+    weights[0, 0] = bias[0] = 5.0
+    assert held.weights[0, 0] == 1.0 and held.bias[0] == 0.0
+    for array in (held.weights, held.bias, model.weights, model.bias):
+        with pytest.raises(ValueError):
+            array[0] = 7.0
+
+
+def test_a_bad_train_config_value_is_named_alone():
+    weights, bias = np.ones((2, 3)), np.zeros(3)
+    for config, message in (
+        ({"epochs": 3, "lr": 0.0}, "train_config lr must be a finite number > 0, got 0.0"),
+        ({"seed": 1, "epochs": "x"}, "train_config epochs must be an integer >= 1, got 'x'"),
+        ({"gamma": 2.0, "momentum": 0.9}, "a train_config has no key 'momentum'"),
+    ):
+        with pytest.raises(InvalidInputError) as excinfo:
+            synthetic.TrainedClassifier(weights=weights, bias=bias, train_config=config)
+        assert str(excinfo.value) == message
+
+
 def test_model_json_roundtrip(tmp_path):
     task = synthetic.generate(synthetic.ShiftSpec(seed=15, n_source=200, n_target=200))
     model = synthetic.train(task, epochs=30, lr=0.1, gamma=2.0, seed=15)
