@@ -57,7 +57,6 @@ from .synthetic import (
     ShiftSpec,
     SyntheticTask,
     TrainedClassifier,
-    ensemble_train,
     generate,
     train,
 )

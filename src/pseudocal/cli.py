@@ -143,12 +143,10 @@ def cmd_evaluate(args, opts):
     task = synthetic.load_task(args.task)
     model = synthetic.load_model(args.model)
     result = report.evaluate_all(model, task, mixup_cfg=cfg, **report_opts)
-    with open(args.out, "w") as fh:
-        fh.write(result.to_json())
+    documents.write_text(args.out, result.to_json())
     table = result.table_text()
     if args.table_out is not None:
-        with open(args.table_out, "w") as fh:
-            fh.write(table)
+        documents.write_text(args.table_out, table)
     if args.bins_out is not None:
         report.method_bins_to_csv(result, args.bins_out)
     print(table, end="")

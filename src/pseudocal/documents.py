@@ -52,9 +52,13 @@ def json_text(doc, indent=None):
     return json.dumps(doc, sort_keys=True, indent=indent) + "\n"
 
 
-def write_json(doc, path, indent=None):
+def write_text(path, text):
     with open(path, "w") as fh:
-        fh.write(json_text(doc, indent))
+        fh.write(text)
+
+
+def write_json(doc, path, indent=None):
+    write_text(path, json_text(doc, indent))
 
 
 def read_json(path, from_dict):

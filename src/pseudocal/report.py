@@ -6,17 +6,21 @@ baselines see the labeled source validation split, and the oracle sees
 the target labels it is defined by.
 """
 
-import copy
+from collections.abc import Mapping
 from dataclasses import asdict, dataclass, field, replace
 from functools import cached_property
 from itertools import product
+from types import MappingProxyType
 from typing import Callable, NamedTuple
 
 import numpy as np
 
 from . import pseudo_target, scalers, synthetic
 from .documents import SCHEMA_VERSION, json_text, write_csv
-from .errors import DataAccessError, InvalidInputError, LabelsRequiredError
+from .errors import (
+    DataAccessError, DegenerateTargetError, EmptyFilterError, InvalidInputError, LabelsRequiredError,
+    OptimizationError, TrainingError,
+)
 from .metrics import (
     DEFAULT_BINS, PredictionBatch, bin_columns, check_bins, ece, mean_brier, mean_nll,
     reliability_bins,
@@ -29,6 +33,8 @@ ENSEMBLE_SIZE = 5
 DEFAULT_METHODS = ("none", "pseudocal", "temp_oracle")
 SWEEP_LAMBDAS = (0.51, 0.55, 0.6, 0.65, 0.7, 0.8, 0.9)
 SWEEP_SEEDS = (0, 1, 2, 3, 4)
+# A method whose fit raises one of these is recorded as failed; the others are still scored.
+_FIT_ERRORS = (DegenerateTargetError, EmptyFilterError, OptimizationError, TrainingError)
 
 
 @dataclass(frozen=True)
@@ -40,22 +46,52 @@ class MethodResult:
     temperature: float | None = None
 
 
+def _read_only(value):
+    """``value`` with each mapping in it, at any depth, a read-only copy and each list a tuple."""
+    if isinstance(value, Mapping):
+        return MappingProxyType({key: _read_only(item) for key, item in value.items()})
+    if isinstance(value, list):
+        return tuple(_read_only(item) for item in value)
+    return value
+
+
+def _writable(value):
+    """``value`` with each mapping in it, at any depth, a new dict."""
+    if isinstance(value, Mapping):
+        return {key: _writable(item) for key, item in value.items()}
+    return value
+
+
 @dataclass(frozen=True)
 class ExperimentResult:
-    """Per-method calibration outcomes on one (task, model, seed) cell."""
+    """Per-method calibration outcomes on one (task, model, seed) cell.
+
+    ``failed`` maps each method whose fit raised to ``"<error type>: <message>"``.
+    Every mapping the record holds, and each mapping or list within ``meta``,
+    is a read-only copy, so nothing written through the record changes its document.
+    """
 
     meta: dict
     methods: dict
     correspondence_rate: float | None = None
     bin_stats: dict = field(default_factory=dict, repr=False)
+    failed: dict = field(default_factory=dict)
+
+    def __post_init__(self):
+        for name in ("meta", "methods", "bin_stats", "failed"):
+            object.__setattr__(self, name, _read_only(getattr(self, name)))
 
     def to_dict(self):
-        return {
+        """The result document; it has a ``failed`` key only if some method failed."""
+        doc = {
             "schema_version": SCHEMA_VERSION,
-            "meta": copy.deepcopy(self.meta),
+            "meta": _writable(self.meta),
             "methods": {name: asdict(r) for name, r in self.methods.items()},
             "correspondence_rate": self.correspondence_rate,
         }
+        if self.failed:
+            doc["failed"] = dict(self.failed)
+        return doc
 
     def to_json(self):
         return json_text(self.to_dict(), indent=2)
@@ -69,6 +105,7 @@ class ExperimentResult:
             lines.append(
                 f"{name:<15} {r.ece:>8.4f} {r.nll:>8.4f} {r.brier:>8.4f} {t:>8} {r.accuracy:>9.4f}"
             )
+        lines.extend(f"{name} failed: {error}" for name, error in self.failed.items())
         if self.correspondence_rate is not None:
             lines.append(f"correspondence rate: {self.correspondence_rate:.4f}")
         return "\n".join(lines) + "\n"
@@ -124,7 +161,7 @@ def _fit_ensemble(data):
     config = getattr(data.model, "train_config", {})
     member_config = {key: value for key, value in config.items() if key != "seed"}
     seeds = range(data.mixup_cfg.seed, data.mixup_cfg.seed + ENSEMBLE_SIZE)
-    return synthetic.ensemble_train(data.task, seeds, **member_config), None
+    return synthetic.train(data.task, **member_config, seed=seeds), None
 
 
 class Method(NamedTuple):
@@ -135,7 +172,7 @@ class Method(NamedTuple):
 
 
 METHODS = {
-    "none": Method(UNLABELED_TARGET, lambda data: (scalers.identity(), None)),
+    "none": Method(UNLABELED_TARGET, lambda data: (scalers.Calibrator(kind="identity"), None)),
     "temp_oracle": Method(
         TARGET_LABELS, lambda data: (scalers.fit_temperature(data.target_batch), None)
     ),
@@ -168,6 +205,9 @@ def evaluate_all(model, task, methods=DEFAULT_METHODS, bins=DEFAULT_BINS, mixup_
 
     The run's one seed, ``mixup_cfg.seed``, drives the mixup and the
     ensemble members alike. Arguments are checked before any inference.
+    A method whose fit raises EmptyFilterError, DegenerateTargetError,
+    OptimizationError or TrainingError goes into the result's ``failed``
+    mapping, and the other methods are scored as usual.
     """
     methods = listed(methods, "method")
     for name in methods:
@@ -187,9 +227,14 @@ def evaluate_all(model, task, methods=DEFAULT_METHODS, bins=DEFAULT_BINS, mixup_
     data = _Inputs(model, task, mixup_cfg)
     results = {}
     bin_stats = {}
+    failed = {}
     correspondence = None
     for name in methods:
-        fitted, pseudo = METHODS[name].fit(data)
+        try:
+            fitted, pseudo = METHODS[name].fit(data)
+        except _FIT_ERRORS as exc:
+            failed[name] = f"{type(exc).__name__}: {exc}"
+            continue
         if isinstance(fitted, scalers.Calibrator):
             scored = fitted.apply(data.target_batch)
             temp = fitted.temperature
@@ -221,6 +266,7 @@ def evaluate_all(model, task, methods=DEFAULT_METHODS, bins=DEFAULT_BINS, mixup_
         methods=results,
         correspondence_rate=correspondence,
         bin_stats=bin_stats,
+        failed=failed,
     )
 
 

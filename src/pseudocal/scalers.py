@@ -111,10 +111,6 @@ class Calibrator:
         return PredictionBatch(logits=z, labels=batch.labels)
 
 
-def identity():
-    return Calibrator(kind="identity")
-
-
 def _checked_soft_labels(batch, soft_labels):
     """The (n, C) soft-label matrix, or None to use the batch's hard labels."""
     if soft_labels is None:
@@ -147,10 +143,11 @@ def fit_temperature(batch, soft_labels=None):
 
     A bound's slope is taken only when the answer may lie there: for an
     end of the bracket that no iterate has moved, at the second bisection
-    step that leans on it, or once the search stops. Those probes never
-    move the bracket, so the iterates, and T bit for bit, are those of a
-    search that probes both bounds first; an interior optimum takes no
-    pass at a bound, and a bound optimum up to three more than that search.
+    step, or once the search stops if it bisected fewer times. Those
+    probes never move the bracket, so the iterates, and T bit for bit, are
+    those of a search that probes both bounds first; an interior optimum
+    takes no pass at a bound, and a bound optimum up to three more than
+    that search.
 
     Each gradient pass walks the logits in blocks of ``numerics.BLOCK_ROWS``
     rows, so the fit holds O(n + BLOCK_ROWS * C) floats next to the logits,
@@ -207,16 +204,13 @@ def fit_temperature(batch, soft_labels=None):
             raise OptimizationError(f"NLL gradient is not finite at T={1.0 / beta!r}", probe=1.0 / beta)
         return slope, float(np.add.reduce(row_curvature) / n)
 
-    probed = set()
-
-    def bound_optimum(lo, hi):
-        """The bound T at an unprobed end of [lo, hi] where the NLL still falls, or None."""
+    def bound_optimum():
+        """The bound T where the NLL still falls, at an end of [lo, hi] no iterate moved, or None."""
         # 1/T_MAX first: a flat NLL (every row a tie) is fitted with T_MAX.
-        for end, t, sign in ((1.0 / T_MAX, T_MAX, 1.0), (1.0 / T_MIN, T_MIN, -1.0)):
-            if end in (lo, hi) and end not in probed:
-                probed.add(end)
-                if sign * slope_and_curvature(end)[0] >= 0.0:
-                    return t
+        if lo == 1.0 / T_MAX and slope_and_curvature(lo)[0] >= 0.0:
+            return T_MAX
+        if hi == 1.0 / T_MIN and slope_and_curvature(hi)[0] <= 0.0:
+            return T_MIN
         return None
 
     # Newton steps on the increasing gradient, kept inside the sign bracket
@@ -224,7 +218,7 @@ def fit_temperature(batch, soft_labels=None):
     # the step before last, falls back to bisection. The bracket spans a
     # factor of 400, so it is halved in log beta.
     lo, hi = 1.0 / T_MAX, 1.0 / T_MIN
-    beta, step, last_step, bisections, stopped = 1.0, hi - lo, hi - lo, 0, True
+    beta, step, last_step, bisections = 1.0, hi - lo, hi - lo, 0
     for _ in range(NEWTON_MAX_ITER):
         slope, curvature = slope_and_curvature(beta)
         if slope > 0.0:
@@ -238,22 +232,21 @@ def fit_temperature(batch, soft_labels=None):
             last_step, step = step, newton
         else:
             bisections += 1
-            if bisections == 2 and (bound := bound_optimum(lo, hi)) is not None:
+            if bisections == 2 and (bound := bound_optimum()) is not None:
                 return Calibrator(kind="temperature", temperature=bound)
             last_step, step = step, np.sqrt(lo * hi) - beta
         beta += step
         if abs(step) <= NEWTON_REL_TOL * beta:
             break
     else:
-        stopped = False
-    bound = bound_optimum(lo, hi)
-    if bound is not None:
+        if bisections >= 2 or (bound := bound_optimum()) is None:
+            raise OptimizationError(
+                f"temperature fit did not converge in {NEWTON_MAX_ITER} Newton/bisection steps",
+                probe=1.0 / beta,
+            )
         return Calibrator(kind="temperature", temperature=bound)
-    if not stopped:
-        raise OptimizationError(
-            f"temperature fit did not converge in {NEWTON_MAX_ITER} Newton/bisection steps",
-            probe=1.0 / beta,
-        )
+    if bisections < 2 and (bound := bound_optimum()) is not None:
+        return Calibrator(kind="temperature", temperature=bound)
     return Calibrator(kind="temperature", temperature=min(max(1.0 / beta, T_MIN), T_MAX))
 
 

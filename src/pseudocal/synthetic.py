@@ -162,8 +162,6 @@ def class_means(spec):
 
 
 def _rotate_plane(points, angle):
-    if angle == 0.0:
-        return points
     out = points.copy()
     c, s = np.cos(angle), np.sin(angle)
     out[:, 0] = c * points[:, 0] - s * points[:, 1]
@@ -270,15 +268,15 @@ def train(task, epochs=DEFAULT_EPOCHS, lr=DEFAULT_LR, gamma=1.0, track_history=F
     the step, at the model's inference sharpening ``gamma``.
 
     ``seed`` may also be a sequence of seeds: then one classifier per seed
-    trains in the same loop, and they return as a tuple. Member m's weights
-    are ``w[m]`` of a (k, d, C) stack and its bias ``b[m]`` of a (k, 1, C)
-    stack. All k members' scores live in one row-major (n, k, C) buffer,
-    which each epoch turns in place into probabilities and then residuals.
-    The batched matmuls write and read it through its (k, n, C) view, so
-    each member's product keeps a lone model's shapes, and every reduction
-    keeps a lone model's order, so each member is bit-identical to
-    training it alone. A non-finite score raises TrainingError at the
-    first epoch where any member has one.
+    trains in the same loop, and they return as the members of an
+    ``EnsembleModel``. Member m's weights are ``w[m]`` of a (k, d, C) stack
+    and its bias ``b[m]`` of a (k, 1, C) stack. All k members' scores live
+    in one row-major (n, k, C) buffer, which each epoch turns in place into
+    probabilities and then residuals. The batched matmuls write and read it
+    through its (k, n, C) view, so each member's product keeps a lone
+    model's shapes, and every reduction keeps a lone model's order, so each
+    member is bit-identical to training it alone. A non-finite score raises
+    TrainingError at the first epoch where any member has one.
     """
     if not task.has_source:
         raise InvalidInputError("training requires source data")
@@ -321,7 +319,7 @@ def train(task, epochs=DEFAULT_EPOCHS, lr=DEFAULT_LR, gamma=1.0, track_history=F
                 t_nll = _mean_ce(softmax(t_logits), task.target_labels)
                 history.append((epoch, loss, t_err, t_nll))
 
-    models = tuple(
+    members = tuple(
         TrainedClassifier(
             weights=w_m,
             bias=b_m[0],
@@ -331,7 +329,7 @@ def train(task, epochs=DEFAULT_EPOCHS, lr=DEFAULT_LR, gamma=1.0, track_history=F
         )
         for w_m, b_m, config, history in zip(w, b, configs, histories)
     )
-    return models[0] if is_integer(seed) else models
+    return members[0] if is_integer(seed) else EnsembleModel(members=members)
 
 
 @dataclass(frozen=True)
@@ -352,12 +350,6 @@ class EnsembleModel:
         if len({p.shape for p in probs}) != 1:
             raise InvalidInputError("ensemble members disagree on the number of classes")
         return np.log(np.maximum(np.mean(probs, axis=0), PROB_EPS))
-
-
-def ensemble_train(task, seeds, epochs=DEFAULT_EPOCHS, lr=DEFAULT_LR, gamma=1.0):
-    """Train one classifier per seed, all in one loop, and combine their predictions."""
-    members = train(task, epochs, lr, gamma, seed=listed(seeds, "member seed"))
-    return EnsembleModel(members=members)
 
 
 _SPEC_KEYS = tuple(f.name for f in fields(ShiftSpec))

@@ -503,6 +503,23 @@ def test_commands_without_options_write_the_library_defaults(tmp_path):
         assert file_hash(tmp_path / name) == file_hash(tmp_path / f"lib_{name}")
 
 
+def test_evaluate_writes_every_file_and_exits_0_when_a_method_fails(workspace, capsys):
+    root, task, _ = workspace
+    model = root / "model_short.json"
+    assert run(["train", "--task", str(task), "--epochs", "5", "--seed", "3", "--out", str(model)]) == 0
+    capsys.readouterr()
+    out, table, bins = root / "result_short.json", root / "table_short.txt", root / "bins_short.csv"
+    assert run([
+        "evaluate", "--task", str(task), "--model", str(model), "--methods", "none,filtered_pl",
+        "--out", str(out), "--table-out", str(table), "--bins-out", str(bins),
+    ]) == 0
+    error = json.loads(out.read_text())["failed"]["filtered_pl"]
+    assert error.startswith("EmptyFilterError: ")
+    assert table.read_text() == capsys.readouterr().out
+    assert table.read_text().splitlines()[-1] == f"filtered_pl failed: {error}"
+    assert {line.split(",")[0] for line in bins.read_text().splitlines()[1:]} == {"none"}
+
+
 def test_ensemble_row_trains_members_as_the_model_was_trained(tmp_path):
     task_path, model_path, out = tmp_path / "task.json", tmp_path / "model.json", tmp_path / "r.json"
     assert run([
@@ -521,7 +538,7 @@ def test_ensemble_row_trains_members_as_the_model_was_trained(tmp_path):
     task, model = synthetic.load_task(task_path), synthetic.load_model(model_path)
     assert model.train_config == {"epochs": 40, "lr": 0.2, "gamma": 2.5, "seed": 2}
     config = {key: value for key, value in model.train_config.items() if key != "seed"}
-    ensemble = synthetic.ensemble_train(task, range(6, 6 + 5), **config)
+    ensemble = synthetic.train(task, **config, seed=range(6, 6 + 5))
     batch = PredictionBatch(
         logits=ensemble.predict_logits(task.target_inputs), labels=task.target_labels
     )

@@ -68,6 +68,17 @@ def test_only_the_documents_module_encodes_documents():
     assert offenders == []
 
 
+def test_only_the_documents_module_opens_files():
+    offenders = [
+        f"{path.name}:{node.lineno}"
+        for path in sorted(SRC.glob("*.py")) if path.name != "documents.py"
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.Call) and getattr(node.func, "id", getattr(node.func, "attr", None)) == "open"
+    ]
+    assert (SRC / "cli.py").is_file()
+    assert offenders == []
+
+
 def test_every_loader_calls_the_key_check():
     loaders = {}
     for name in ("synthetic.py", "scalers.py"):
@@ -113,7 +124,7 @@ def cell(tmp_path_factory):
         "temperature": _plain(scalers.calibrator_to_dict(scalers.fit_temperature(batch))),
         "matrix": _plain(scalers.calibrator_to_dict(scalers.fit_matrix(batch))),
         "vector": _plain(scalers.calibrator_to_dict(scalers.fit_vector(batch))),
-        "identity": _plain(scalers.calibrator_to_dict(scalers.identity())),
+        "identity": _plain(scalers.calibrator_to_dict(scalers.Calibrator(kind="identity"))),
         "config": {"lam": 0.7, "label_mode": "soft", "lambda_policy": "fixed",
                    "pairing": "distinct", "mixup_epochs": 2, "seed": 1},
     }

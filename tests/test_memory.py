@@ -166,6 +166,6 @@ def test_ensemble_training_holds_under_two_score_buffers():
     seeds = [0, 1, 2, 3, 4]
     n = len(task.source_train_inputs)
     buffer_bytes = n * len(seeds) * task.spec.n_classes * 8
-    peak, members = peak_bytes(lambda: synthetic.train(task, epochs=3, seed=seeds))
-    assert len(members) == len(seeds)
+    peak, ensemble = peak_bytes(lambda: synthetic.train(task, epochs=3, seed=seeds))
+    assert len(ensemble.members) == len(seeds)
     assert peak < 2 * buffer_bytes

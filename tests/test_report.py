@@ -89,6 +89,47 @@ def test_result_document_shares_no_mutable_state_with_the_result(cell):
     doc["meta"]["seed"] = 99
     doc["meta"]["task"]["n_classes"] = 99
     assert result.to_json() == text
+    # Nor can anything be written through the record itself.
+    writes = (
+        lambda: result.meta.__setitem__("seed", 9),
+        lambda: result.meta["task"].__setitem__("seed", 7),
+        lambda: result.meta["mixup"].__setitem__("lam", 0.9),
+        lambda: result.meta["methods"].append("vector"),
+        lambda: result.methods.pop("none"),
+        lambda: result.bin_stats.clear(),
+        lambda: result.failed.__setitem__("none", "x"),
+    )
+    for write in writes:
+        with pytest.raises((TypeError, AttributeError)):
+            write()
+    assert result.to_json() == text
+    # The record copies what it is given, so the caller's mappings stay the caller's.
+    meta = {"seed": 5, "task": {"seed": 0}}
+    given = report.ExperimentResult(meta=meta, methods={})
+    meta["seed"] = 9
+    meta["task"]["seed"] = 7
+    assert given.to_dict()["meta"] == {"seed": 5, "task": {"seed": 0}}
+
+
+def test_a_failed_fit_is_recorded_and_the_other_methods_are_scored(cell):
+    task, _, _ = cell
+    model = synthetic.train(task, epochs=5, seed=0)  # too unsure for filtered_pl's filter
+    methods = ["none", "filtered_pl", "pseudocal"]
+    result = report.evaluate_all(model, task, methods, mixup_cfg=MixupConfig(seed=7))
+    error = "EmptyFilterError: no sample reaches confidence 0.95; filtered pseudo-label fit is empty"
+    assert result.failed == {"filtered_pl": error}
+    assert list(result.methods) == list(result.bin_stats) == ["none", "pseudocal"]
+    doc = json.loads(result.to_json())
+    assert doc["failed"] == {"filtered_pl": error} and doc["meta"]["methods"] == methods
+    assert f"filtered_pl failed: {error}" in result.table_text().splitlines()
+    buf = io.StringIO()
+    report.method_bins_to_csv(result, buf)
+    assert {line.split(",")[0] for line in buf.getvalue().splitlines()[1:]} == {"none", "pseudocal"}
+    # The other methods score as in a run without the failed one, whose document has no failed key.
+    scored = report.evaluate_all(model, task, ["none", "pseudocal"], mixup_cfg=MixupConfig(seed=7))
+    assert scored.methods == result.methods
+    assert scored.correspondence_rate == result.correspondence_rate
+    assert "failed" not in json.loads(scored.to_json())
 
 
 def test_accuracy_identical_across_temperature_methods(cell):
@@ -127,7 +168,7 @@ def test_the_mixup_seed_is_the_run_seed_and_trains_the_ensemble(ensemble_cell):
     result = report.evaluate_all(model, task, ["ensemble"], mixup_cfg=MixupConfig(seed=21))
     assert result.meta["seed"] == 21
     config = {key: value for key, value in model.train_config.items() if key != "seed"}
-    ensemble = synthetic.ensemble_train(task, range(21, 26), **config)
+    ensemble = synthetic.train(task, **config, seed=range(21, 26))
     scored = metrics.PredictionBatch(
         logits=ensemble.predict_logits(task.target_inputs), labels=task.target_labels
     )

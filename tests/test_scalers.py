@@ -19,7 +19,7 @@ from _util import (
 
 def test_identity_leaves_batch_unchanged():
     b = random_batch(np.random.default_rng(0))
-    out = scalers.identity().apply(b)
+    out = scalers.Calibrator(kind="identity").apply(b)
     np.testing.assert_array_equal(out.logits, b.logits)
     np.testing.assert_array_equal(out.labels, b.labels)
 
@@ -242,7 +242,7 @@ def test_fit_temperature_not_worse_than_uncalibrated():
     for _ in range(10):
         b = random_batch(rng)
         nll_fit = metrics.mean_nll(scalers.fit_temperature(b).apply(b))
-        assert nll_fit <= metrics.mean_nll(scalers.identity().apply(b)) + 1e-12
+        assert nll_fit <= metrics.mean_nll(scalers.Calibrator(kind="identity").apply(b)) + 1e-12
 
 
 def test_fit_temperature_soft_labels():
@@ -658,7 +658,7 @@ def test_calibrator_json_roundtrip(tmp_path):
         scalers.Calibrator(
             kind="matrix", weight=np.eye(2), bias=np.zeros(2), converged=False
         ),
-        scalers.identity(),
+        scalers.Calibrator(kind="identity"),
     ]
     for cal in cases:
         path = tmp_path / "cal.json"

@@ -173,14 +173,15 @@ def test_one_loop_trains_each_member_bit_for_bit_as_alone(n_classes):
 
     single = synthetic.train(task, **config, track_history=True, seed=seeds[0])
     together = synthetic.train(task, **config, track_history=True, seed=seeds)
-    ensemble = synthetic.ensemble_train(task, seeds, **config)
-    for models in ([single], together, ensemble.members):
+    ensemble = synthetic.train(task, **config, seed=seeds)
+    for models in ([single], together.members, ensemble.members):
         for model, (w, b, history) in zip(models, alone):
             assert repr(model.weights.tolist()) == repr(w.tolist())
             assert repr(model.bias.tolist()) == repr(b.tolist())
             if model.history is not None:
                 np.testing.assert_array_equal(model.history, history)
-    assert isinstance(single, synthetic.TrainedClassifier) and len(together) == len(seeds)
+    assert isinstance(single, synthetic.TrainedClassifier)
+    assert isinstance(together, synthetic.EnsembleModel) and len(together.members) == len(seeds)
     assert single.history is not None and ensemble.members[0].history is None
 
 
@@ -206,14 +207,13 @@ def test_ensemble_divergence_names_the_first_epoch_any_member_diverged():
             first_epoch[seed] = excinfo.value.epoch
         assert first_epoch == {6: 3, 0: 2}
         with pytest.raises(TrainingError, match="diverged at epoch 2") as excinfo:
-            synthetic.ensemble_train(bad, [6, 0], epochs=10, lr=0.1)
+            synthetic.train(bad, epochs=10, lr=0.1, seed=[6, 0])
     assert excinfo.value.epoch == 2
 
 
 def test_ensemble_needs_a_member():
-    task = synthetic.generate(synthetic.ShiftSpec(seed=9, n_source=200, n_target=200))
     with pytest.raises(InvalidInputError, match="at least one member"):
-        synthetic.ensemble_train(task, [], epochs=10, lr=0.1)
+        synthetic.EnsembleModel(members=())
 
 
 def test_train_needs_a_seed():
@@ -237,7 +237,7 @@ def test_train_deterministic_per_seed():
 def test_ensemble_single_member_matches_base_model():
     task = synthetic.generate(synthetic.ShiftSpec(seed=11, n_source=400, n_target=400))
     single = synthetic.train(task, epochs=50, lr=0.1, seed=0)
-    ens = synthetic.ensemble_train(task, range(1), epochs=50, lr=0.1)
+    ens = synthetic.train(task, epochs=50, lr=0.1, seed=range(1))
     from pseudocal.numerics import softmax
 
     np.testing.assert_allclose(
@@ -259,7 +259,7 @@ def test_models_reject_inputs_they_cannot_score():
 
 def test_ensemble_order_invariant():
     task = synthetic.generate(synthetic.ShiftSpec(seed=12, n_source=400, n_target=400))
-    ens = synthetic.ensemble_train(task, range(3), epochs=50, lr=0.1)
+    ens = synthetic.train(task, epochs=50, lr=0.1, seed=range(3))
     flipped = synthetic.EnsembleModel(members=ens.members[::-1])
     np.testing.assert_allclose(
         ens.predict_logits(task.target_inputs),
@@ -271,7 +271,7 @@ def test_ensemble_order_invariant():
 def test_ensemble_calibration_not_worse_than_worst_member():
     spec = synthetic.ShiftSpec(mean_shift=1.0, rotation=0.45, seed=13)
     task = synthetic.generate(spec)
-    ens = synthetic.ensemble_train(task, range(4), epochs=300, lr=0.1, gamma=3.0)
+    ens = synthetic.train(task, epochs=300, lr=0.1, gamma=3.0, seed=range(4))
     eces = [
         metrics.ece(
             metrics.PredictionBatch(
@@ -347,7 +347,7 @@ def test_model_json_roundtrip(tmp_path):
     assert loaded.gamma == 2.0
     assert loaded.train_config["epochs"] == 30
 
-    ens = synthetic.ensemble_train(task, range(2), epochs=30, lr=0.1)
+    ens = synthetic.train(task, epochs=30, lr=0.1, seed=range(2))
     synthetic.save_model(ens, path)
     loaded_ens = synthetic.load_model(path)
     np.testing.assert_allclose(
@@ -404,7 +404,7 @@ def test_malformed_task_and_model_documents_are_rejected(what, damage):
     if what == "task":
         doc, from_dict = synthetic.task_to_dict(task), synthetic.task_from_dict
     else:
-        ens = synthetic.ensemble_train(task, range(2), epochs=5, lr=0.1)
+        ens = synthetic.train(task, epochs=5, lr=0.1, seed=range(2))
         doc, from_dict = synthetic.model_to_dict(ens), synthetic.model_from_dict
     damage(doc)
     with pytest.raises(InvalidInputError):
