@@ -7,7 +7,8 @@ import numpy as np
 from .documents import write_csv
 from .errors import InvalidInputError, LabelsRequiredError
 from .numerics import (
-    argmax_rows, class_indices, finite_array, is_integer, log_softmax, reduce_classes, softmax,
+    argmax_rows, class_indices, finite_array, frozen_copy, is_integer, log_softmax, reduce_classes,
+    softmax,
 )
 
 DEFAULT_BINS = 15
@@ -86,7 +87,8 @@ class PredictionBatch:
 class BinStats:
     """Per-bin accuracy/confidence records over an equal-width partition of (0, 1].
 
-    ``n``, the number of binned samples, is the sum of ``count``.
+    ``n``, the number of binned samples, is the sum of ``count``. The
+    arrays are read-only copies, ``count`` of integers.
     """
 
     bin_count: int
@@ -95,6 +97,11 @@ class BinStats:
     count: np.ndarray
     accuracy: np.ndarray
     confidence: np.ndarray
+
+    def __post_init__(self):
+        for name in ("lower", "upper", "count", "accuracy", "confidence"):
+            value = frozen_copy(getattr(self, name), f"bin {name}", 1, integer=name == "count")
+            object.__setattr__(self, name, value)
 
     @property
     def n(self):

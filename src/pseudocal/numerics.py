@@ -102,13 +102,14 @@ def finite_array(values, what, ndim, integer=False):
         raise InvalidInputError(
             f"{what} must be {shape} of {kind}, got {array.dtype} {array.shape}"
         )
-    check_finite(array, f"{what} must be finite, found non-finite values")
+    if array.dtype.kind == "f":  # an integer array holds only finite values
+        check_finite(array, f"{what} must be finite, found non-finite values")
     return array.astype(np.int64 if integer else np.float64, copy=False)
 
 
-def frozen_copy(values, what, ndim):
-    """A read-only copy of ``finite_array(values, what, ndim)``: no caller's array can change it."""
-    array = finite_array(values, what, ndim).copy()
+def frozen_copy(values, what, ndim, integer=False):
+    """A read-only copy of ``finite_array``'s array: no caller's array can change it."""
+    array = finite_array(values, what, ndim, integer).copy()
     array.setflags(write=False)
     return array
 

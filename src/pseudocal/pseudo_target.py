@@ -17,7 +17,7 @@ from .documents import write_csv
 from .errors import DegenerateTargetError, EmptyFilterError, InvalidInputError
 from .metrics import PredictionBatch
 from .numerics import (
-    argmax_rows, class_indices, finite_array, is_finite_number, is_integer,
+    argmax_rows, class_indices, finite_array, frozen_copy, is_finite_number, is_integer,
 )
 from .scalers import fit_temperature
 
@@ -84,35 +84,44 @@ def checked_config(cfg):
     return cfg
 
 
-@dataclass(frozen=True)
-class PseudoTargetSet:
-    """Mixed samples' logits, with the pair each was mixed from.
+@dataclass(frozen=True, kw_only=True)
+class PseudoTargetSet(PredictionBatch):
+    """The labeled pseudo-target set: mixed samples' logits and their pseudo labels.
 
     Sample i mixes target rows ``index_a[i]`` and ``index_b[i]`` with ratio
-    ``lam[i]``; ``pl_a`` and ``pl_b`` are their pseudo labels. Its targets
-    derive from those: ``hard_labels`` here, soft ones in ``fit_on_pseudo_set``.
+    ``lam[i]``; ``pl_a`` and ``pl_b`` are their pseudo labels, and
+    ``labels`` (the paper's y_pt) is the dominant row's. The provenance
+    arrays are read-only copies, as ``labels`` is, so ``labels`` cannot
+    come to disagree with ``lam``.
     """
 
-    logits: np.ndarray
     index_a: np.ndarray
     index_b: np.ndarray
     lam: np.ndarray
     pl_a: np.ndarray
     pl_b: np.ndarray
 
-    @property
-    def size(self):
-        return self.logits.shape[0]
+    size = PredictionBatch.n  # the row count under its older name, which perfbench reads
+
+    def __post_init__(self):
+        super().__post_init__()
+        for name in ("index_a", "index_b", "lam", "pl_a", "pl_b"):
+            what = f"pseudo set {name}"
+            value = frozen_copy(getattr(self, name), what, 1, integer=name != "lam")
+            if value.shape != (self.n,):
+                raise InvalidInputError(
+                    f"{what} must hold one entry per sample ({self.n}), got {len(value)}"
+                )
+            if name != "lam" and value.min() < 0:
+                raise InvalidInputError(f"{what} must be >= 0")
+            if name.startswith("pl_") and value.max() >= self.num_classes:
+                raise InvalidInputError(f"{what} must lie in [0, {self.num_classes})")
+            object.__setattr__(self, name, value)
 
     @property
     def dominant_index(self):
         """The target row that outweighs the other in each mixture."""
         return np.where(self.lam > 0.5, self.index_a, self.index_b)
-
-    @property
-    def hard_labels(self):
-        """The dominant row's pseudo label per mixture."""
-        return np.where(self.lam > 0.5, self.pl_a, self.pl_b)
 
 
 def infer(model, inputs):
@@ -183,7 +192,8 @@ def synthesize(model, target_inputs, target_pseudo_labels, cfg):
     if pl.max() >= logits.shape[1]:
         raise InvalidInputError(f"target pseudo labels must lie in [0, {logits.shape[1]})")
     return PseudoTargetSet(
-        logits=logits, index_a=idx_a, index_b=idx_b, lam=lam, pl_a=pl[idx_a], pl_b=pl[idx_b]
+        logits=logits, labels=np.where(lam > 0.5, pl[idx_a], pl[idx_b]),
+        index_a=idx_a, index_b=idx_b, lam=lam, pl_a=pl[idx_a], pl_b=pl[idx_b],
     )
 
 
@@ -194,12 +204,12 @@ def fit_on_pseudo_set(pseudo, label_mode):
     written in place into one (n, C) matrix that lives only for the fit.
     """
     if MixupConfig(label_mode=label_mode).label_mode == "hard":
-        return fit_temperature(PredictionBatch(logits=pseudo.logits, labels=pseudo.hard_labels))
-    rows = np.arange(pseudo.size)
+        return fit_temperature(pseudo)
+    rows = np.arange(pseudo.n)
     soft = np.zeros(pseudo.logits.shape)
     soft[rows, pseudo.pl_a] = pseudo.lam
     soft[rows, pseudo.pl_b] += 1.0 - pseudo.lam
-    return fit_temperature(PredictionBatch(logits=pseudo.logits), soft_labels=soft)
+    return fit_temperature(pseudo, soft_labels=soft)
 
 
 def pseudo_set(model, target_inputs, cfg):
@@ -218,10 +228,6 @@ def calibrate(model, target_inputs, cfg=None):
     return fit_on_pseudo_set(pseudo_set(model, target_inputs, cfg), cfg.label_mode)
 
 
-def _pseudo_correct(pseudo):
-    return argmax_rows(pseudo.logits) == pseudo.hard_labels
-
-
 def correspondence_rate(pseudo, target_labels):
     """Fraction of pairs whose pseudo-sample correctness matches the dominant real sample's.
 
@@ -229,12 +235,12 @@ def correspondence_rate(pseudo, target_labels):
     label) and its dominant constituent (judged against its true label)
     are both correct or both wrong. Diagnostic only: needs true labels.
     """
-    labels = class_indices(target_labels, None, pseudo.logits.shape[1], "target labels")
+    labels = class_indices(target_labels, None, pseudo.num_classes, "target labels")
     dominant = pseudo.dominant_index
     if dominant.max() >= len(labels):
         raise InvalidInputError("target labels must cover every target row the pseudo set mixes")
-    dominant_correct = pseudo.hard_labels == labels[dominant]
-    return float(np.mean(_pseudo_correct(pseudo) == dominant_correct))
+    dominant_correct = pseudo.labels == labels[dominant]
+    return float(np.mean(pseudo.correct() == dominant_correct))
 
 
 def variant_pseudo_label(target_logits):
@@ -266,6 +272,6 @@ def write_provenance_csv(pseudo, path_or_file):
         "lambda": pseudo.lam,
         "pl_a": pseudo.pl_a,
         "pl_b": pseudo.pl_b,
-        "y_pt": pseudo.hard_labels,
-        "pseudo_correct": _pseudo_correct(pseudo).astype(int),
+        "y_pt": pseudo.labels,
+        "pseudo_correct": pseudo.correct().astype(int),
     })

@@ -185,6 +185,35 @@ TASK = dict(
     source_labels=[0, 1, 0, 1], target_inputs=np.zeros((2, 2)), target_labels=None,
 )
 MODEL = dict(weights=np.ones((2, 2)), bias=np.zeros(2))
+PSEUDO = dict(
+    logits=[[0.3, -1.2, 0.8], [1.5, 0.1, -0.4], [-0.7, 0.9, 0.2], [0.6, 0.4, -1.1]],
+    labels=[2, 0, 1, 0], index_a=[0, 1, 2, 3], index_b=[1, 2, 3, 0], lam=[0.65, 0.65, 0.65, 0.65],
+    pl_a=[0, 1, 2, 0], pl_b=[1, 2, 0, 1],
+)
+
+
+def read_pseudo_set(**change):
+    pseudo = pseudo_target.PseudoTargetSet(**{**PSEUDO, **change})
+    pseudo_target.fit_on_pseudo_set(pseudo, "soft")
+    pseudo_target.write_provenance_csv(pseudo, io.StringIO())
+    pseudo_target.correspondence_rate(pseudo, [0, 1, 2, 0])
+
+
+def pseudo_record(field):
+    """Builds a PseudoTargetSet with ``field`` drawn and runs each reader of the set on it.
+
+    The drawn value is tried as the whole field and as the field's last entry.
+    """
+
+    def build_and_read(value):
+        *rows, last = PSEUDO[field]
+        last_entry = [*rows, [*last[:-1], value]] if field == "logits" else [*rows, value]
+        for drawn in (value, last_entry):
+            succeeds(read_pseudo_set, **{field: drawn})
+
+    return build_and_read
+
+
 RECORD_FIELDS = {
     **{f"MixupConfig.{f.name}": record(pseudo_target.MixupConfig, f.name)
        for f in fields(pseudo_target.MixupConfig)},
@@ -195,6 +224,7 @@ RECORD_FIELDS = {
     **{f"Calibrator.{f.name}": record(scalers.Calibrator, f.name, kind="temperature", temperature=1.0)
        for f in fields(scalers.Calibrator)},
     "EnsembleModel.members": record(synthetic.EnsembleModel, "members"),
+    **{f"PseudoTargetSet.{f.name}": pseudo_record(f.name) for f in fields(pseudo_target.PseudoTargetSet)},
 }
 
 

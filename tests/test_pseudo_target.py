@@ -68,7 +68,7 @@ def test_synthesize_mixes_by_dominance():
     for i in range(pseudo.size):
         a, b = pseudo.index_a[i], pseudo.index_b[i]
         np.testing.assert_allclose(pseudo.logits[i], 0.65 * x[a] + 0.35 * x[b])
-        assert pseudo.hard_labels[i] == pseudo.pl_a[i]
+        assert pseudo.labels[i] == pseudo.pl_a[i]
         assert pseudo.dominant_index[i] == a
 
 
@@ -79,7 +79,7 @@ def test_synthesize_lambda_one_reduces_to_pseudo_labeled_reals():
     pseudo = pseudo_target.synthesize(IdentityModel(), x, np.argmax(x, axis=1), cfg)
     for i in range(pseudo.size):
         np.testing.assert_allclose(pseudo.logits[i], x[pseudo.index_a[i]])
-        assert pseudo.hard_labels[i] == np.argmax(x[pseudo.index_a[i]])
+        assert pseudo.labels[i] == np.argmax(x[pseudo.index_a[i]])
 
 
 def test_synthesize_filters_equal_pseudo_labels():
@@ -98,7 +98,7 @@ def test_synthesize_same_pairing_keeps_agreeing_pairs():
     cfg = pseudo_target.MixupConfig(pairing="same", seed=5)
     pseudo = pseudo_target.synthesize(IdentityModel(), x, np.argmax(x, axis=1), cfg)
     assert np.all(pseudo.pl_a == pseudo.pl_b)
-    assert np.all(pseudo.hard_labels == pseudo.pl_a)
+    assert np.all(pseudo.labels == pseudo.pl_a)
 
 
 def test_synthesize_multi_epoch_and_determinism():
@@ -109,7 +109,7 @@ def test_synthesize_multi_epoch_and_determinism():
     p2 = pseudo_target.synthesize(IdentityModel(), x, np.argmax(x, axis=1), cfg)
     assert p1.size <= 3 * 40
     np.testing.assert_array_equal(p1.logits, p2.logits)
-    np.testing.assert_array_equal(p1.hard_labels, p2.hard_labels)
+    np.testing.assert_array_equal(p1.labels, p2.labels)
     other = pseudo_target.synthesize(
         IdentityModel(), x, np.argmax(x, axis=1), pseudo_target.MixupConfig(epochs=3, seed=8)
     )
@@ -269,9 +269,67 @@ def test_beta_policy_dominance_follows_ratio():
     pseudo = pseudo_target.synthesize(IdentityModel(), x, np.argmax(x, axis=1), cfg)
     assert np.any(pseudo.lam < 0.5) and np.any(pseudo.lam > 0.5)
     dominant_pl = np.where(pseudo.lam > 0.5, pseudo.pl_a, pseudo.pl_b)
-    np.testing.assert_array_equal(pseudo.hard_labels, dominant_pl)
+    np.testing.assert_array_equal(pseudo.labels, dominant_pl)
     expected_dom = np.where(pseudo.lam > 0.5, pseudo.index_a, pseudo.index_b)
     np.testing.assert_array_equal(pseudo.dominant_index, expected_dom)
+
+
+@pytest.mark.parametrize("policy", pseudo_target.LAMBDA_POLICIES)
+@pytest.mark.parametrize("pairing", pseudo_target.PAIRINGS)
+def test_every_fit_takes_the_pseudo_set_as_the_batch_it_is(policy, pairing):
+    rng = np.random.default_rng(16)
+    x = 2.0 * rng.standard_normal((80, 4))
+    pl = np.where(rng.random(80) < 0.7, np.argmax(x, axis=1), rng.integers(0, 4, 80))
+    cfg = pseudo_target.MixupConfig(lambda_policy=policy, pairing=pairing, seed=17)
+    pseudo = pseudo_target.synthesize(IdentityModel(), x, pl, cfg)
+    assert isinstance(pseudo, metrics.PredictionBatch)
+    labels = np.where(pseudo.lam > 0.5, pseudo.pl_a, pseudo.pl_b)
+    batch = metrics.PredictionBatch(logits=pseudo.logits, labels=labels)
+    for fit in (scalers.fit_temperature, scalers.fit_vector, scalers.fit_matrix):
+        expected = scalers.calibrator_to_dict(fit(batch))
+        assert scalers.calibrator_to_dict(fit(pseudo)) == expected, fit.__name__
+
+
+def valid_pseudo_fields():
+    """A 4-row, 3-class pseudo set's fields as the caller's own writable arrays."""
+    return dict(
+        logits=np.random.default_rng(18).standard_normal((4, 3)), labels=np.array([0, 1, 2, 0]),
+        index_a=np.arange(4), index_b=np.array([1, 2, 3, 0]), lam=np.full(4, 0.65),
+        pl_a=np.array([0, 1, 2, 0]), pl_b=np.array([1, 2, 0, 1]),
+    )
+
+
+@pytest.mark.parametrize("change, message", [
+    ({"pl_a": [0, 1, 2, 3]}, "pseudo set pl_a must lie in \\[0, 3\\)"),
+    ({"pl_b": [1, 2, 0, -1]}, "pseudo set pl_b must be >= 0"),
+    ({"lam": np.full(2, 0.65)}, "pseudo set lam must hold one entry per sample \\(4\\), got 2"),
+    ({"index_a": np.arange(4.0)}, "pseudo set index_a must be a 1-D array of integers"),
+    ({"index_b": [[1, 2, 3, 0]]}, "pseudo set index_b must be a 1-D array of integers"),
+    ({"index_b": [1, 2, -3, 0]}, "pseudo set index_b must be >= 0"),
+    ({"lam": [0.65, 0.65, np.nan, 0.65]}, "pseudo set lam must be finite"),
+])
+def test_pseudo_set_rejects_malformed_provenance(change, message):
+    with pytest.raises(InvalidInputError, match=message):
+        pseudo_target.PseudoTargetSet(**{**valid_pseudo_fields(), **change})
+
+
+def test_pseudo_set_arrays_are_read_only_copies():
+    given = valid_pseudo_fields()
+    pseudo = pseudo_target.PseudoTargetSet(**given)
+
+    def outputs():
+        buf = io.StringIO()
+        pseudo_target.write_provenance_csv(pseudo, buf)
+        soft = pseudo_target.fit_on_pseudo_set(pseudo, "soft").temperature
+        return buf.getvalue(), soft, pseudo_target.correspondence_rate(pseudo, [0, 1, 2, 0])
+
+    before = outputs()
+    for name, array in given.items():
+        with pytest.raises(ValueError, match="read-only"):
+            getattr(pseudo, name)[-1] += 1
+        assert array.flags.writeable and not np.shares_memory(array, getattr(pseudo, name)), name
+        array[-1] += 1  # the caller's array is still the caller's to change
+    assert outputs() == before
 
 
 def shifted_task_and_model(seed=0, gamma=3.0):

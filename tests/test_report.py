@@ -209,6 +209,32 @@ def test_method_bins_csv(cell):
     assert len(lines) == 1 + 2 * 10
 
 
+def test_bin_stats_arrays_are_read_only(cell):
+    task, model, _ = cell
+    result = report.evaluate_all(model, task, ["none"], mixup_cfg=MixupConfig(seed=0))
+    stats = result.bin_stats["none"]
+
+    def outputs():
+        buf = io.StringIO()
+        report.method_bins_to_csv(result, buf)
+        return buf.getvalue(), stats.ece()
+
+    before = outputs()
+    assert before[1] == result.methods["none"].ece
+    for name in ("lower", "upper", "count", "accuracy", "confidence"):
+        with pytest.raises(ValueError, match="read-only"):
+            getattr(stats, name)[-1] += 7
+    assert outputs() == before
+    # A hand-built record copies the caller's arrays, which stay writable.
+    count = np.array([1, 3])
+    built = metrics.BinStats(
+        bin_count=2, lower=np.array([0.0, 0.5]), upper=np.array([0.5, 1.0]), count=count,
+        accuracy=np.array([0.0, 1.0]), confidence=np.array([0.4, 0.8]),
+    )
+    count[-1] += 7
+    assert built.count.dtype == np.int64 and built.n == 4 and count.flags.writeable
+
+
 class NoInference:
     def predict_logits(self, inputs):
         raise AssertionError("inferred before the arguments were checked")

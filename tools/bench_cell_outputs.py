@@ -41,6 +41,11 @@ STEPS = {
                        "--out", "calibrator_beta.json", "--provenance-out", "pairs_beta.csv"],
     "evaluate": ["evaluate", *DOCS, "--seed", "7", "--methods", METHODS, "--out", "result.json",
                  "--table-out", "table.txt", "--bins-out", "bins.csv"],
+    # The soft fits of evaluate_all: pseudocal's and its ablations' against mixup's soft targets.
+    "evaluate_soft": ["evaluate", *DOCS, "--seed", "7", "--label-mode", "soft",
+                      "--methods", "none,temp_oracle,pseudocal,pseudocal_same,beta_mixup",
+                      "--out", "result_soft.json", "--table-out", "table_soft.txt",
+                      "--bins-out", "bins_soft.csv"],
     "sweep": ["sweep", *DOCS, "--out", "sweep.csv"],
     # A 5-epoch model is too unsure for filtered_pl's 0.95 confidence filter,
     # so this evaluate records that method as failed and scores the others.
