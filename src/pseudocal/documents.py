@@ -12,6 +12,7 @@ from collections.abc import Mapping
 import numpy as np
 
 from .errors import InvalidInputError
+from .numerics import row_blocks
 
 SCHEMA_VERSION = 1
 
@@ -64,13 +65,14 @@ def write_json(doc, path, indent=None):
 def read_json(path, from_dict):
     """Decode the JSON file at ``path`` and build a record from it with ``from_dict``.
 
-    A file that is not JSON, or a document with a missing key or a value
-    of the wrong type or shape, raises InvalidInputError naming the file.
+    A file that is not JSON, JSON nested too deeply to decode, or a
+    document with a missing key or a value of the wrong type or shape,
+    raises InvalidInputError naming the file.
     """
     with open(path) as fh:
         try:
             return from_dict(json.load(fh))
-        except (KeyError, TypeError, ValueError) as exc:
+        except (KeyError, TypeError, ValueError, RecursionError) as exc:
             raise InvalidInputError(f"malformed document {path}: {exc!r}") from exc
 
 
@@ -78,16 +80,25 @@ def write_csv(path_or_file, columns):
     """Write named 1-D columns as CSV to a path or to an open text file.
 
     The keys of ``columns`` are the header. Float columns are written as
-    ``.10g``, integer and string columns as they are.
+    ``.10g``, integer and string columns as they are. Columns that are not
+    1-D or not all of one length raise InvalidInputError before anything
+    is written. The rows are formatted and written BLOCK_ROWS at a time, so
+    one block's cells are alive at once, not the whole table's.
     """
+    columns = {name: np.asarray(values) for name, values in columns.items()}
+    shapes = {values.shape for values in columns.values()}
+    if len(shapes) > 1 or any(len(shape) != 1 for shape in shapes):
+        detail = ", ".join(f"{name} {values.shape}" for name, values in columns.items())
+        raise InvalidInputError(f"CSV columns must be 1-D and of one length, got {detail}")
     if isinstance(path_or_file, (str, bytes)) or hasattr(path_or_file, "__fspath__"):
         with open(path_or_file, "w", newline="") as fh:
             write_csv(fh, columns)
         return
-    cells = [_cells(np.asarray(values)) for values in columns.values()]
     writer = csv.writer(path_or_file)
     writer.writerow(columns)
-    writer.writerows(zip(*cells, strict=True))
+    (n,) = shapes.pop() if shapes else (0,)
+    for rows in row_blocks(n):
+        writer.writerows(zip(*(_cells(values[rows]) for values in columns.values())))
 
 
 def _cells(values):

@@ -88,7 +88,8 @@ class BinStats:
     """Per-bin accuracy/confidence records over an equal-width partition of (0, 1].
 
     ``n``, the number of binned samples, is the sum of ``count``. The
-    arrays are read-only copies, ``count`` of integers.
+    arrays are read-only copies, ``count`` of integers, and each holds
+    one entry per bin.
     """
 
     bin_count: int
@@ -99,8 +100,13 @@ class BinStats:
     confidence: np.ndarray
 
     def __post_init__(self):
+        object.__setattr__(self, "bin_count", check_bins(self.bin_count))
         for name in ("lower", "upper", "count", "accuracy", "confidence"):
             value = frozen_copy(getattr(self, name), f"bin {name}", 1, integer=name == "count")
+            if len(value) != self.bin_count:
+                raise InvalidInputError(
+                    f"bin {name} must hold one entry per bin ({self.bin_count}), got {len(value)}"
+                )
             object.__setattr__(self, name, value)
 
     @property

@@ -150,8 +150,8 @@ def check_finite(z, message):
     size rather than the whole array's.
     """
     z = np.atleast_1d(z)
-    for rows in row_blocks(len(z)):
-        if not np.all(np.isfinite(z[rows])):
+    for start in range(0, len(z), BLOCK_ROWS):
+        if not np.isfinite(z[start : start + BLOCK_ROWS]).all():
             raise InvalidInputError(message)
 
 

@@ -18,6 +18,7 @@ from .errors import DegenerateTargetError, EmptyFilterError, InvalidInputError
 from .metrics import PredictionBatch
 from .numerics import (
     argmax_rows, class_indices, finite_array, frozen_copy, is_finite_number, is_integer,
+    row_blocks,
 )
 from .scalers import fit_temperature
 
@@ -188,7 +189,16 @@ def synthesize(model, target_inputs, target_pseudo_labels, cfg):
             f"pseudo-target synthesis is degenerate: {detail}", predicted_class=single
         )
 
-    logits = infer(model, lam[:, None] * inputs[idx_a] + (1.0 - lam[:, None]) * inputs[idx_b])
+    # One (m, d) matrix, filled BLOCK_ROWS rows at a time, so the gathered
+    # rows and weighted terms beside it are one block's. Each entry is
+    # lam * x_a + (1 - lam) * x_b, as one whole-set expression computes it.
+    mixed = np.empty((len(lam), inputs.shape[1]))
+    for rows in row_blocks(len(lam)):
+        block, weight = mixed[rows], lam[rows, None]
+        np.multiply(weight, inputs[idx_a[rows]], out=block)
+        block += (1.0 - weight) * inputs[idx_b[rows]]
+    logits = infer(model, mixed)
+    del mixed
     if pl.max() >= logits.shape[1]:
         raise InvalidInputError(f"target pseudo labels must lie in [0, {logits.shape[1]})")
     return PseudoTargetSet(

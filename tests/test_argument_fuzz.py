@@ -214,6 +214,34 @@ def pseudo_record(field):
     return build_and_read
 
 
+BINS = dict(
+    bin_count=2, lower=[0.0, 0.5], upper=[0.5, 1.0], count=[1, 3], accuracy=[0.0, 1.0], confidence=[0.4, 0.8],
+)
+
+
+def read_bin_stats(**change):
+    stats = metrics.BinStats(**{**BINS, **change})
+    stats.ece()
+    metrics.bin_stats_to_csv(stats, io.StringIO())
+
+
+def bins_record(field):
+    """Builds a BinStats with ``field`` drawn and reads its ECE and CSV.
+
+    An array field's drawn value is tried as the whole field, as its last
+    entry and as one entry more than there are bins.
+    """
+
+    def build_and_read(value):
+        drawn = [value]
+        if field != "bin_count":
+            drawn += [[*BINS[field][:-1], value], [*BINS[field], value]]
+        for entry in drawn:
+            succeeds(read_bin_stats, **{field: entry})
+
+    return build_and_read
+
+
 RECORD_FIELDS = {
     **{f"MixupConfig.{f.name}": record(pseudo_target.MixupConfig, f.name)
        for f in fields(pseudo_target.MixupConfig)},
@@ -225,6 +253,7 @@ RECORD_FIELDS = {
        for f in fields(scalers.Calibrator)},
     "EnsembleModel.members": record(synthetic.EnsembleModel, "members"),
     **{f"PseudoTargetSet.{f.name}": pseudo_record(f.name) for f in fields(pseudo_target.PseudoTargetSet)},
+    **{f"BinStats.{f.name}": bins_record(f.name) for f in fields(metrics.BinStats)},
 }
 
 

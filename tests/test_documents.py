@@ -16,6 +16,7 @@ CLI either succeeds or prints exactly one error line.
 import ast
 import contextlib
 import copy
+import csv
 import io
 import json
 import re
@@ -28,7 +29,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import pseudocal
-from pseudocal import cli, documents, metrics, scalers, synthetic
+from pseudocal import cli, documents, metrics, numerics, scalers, synthetic
 from pseudocal.errors import InvalidInputError
 
 SRC = Path(pseudocal.__file__).parent
@@ -101,6 +102,37 @@ def test_write_csv_formats_float_int_and_str_columns():
         "s": ["a", "b c", "d,e", ""],
     })
     assert buf.getvalue() == 'x,n,s\r\n0.1,1,a\r\n0.3333333333,-2,b c\r\n2,30,"d,e"\r\n1e-20,0,\r\n'
+
+
+@pytest.mark.parametrize("rows", [0, 1, 7, 8, 22])
+def test_write_csv_in_blocks_writes_what_a_one_shot_writer_does(monkeypatch, rows):
+    monkeypatch.setattr(numerics, "BLOCK_ROWS", 7)
+    rng = np.random.default_rng(rows)
+    columns = {
+        "x": rng.standard_normal(rows) * 10.0 ** rng.integers(-25, 25, rows),
+        "n": rng.integers(-1000, 1000, rows),
+        "s": [f"row {k}" + "," * (k % 2) for k in range(rows)],
+    }
+    expected = io.StringIO()
+    writer = csv.writer(expected)
+    writer.writerow(columns)
+    writer.writerows(zip([f"{v:.10g}" for v in columns["x"].tolist()], columns["n"].tolist(), columns["s"]))
+    buf = io.StringIO()
+    documents.write_csv(buf, columns)
+    assert buf.getvalue() == expected.getvalue()
+    assert len(buf.getvalue().splitlines()) == rows + 1
+
+
+@pytest.mark.parametrize("columns", [{"a": [1, 2], "b": [0.5]}, {"a": [[1, 2]]}, {"a": 3}])
+def test_write_csv_rejects_ragged_columns_before_writing(tmp_path, columns):
+    buf = io.StringIO()
+    with pytest.raises(InvalidInputError, match="1-D and of one length"):
+        documents.write_csv(buf, columns)
+    assert buf.getvalue() == ""
+    path = tmp_path / "table.csv"
+    with pytest.raises(InvalidInputError, match="1-D and of one length"):
+        documents.write_csv(path, columns)
+    assert not path.exists()
 
 
 def _plain(doc):
@@ -237,6 +269,22 @@ def test_cli_succeeds_or_prints_one_error_line_on_damaged_documents(cell, data):
             assert code in (1, 2)
             assert len(lines) == 1 and lines[0].startswith("error:"), lines
             assert not out.exists()
+
+
+@pytest.mark.parametrize("kind", ["task", "model", "config"])
+def test_cli_prints_one_error_line_on_too_deeply_nested_json(cell, kind):
+    root, _ = cell
+    deep = root / f"deep-{kind}.json"
+    deep.write_text("[" * 200_000)
+    files = {"task": root / "task.json", "model": root / "model.json", kind: deep}
+    out = root / "out.json"
+    argv = ["calibrate", "--task", str(files["task"]), "--model", str(files["model"]), "--out", str(out)]
+    if kind == "config":
+        argv += ["--config", str(deep)]
+    code, lines = _run_cli(argv)
+    assert code == (2 if kind == "config" else 1)
+    assert len(lines) == 1 and lines[0].startswith("error:") and "recursion" in lines[0], lines
+    assert not out.exists()
 
 
 def _parent(doc, path):

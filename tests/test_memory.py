@@ -11,7 +11,7 @@ import weakref
 import numpy as np
 import pytest
 
-from pseudocal import cli, metrics, numerics, pseudo_target, scalers, synthetic
+from pseudocal import cli, documents, metrics, numerics, pseudo_target, scalers, synthetic
 from pseudocal.errors import InvalidInputError
 
 N, C, DIM = 20_000, 50, 10
@@ -68,6 +68,37 @@ def test_soft_fit_holds_one_target_matrix(monkeypatch, logits):
     peak, cal = peak_bytes(pseudo_target.fit_on_pseudo_set, pseudo, "soft")
     assert cal.kind == "temperature"
     assert peak < 1.5 * logits.nbytes
+
+
+def test_synthesis_mixes_into_one_matrix(monkeypatch):
+    # Wide inputs and two classes, so the mixed inputs outweigh the logits.
+    # They are one (m, d) matrix filled in 1,000-row blocks; mixing the
+    # whole set at once held three such matrices beside the result.
+    monkeypatch.setattr(numerics, "BLOCK_ROWS", 1000)
+    d = 50
+    rng = np.random.default_rng(7)
+    mixer = synthetic.TrainedClassifier(weights=rng.standard_normal((d, 2)), bias=rng.standard_normal(2))
+    x = rng.standard_normal((N, d))
+    pl = numerics.argmax_rows(mixer.predict_logits(x))
+    peak, pseudo = peak_bytes(pseudo_target.synthesize, mixer, x, pl, pseudo_target.MixupConfig(seed=0))
+    assert pseudo.n > N / 4
+    assert peak < 1.5 * pseudo.n * d * 8
+
+
+def test_provenance_csv_holds_one_block_of_cells(monkeypatch, tmp_path):
+    # Formatting all N rows first took a list of N cells per column: its
+    # pointers alone are N * 8 bytes a column, before the cells themselves.
+    monkeypatch.setattr(numerics, "BLOCK_ROWS", 1000)
+    rng = np.random.default_rng(8)
+    columns = {
+        "index_a": np.arange(N), "index_b": rng.permutation(N), "lambda": rng.uniform(0.55, 0.95, N),
+        "pl_a": rng.integers(0, C, N), "pl_b": rng.integers(0, C, N), "y_pt": rng.integers(0, C, N),
+        "pseudo_correct": rng.integers(0, 2, N),
+    }
+    path = tmp_path / "provenance.csv"
+    peak, _ = peak_bytes(documents.write_csv, path, columns)
+    assert len(path.read_text().splitlines()) == N + 1
+    assert peak < len(columns) * N * 8 / 2
 
 
 @pytest.mark.parametrize("calibrator", [

@@ -122,6 +122,21 @@ def test_ece_hand_case():
     assert metrics.ece(b, 2) == pytest.approx(0.25, abs=1e-12)
 
 
+@pytest.mark.parametrize("change, message", [
+    (dict(bin_count=3, lower=[0, 0.5], upper=[0.5, 1, 2], count=[1, 2], accuracy=[1.0],
+          confidence=[0.5, 0.6, 0.7, 0.8]), r"bin lower must hold one entry per bin \(3\), got 2"),
+    (dict(accuracy=[1.0]), r"bin accuracy must hold one entry per bin \(2\), got 1"),
+    (dict(bin_count=0, lower=[], upper=[], count=np.array([], dtype=int), accuracy=[], confidence=[]),
+     "bin count must be an integer"),
+    (dict(bin_count=2.0), "bin count must be an integer"),
+])
+def test_bin_stats_hold_one_entry_per_bin(change, message):
+    valid = dict(bin_count=2, lower=[0.0, 0.5], upper=[0.5, 1.0], count=[1, 3],
+                 accuracy=[0.0, 1.0], confidence=[0.4, 0.8])
+    with pytest.raises(InvalidInputError, match=message):
+        metrics.BinStats(**{**valid, **change})
+
+
 def test_hand_built_bin_stats_weigh_ece_by_count_without_warning():
     stats = metrics.BinStats(
         bin_count=2, lower=np.array([0.0, 0.5]), upper=np.array([0.5, 1.0]), count=np.array([1, 3]),
