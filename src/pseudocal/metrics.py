@@ -87,27 +87,32 @@ class PredictionBatch:
 class BinStats:
     """Per-bin accuracy/confidence records over an equal-width partition of (0, 1].
 
+    Bin i of ``bin_count`` covers (i / bin_count, (i + 1) / bin_count].
     ``n``, the number of binned samples, is the sum of ``count``. The
-    arrays are read-only copies, ``count`` of integers, and each holds
-    one entry per bin.
+    arrays are read-only copies of one length >= 1, ``count`` of integers
+    >= 0 with at least one sample.
     """
 
-    bin_count: int
-    lower: np.ndarray
-    upper: np.ndarray
     count: np.ndarray
     accuracy: np.ndarray
     confidence: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "bin_count", check_bins(self.bin_count))
-        for name in ("lower", "upper", "count", "accuracy", "confidence"):
+        for name in ("count", "accuracy", "confidence"):
             value = frozen_copy(getattr(self, name), f"bin {name}", 1, integer=name == "count")
-            if len(value) != self.bin_count:
+            object.__setattr__(self, name, value)
+            if len(value) != check_bins(self.bin_count):  # the length of count, >= 1
                 raise InvalidInputError(
                     f"bin {name} must hold one entry per bin ({self.bin_count}), got {len(value)}"
                 )
-            object.__setattr__(self, name, value)
+        if not (np.all(self.count >= 0) and self.n >= 1):
+            raise InvalidInputError(
+                f"bin counts must be >= 0 and hold at least one sample, got {self.count.tolist()}"
+            )
+
+    @property
+    def bin_count(self):
+        return len(self.count)
 
     @property
     def n(self):
@@ -135,7 +140,7 @@ def _bin_index(confidences, num_bins):
     # (lower, upper] membership; a confidence of exactly 0 goes to bin 1.
     edges = np.linspace(0.0, 1.0, num_bins + 1)
     idx = np.searchsorted(edges, confidences, side="left") - 1
-    return np.clip(idx, 0, num_bins - 1), edges
+    return np.clip(idx, 0, num_bins - 1)
 
 
 def reliability_bins(batch, num_bins=DEFAULT_BINS):
@@ -148,7 +153,7 @@ def reliability_bins(batch, num_bins=DEFAULT_BINS):
     num_bins = check_bins(num_bins)
     conf = batch.confidences()
     correct = batch.correct().astype(np.float64)
-    idx, edges = _bin_index(conf, num_bins)
+    idx = _bin_index(conf, num_bins)
 
     count = np.bincount(idx, minlength=num_bins)
     acc = np.zeros(num_bins)
@@ -157,14 +162,7 @@ def reliability_bins(batch, num_bins=DEFAULT_BINS):
     acc[nonempty] = np.bincount(idx, weights=correct, minlength=num_bins)[nonempty] / count[nonempty]
     mean_conf[nonempty] = np.bincount(idx, weights=conf, minlength=num_bins)[nonempty] / count[nonempty]
 
-    return BinStats(
-        bin_count=num_bins,
-        lower=edges[:-1],
-        upper=edges[1:],
-        count=count,
-        accuracy=acc,
-        confidence=mean_conf,
-    )
+    return BinStats(count=count, accuracy=acc, confidence=mean_conf)
 
 
 def ece(batch, num_bins=DEFAULT_BINS):
@@ -193,13 +191,15 @@ def mean_brier(batch):
 
 
 def bin_columns(*stats):
-    """The bins of one or more BinStats as named CSV columns, stacked in order."""
-    fields = {"bin_lower": "lower", "bin_upper": "upper", "count": "count",
-              "accuracy": "accuracy", "confidence": "confidence"}
-    return {
-        column: np.concatenate([getattr(s, attr) for s in stats]) if stats else []
-        for column, attr in fields.items()
-    }
+    """The bins of one or more BinStats as named CSV columns, stacked in order.
+
+    The edges are the ones ``_bin_index`` bins by.
+    """
+    edges = [np.linspace(0.0, 1.0, s.bin_count + 1) for s in stats]
+    columns = {"bin_lower": [e[:-1] for e in edges], "bin_upper": [e[1:] for e in edges]}
+    for name in ("count", "accuracy", "confidence"):
+        columns[name] = [getattr(s, name) for s in stats]
+    return {column: np.concatenate(parts) if stats else [] for column, parts in columns.items()}
 
 
 def bin_stats_to_csv(stats, path_or_file):

@@ -8,7 +8,7 @@ samples do, so a temperature fitted on this surrogate labeled set
 approximates the oracle temperature fitted on true target labels.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Protocol
 
 import numpy as np
@@ -90,12 +90,13 @@ class PseudoTargetSet(PredictionBatch):
     """The labeled pseudo-target set: mixed samples' logits and their pseudo labels.
 
     Sample i mixes target rows ``index_a[i]`` and ``index_b[i]`` with ratio
-    ``lam[i]``; ``pl_a`` and ``pl_b`` are their pseudo labels, and
-    ``labels`` (the paper's y_pt) is the dominant row's. The provenance
-    arrays are read-only copies, as ``labels`` is, so ``labels`` cannot
+    ``lam[i]``; ``pl_a`` and ``pl_b`` are their pseudo labels. ``labels``
+    (the paper's y_pt) is not given but derived: the dominant row's pseudo
+    label. The provenance arrays are read-only copies, so ``labels`` cannot
     come to disagree with ``lam``.
     """
 
+    labels: np.ndarray = field(init=False, default=None)
     index_a: np.ndarray
     index_b: np.ndarray
     lam: np.ndarray
@@ -118,6 +119,9 @@ class PseudoTargetSet(PredictionBatch):
             if name.startswith("pl_") and value.max() >= self.num_classes:
                 raise InvalidInputError(f"{what} must lie in [0, {self.num_classes})")
             object.__setattr__(self, name, value)
+        labels = np.where(self.lam > 0.5, self.pl_a, self.pl_b)
+        labels.setflags(write=False)
+        object.__setattr__(self, "labels", labels)
 
     @property
     def dominant_index(self):
@@ -202,8 +206,7 @@ def synthesize(model, target_inputs, target_pseudo_labels, cfg):
     if pl.max() >= logits.shape[1]:
         raise InvalidInputError(f"target pseudo labels must lie in [0, {logits.shape[1]})")
     return PseudoTargetSet(
-        logits=logits, labels=np.where(lam > 0.5, pl[idx_a], pl[idx_b]),
-        index_a=idx_a, index_b=idx_b, lam=lam, pl_a=pl[idx_a], pl_b=pl[idx_b],
+        logits=logits, index_a=idx_a, index_b=idx_b, lam=lam, pl_a=pl[idx_a], pl_b=pl[idx_b]
     )
 
 

@@ -25,7 +25,7 @@ from .metrics import (
     DEFAULT_BINS, PredictionBatch, bin_columns, check_bins, ece, mean_brier, mean_nll,
     reliability_bins,
 )
-from .numerics import finite_array, listed
+from .numerics import listed
 
 # Members of the ensemble baseline, trained on the run's seed and the next ENSEMBLE_SIZE - 1.
 ENSEMBLE_SIZE = 5
@@ -327,9 +327,7 @@ def sweep_to_csv(rows, path_or_file):
 
 def history_to_csv(history, path_or_file):
     """Training-history CSV: epoch, source_loss, target_error, target_nll."""
-    history = finite_array(history, "training history", 2)
-    if history.shape[1] != 4:
-        raise InvalidInputError(f"training history must have 4 columns, got {history.shape[1]}")
+    history = synthetic.frozen_history(history)
     write_csv(path_or_file, {
         "epoch": history[:, 0].astype(int),
         "source_loss": history[:, 1],

@@ -216,6 +216,14 @@ def _checked_train_config(config):
     return MappingProxyType(config)
 
 
+def frozen_history(values):
+    """A read-only copy of a finite (epochs, 4) training history, the array ``train`` tracks."""
+    history = frozen_copy(values, "training history", 2)
+    if history.shape[1] != 4:
+        raise InvalidInputError(f"training history must have 4 columns, got {history.shape[1]}")
+    return history
+
+
 @dataclass(frozen=True)
 class TrainedClassifier:
     """Multinomial logistic regression with confidence sharpening.
@@ -224,7 +232,9 @@ class TrainedClassifier:
     confidence without moving any decision boundary. ``train_config``
     records how it was trained (the ensemble baseline trains its members
     the same way): some of epochs, lr, gamma and seed, in a read-only
-    mapping. ``weights`` and ``bias`` are read-only copies of the given arrays.
+    mapping; a gamma it holds is the model's. ``history``, if given, is
+    the finite (epochs, 4) array ``train`` tracks. ``weights``, ``bias``
+    and ``history`` are read-only copies of the given arrays.
     """
 
     weights: np.ndarray
@@ -237,10 +247,17 @@ class TrainedClassifier:
         if not is_finite_number(self.gamma) or self.gamma < 1.0:
             raise InvalidInputError("gamma must be finite and >= 1")
         object.__setattr__(self, "train_config", _checked_train_config(self.train_config))
+        config_gamma = self.train_config.get("gamma", self.gamma)
+        if config_gamma != self.gamma:
+            raise InvalidInputError(
+                f"train_config gamma {config_gamma} differs from the model's gamma {self.gamma}"
+            )
         object.__setattr__(self, "weights", frozen_copy(self.weights, "model weights", 2))
         object.__setattr__(self, "bias", frozen_copy(self.bias, "model bias", 1))
         if self.bias.shape != self.weights.shape[1:]:
             raise InvalidInputError("classifier needs a (d, C) weight matrix and a length-C bias")
+        if self.history is not None:
+            object.__setattr__(self, "history", frozen_history(self.history))
 
     def predict_logits(self, inputs):
         inputs = finite_array(inputs, "classifier inputs", 2)

@@ -187,8 +187,8 @@ TASK = dict(
 MODEL = dict(weights=np.ones((2, 2)), bias=np.zeros(2))
 PSEUDO = dict(
     logits=[[0.3, -1.2, 0.8], [1.5, 0.1, -0.4], [-0.7, 0.9, 0.2], [0.6, 0.4, -1.1]],
-    labels=[2, 0, 1, 0], index_a=[0, 1, 2, 3], index_b=[1, 2, 3, 0], lam=[0.65, 0.65, 0.65, 0.65],
-    pl_a=[0, 1, 2, 0], pl_b=[1, 2, 0, 1],
+    index_a=[0, 1, 2, 3], index_b=[1, 2, 3, 0], lam=[0.65, 0.65, 0.65, 0.65], pl_a=[0, 1, 2, 0],
+    pl_b=[1, 2, 0, 1],
 )
 
 
@@ -214,9 +214,7 @@ def pseudo_record(field):
     return build_and_read
 
 
-BINS = dict(
-    bin_count=2, lower=[0.0, 0.5], upper=[0.5, 1.0], count=[1, 3], accuracy=[0.0, 1.0], confidence=[0.4, 0.8],
-)
+BINS = dict(count=[1, 3], accuracy=[0.0, 1.0], confidence=[0.4, 0.8])
 
 
 def read_bin_stats(**change):
@@ -228,15 +226,12 @@ def read_bin_stats(**change):
 def bins_record(field):
     """Builds a BinStats with ``field`` drawn and reads its ECE and CSV.
 
-    An array field's drawn value is tried as the whole field, as its last
-    entry and as one entry more than there are bins.
+    The drawn value is tried as the whole field, as its last entry and as
+    one entry more than there are bins.
     """
 
     def build_and_read(value):
-        drawn = [value]
-        if field != "bin_count":
-            drawn += [[*BINS[field][:-1], value], [*BINS[field], value]]
-        for entry in drawn:
+        for entry in (value, [*BINS[field][:-1], value], [*BINS[field], value]):
             succeeds(read_bin_stats, **{field: entry})
 
     return build_and_read
@@ -249,10 +244,12 @@ RECORD_FIELDS = {
     "SyntheticTask.val_fraction": record(synthetic.SyntheticTask, "val_fraction", **TASK),
     "TrainedClassifier.gamma": record(synthetic.TrainedClassifier, "gamma", **MODEL),
     "TrainedClassifier.train_config": record(synthetic.TrainedClassifier, "train_config", **MODEL),
+    "TrainedClassifier.history": record(synthetic.TrainedClassifier, "history", **MODEL),
     **{f"Calibrator.{f.name}": record(scalers.Calibrator, f.name, kind="temperature", temperature=1.0)
        for f in fields(scalers.Calibrator)},
     "EnsembleModel.members": record(synthetic.EnsembleModel, "members"),
-    **{f"PseudoTargetSet.{f.name}": pseudo_record(f.name) for f in fields(pseudo_target.PseudoTargetSet)},
+    **{f"PseudoTargetSet.{f.name}": pseudo_record(f.name)
+       for f in fields(pseudo_target.PseudoTargetSet) if f.init},
     **{f"BinStats.{f.name}": bins_record(f.name) for f in fields(metrics.BinStats)},
 }
 

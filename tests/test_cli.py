@@ -198,6 +198,7 @@ def test_unsupported_task_version_is_a_one_line_error(workspace, capsys):
         ("evaluate", "config", lambda doc: doc.update(label_mode="Hard"), 2),
         ("calibrate", "config", lambda doc: doc.update(sed=5), 2),
         ("evaluate", "config", lambda doc: doc.update(bin=7), 2),
+        ("evaluate", "model", lambda doc: doc["train_config"].update(gamma=1.0), 1),
     ],
     ids=["source-label-7", "source-labels-short", "narrow-target-inputs", "1d-target-inputs",
          "val-fraction-2", "empty-ensemble", "config-seed-string", "config-epochs-inf",
@@ -207,7 +208,7 @@ def test_unsupported_task_version_is_a_one_line_error(workspace, capsys):
          "config-lambda-bool", "config-bins-fraction", "sweep-config-bins-bool",
          "config-label-mode-unknown", "config-label-mode-bool", "config-lambda-policy-unknown",
          "config-pairing-list", "evaluate-config-label-mode-case", "config-key-misspelt",
-         "evaluate-config-key-misspelt"],
+         "evaluate-config-key-misspelt", "train-config-gamma-not-the-models"],
 )
 def test_malformed_input_is_a_one_line_error(
     workspace, tmp_path, capsys, command, damaged, damage, code

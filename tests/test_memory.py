@@ -56,18 +56,35 @@ def test_temperature_fit_holds_under_a_quarter_of_the_logits(monkeypatch, logits
     assert peak < logits.nbytes / 4
 
 
+def mixed_set(logits):
+    """A pseudo set over ``logits``, built from its mixes alone."""
+    rng = np.random.default_rng(5)
+    return pseudo_target.PseudoTargetSet(
+        logits=logits, index_a=np.arange(N), index_b=rng.permutation(N),
+        lam=rng.uniform(0.55, 0.95, N), pl_a=rng.integers(0, C, N), pl_b=rng.integers(0, C, N),
+    )
+
+
 def test_soft_fit_holds_one_target_matrix(monkeypatch, logits):
     # The soft targets are one (n, C) matrix, written in place. Building it
     # from rows of an identity matrix took two more such matrices at once.
     monkeypatch.setattr(numerics, "BLOCK_ROWS", 1000)
-    rng = np.random.default_rng(5)
-    pseudo = pseudo_target.PseudoTargetSet(
-        logits=logits, index_a=np.arange(N), index_b=rng.permutation(N),
-        lam=rng.uniform(0.55, 0.95, N), pl_a=rng.integers(0, C, N), pl_b=rng.integers(0, C, N),
-    )
+    pseudo = mixed_set(logits)
     peak, cal = peak_bytes(pseudo_target.fit_on_pseudo_set, pseudo, "soft")
     assert cal.kind == "temperature"
     assert peak < 1.5 * logits.nbytes
+
+
+def test_a_set_built_from_its_mixes_fits_hard_labels_too(monkeypatch, logits):
+    # The set derives its y_pt, so the hard fit needs no label matrix and
+    # holds what the plain temperature fit holds.
+    monkeypatch.setattr(numerics, "BLOCK_ROWS", 1000)
+    pseudo = mixed_set(logits)
+    peak, cal = peak_bytes(pseudo_target.fit_on_pseudo_set, pseudo, "hard")
+    assert peak < logits.nbytes / 4
+    y_pt = np.where(pseudo.lam > 0.5, pseudo.pl_a, pseudo.pl_b)
+    labeled = metrics.PredictionBatch(logits=logits, labels=y_pt)
+    assert scalers.calibrator_to_dict(cal) == scalers.calibrator_to_dict(scalers.fit_temperature(labeled))
 
 
 def test_synthesis_mixes_into_one_matrix(monkeypatch):

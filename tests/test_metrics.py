@@ -123,29 +123,43 @@ def test_ece_hand_case():
 
 
 @pytest.mark.parametrize("change, message", [
-    (dict(bin_count=3, lower=[0, 0.5], upper=[0.5, 1, 2], count=[1, 2], accuracy=[1.0],
-          confidence=[0.5, 0.6, 0.7, 0.8]), r"bin lower must hold one entry per bin \(3\), got 2"),
+    (dict(count=[1, 2, 0], accuracy=[1.0, 0.5, 0.0], confidence=[0.5, 0.6]),
+     r"bin confidence must hold one entry per bin \(3\), got 2"),
     (dict(accuracy=[1.0]), r"bin accuracy must hold one entry per bin \(2\), got 1"),
-    (dict(bin_count=0, lower=[], upper=[], count=np.array([], dtype=int), accuracy=[], confidence=[]),
-     "bin count must be an integer"),
-    (dict(bin_count=2.0), "bin count must be an integer"),
+    (dict(count=np.array([], dtype=int), accuracy=[], confidence=[]), "bin count must be an integer"),
+    (dict(count=np.array([], dtype=int)), "bin count must be an integer"),
+    (dict(count=[1, -1]), r"bin counts must be >= 0 and hold at least one sample, got \[1, -1\]"),
+    (dict(count=[2, -1]), r"bin counts must be >= 0 and hold at least one sample, got \[2, -1\]"),
+    (dict(count=[0, 0]), r"bin counts must be >= 0 and hold at least one sample, got \[0, 0\]"),
+    (dict(count=[1.0, 3.0]), "bin count must be a 1-D array of integers"),
 ])
 def test_bin_stats_hold_one_entry_per_bin(change, message):
-    valid = dict(bin_count=2, lower=[0.0, 0.5], upper=[0.5, 1.0], count=[1, 3],
-                 accuracy=[0.0, 1.0], confidence=[0.4, 0.8])
+    valid = dict(count=[1, 3], accuracy=[0.0, 1.0], confidence=[0.4, 0.8])
     with pytest.raises(InvalidInputError, match=message):
         metrics.BinStats(**{**valid, **change})
 
 
 def test_hand_built_bin_stats_weigh_ece_by_count_without_warning():
     stats = metrics.BinStats(
-        bin_count=2, lower=np.array([0.0, 0.5]), upper=np.array([0.5, 1.0]), count=np.array([1, 3]),
-        accuracy=np.array([0.0, 1.0]), confidence=np.array([0.4, 0.8]),
+        count=np.array([1, 3]), accuracy=np.array([0.0, 1.0]), confidence=np.array([0.4, 0.8])
     )
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        assert stats.n == 4
+        assert stats.n == 4 and stats.bin_count == 2
         assert stats.ece() == pytest.approx(0.25 * 0.4 + 0.75 * 0.2, rel=1e-15)
+
+
+def test_bin_edge_columns_are_the_binning_linspace_bit_for_bit():
+    b = random_batch(np.random.default_rng(21), n_max=40, c_max=4)
+    stats = [metrics.reliability_bins(b, k) for k in range(1, 21)]
+    edges = [np.linspace(0, 1, k + 1) for k in range(1, 21)]
+    for one, e in zip(stats, edges):
+        columns = metrics.bin_columns(one)
+        assert columns["bin_lower"].tobytes() == e[:-1].tobytes()
+        assert columns["bin_upper"].tobytes() == e[1:].tobytes()
+    stacked = metrics.bin_columns(*stats)
+    assert stacked["bin_lower"].tobytes() == np.concatenate([e[:-1] for e in edges]).tobytes()
+    assert stacked["bin_upper"].tobytes() == np.concatenate([e[1:] for e in edges]).tobytes()
 
 
 def test_ece_matches_bruteforce():

@@ -290,13 +290,35 @@ def test_every_fit_takes_the_pseudo_set_as_the_batch_it_is(policy, pairing):
         assert scalers.calibrator_to_dict(fit(pseudo)) == expected, fit.__name__
 
 
+@pytest.mark.parametrize("policy", pseudo_target.LAMBDA_POLICIES)
+@pytest.mark.parametrize("pairing", pseudo_target.PAIRINGS)
+def test_pseudo_labels_are_the_dominant_rows_pseudo_labels(policy, pairing):
+    for seed in range(6):
+        rng = np.random.default_rng(seed)
+        x = rng.standard_normal((60, 3))
+        pl = rng.integers(0, 3, 60)
+        cfg = pseudo_target.MixupConfig(lambda_policy=policy, pairing=pairing, epochs=2, seed=seed)
+        pseudo = pseudo_target.synthesize(IdentityModel(), x, pl, cfg)
+        np.testing.assert_array_equal(pseudo.labels, np.where(pseudo.lam > 0.5, pseudo.pl_a, pseudo.pl_b))
+        np.testing.assert_array_equal(pseudo.labels, pl[pseudo.dominant_index])
+
+
 def valid_pseudo_fields():
     """A 4-row, 3-class pseudo set's fields as the caller's own writable arrays."""
     return dict(
-        logits=np.random.default_rng(18).standard_normal((4, 3)), labels=np.array([0, 1, 2, 0]),
-        index_a=np.arange(4), index_b=np.array([1, 2, 3, 0]), lam=np.full(4, 0.65),
-        pl_a=np.array([0, 1, 2, 0]), pl_b=np.array([1, 2, 0, 1]),
+        logits=np.random.default_rng(18).standard_normal((4, 3)), index_a=np.arange(4),
+        index_b=np.array([1, 2, 3, 0]), lam=np.full(4, 0.65), pl_a=np.array([0, 1, 2, 0]),
+        pl_b=np.array([1, 2, 0, 1]),
     )
+
+
+def test_pseudo_set_labels_are_derived_not_given():
+    with pytest.raises(TypeError, match="labels"):
+        pseudo_target.PseudoTargetSet(**valid_pseudo_fields(), labels=np.array([0, 1, 2, 0]))
+    pseudo = pseudo_target.PseudoTargetSet(**{**valid_pseudo_fields(), "lam": [0.65, 0.3, 0.65, 0.5]})
+    np.testing.assert_array_equal(pseudo.labels, [0, 2, 2, 1])
+    with pytest.raises(ValueError, match="read-only"):
+        pseudo.labels[0] = 1
 
 
 @pytest.mark.parametrize("change, message", [

@@ -221,16 +221,13 @@ def test_bin_stats_arrays_are_read_only(cell):
 
     before = outputs()
     assert before[1] == result.methods["none"].ece
-    for name in ("lower", "upper", "count", "accuracy", "confidence"):
+    for name in ("count", "accuracy", "confidence"):
         with pytest.raises(ValueError, match="read-only"):
             getattr(stats, name)[-1] += 7
     assert outputs() == before
     # A hand-built record copies the caller's arrays, which stay writable.
     count = np.array([1, 3])
-    built = metrics.BinStats(
-        bin_count=2, lower=np.array([0.0, 0.5]), upper=np.array([0.5, 1.0]), count=count,
-        accuracy=np.array([0.0, 1.0]), confidence=np.array([0.4, 0.8]),
-    )
+    built = metrics.BinStats(count=count, accuracy=np.array([0.0, 1.0]), confidence=np.array([0.4, 0.8]))
     count[-1] += 7
     assert built.count.dtype == np.int64 and built.n == 4 and count.flags.writeable
 

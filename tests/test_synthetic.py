@@ -315,14 +315,27 @@ def test_a_model_document_shares_no_train_config_with_the_model():
 
 def test_a_classifier_holds_read_only_copies_of_its_arrays():
     task = synthetic.generate(synthetic.ShiftSpec(seed=15, n_source=60, n_target=20))
-    model = synthetic.train(task, epochs=3, seed=15)
-    weights, bias = np.ones((10, 5)), np.zeros(5)
-    held = synthetic.TrainedClassifier(weights=weights, bias=bias)
-    weights[0, 0] = bias[0] = 5.0
-    assert held.weights[0, 0] == 1.0 and held.bias[0] == 0.0
-    for array in (held.weights, held.bias, model.weights, model.bias):
+    model = synthetic.train(task, epochs=3, track_history=True, seed=15)
+    weights, bias, history = np.ones((10, 5)), np.zeros(5), np.ones((3, 4))
+    held = synthetic.TrainedClassifier(weights=weights, bias=bias, history=history)
+    weights[0, 0] = bias[0] = history[0, 0] = 5.0
+    assert held.weights[0, 0] == 1.0 and held.bias[0] == 0.0 and held.history[0, 0] == 1.0
+    for array in (held.weights, held.bias, held.history, model.weights, model.bias, model.history):
         with pytest.raises(ValueError):
             array[0] = 7.0
+
+
+def test_a_classifier_history_is_none_or_a_finite_four_column_array():
+    weights, bias = np.ones((2, 3)), np.zeros(3)
+    for history, message in (
+        ("not a history", "training history must be a 2-D array of numbers"),
+        (np.ones(4), "training history must be a 2-D array of numbers"),
+        (np.ones((3, 3)), "training history must have 4 columns, got 3"),
+        ([[1.0, 0.5, 0.2, np.nan]], "training history must be finite"),
+    ):
+        with pytest.raises(InvalidInputError, match=message):
+            synthetic.TrainedClassifier(weights=weights, bias=bias, history=history)
+    assert synthetic.TrainedClassifier(weights=weights, bias=bias, history=None).history is None
 
 
 def test_a_bad_train_config_value_is_named_alone():
@@ -331,6 +344,7 @@ def test_a_bad_train_config_value_is_named_alone():
         ({"epochs": 3, "lr": 0.0}, "train_config lr must be a finite number > 0, got 0.0"),
         ({"seed": 1, "epochs": "x"}, "train_config epochs must be an integer >= 1, got 'x'"),
         ({"gamma": 2.0, "momentum": 0.9}, "a train_config has no key 'momentum'"),
+        ({"gamma": 2.0}, "train_config gamma 2.0 differs from the model's gamma 1.0"),
     ):
         with pytest.raises(InvalidInputError) as excinfo:
             synthetic.TrainedClassifier(weights=weights, bias=bias, train_config=config)
