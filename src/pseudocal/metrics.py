@@ -90,7 +90,8 @@ class BinStats:
     Bin i of ``bin_count`` covers (i / bin_count, (i + 1) / bin_count].
     ``n``, the number of binned samples, is the sum of ``count``. The
     arrays are read-only copies of one length >= 1, ``count`` of integers
-    >= 0 with at least one sample.
+    >= 0 with at least one sample, and ``accuracy`` and ``confidence`` of
+    per-bin means in [0, 1].
     """
 
     count: np.ndarray
@@ -105,6 +106,8 @@ class BinStats:
                 raise InvalidInputError(
                     f"bin {name} must hold one entry per bin ({self.bin_count}), got {len(value)}"
                 )
+            if name != "count" and np.any((value < 0.0) | (value > 1.0)):
+                raise InvalidInputError(f"bin {name} must lie in [0, 1], got {value.tolist()}")
         if not (np.all(self.count >= 0) and self.n >= 1):
             raise InvalidInputError(
                 f"bin counts must be >= 0 and hold at least one sample, got {self.count.tolist()}"

@@ -90,36 +90,39 @@ class PseudoTargetSet(PredictionBatch):
     """The labeled pseudo-target set: mixed samples' logits and their pseudo labels.
 
     Sample i mixes target rows ``index_a[i]`` and ``index_b[i]`` with ratio
-    ``lam[i]``; ``pl_a`` and ``pl_b`` are their pseudo labels. ``labels``
-    (the paper's y_pt) is not given but derived: the dominant row's pseudo
-    label. The provenance arrays are read-only copies, so ``labels`` cannot
-    come to disagree with ``lam``.
+    ``lam[i]`` in [0, 1]; ``target_pseudo_labels`` holds one pseudo label
+    per target row. ``labels`` (the paper's y_pt) is not given but derived:
+    the dominant row's pseudo label. The arrays are read-only copies, so
+    ``labels`` cannot come to disagree with them.
     """
 
     labels: np.ndarray = field(init=False, default=None)
     index_a: np.ndarray
     index_b: np.ndarray
     lam: np.ndarray
-    pl_a: np.ndarray
-    pl_b: np.ndarray
+    target_pseudo_labels: np.ndarray
 
     size = PredictionBatch.n  # the row count under its older name, which perfbench reads
 
     def __post_init__(self):
         super().__post_init__()
-        for name in ("index_a", "index_b", "lam", "pl_a", "pl_b"):
+        for name in ("target_pseudo_labels", "index_a", "index_b", "lam"):
             what = f"pseudo set {name}"
             value = frozen_copy(getattr(self, name), what, 1, integer=name != "lam")
-            if value.shape != (self.n,):
+            if name == "target_pseudo_labels":  # one per target row, each naming a class
+                high = self.num_classes
+            elif value.shape != (self.n,):
                 raise InvalidInputError(
                     f"{what} must hold one entry per sample ({self.n}), got {len(value)}"
                 )
-            if name != "lam" and value.min() < 0:
-                raise InvalidInputError(f"{what} must be >= 0")
-            if name.startswith("pl_") and value.max() >= self.num_classes:
-                raise InvalidInputError(f"{what} must lie in [0, {self.num_classes})")
+            elif name != "lam":  # an index names a target row
+                high = len(self.target_pseudo_labels)
+            if name == "lam" and np.any((value < 0.0) | (value > 1.0)):
+                raise InvalidInputError(f"{what} must lie in [0, 1]")
+            if name != "lam" and np.any((value < 0) | (value >= high)):
+                raise InvalidInputError(f"{what} must lie in [0, {high})")
             object.__setattr__(self, name, value)
-        labels = np.where(self.lam > 0.5, self.pl_a, self.pl_b)
+        labels = self.target_pseudo_labels[self.dominant_index]
         labels.setflags(write=False)
         object.__setattr__(self, "labels", labels)
 
@@ -203,25 +206,23 @@ def synthesize(model, target_inputs, target_pseudo_labels, cfg):
         block += (1.0 - weight) * inputs[idx_b[rows]]
     logits = infer(model, mixed)
     del mixed
-    if pl.max() >= logits.shape[1]:
-        raise InvalidInputError(f"target pseudo labels must lie in [0, {logits.shape[1]})")
     return PseudoTargetSet(
-        logits=logits, index_a=idx_a, index_b=idx_b, lam=lam, pl_a=pl[idx_a], pl_b=pl[idx_b]
+        logits=logits, index_a=idx_a, index_b=idx_b, lam=lam, target_pseudo_labels=pl
     )
 
 
 def fit_on_pseudo_set(pseudo, label_mode):
     """Fit a temperature on the pseudo set's logits against its hard or soft targets.
 
-    The soft targets put ``lam`` on ``pl_a`` and ``1 - lam`` on ``pl_b``,
-    written in place into one (n, C) matrix that lives only for the fit.
+    The soft targets put ``lam`` on row a's pseudo label and ``1 - lam`` on
+    row b's, written in place into one (n, C) matrix that lives only for the fit.
     """
     if MixupConfig(label_mode=label_mode).label_mode == "hard":
         return fit_temperature(pseudo)
-    rows = np.arange(pseudo.n)
+    rows, pl = np.arange(pseudo.n), pseudo.target_pseudo_labels
     soft = np.zeros(pseudo.logits.shape)
-    soft[rows, pseudo.pl_a] = pseudo.lam
-    soft[rows, pseudo.pl_b] += 1.0 - pseudo.lam
+    soft[rows, pl[pseudo.index_a]] = pseudo.lam
+    soft[rows, pl[pseudo.index_b]] += 1.0 - pseudo.lam
     return fit_temperature(pseudo, soft_labels=soft)
 
 
@@ -246,13 +247,12 @@ def correspondence_rate(pseudo, target_labels):
 
     A pair corresponds when the mixed sample (judged against its pseudo
     label) and its dominant constituent (judged against its true label)
-    are both correct or both wrong. Diagnostic only: needs true labels.
+    are both correct or both wrong. Diagnostic only: needs one true label
+    per target row.
     """
-    labels = class_indices(target_labels, None, pseudo.num_classes, "target labels")
-    dominant = pseudo.dominant_index
-    if dominant.max() >= len(labels):
-        raise InvalidInputError("target labels must cover every target row the pseudo set mixes")
-    dominant_correct = pseudo.labels == labels[dominant]
+    rows = len(pseudo.target_pseudo_labels)
+    labels = class_indices(target_labels, rows, pseudo.num_classes, "target labels")
+    dominant_correct = pseudo.labels == labels[pseudo.dominant_index]
     return float(np.mean(pseudo.correct() == dominant_correct))
 
 
@@ -283,8 +283,8 @@ def write_provenance_csv(pseudo, path_or_file):
         "index_a": pseudo.index_a,
         "index_b": pseudo.index_b,
         "lambda": pseudo.lam,
-        "pl_a": pseudo.pl_a,
-        "pl_b": pseudo.pl_b,
+        "pl_a": pseudo.target_pseudo_labels[pseudo.index_a],
+        "pl_b": pseudo.target_pseudo_labels[pseudo.index_b],
         "y_pt": pseudo.labels,
         "pseudo_correct": pseudo.correct().astype(int),
     })

@@ -89,13 +89,23 @@ class ShiftSpec:
             object.__setattr__(self, "target_priors", tuple(float(p) for p in priors))
 
 
+def _check_spec_shape(what, inputs, rows, dim):
+    """Raise InvalidInputError unless ``inputs`` is the rows x dim matrix the task spec says."""
+    if inputs.shape != (rows, dim):
+        raise InvalidInputError(
+            f"{what} are {inputs.shape[0]} x {inputs.shape[1]}, "
+            f"but the task spec says {rows} x {dim}"
+        )
+
+
 @dataclass(frozen=True, kw_only=True)
 class SyntheticTask:
     """A generated source/target problem with labels held out for diagnostics.
 
-    Inputs are finite float64 matrices and labels one class index per row
-    (arrays of those dtypes are kept without a copy). ``val_fraction``
-    must leave at least one source row to train on.
+    Inputs are finite float64 matrices of the shape ``spec`` gives them
+    (``n_target`` or ``n_source`` rows of ``dim`` features) and labels one
+    class index per row (arrays of those dtypes are kept without a copy).
+    ``val_fraction`` must leave at least one source row to train on.
     """
 
     spec: ShiftSpec
@@ -108,6 +118,7 @@ class SyntheticTask:
     def __post_init__(self):
         c = self.spec.n_classes
         target = finite_array(self.target_inputs, "target inputs", 2)
+        _check_spec_shape("target inputs", target, self.spec.n_target, self.spec.dim)
         object.__setattr__(self, "target_inputs", target)
         if self.has_target_labels:
             labels = class_indices(self.target_labels, len(target), c, "target labels")
@@ -116,6 +127,7 @@ class SyntheticTask:
             raise InvalidInputError(f"val_fraction must lie in (0, 1), got {self.val_fraction!r}")
         if self.has_source:
             source = finite_array(self.source_inputs, "source inputs", 2)
+            _check_spec_shape("source inputs", source, self.spec.n_source, self.spec.dim)
             object.__setattr__(self, "source_inputs", source)
             labels = class_indices(self.source_labels, len(source), c, "source labels")
             object.__setattr__(self, "source_labels", labels)

@@ -181,14 +181,15 @@ def record(cls, field, **valid):
 
 
 TASK = dict(
-    spec=synthetic.ShiftSpec(n_classes=2), source_inputs=np.zeros((4, 2)),
-    source_labels=[0, 1, 0, 1], target_inputs=np.zeros((2, 2)), target_labels=None,
+    spec=synthetic.ShiftSpec(n_classes=2, dim=2, n_source=4, n_target=2),
+    source_inputs=np.zeros((4, 2)), source_labels=[0, 1, 0, 1], target_inputs=np.zeros((2, 2)),
+    target_labels=None,
 )
 MODEL = dict(weights=np.ones((2, 2)), bias=np.zeros(2))
 PSEUDO = dict(
     logits=[[0.3, -1.2, 0.8], [1.5, 0.1, -0.4], [-0.7, 0.9, 0.2], [0.6, 0.4, -1.1]],
-    index_a=[0, 1, 2, 3], index_b=[1, 2, 3, 0], lam=[0.65, 0.65, 0.65, 0.65], pl_a=[0, 1, 2, 0],
-    pl_b=[1, 2, 0, 1],
+    index_a=[0, 1, 2, 3], index_b=[1, 2, 3, 0], lam=[0.65, 0.65, 0.65, 0.65],
+    target_pseudo_labels=[0, 1, 2, 0],
 )
 
 

@@ -151,6 +151,23 @@ def test_model_bias_of_wrong_length_is_a_one_line_error(workspace, capsys):
     _assert_one_line_invalid_input(code, capsys, out)
 
 
+def test_task_whose_spec_contradicts_its_arrays_is_a_one_line_error(workspace, tmp_path, capsys):
+    # The spec is what evaluate reports as the task, so it must be the arrays' own.
+    _, task, model = workspace
+    doc = json.loads(task.read_text())
+    doc["spec"].update(n_target=50000, dim=3, n_source=7)
+    broken = tmp_path / "task.json"
+    broken.write_text(json.dumps(doc))
+    out = tmp_path / "result.json"
+    code = run(["evaluate", "--task", str(broken), "--model", str(model), "--seed", "7",
+                "--out", str(out)])
+    assert code == 1
+    assert capsys.readouterr().err == (
+        "error: InvalidInputError: target inputs are 600 x 10, but the task spec says 50000 x 3\n"
+    )
+    assert not out.exists()
+
+
 def test_unsupported_task_version_is_a_one_line_error(workspace, capsys):
     root, task, model = workspace
     doc = json.loads(task.read_text())
@@ -199,6 +216,7 @@ def test_unsupported_task_version_is_a_one_line_error(workspace, capsys):
         ("calibrate", "config", lambda doc: doc.update(sed=5), 2),
         ("evaluate", "config", lambda doc: doc.update(bin=7), 2),
         ("evaluate", "model", lambda doc: doc["train_config"].update(gamma=1.0), 1),
+        ("evaluate", "task", lambda doc: doc["spec"].update(n_target=50000, dim=3, n_source=7), 1),
     ],
     ids=["source-label-7", "source-labels-short", "narrow-target-inputs", "1d-target-inputs",
          "val-fraction-2", "empty-ensemble", "config-seed-string", "config-epochs-inf",
@@ -208,7 +226,8 @@ def test_unsupported_task_version_is_a_one_line_error(workspace, capsys):
          "config-lambda-bool", "config-bins-fraction", "sweep-config-bins-bool",
          "config-label-mode-unknown", "config-label-mode-bool", "config-lambda-policy-unknown",
          "config-pairing-list", "evaluate-config-label-mode-case", "config-key-misspelt",
-         "evaluate-config-key-misspelt", "train-config-gamma-not-the-models"],
+         "evaluate-config-key-misspelt", "train-config-gamma-not-the-models",
+         "spec-contradicts-arrays"],
 )
 def test_malformed_input_is_a_one_line_error(
     workspace, tmp_path, capsys, command, damaged, damage, code

@@ -61,7 +61,7 @@ def mixed_set(logits):
     rng = np.random.default_rng(5)
     return pseudo_target.PseudoTargetSet(
         logits=logits, index_a=np.arange(N), index_b=rng.permutation(N),
-        lam=rng.uniform(0.55, 0.95, N), pl_a=rng.integers(0, C, N), pl_b=rng.integers(0, C, N),
+        lam=rng.uniform(0.55, 0.95, N), target_pseudo_labels=rng.integers(0, C, N),
     )
 
 
@@ -82,7 +82,8 @@ def test_a_set_built_from_its_mixes_fits_hard_labels_too(monkeypatch, logits):
     pseudo = mixed_set(logits)
     peak, cal = peak_bytes(pseudo_target.fit_on_pseudo_set, pseudo, "hard")
     assert peak < logits.nbytes / 4
-    y_pt = np.where(pseudo.lam > 0.5, pseudo.pl_a, pseudo.pl_b)
+    pl = pseudo.target_pseudo_labels
+    y_pt = np.where(pseudo.lam > 0.5, pl[pseudo.index_a], pl[pseudo.index_b])
     labeled = metrics.PredictionBatch(logits=logits, labels=y_pt)
     assert scalers.calibrator_to_dict(cal) == scalers.calibrator_to_dict(scalers.fit_temperature(labeled))
 

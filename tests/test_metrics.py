@@ -132,6 +132,11 @@ def test_ece_hand_case():
     (dict(count=[2, -1]), r"bin counts must be >= 0 and hold at least one sample, got \[2, -1\]"),
     (dict(count=[0, 0]), r"bin counts must be >= 0 and hold at least one sample, got \[0, 0\]"),
     (dict(count=[1.0, 3.0]), "bin count must be a 1-D array of integers"),
+    (dict(accuracy=[0.0, 5.0], confidence=[0.4, -2.0]),
+     r"bin accuracy must lie in \[0, 1\], got \[0.0, 5.0\]"),
+    (dict(confidence=[0.4, -2.0]), r"bin confidence must lie in \[0, 1\], got \[0.4, -2.0\]"),
+    (dict(accuracy=[-1e-300, 1.0]), r"bin accuracy must lie in \[0, 1\]"),
+    (dict(confidence=[0.4, 1.0 + 2**-52]), r"bin confidence must lie in \[0, 1\]"),
 ])
 def test_bin_stats_hold_one_entry_per_bin(change, message):
     valid = dict(count=[1, 3], accuracy=[0.0, 1.0], confidence=[0.4, 0.8])

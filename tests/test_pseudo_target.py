@@ -68,7 +68,7 @@ def test_synthesize_mixes_by_dominance():
     for i in range(pseudo.size):
         a, b = pseudo.index_a[i], pseudo.index_b[i]
         np.testing.assert_allclose(pseudo.logits[i], 0.65 * x[a] + 0.35 * x[b])
-        assert pseudo.labels[i] == pseudo.pl_a[i]
+        assert pseudo.labels[i] == pseudo.target_pseudo_labels[a]
         assert pseudo.dominant_index[i] == a
 
 
@@ -88,7 +88,8 @@ def test_synthesize_filters_equal_pseudo_labels():
     pseudo = pseudo_target.synthesize(
         IdentityModel(), x, np.argmax(x, axis=1), pseudo_target.MixupConfig(seed=3)
     )
-    assert np.all(pseudo.pl_a != pseudo.pl_b)
+    pl = pseudo.target_pseudo_labels
+    assert np.all(pl[pseudo.index_a] != pl[pseudo.index_b])
     assert pseudo.size <= 50
 
 
@@ -97,8 +98,9 @@ def test_synthesize_same_pairing_keeps_agreeing_pairs():
     x = rng.standard_normal((60, 2))
     cfg = pseudo_target.MixupConfig(pairing="same", seed=5)
     pseudo = pseudo_target.synthesize(IdentityModel(), x, np.argmax(x, axis=1), cfg)
-    assert np.all(pseudo.pl_a == pseudo.pl_b)
-    assert np.all(pseudo.labels == pseudo.pl_a)
+    pl = pseudo.target_pseudo_labels
+    assert np.all(pl[pseudo.index_a] == pl[pseudo.index_b])
+    assert np.all(pseudo.labels == pl[pseudo.index_a])
 
 
 def test_synthesize_multi_epoch_and_determinism():
@@ -141,7 +143,7 @@ def per_epoch_synthesis(model, x, pl, cfg):
     index_b = np.array([b for _, b, _ in rows])
     fields = {
         "index_a": index_a, "index_b": index_b, "lam": np.array([w for _, _, w in rows]),
-        "pl_a": pl[index_a], "pl_b": pl[index_b], "logits": model.predict_logits(np.array(mixed)),
+        "target_pseudo_labels": pl, "logits": model.predict_logits(np.array(mixed)),
     }
     return fields, kept
 
@@ -186,9 +188,13 @@ def test_synthesize_checks_target_pseudo_labels():
     x = np.random.default_rng(3).standard_normal((10, 3))
     cfg = pseudo_target.MixupConfig(seed=0)
     pl = np.argmax(x, axis=1)
-    for bad in (pl[:-1], pl.astype(float) + 0.5, np.where(pl == 2, 3, pl), pl - 1, pl[:, None]):
+    for bad in (pl[:-1], pl.astype(float) + 0.5, pl - 1, pl[:, None]):
         with pytest.raises(InvalidInputError, match="target pseudo labels"):
             pseudo_target.synthesize(IdentityModel(), x, bad, cfg)
+    # A label past the class count is the set's to reject, once inference gives that count.
+    message = r"pseudo set target_pseudo_labels must lie in \[0, 3\)"
+    with pytest.raises(InvalidInputError, match=message):
+        pseudo_target.synthesize(IdentityModel(), x, np.where(pl == 2, 3, pl), cfg)
 
 
 class NoInference:
@@ -241,7 +247,8 @@ def test_soft_fit_matches_two_hot_oracle(change):
     pl = np.where(rng.random(60) < 0.7, np.argmax(x, axis=1), rng.integers(0, 4, 60))
     cfg = pseudo_target.MixupConfig(seed=9, **change)
     pseudo = pseudo_target.synthesize(IdentityModel(), x, pl, cfg)
-    soft = two_hot(pseudo.lam, pseudo.pl_a, pseudo.pl_b, x.shape[1])
+    pl = pseudo.target_pseudo_labels
+    soft = two_hot(pseudo.lam, pl[pseudo.index_a], pl[pseudo.index_b], x.shape[1])
     expected = scalers.fit_temperature(metrics.PredictionBatch(logits=pseudo.logits), soft)
     assert scalers.T_MIN < expected.temperature < scalers.T_MAX
     assert repr(pseudo_target.fit_on_pseudo_set(pseudo, "soft")) == repr(expected)
@@ -268,7 +275,8 @@ def test_beta_policy_dominance_follows_ratio():
     cfg = pseudo_target.MixupConfig(lambda_policy="beta", seed=11)
     pseudo = pseudo_target.synthesize(IdentityModel(), x, np.argmax(x, axis=1), cfg)
     assert np.any(pseudo.lam < 0.5) and np.any(pseudo.lam > 0.5)
-    dominant_pl = np.where(pseudo.lam > 0.5, pseudo.pl_a, pseudo.pl_b)
+    pl = pseudo.target_pseudo_labels
+    dominant_pl = np.where(pseudo.lam > 0.5, pl[pseudo.index_a], pl[pseudo.index_b])
     np.testing.assert_array_equal(pseudo.labels, dominant_pl)
     expected_dom = np.where(pseudo.lam > 0.5, pseudo.index_a, pseudo.index_b)
     np.testing.assert_array_equal(pseudo.dominant_index, expected_dom)
@@ -283,7 +291,8 @@ def test_every_fit_takes_the_pseudo_set_as_the_batch_it_is(policy, pairing):
     cfg = pseudo_target.MixupConfig(lambda_policy=policy, pairing=pairing, seed=17)
     pseudo = pseudo_target.synthesize(IdentityModel(), x, pl, cfg)
     assert isinstance(pseudo, metrics.PredictionBatch)
-    labels = np.where(pseudo.lam > 0.5, pseudo.pl_a, pseudo.pl_b)
+    given = pseudo.target_pseudo_labels
+    labels = np.where(pseudo.lam > 0.5, given[pseudo.index_a], given[pseudo.index_b])
     batch = metrics.PredictionBatch(logits=pseudo.logits, labels=labels)
     for fit in (scalers.fit_temperature, scalers.fit_vector, scalers.fit_matrix):
         expected = scalers.calibrator_to_dict(fit(batch))
@@ -299,16 +308,20 @@ def test_pseudo_labels_are_the_dominant_rows_pseudo_labels(policy, pairing):
         pl = rng.integers(0, 3, 60)
         cfg = pseudo_target.MixupConfig(lambda_policy=policy, pairing=pairing, epochs=2, seed=seed)
         pseudo = pseudo_target.synthesize(IdentityModel(), x, pl, cfg)
-        np.testing.assert_array_equal(pseudo.labels, np.where(pseudo.lam > 0.5, pseudo.pl_a, pseudo.pl_b))
-        np.testing.assert_array_equal(pseudo.labels, pl[pseudo.dominant_index])
+        given = pseudo.target_pseudo_labels
+        np.testing.assert_array_equal(given, pl)
+        np.testing.assert_array_equal(
+            pseudo.labels, np.where(pseudo.lam > 0.5, given[pseudo.index_a], given[pseudo.index_b])
+        )
+        np.testing.assert_array_equal(pseudo.labels, given[pseudo.dominant_index])
 
 
 def valid_pseudo_fields():
-    """A 4-row, 3-class pseudo set's fields as the caller's own writable arrays."""
+    """A 4-row, 3-class pseudo set over 4 target rows, as the caller's own writable arrays."""
     return dict(
         logits=np.random.default_rng(18).standard_normal((4, 3)), index_a=np.arange(4),
-        index_b=np.array([1, 2, 3, 0]), lam=np.full(4, 0.65), pl_a=np.array([0, 1, 2, 0]),
-        pl_b=np.array([1, 2, 0, 1]),
+        index_b=np.array([1, 2, 3, 0]), lam=np.full(4, 0.65),
+        target_pseudo_labels=np.array([0, 1, 2, 0]),
     )
 
 
@@ -316,19 +329,31 @@ def test_pseudo_set_labels_are_derived_not_given():
     with pytest.raises(TypeError, match="labels"):
         pseudo_target.PseudoTargetSet(**valid_pseudo_fields(), labels=np.array([0, 1, 2, 0]))
     pseudo = pseudo_target.PseudoTargetSet(**{**valid_pseudo_fields(), "lam": [0.65, 0.3, 0.65, 0.5]})
-    np.testing.assert_array_equal(pseudo.labels, [0, 2, 2, 1])
+    # Row 0 has one pseudo label, 0, so the fourth mixture (b = row 0) is labeled 0.
+    np.testing.assert_array_equal(pseudo.labels, [0, 2, 2, 0])
     with pytest.raises(ValueError, match="read-only"):
         pseudo.labels[0] = 1
 
 
 @pytest.mark.parametrize("change, message", [
-    ({"pl_a": [0, 1, 2, 3]}, "pseudo set pl_a must lie in \\[0, 3\\)"),
-    ({"pl_b": [1, 2, 0, -1]}, "pseudo set pl_b must be >= 0"),
+    ({"target_pseudo_labels": [0, 1, 2, 3]},
+     "pseudo set target_pseudo_labels must lie in \\[0, 3\\)"),
+    ({"target_pseudo_labels": [1, 2, 0, -1]},
+     "pseudo set target_pseudo_labels must lie in \\[0, 3\\)"),
     ({"lam": np.full(2, 0.65)}, "pseudo set lam must hold one entry per sample \\(4\\), got 2"),
     ({"index_a": np.arange(4.0)}, "pseudo set index_a must be a 1-D array of integers"),
     ({"index_b": [[1, 2, 3, 0]]}, "pseudo set index_b must be a 1-D array of integers"),
-    ({"index_b": [1, 2, -3, 0]}, "pseudo set index_b must be >= 0"),
+    ({"index_b": [1, 2, -3, 0]}, "pseudo set index_b must lie in \\[0, 4\\)"),
     ({"lam": [0.65, 0.65, np.nan, 0.65]}, "pseudo set lam must be finite"),
+    ({"target_pseudo_labels": [[0, 1, 2, 0]]},
+     "pseudo set target_pseudo_labels must be a 1-D array of integers"),
+    # An index must name a target row: one past the last, or far past it, names none.
+    ({"index_a": [10**9, 1, 2, 3]}, "pseudo set index_a must lie in \\[0, 4\\)"),
+    ({"index_b": [1, 2, 3, 4]}, "pseudo set index_b must lie in \\[0, 4\\)"),
+    ({"target_pseudo_labels": [0, 1, 2]}, "pseudo set index_a must lie in \\[0, 3\\)"),
+    ({"lam": [5.0, -3.0, 0.65, 0.65]}, "pseudo set lam must lie in \\[0, 1\\]"),
+    ({"lam": [0.65, 0.65, 0.65, 1.0 + 1e-12]}, "pseudo set lam must lie in \\[0, 1\\]"),
+    ({"lam": [0.65, 0.65, -1e-300, 0.65]}, "pseudo set lam must lie in \\[0, 1\\]"),
 ])
 def test_pseudo_set_rejects_malformed_provenance(change, message):
     with pytest.raises(InvalidInputError, match=message):
@@ -416,9 +441,13 @@ def test_correspondence_rate_perfect_model():
     )
     rate = pseudo_target.correspondence_rate(pseudo, labels)
     assert rate == pytest.approx(1.0)
-    # true labels are class indices for every mixed row, never cast
+    # true labels are class indices, exactly one per target row, never cast
     for bad in (labels.astype(float), labels == 0, labels[:-8], labels + 4):
         with pytest.raises(InvalidInputError, match="target labels"):
+            pseudo_target.correspondence_rate(pseudo, bad)
+    message = r"target labels must be 40 class indices in \[0, 4\)"
+    for bad in (labels[:-1], np.append(labels, 0)):
+        with pytest.raises(InvalidInputError, match=message):
             pseudo_target.correspondence_rate(pseudo, bad)
 
 

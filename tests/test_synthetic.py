@@ -1,3 +1,5 @@
+from dataclasses import asdict
+
 import numpy as np
 import pytest
 
@@ -300,6 +302,30 @@ def test_task_json_roundtrip(tmp_path):
     assert loaded.spec == task.spec
     np.testing.assert_array_equal(loaded.target_inputs, task.target_inputs)
     np.testing.assert_array_equal(loaded.source_labels, task.source_labels)
+
+
+def test_task_inputs_must_have_the_shape_their_spec_says():
+    task = synthetic.generate(synthetic.ShiftSpec(seed=4, n_source=60, n_target=40))
+    arrays = dict(source_inputs=task.source_inputs, source_labels=task.source_labels,
+                  target_inputs=task.target_inputs, target_labels=task.target_labels)
+    for change, message in [
+        (dict(n_target=50000, dim=3, n_source=7),
+         "target inputs are 40 x 10, but the task spec says 50000 x 3"),
+        (dict(n_target=41), "target inputs are 40 x 10, but the task spec says 41 x 10"),
+        (dict(n_source=7), "source inputs are 60 x 10, but the task spec says 7 x 10"),
+        (dict(dim=11), "target inputs are 40 x 10, but the task spec says 40 x 11"),
+    ]:
+        spec = synthetic.ShiftSpec(**{**asdict(task.spec), **change})
+        with pytest.raises(InvalidInputError, match=message):
+            synthetic.SyntheticTask(spec=spec, **arrays)
+        doc = synthetic.task_to_dict(task)
+        doc["spec"].update(change)
+        with pytest.raises(InvalidInputError, match=message):
+            synthetic.task_from_dict(doc)
+    # A task without a source holds only the target to its spec's shape.
+    spec = synthetic.ShiftSpec(**{**asdict(task.spec), "n_source": 7})
+    alone = synthetic.SyntheticTask(spec=spec, target_inputs=task.target_inputs)
+    assert not alone.has_source
 
 
 def test_a_model_document_shares_no_train_config_with_the_model():

@@ -39,6 +39,9 @@ STEPS = {
                        "--out", "calibrator_soft.json", "--provenance-out", "pairs_soft.csv"],
     "calibrate_beta": ["calibrate", *DOCS, "--seed", "0", "--lambda-policy", "beta", "--mixup-epochs", "3",
                        "--out", "calibrator_beta.json", "--provenance-out", "pairs_beta.csv"],
+    # The same-label ablation: every provenance row's pl_a equals its pl_b.
+    "calibrate_same": ["calibrate", *DOCS, "--seed", "0", "--pairing", "same",
+                       "--out", "calibrator_same.json", "--provenance-out", "pairs_same.csv"],
     "evaluate": ["evaluate", *DOCS, "--seed", "7", "--methods", METHODS, "--out", "result.json",
                  "--table-out", "table.txt", "--bins-out", "bins.csv"],
     # The soft fits of evaluate_all: pseudocal's and its ablations' against mixup's soft targets.
