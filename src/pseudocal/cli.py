@@ -14,6 +14,8 @@ produce byte-identical output documents.
 """
 
 import argparse
+import ctypes
+import functools
 import sys
 from typing import Callable, NamedTuple
 
@@ -210,10 +212,47 @@ def build_parser():
     return parser
 
 
+@functools.cache
+def _parser():
+    """``build_parser()``, built once per process; ``parse_args`` leaves it unchanged.
+
+    argparse's objects refer to each other in cycles, so a parser built per
+    call outlived the call as garbage until the collector's next full pass,
+    and held on to pymalloc arenas that the call's JSON decoding had filled:
+    in-process ``calibrate`` calls grew by about 1 MB each.
+    """
+    return build_parser()
+
+
+try:
+    _malloc_trim = ctypes.CDLL(None).malloc_trim  # glibc only
+    _malloc_trim.argtypes, _malloc_trim.restype = [ctypes.c_size_t], ctypes.c_int
+except (AttributeError, OSError, TypeError):
+    _malloc_trim = None
+
+
+def _release_free_heap():
+    """Hand the pages of the C heap's free chunks back to the OS, where glibc allows it.
+
+    Once a command has freed a 12.8 MB array, glibc keeps arrays of up to
+    that size in its heap and leaves up to twice it free at the heap's top,
+    so whether a finished command's arrays stay resident depends on where
+    small allocations happened to land. The next command in the same
+    process stacks its own peak on them: repeated in-process ``calibrate``
+    calls on a 100,000-row task peaked at 159 MB, or at 179 MB from the
+    third call on in a process that differed only in its huge-page setting.
+    """
+    if _malloc_trim is not None:
+        _malloc_trim(0)
+
+
 def main(argv=None):
     try:
-        args = build_parser().parse_args(argv)
-        return _COMMANDS[args.command].run(args, _options(args))
+        args = _parser().parse_args(argv)
+        try:
+            return _COMMANDS[args.command].run(args, _options(args))
+        finally:
+            _release_free_heap()
     except _UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -31,6 +31,10 @@ T_MAX = 20.0
 NEWTON_REL_TOL = 1e-10
 NEWTON_MAX_ITER = 100
 
+# A hard-label fit on at least 8 * SAMPLE_ROWS rows first fits every
+# (n // SAMPLE_ROWS)-th row, and its search starts from that sample's beta.
+SAMPLE_ROWS = 2048
+
 # Damped Newton-CG for the vector/matrix fits stops once the exact NLL's
 # gradient norm is below AFFINE_GRAD_TOL; bench-cell fits take 7-25 steps.
 # A step moves the parameters by at most 1, so an optimum far from the warm
@@ -141,18 +145,29 @@ def fit_temperature(batch, soft_labels=None):
     it is the constrained optimum, not a failed search. Raises
     OptimizationError if the search does not converge.
 
+    The search starts at beta = 1. A hard-label fit on at least
+    ``8 * SAMPLE_ROWS`` rows first fits every ``(n // SAMPLE_ROWS)``-th
+    row and starts from that sample's beta instead: on 97,000 x 100
+    pseudo sets that took 3 to 5 full passes plus 0.15 of one for the
+    sample, against 7 from beta = 1. Both starts stop once a step moves
+    beta by at most NEWTON_REL_TOL of it, so the two T may differ within
+    that tolerance; on those sets they were the same bit for bit. The
+    sample is searched through strided views of the fit's own buffers,
+    so it allocates nothing that a cold fit does not.
+
     A bound's slope is taken only when the answer may lie there: for an
     end of the bracket that no iterate has moved, at the second bisection
     step, or once the search stops if it bisected fewer times. Those
     probes never move the bracket, so the iterates, and T bit for bit, are
-    those of a search that probes both bounds first; an interior optimum
-    takes no pass at a bound, and a bound optimum up to three more than
-    that search.
+    those of a search from the same start that probes both bounds first;
+    an interior optimum takes no pass at a bound, and a bound optimum up
+    to three more than that search.
 
     Each gradient pass walks the logits in blocks of ``numerics.BLOCK_ROWS``
     rows, so the fit holds O(n + BLOCK_ROWS * C) floats next to the logits,
     and every row's terms are averaged over all n rows at once: the fitted
-    T is the same, bit for bit, whatever the block size.
+    T is the same, bit for bit, whatever the block size. A fit of one
+    block keeps ``d`` from the pre-pass and subtracts the row max once.
     """
     soft_labels = _checked_soft_labels(batch, soft_labels)
     z = batch.logits
@@ -160,12 +175,13 @@ def fit_temperature(batch, soft_labels=None):
     rowmax = np.empty((n, 1))
     blocks = row_blocks(n)
     # One block x C buffer each for d = z - rowmax(z) and for exp(beta * d).
+    # A single block's d stays in d_buf from the pre-pass to the last pass.
     d_buf = np.empty((blocks[0].stop, batch.num_classes))
     e_buf = np.empty_like(d_buf)
 
-    def shifted(rows):
+    def shifted(logits, maxima, rows):
         d = d_buf[: rows.stop - rows.start]
-        np.subtract(z[rows], rowmax[rows], out=d)
+        np.subtract(logits[rows], maxima[rows], out=d)
         return d
 
     # One read of the logits: each block's row max, then its target share of d.
@@ -173,7 +189,7 @@ def fit_temperature(batch, soft_labels=None):
     mass = None if soft_labels is None else np.empty(n)  # None: 1 per row
     for rows in blocks:
         reduce_classes(np.maximum, z[rows], out=rowmax[rows])
-        d = shifted(rows)
+        d = shifted(z, rowmax, rows)
         if soft_labels is None:
             d_y[rows] = d[np.arange(len(d)), batch.labels[rows]]
         else:
@@ -182,72 +198,89 @@ def fit_temperature(batch, soft_labels=None):
     row_slope = np.empty(n)
     row_curvature = np.empty(n)
 
-    def slope_and_curvature(beta):
-        for rows in blocks:
-            d = shifted(rows)
-            e = e_buf[: len(d)]
-            np.multiply(d, beta, out=e)
-            np.exp(e, out=e)
-            total = reduce_classes(np.add, e)[:, 0]
-            mean_d = np.einsum("ij,ij->i", e, d)
-            mean_d /= total
-            var_d = np.einsum("ij,ij,ij->i", e, d, d, out=row_curvature[rows])
-            var_d /= total
-            var_d -= mean_d**2
-            if mass is not None:  # a unit mass would multiply each term by 1.0
-                var_d *= mass[rows]
-                mean_d *= mass[rows]
-            np.subtract(mean_d, d_y[rows], out=row_slope[rows])
-        # np.mean's own pairwise sum and division, without its Python wrapper.
-        slope = float(np.add.reduce(row_slope) / n)
-        if not math.isfinite(slope):
-            raise OptimizationError(f"NLL gradient is not finite at T={1.0 / beta!r}", probe=1.0 / beta)
-        return slope, float(np.add.reduce(row_curvature) / n)
+    def search(beta, every):
+        """The fitted T of the rows ``every`` picks, searched from ``beta``."""
+        zs, maxima, targets, slopes, curvatures = (
+            a[every] for a in (z, rowmax, d_y, row_slope, row_curvature)
+        )
+        masses = None if mass is None else mass[every]
+        m = len(zs)
+        own_blocks = row_blocks(m)
+        d_kept = m == n and len(own_blocks) == 1
 
-    def bound_optimum():
-        """The bound T where the NLL still falls, at an end of [lo, hi] no iterate moved, or None."""
-        # 1/T_MAX first: a flat NLL (every row a tie) is fitted with T_MAX.
-        if lo == 1.0 / T_MAX and slope_and_curvature(lo)[0] >= 0.0:
-            return T_MAX
-        if hi == 1.0 / T_MIN and slope_and_curvature(hi)[0] <= 0.0:
-            return T_MIN
-        return None
+        def slope_and_curvature(beta):
+            for rows in own_blocks:
+                d = d_buf if d_kept else shifted(zs, maxima, rows)
+                e = e_buf[: len(d)]
+                np.multiply(d, beta, out=e)
+                np.exp(e, out=e)
+                total = reduce_classes(np.add, e)[:, 0]
+                mean_d = np.einsum("ij,ij->i", e, d)
+                mean_d /= total
+                var_d = np.einsum("ij,ij,ij->i", e, d, d, out=curvatures[rows])
+                var_d /= total
+                var_d -= mean_d**2
+                if masses is not None:  # a unit mass would multiply each term by 1.0
+                    var_d *= masses[rows]
+                    mean_d *= masses[rows]
+                np.subtract(mean_d, targets[rows], out=slopes[rows])
+            # np.mean's own pairwise sum and division, without its Python wrapper.
+            slope = float(np.add.reduce(slopes) / m)
+            if not math.isfinite(slope):
+                raise OptimizationError(f"NLL gradient is not finite at T={1.0 / beta!r}", probe=1.0 / beta)
+            return slope, float(np.add.reduce(curvatures) / m)
 
-    # Newton steps on the increasing gradient, kept inside the sign bracket
-    # [lo, hi]; a step that leaves the bracket, or does not at least halve
-    # the step before last, falls back to bisection. The bracket spans a
-    # factor of 400, so it is halved in log beta.
-    lo, hi = 1.0 / T_MAX, 1.0 / T_MIN
-    beta, step, last_step, bisections = 1.0, hi - lo, hi - lo, 0
-    for _ in range(NEWTON_MAX_ITER):
-        slope, curvature = slope_and_curvature(beta)
-        if slope > 0.0:
-            hi = beta
-        elif slope < 0.0:
-            lo = beta
+        def bound_optimum():
+            """The bound T where the NLL still falls, at an end of [lo, hi] no iterate moved, or None."""
+            # 1/T_MAX first: a flat NLL (every row a tie) is fitted with T_MAX.
+            if lo == 1.0 / T_MAX and slope_and_curvature(lo)[0] >= 0.0:
+                return T_MAX
+            if hi == 1.0 / T_MIN and slope_and_curvature(hi)[0] <= 0.0:
+                return T_MIN
+            return None
+
+        # Newton steps on the increasing gradient, kept inside the sign bracket
+        # [lo, hi]; a step that leaves the bracket, or does not at least halve
+        # the step before last, falls back to bisection. The bracket spans a
+        # factor of 400, so it is halved in log beta.
+        lo, hi = 1.0 / T_MAX, 1.0 / T_MIN
+        step, last_step, bisections = hi - lo, hi - lo, 0
+        for _ in range(NEWTON_MAX_ITER):
+            slope, curvature = slope_and_curvature(beta)
+            if slope > 0.0:
+                hi = beta
+            elif slope < 0.0:
+                lo = beta
+            else:
+                break
+            newton = -slope / curvature if curvature > 0.0 else np.inf
+            if lo <= beta + newton <= hi and abs(newton) <= 0.5 * abs(last_step):
+                last_step, step = step, newton
+            else:
+                bisections += 1
+                if bisections == 2 and (bound := bound_optimum()) is not None:
+                    return bound
+                last_step, step = step, np.sqrt(lo * hi) - beta
+            beta += step
+            if abs(step) <= NEWTON_REL_TOL * beta:
+                break
         else:
-            break
-        newton = -slope / curvature if curvature > 0.0 else np.inf
-        if lo <= beta + newton <= hi and abs(newton) <= 0.5 * abs(last_step):
-            last_step, step = step, newton
-        else:
-            bisections += 1
-            if bisections == 2 and (bound := bound_optimum()) is not None:
-                return Calibrator(kind="temperature", temperature=bound)
-            last_step, step = step, np.sqrt(lo * hi) - beta
-        beta += step
-        if abs(step) <= NEWTON_REL_TOL * beta:
-            break
-    else:
-        if bisections >= 2 or (bound := bound_optimum()) is None:
-            raise OptimizationError(
-                f"temperature fit did not converge in {NEWTON_MAX_ITER} Newton/bisection steps",
-                probe=1.0 / beta,
-            )
-        return Calibrator(kind="temperature", temperature=bound)
-    if bisections < 2 and (bound := bound_optimum()) is not None:
-        return Calibrator(kind="temperature", temperature=bound)
-    return Calibrator(kind="temperature", temperature=min(max(1.0 / beta, T_MIN), T_MAX))
+            if bisections >= 2 or (bound := bound_optimum()) is None:
+                raise OptimizationError(
+                    f"temperature fit did not converge in {NEWTON_MAX_ITER} Newton/bisection steps",
+                    probe=1.0 / beta,
+                )
+            return bound
+        if bisections < 2 and (bound := bound_optimum()) is not None:
+            return bound
+        return min(max(1.0 / beta, T_MIN), T_MAX)
+
+    beta = 1.0
+    if soft_labels is None and n >= 8 * SAMPLE_ROWS:
+        beta = 1.0 / search(beta, slice(None, None, n // SAMPLE_ROWS))
+        if len(blocks) == 1:
+            shifted(z, rowmax, blocks[0])  # the sample's passes overwrote d_buf
+    return Calibrator(kind="temperature", temperature=search(beta, slice(None)))
 
 
 class NllDecomposition(NamedTuple):

@@ -42,16 +42,42 @@ def peak_bytes(fn, *args):
         tracemalloc.stop()
 
 
+def sample_fits(monkeypatch):
+    """The row counts of the sample searches that large hard temperature fits start from, as made.
+
+    Each search splits its rows into blocks once, so every row count under N is a sample's.
+    """
+    rows = []
+    row_blocks = scalers.row_blocks
+
+    def recorded(n):
+        if n < N:
+            rows.append(n)
+        return row_blocks(n)
+
+    monkeypatch.setattr(scalers, "row_blocks", recorded)
+    return rows
+
+
+# N rows are at least 8 * SAMPLE_ROWS, so a hard fit first fits every
+# (N // SAMPLE_ROWS)-th row: this many.
+SAMPLE_N = len(range(0, N, N // scalers.SAMPLE_ROWS))
+
+
 def test_temperature_fit_holds_under_a_quarter_of_the_logits(monkeypatch, logits):
     # The d and exp buffers take 2 * BLOCK_ROWS * C floats: at the default
     # 4,096 rows that alone is 41 % of this batch, so walk it in 1,000-row
-    # blocks. Next to them the fit keeps five length-n vectors.
+    # blocks. Next to them the fit keeps five length-n vectors. The sample
+    # it starts from is searched in strided views of those, with no buffers
+    # of its own.
     monkeypatch.setattr(numerics, "BLOCK_ROWS", 1000)
     rng = np.random.default_rng(2)
     labels = np.where(rng.random(N) < 0.6, np.argmax(logits, axis=1), rng.integers(0, C, N))
     batch = metrics.PredictionBatch(logits=logits, labels=labels)
     assert batch.logits is logits
+    samples = sample_fits(monkeypatch)
     peak, cal = peak_bytes(scalers.fit_temperature, batch)
+    assert samples == [SAMPLE_N]
     assert scalers.T_MIN < cal.temperature < scalers.T_MAX
     assert peak < logits.nbytes / 4
 
@@ -70,7 +96,9 @@ def test_soft_fit_holds_one_target_matrix(monkeypatch, logits):
     # from rows of an identity matrix took two more such matrices at once.
     monkeypatch.setattr(numerics, "BLOCK_ROWS", 1000)
     pseudo = mixed_set(logits)
+    samples = sample_fits(monkeypatch)
     peak, cal = peak_bytes(pseudo_target.fit_on_pseudo_set, pseudo, "soft")
+    assert samples == []  # soft fits start at beta = 1
     assert cal.kind == "temperature"
     assert peak < 1.5 * logits.nbytes
 
@@ -80,7 +108,9 @@ def test_a_set_built_from_its_mixes_fits_hard_labels_too(monkeypatch, logits):
     # holds what the plain temperature fit holds.
     monkeypatch.setattr(numerics, "BLOCK_ROWS", 1000)
     pseudo = mixed_set(logits)
+    samples = sample_fits(monkeypatch)
     peak, cal = peak_bytes(pseudo_target.fit_on_pseudo_set, pseudo, "hard")
+    assert samples == [SAMPLE_N]
     assert peak < logits.nbytes / 4
     pl = pseudo.target_pseudo_labels
     y_pt = np.where(pseudo.lam > 0.5, pl[pseudo.index_a], pl[pseudo.index_b])
@@ -218,3 +248,40 @@ def test_ensemble_training_holds_under_two_score_buffers():
     peak, ensemble = peak_bytes(lambda: synthetic.train(task, epochs=3, seed=seeds))
     assert len(ensemble.members) == len(seeds)
     assert peak < 2 * buffer_bytes
+
+
+def test_every_command_hands_the_free_heap_back_when_it_ends(tmp_path, monkeypatch):
+    # Also when it fails, so that the next command in the process starts from
+    # what is alive, not from what the last one freed.
+    trims = []
+    monkeypatch.setattr(cli, "_malloc_trim", trims.append)
+    task = str(tmp_path / "task.json")
+    assert cli.main(["generate", "--n-source", "50", "--n-target", "40", "--out", task]) == 0
+    assert trims == [0]
+    assert cli.main(["calibrate", "--task", task, "--model", str(tmp_path / "missing.json"),
+                     "--out", str(tmp_path / "cal.json")]) == 1
+    assert trims == [0, 0]
+    assert cli.main(["calibrate", "--no-such-flag"]) == 2  # a usage error runs no command
+    assert trims == [0, 0]
+
+
+def test_commands_share_one_parser(tmp_path, monkeypatch):
+    # argparse objects form reference cycles: a parser per call would be garbage
+    # that outlives the call until the collector's next full pass.
+    built = []
+    build = cli.build_parser
+
+    def counted():
+        built.append(1)
+        return build()
+
+    monkeypatch.setattr(cli, "build_parser", counted)
+    cli._parser.cache_clear()
+    try:
+        for k in range(2):
+            assert cli.main(["generate", "--n-source", "50", "--n-target", "40",
+                             "--out", str(tmp_path / f"task{k}.json")]) == 0
+        assert cli.main(["generate", "--no-such-flag"]) == 2
+        assert built == [1]
+    finally:
+        cli._parser.cache_clear()

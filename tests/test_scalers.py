@@ -138,12 +138,13 @@ class _PassCounter:
     block, a fit sums once per slope pass, and once more for a soft-label fit's target mass."""
 
     def __init__(self, monkeypatch):
-        self.sums, self.maxima = 0, []
+        self.sums, self.summed_rows, self.maxima = 0, [], []
         reduce_classes = scalers.reduce_classes
 
         def counting(ufunc, a, out=None):
             if a.ndim == 2 and ufunc is np.add:
                 self.sums += 1
+                self.summed_rows.append(len(a))
             elif a.ndim == 2 and ufunc is np.maximum:
                 self.maxima.append(len(a))
             return reduce_classes(ufunc, a, out=out)
@@ -235,6 +236,108 @@ def test_pre_pass_reads_each_block_of_logits_once(monkeypatch):
     assert counter.maxima == blocks
     assert counter.sums % len(blocks) == 0
     assert repr(t) == repr(unblocked_temperature(b.logits, b.labels))
+
+
+class _SubtractionCounter:
+    """scalers' numpy, counting its subtractions whose first operand is 2-D: d = z - rowmax."""
+
+    def __init__(self, monkeypatch):
+        self.count = 0
+        monkeypatch.setattr(scalers, "np", self)
+
+    def __getattr__(self, name):
+        return getattr(np, name)
+
+    def subtract(self, a, b, **kwargs):
+        self.count += np.ndim(a) == 2
+        return np.subtract(a, b, **kwargs)
+
+
+def test_a_one_block_fit_subtracts_the_row_max_once(monkeypatch):
+    # Its d stays in the d buffer from the pre-pass on; a fit of several
+    # blocks shifts each block again on every slope pass.
+    b = random_batch(np.random.default_rng(24), n_max=60, c_max=9)
+    passes = _PassCounter(monkeypatch)
+    subtractions = _SubtractionCounter(monkeypatch)
+    t = scalers.fit_temperature(b).temperature
+    assert subtractions.count == 1 and passes.sums >= 2
+    assert repr(t) == repr(unblocked_temperature(b.logits, b.labels))
+    monkeypatch.setattr(numerics, "BLOCK_ROWS", 7)
+    blocks = -(-b.n // 7)
+    passes.sums = subtractions.count = 0
+    assert repr(scalers.fit_temperature(b).temperature) == repr(t)
+    assert subtractions.count == passes.sums + blocks
+
+
+def test_a_large_hard_fit_starts_from_its_row_sample(monkeypatch):
+    # 20,480 rows: five full 4,096-row blocks, and a sample of every 10th row,
+    # 2,048 rows in one block. So each sum over 4,096 rows is a fifth of a full
+    # pass and each sum over 2,048 rows one sample pass.
+    n, c = 10 * scalers.SAMPLE_ROWS, 20
+    assert n == 5 * numerics.BLOCK_ROWS
+    rng = np.random.default_rng(25)
+    z = rng.standard_normal((n, c)) * 3.0
+    labels = np.where(rng.random(n) < 0.6, np.argmax(z, axis=1), rng.integers(0, c, n))
+    batch = metrics.PredictionBatch(logits=z, labels=labels)
+    counter = _PassCounter(monkeypatch)
+    sample_rows = scalers.SAMPLE_ROWS
+
+    def fit():
+        """(T, full passes, sample passes)."""
+        counter.summed_rows = []
+        t = scalers.fit_temperature(batch).temperature
+        full = counter.summed_rows.count(numerics.BLOCK_ROWS)
+        sample = counter.summed_rows.count(sample_rows)
+        assert full + sample == len(counter.summed_rows) and full % 5 == 0
+        return t, full // 5, sample
+
+    warm, warm_full, warm_sample = fit()
+    monkeypatch.setattr(scalers, "SAMPLE_ROWS", n)  # n is now under 8 * SAMPLE_ROWS: a cold start
+    cold, cold_full, cold_sample = fit()
+    assert (cold_full, cold_sample) == (6, 0)
+    assert (warm_full, warm_sample) == (4, 6)
+    assert abs(1.0 / warm - 1.0 / cold) <= 2 * scalers.NEWTON_REL_TOL / cold
+    assert repr(cold) == repr(unblocked_temperature(z, labels))
+    # In one block the sample's passes write their own d into the d buffer,
+    # which the full search must not take for the whole set's.
+    monkeypatch.setattr(scalers, "SAMPLE_ROWS", sample_rows)
+    monkeypatch.setattr(numerics, "BLOCK_ROWS", n)
+    assert repr(scalers.fit_temperature(batch).temperature) == repr(warm)
+
+
+def test_warm_started_fits_find_the_cold_optimum():
+    # Below the threshold and with soft labels the search starts at beta = 1
+    # and matches the oracle bit for bit; large hard fits match it within the
+    # stop rule, at a local minimum of the exact NLL (perfbench's rule: no
+    # lower by 1e-9 nats at T * (1 -/+ 0.01)), and at the same bound.
+    rng = np.random.default_rng(26)
+    cases = []
+    for k in range(3):
+        n, c = int(rng.integers(8 * scalers.SAMPLE_ROWS, 40_000)), int(rng.integers(2, 30))
+        z = rng.standard_normal((n, c)) * rng.uniform(1.0, 3.0)
+        pred = np.argmax(z, axis=1)
+        noisy = np.where(rng.random(n) < rng.uniform(0.3, 0.9), pred, rng.integers(0, c, n))
+        cases.append((f"hard{k}", metrics.PredictionBatch(logits=z, labels=noisy)))
+    cases.append(("t_min", metrics.PredictionBatch(logits=z, labels=pred)))
+    cases.append(("t_max", metrics.PredictionBatch(logits=z, labels=np.argmin(z, axis=1))))
+    for name, batch in cases:
+        t = scalers.fit_temperature(batch).temperature
+        cold = unblocked_temperature(batch.logits, batch.labels)
+        assert abs(1.0 / t - 1.0 / cold) <= 2 * scalers.NEWTON_REL_TOL / cold, name
+        bound = {"t_min": scalers.T_MIN, "t_max": scalers.T_MAX}.get(name)
+        if bound is not None:
+            assert t == bound
+            continue
+        assert scalers.T_MIN < t < scalers.T_MAX, name
+        here = metrics.mean_nll(scalers.Calibrator(kind="temperature", temperature=t).apply(batch))
+        for probe in (t * 0.99, t * 1.01):
+            there = metrics.mean_nll(scalers.Calibrator(kind="temperature", temperature=probe).apply(batch))
+            assert here <= there + 1e-9, (name, probe)
+    n, c = 8 * scalers.SAMPLE_ROWS, 6
+    for name, z, labels in _fit_cases(rng, n, c):
+        if name == "hard":
+            z, labels = z[1:], labels[1:]  # one row under the threshold
+        assert repr(_fit(z, labels).temperature) == repr(unblocked_temperature(z, labels)), name
 
 
 def test_fit_temperature_not_worse_than_uncalibrated():

@@ -50,6 +50,15 @@ STEPS = {
                       "--out", "result_soft.json", "--table-out", "table_soft.txt",
                       "--bins-out", "bins_soft.csv"],
     "sweep": ["sweep", *DOCS, "--out", "sweep.csv"],
+    # A target set big enough that calibrate's pseudo set (19,101 rows) takes the
+    # temperature fit's row-sample start.
+    "generate_large": ["generate", "--n-target", "24000", "--mean-shift", "1.0", "--rotation", "0.45",
+                       "--seed", "0", "--out", "task_large.json"],
+    "train_large": ["train", "--task", "task_large.json", "--gamma", "3.0", "--seed", "0",
+                    "--out", "model_large.json"],
+    "calibrate_large": ["calibrate", "--task", "task_large.json", "--model", "model_large.json",
+                        "--seed", "0", "--out", "calibrator_large.json",
+                        "--provenance-out", "pairs_large.csv"],
     # A 5-epoch model is too unsure for filtered_pl's 0.95 confidence filter,
     # so this evaluate records that method as failed and scores the others.
     "train_short": ["train", "--task", "task.json", "--epochs", "5", "--seed", "0",
