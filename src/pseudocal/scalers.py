@@ -65,7 +65,8 @@ class Calibrator:
     exact NLL's gradient norm fell below AFFINE_GRAD_TOL (the iteration
     cap, or no decrease left in floating point); the temperature fit
     raises instead. It is a warning flag and never blocks applying the
-    calibrator. ``scale``, ``bias`` and ``weight``, where set, are read-only float64 copies.
+    calibrator. ``temperature``, where set, is a Python float; ``scale``,
+    ``bias`` and ``weight`` are read-only float64 copies.
     """
 
     kind: str
@@ -88,7 +89,9 @@ class Calibrator:
             value = getattr(self, name)
             if ndim:
                 object.__setattr__(self, name, frozen_copy(value, f"calibrator {name}", ndim))
-            elif not (is_finite_number(value) and T_MIN <= value <= T_MAX):
+            elif is_finite_number(value) and T_MIN <= value <= T_MAX:
+                object.__setattr__(self, name, float(value))
+            else:
                 raise InvalidInputError(f"temperature must be a number in [{T_MIN}, {T_MAX}], got {value!r}")
         if not isinstance(self.converged, bool):
             raise InvalidInputError(f"converged must be true or false, got {self.converged!r}")
@@ -146,14 +149,15 @@ def fit_temperature(batch, soft_labels=None):
     OptimizationError if the search does not converge.
 
     The search starts at beta = 1. A hard-label fit on at least
-    ``8 * SAMPLE_ROWS`` rows first fits every ``(n // SAMPLE_ROWS)``-th
-    row and starts from that sample's beta instead: on 97,000 x 100
-    pseudo sets that took 3 to 5 full passes plus 0.15 of one for the
-    sample, against 7 from beta = 1. Both starts stop once a step moves
-    beta by at most NEWTON_REL_TOL of it, so the two T may differ within
-    that tolerance; on those sets they were the same bit for bit. The
-    sample is searched through strided views of the fit's own buffers,
-    so it allocates nothing that a cold fit does not.
+    ``8 * SAMPLE_ROWS`` rows first runs the same search on every
+    ``(n // SAMPLE_ROWS)``-th row, a strided view of the logits, and
+    starts from that sample's beta instead: on 97,000 x 100 pseudo sets
+    that took 3 to 5 full passes plus 0.15 of one for the sample, against
+    7 from beta = 1. Both starts stop once a step moves beta by at most
+    NEWTON_REL_TOL of it, so the two T may differ within that tolerance;
+    on those sets they were the same bit for bit. The two searches share
+    one pair of block buffers, so the sample allocates no block buffer of
+    its own.
 
     A bound's slope is taken only when the answer may lie there: for an
     end of the bracket that no iterate has moved, at the second bisection
@@ -170,18 +174,32 @@ def fit_temperature(batch, soft_labels=None):
     block keeps ``d`` from the pre-pass and subtracts the row max once.
     """
     soft_labels = _checked_soft_labels(batch, soft_labels)
-    z = batch.logits
-    n = batch.n
-    rowmax = np.empty((n, 1))
-    blocks = row_blocks(n)
-    # One block x C buffer each for d = z - rowmax(z) and for exp(beta * d).
-    # A single block's d stays in d_buf from the pre-pass to the last pass.
-    d_buf = np.empty((blocks[0].stop, batch.num_classes))
-    e_buf = np.empty_like(d_buf)
+    z, labels, n = batch.logits, batch.labels, batch.n
+    # One block x C buffer each for d = z - rowmax(z) and for exp(beta * d),
+    # shared by the sample's search and the whole set's.
+    buffers = np.empty((2, row_blocks(n)[0].stop, batch.num_classes))
+    beta = 1.0
+    if soft_labels is None and n >= 8 * SAMPLE_ROWS:
+        every = slice(None, None, n // SAMPLE_ROWS)
+        beta = 1.0 / _search(z[every], labels[every], None, beta, buffers)
+    return Calibrator(kind="temperature", temperature=_search(z, labels, soft_labels, beta, buffers))
 
-    def shifted(logits, maxima, rows):
+
+def _search(z, labels, soft_labels, beta, buffers):
+    """The T that fit_temperature fits to logits ``z``, searched from ``beta``.
+
+    ``soft_labels``, when not None, stands in for the hard ``labels``.
+    ``buffers`` is a (2, rows, C) array of at least one block's rows: the
+    search keeps d in the first and exp(beta * d) in the second.
+    """
+    n = len(z)
+    blocks = row_blocks(n)
+    d_buf, e_buf = buffers
+    rowmax = np.empty((n, 1))
+
+    def shifted(rows):
         d = d_buf[: rows.stop - rows.start]
-        np.subtract(logits[rows], maxima[rows], out=d)
+        np.subtract(z[rows], rowmax[rows], out=d)
         return d
 
     # One read of the logits: each block's row max, then its target share of d.
@@ -189,98 +207,83 @@ def fit_temperature(batch, soft_labels=None):
     mass = None if soft_labels is None else np.empty(n)  # None: 1 per row
     for rows in blocks:
         reduce_classes(np.maximum, z[rows], out=rowmax[rows])
-        d = shifted(z, rowmax, rows)
+        d = shifted(rows)
         if soft_labels is None:
-            d_y[rows] = d[np.arange(len(d)), batch.labels[rows]]
+            d_y[rows] = d[np.arange(len(d)), labels[rows]]
         else:
             d_y[rows] = np.einsum("ij,ij->i", soft_labels[rows], d)
             mass[rows] = reduce_classes(np.add, soft_labels[rows])[:, 0]
     row_slope = np.empty(n)
     row_curvature = np.empty(n)
+    # A single block's d stays in d_buf from the pre-pass to the last pass.
+    d_kept = len(blocks) == 1
 
-    def search(beta, every):
-        """The fitted T of the rows ``every`` picks, searched from ``beta``."""
-        zs, maxima, targets, slopes, curvatures = (
-            a[every] for a in (z, rowmax, d_y, row_slope, row_curvature)
-        )
-        masses = None if mass is None else mass[every]
-        m = len(zs)
-        own_blocks = row_blocks(m)
-        d_kept = m == n and len(own_blocks) == 1
+    def slope_and_curvature(beta):
+        for rows in blocks:
+            d = d_buf[:n] if d_kept else shifted(rows)
+            e = e_buf[: len(d)]
+            np.multiply(d, beta, out=e)
+            np.exp(e, out=e)
+            total = reduce_classes(np.add, e)[:, 0]
+            mean_d = np.einsum("ij,ij->i", e, d)
+            mean_d /= total
+            var_d = np.einsum("ij,ij,ij->i", e, d, d, out=row_curvature[rows])
+            var_d /= total
+            var_d -= mean_d**2
+            if mass is not None:  # a unit mass would multiply each term by 1.0
+                var_d *= mass[rows]
+                mean_d *= mass[rows]
+            np.subtract(mean_d, d_y[rows], out=row_slope[rows])
+        # np.mean's own pairwise sum and division, without its Python wrapper.
+        slope = float(np.add.reduce(row_slope) / n)
+        if not math.isfinite(slope):
+            raise OptimizationError(f"NLL gradient is not finite at T={1.0 / beta!r}", probe=1.0 / beta)
+        return slope, float(np.add.reduce(row_curvature) / n)
 
-        def slope_and_curvature(beta):
-            for rows in own_blocks:
-                d = d_buf if d_kept else shifted(zs, maxima, rows)
-                e = e_buf[: len(d)]
-                np.multiply(d, beta, out=e)
-                np.exp(e, out=e)
-                total = reduce_classes(np.add, e)[:, 0]
-                mean_d = np.einsum("ij,ij->i", e, d)
-                mean_d /= total
-                var_d = np.einsum("ij,ij,ij->i", e, d, d, out=curvatures[rows])
-                var_d /= total
-                var_d -= mean_d**2
-                if masses is not None:  # a unit mass would multiply each term by 1.0
-                    var_d *= masses[rows]
-                    mean_d *= masses[rows]
-                np.subtract(mean_d, targets[rows], out=slopes[rows])
-            # np.mean's own pairwise sum and division, without its Python wrapper.
-            slope = float(np.add.reduce(slopes) / m)
-            if not math.isfinite(slope):
-                raise OptimizationError(f"NLL gradient is not finite at T={1.0 / beta!r}", probe=1.0 / beta)
-            return slope, float(np.add.reduce(curvatures) / m)
+    def bound_optimum():
+        """The bound T where the NLL still falls, at an end of [lo, hi] no iterate moved, or None."""
+        # 1/T_MAX first: a flat NLL (every row a tie) is fitted with T_MAX.
+        if lo == 1.0 / T_MAX and slope_and_curvature(lo)[0] >= 0.0:
+            return T_MAX
+        if hi == 1.0 / T_MIN and slope_and_curvature(hi)[0] <= 0.0:
+            return T_MIN
+        return None
 
-        def bound_optimum():
-            """The bound T where the NLL still falls, at an end of [lo, hi] no iterate moved, or None."""
-            # 1/T_MAX first: a flat NLL (every row a tie) is fitted with T_MAX.
-            if lo == 1.0 / T_MAX and slope_and_curvature(lo)[0] >= 0.0:
-                return T_MAX
-            if hi == 1.0 / T_MIN and slope_and_curvature(hi)[0] <= 0.0:
-                return T_MIN
-            return None
-
-        # Newton steps on the increasing gradient, kept inside the sign bracket
-        # [lo, hi]; a step that leaves the bracket, or does not at least halve
-        # the step before last, falls back to bisection. The bracket spans a
-        # factor of 400, so it is halved in log beta.
-        lo, hi = 1.0 / T_MAX, 1.0 / T_MIN
-        step, last_step, bisections = hi - lo, hi - lo, 0
-        for _ in range(NEWTON_MAX_ITER):
-            slope, curvature = slope_and_curvature(beta)
-            if slope > 0.0:
-                hi = beta
-            elif slope < 0.0:
-                lo = beta
-            else:
-                break
-            newton = -slope / curvature if curvature > 0.0 else np.inf
-            if lo <= beta + newton <= hi and abs(newton) <= 0.5 * abs(last_step):
-                last_step, step = step, newton
-            else:
-                bisections += 1
-                if bisections == 2 and (bound := bound_optimum()) is not None:
-                    return bound
-                last_step, step = step, np.sqrt(lo * hi) - beta
-            beta += step
-            if abs(step) <= NEWTON_REL_TOL * beta:
-                break
+    # Newton steps on the increasing gradient, kept inside the sign bracket
+    # [lo, hi]; a step that leaves the bracket, or does not at least halve
+    # the step before last, falls back to bisection. The bracket spans a
+    # factor of 400, so it is halved in log beta.
+    lo, hi = 1.0 / T_MAX, 1.0 / T_MIN
+    step, last_step, bisections = hi - lo, hi - lo, 0
+    for _ in range(NEWTON_MAX_ITER):
+        slope, curvature = slope_and_curvature(beta)
+        if slope > 0.0:
+            hi = beta
+        elif slope < 0.0:
+            lo = beta
         else:
-            if bisections >= 2 or (bound := bound_optimum()) is None:
-                raise OptimizationError(
-                    f"temperature fit did not converge in {NEWTON_MAX_ITER} Newton/bisection steps",
-                    probe=1.0 / beta,
-                )
-            return bound
-        if bisections < 2 and (bound := bound_optimum()) is not None:
-            return bound
-        return min(max(1.0 / beta, T_MIN), T_MAX)
-
-    beta = 1.0
-    if soft_labels is None and n >= 8 * SAMPLE_ROWS:
-        beta = 1.0 / search(beta, slice(None, None, n // SAMPLE_ROWS))
-        if len(blocks) == 1:
-            shifted(z, rowmax, blocks[0])  # the sample's passes overwrote d_buf
-    return Calibrator(kind="temperature", temperature=search(beta, slice(None)))
+            break
+        newton = -slope / curvature if curvature > 0.0 else np.inf
+        if lo <= beta + newton <= hi and abs(newton) <= 0.5 * abs(last_step):
+            last_step, step = step, newton
+        else:
+            bisections += 1
+            if bisections == 2 and (bound := bound_optimum()) is not None:
+                return bound
+            last_step, step = step, np.sqrt(lo * hi) - beta
+        beta += step
+        if abs(step) <= NEWTON_REL_TOL * beta:
+            break
+    else:
+        if bisections >= 2 or (bound := bound_optimum()) is None:
+            raise OptimizationError(
+                f"temperature fit did not converge in {NEWTON_MAX_ITER} Newton/bisection steps",
+                probe=1.0 / beta,
+            )
+        return bound
+    if bisections < 2 and (bound := bound_optimum()) is not None:
+        return bound
+    return min(max(1.0 / beta, T_MIN), T_MAX)
 
 
 class NllDecomposition(NamedTuple):

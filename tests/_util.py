@@ -157,7 +157,8 @@ def unblocked_temperature(logits, labels):
     The same safeguarded Newton/bisection search on beta = 1/T as
     scalers.fit_temperature, with d = z - rowmax(z) and exp(beta * d) held
     for all rows at once. ``labels`` holds hard class indices or soft
-    labels, as in grid_temperature. Returns T.
+    labels, as in grid_temperature. Returns T as a Python float, as a
+    Calibrator holds it.
     """
     z = np.asarray(logits, dtype=np.float64)
     y = np.asarray(labels)
@@ -203,7 +204,7 @@ def unblocked_temperature(logits, labels):
             break
     else:
         raise AssertionError("unblocked temperature fit did not converge")
-    return min(max(1.0 / beta, T_MIN), T_MAX)
+    return float(min(max(1.0 / beta, T_MIN), T_MAX))
 
 
 def member_by_member_train(task, seed, epochs, lr, gamma, track_history=False):

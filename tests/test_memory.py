@@ -68,8 +68,9 @@ def test_temperature_fit_holds_under_a_quarter_of_the_logits(monkeypatch, logits
     # The d and exp buffers take 2 * BLOCK_ROWS * C floats: at the default
     # 4,096 rows that alone is 41 % of this batch, so walk it in 1,000-row
     # blocks. Next to them the fit keeps five length-n vectors. The sample
-    # it starts from is searched in strided views of those, with no buffers
-    # of its own.
+    # it starts from runs the same search on a strided view of the logits,
+    # in the same two buffers, with its own row max, targets, slopes and
+    # curvatures: vectors of SAMPLE_N rows, freed before the full search.
     monkeypatch.setattr(numerics, "BLOCK_ROWS", 1000)
     rng = np.random.default_rng(2)
     labels = np.where(rng.random(N) < 0.6, np.argmax(logits, axis=1), rng.integers(0, C, N))

@@ -340,6 +340,87 @@ def test_warm_started_fits_find_the_cold_optimum():
         assert repr(_fit(z, labels).temperature) == repr(unblocked_temperature(z, labels)), name
 
 
+def _sample_at_a_bound(bound):
+    """A hard 16,384 x 10 batch, noisy but for its every (n // SAMPLE_ROWS)-th row, and that row sample.
+
+    Every sampled row is right for ``T_MIN`` and wrong for ``T_MAX``, so the
+    sample's fit ends at that bound while the whole set's optimum is interior.
+    """
+    n, c = 8 * scalers.SAMPLE_ROWS, 10
+    rng = np.random.default_rng(27)
+    z = rng.standard_normal((n, c)) * 3.0
+    labels = np.where(rng.random(n) < 0.6, np.argmax(z, axis=1), rng.integers(0, c, n))
+    every = slice(None, None, n // scalers.SAMPLE_ROWS)
+    labels[every] = {scalers.T_MIN: np.argmax, scalers.T_MAX: np.argmin}[bound](z[every], axis=1)
+    return (metrics.PredictionBatch(logits=z, labels=labels),
+            metrics.PredictionBatch(logits=z[every], labels=labels[every]))
+
+
+@pytest.mark.parametrize("bound", [scalers.T_MIN, scalers.T_MAX])
+def test_a_warm_start_from_a_sample_at_a_bound_finds_the_cold_optimum(bound):
+    # The whole set's search starts at the bound's beta, which no other test does.
+    batch, sample = _sample_at_a_bound(bound)
+    assert len(sample.labels) == scalers.SAMPLE_ROWS
+    assert scalers.fit_temperature(sample).temperature == bound
+    t = scalers.fit_temperature(batch).temperature
+    cold = unblocked_temperature(batch.logits, batch.labels)
+    assert scalers.T_MIN < cold < scalers.T_MAX
+    assert abs(1.0 / t - 1.0 / cold) <= 2 * scalers.NEWTON_REL_TOL / cold
+
+
+def test_a_fitted_or_loaded_temperature_is_a_python_float(tmp_path):
+    # A bisection step takes np.sqrt, which would make T a numpy float.
+    z, y = _clamp_repro()
+    fits = [
+        scalers.fit_temperature(metrics.PredictionBatch(logits=z, labels=y)),
+        scalers.fit_temperature(_sample_at_a_bound(scalers.T_MIN)[0]),  # warm, from T_MIN's beta
+        scalers.Calibrator(kind="temperature", temperature=np.float64(2.0)),
+        scalers.Calibrator(kind="temperature", temperature=2),
+    ]
+    path = tmp_path / "cal.json"
+    scalers.save_calibrator(fits[0], path)
+    for cal in [*fits, scalers.load_calibrator(path)]:
+        assert type(cal.temperature) is float, repr(cal.temperature)
+    assert scalers.load_calibrator(path) == fits[0]
+
+
+class _EmptyCounter:
+    """scalers' numpy, recording the shape of each array its np.empty returns."""
+
+    def __init__(self, monkeypatch):
+        self.shapes = []
+        monkeypatch.setattr(scalers, "np", self)
+
+    def __getattr__(self, name):
+        return getattr(np, name)
+
+    def empty(self, *args, **kwargs):
+        a = np.empty(*args, **kwargs)
+        self.shapes.append(a.shape)
+        return a
+
+
+def test_a_warm_fit_allocates_no_block_buffer_beyond_a_cold_fits(monkeypatch):
+    # The sample's search runs in the whole set's d and exp(beta * d)
+    # buffers, one (2, BLOCK_ROWS, C) array; buffers of its own would add
+    # a second. Every other array a fit allocates is one value per row.
+    n, c = 10 * scalers.SAMPLE_ROWS, 20
+    rng = np.random.default_rng(28)
+    z = rng.standard_normal((n, c)) * 3.0
+    labels = np.where(rng.random(n) < 0.6, np.argmax(z, axis=1), rng.integers(0, c, n))
+    batch = metrics.PredictionBatch(logits=z, labels=labels)
+    empties = _EmptyCounter(monkeypatch)
+
+    def class_wide_arrays():
+        empties.shapes = []
+        scalers.fit_temperature(batch)
+        return [shape for shape in empties.shapes if len(shape) > 1 and shape[-1] == c]
+
+    warm = class_wide_arrays()
+    monkeypatch.setattr(scalers, "SAMPLE_ROWS", n)  # a cold start
+    assert class_wide_arrays() == warm == [(2, numerics.BLOCK_ROWS, c)]
+
+
 def test_fit_temperature_not_worse_than_uncalibrated():
     rng = np.random.default_rng(9)
     for _ in range(10):

@@ -59,6 +59,15 @@ STEPS = {
     "calibrate_large": ["calibrate", "--task", "task_large.json", "--model", "model_large.json",
                         "--seed", "0", "--out", "calibrator_large.json",
                         "--provenance-out", "pairs_large.csv"],
+    # The same set's multi-block soft fit (19,101 rows, 5 blocks), and a cold
+    # multi-block hard fit: same-label pairing keeps 4,899 rows, under the
+    # row-sample threshold.
+    "calibrate_large_soft": ["calibrate", "--task", "task_large.json", "--model", "model_large.json",
+                             "--seed", "0", "--label-mode", "soft", "--out", "calibrator_large_soft.json",
+                             "--provenance-out", "pairs_large_soft.csv"],
+    "calibrate_large_same": ["calibrate", "--task", "task_large.json", "--model", "model_large.json",
+                             "--seed", "0", "--pairing", "same", "--out", "calibrator_large_same.json",
+                             "--provenance-out", "pairs_large_same.csv"],
     # A 5-epoch model is too unsure for filtered_pl's 0.95 confidence filter,
     # so this evaluate records that method as failed and scores the others.
     "train_short": ["train", "--task", "task.json", "--epochs", "5", "--seed", "0",
