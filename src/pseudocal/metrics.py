@@ -7,8 +7,8 @@ import numpy as np
 from .documents import write_csv
 from .errors import InvalidInputError, LabelsRequiredError
 from .numerics import (
-    argmax_rows, class_indices, finite_array, frozen_copy, is_integer, log_softmax, reduce_classes,
-    softmax,
+    argmax_rows, checked_number, class_indices, finite_array, frozen_copy, log_softmax,
+    reduce_classes, softmax,
 )
 
 DEFAULT_BINS = 15
@@ -134,9 +134,7 @@ def _require_labels(batch):
 
 def check_bins(num_bins):
     """``num_bins`` as an int; anything but an integer >= 1 (a bool too) is an InvalidInputError."""
-    if not (is_integer(num_bins) and num_bins >= 1):
-        raise InvalidInputError(f"the bin count must be an integer >= 1, got {num_bins!r}")
-    return int(num_bins)
+    return checked_number(num_bins, "the bin count", True, " >= 1", lambda v: v >= 1)
 
 
 def _bin_index(confidences, num_bins):

@@ -1,6 +1,7 @@
 """Dense-array primitives: softmax, log-softmax, class-axis reductions, row-blocked argmax and
-finiteness, value checks."""
+finiteness, the value checks of caller arrays and scalars."""
 
+import contextlib
 import math
 import numbers
 
@@ -67,9 +68,22 @@ def is_integer(value):
     return isinstance(value, numbers.Integral) and not isinstance(value, bool)
 
 
-def is_finite_number(value):
-    """A finite real number that is not a bool."""
-    return isinstance(value, numbers.Real) and not isinstance(value, bool) and math.isfinite(value)
+def checked_number(value, what, integer=False, rule="", ok=lambda v: True):
+    """``value`` as a plain int if ``integer``, else a plain float: the one door for caller scalars.
+
+    It takes an integer that is not a bool (or, unless ``integer``, any
+    finite real number), numpy scalars included, for which ``ok`` holds
+    of the converted value. Anything else raises InvalidInputError
+    ``"<what> must be an integer<rule>, got <value!r>"``, with ``a finite
+    number`` for a float.
+    """
+    if isinstance(value, numbers.Integral if integer else numbers.Real) and not isinstance(value, bool):
+        with contextlib.suppress(OverflowError):  # float() of an int too large for a float
+            number = int(value) if integer else float(value)
+            if (integer or math.isfinite(number)) and ok(number):
+                return number
+    kind = "an integer" if integer else "a finite number"
+    raise InvalidInputError(f"{what} must be {kind}{rule}, got {value!r}")
 
 
 def listed(values, what):

@@ -17,8 +17,7 @@ from .documents import write_csv
 from .errors import DegenerateTargetError, EmptyFilterError, InvalidInputError
 from .metrics import PredictionBatch
 from .numerics import (
-    argmax_rows, class_indices, finite_array, frozen_copy, is_finite_number, is_integer,
-    row_blocks,
+    argmax_rows, checked_number, class_indices, finite_array, frozen_copy, row_blocks,
 )
 from .scalers import fit_temperature
 
@@ -47,6 +46,7 @@ class MixupConfig:
     from Beta(0.3, 0.3), where the dominant sample flips to b when
     lam < 0.5. pairing "distinct" keeps only pairs with differing pseudo
     labels; "same" is the ablation that keeps only agreeing pairs.
+    ``lam`` is stored as a plain float, ``epochs`` and ``seed`` as ints.
     """
 
     lam: float = DEFAULT_LAMBDA
@@ -57,12 +57,11 @@ class MixupConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if not is_finite_number(self.lam):
-            raise InvalidInputError(f"mix ratio must be a finite number, got {self.lam!r}")
-        if not (is_integer(self.epochs) and is_integer(self.seed)):
-            raise InvalidInputError(
-                f"mixup epochs and seed must be integers, got {self.epochs!r}, {self.seed!r}"
-            )
+        object.__setattr__(self, "lam", checked_number(self.lam, "mix ratio"))
+        epochs = checked_number(self.epochs, "mixup epochs", True, " >= 1", lambda v: v >= 1)
+        object.__setattr__(self, "epochs", epochs)
+        seed = checked_number(self.seed, "mixup seed", True, " >= 0", lambda v: v >= 0)
+        object.__setattr__(self, "seed", seed)
         for what, value, names in (
             ("lambda policy", self.lambda_policy, LAMBDA_POLICIES),
             ("label mode", self.label_mode, LABEL_MODES),
@@ -71,11 +70,7 @@ class MixupConfig:
             if value not in names:
                 raise InvalidInputError(f"unknown {what} {value!r}; expected one of {', '.join(names)}")
         if self.lambda_policy == "fixed" and not 0.5 < self.lam <= 1.0:
-            raise InvalidInputError(
-                f"fixed mix ratio must lie in (0.5, 1.0], got {self.lam}"
-            )
-        if self.epochs < 1 or self.seed < 0:
-            raise InvalidInputError(f"mixup needs epochs >= 1 and seed >= 0: {self.epochs}, {self.seed}")
+            raise InvalidInputError(f"fixed mix ratio must lie in (0.5, 1.0], got {self.lam}")
 
 
 def checked_config(cfg):

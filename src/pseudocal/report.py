@@ -112,15 +112,20 @@ class ExperimentResult:
 
 
 class Access(NamedTuple):
-    """A kind of data a method may see, and how to tell that a task provides it."""
+    """A kind of data a method may see, and how to tell that a (model, task) provides it."""
 
     description: str
     provided: Callable
 
 
-UNLABELED_TARGET = Access("unlabeled target inputs", lambda task: True)
-SOURCE_SPLIT = Access("a labeled source split", lambda task: task.has_source)
-TARGET_LABELS = Access("target labels", lambda task: task.has_target_labels)
+UNLABELED_TARGET = Access("unlabeled target inputs", lambda model, task: True)
+SOURCE_SPLIT = Access("a labeled source split", lambda model, task: task.has_source)
+TARGET_LABELS = Access("target labels", lambda model, task: task.has_target_labels)
+# The ensemble baseline trains new members the way the model was trained.
+RETRAINABLE = Access(
+    "a labeled source split and a TrainedClassifier model to retrain",
+    lambda model, task: task.has_source and isinstance(model, synthetic.TrainedClassifier),
+)
 
 
 class _Inputs:
@@ -157,11 +162,14 @@ def _mixup(**change):
 
 
 def _fit_ensemble(data):
-    """Members trained as the model was (its train_config less the seed), from the run's seed."""
-    config = getattr(data.model, "train_config", {})
-    member_config = {key: value for key, value in config.items() if key != "seed"}
+    """Members trained as the model was, from the run's seed on.
+
+    They train at the model's gamma, and at its train_config's epochs and
+    lr where it records them (``train``'s defaults where it does not).
+    """
     seeds = range(data.mixup_cfg.seed, data.mixup_cfg.seed + ENSEMBLE_SIZE)
-    return synthetic.train(data.task, **member_config, seed=seeds), None
+    config = {**data.model.train_config, "gamma": data.model.gamma, "seed": seeds}
+    return synthetic.train(data.task, **config), None
 
 
 class Method(NamedTuple):
@@ -189,7 +197,7 @@ METHODS = {
     ),
     "pseudocal_same": Method(UNLABELED_TARGET, _mixup(pairing="same")),
     "beta_mixup": Method(UNLABELED_TARGET, _mixup(lambda_policy="beta")),
-    "ensemble": Method(SOURCE_SPLIT, _fit_ensemble),
+    "ensemble": Method(RETRAINABLE, _fit_ensemble),
 }
 
 
@@ -214,7 +222,7 @@ def evaluate_all(model, task, methods=DEFAULT_METHODS, bins=DEFAULT_BINS, mixup_
         if not isinstance(name, str) or name not in METHODS:
             raise InvalidInputError(f"unknown method {name!r}; valid: {', '.join(METHODS)}")
         sees = METHODS[name].sees
-        if not sees.provided(task):
+        if not sees.provided(model, task):
             raise DataAccessError(f"method {name!r} requires {sees.description}", method=name)
     _each_once("method", methods)
     if not task.has_target_labels:

@@ -16,7 +16,7 @@ from .documents import SCHEMA_VERSION, check_document, read_json, write_json
 from .errors import InvalidInputError, LabelsRequiredError, OptimizationError
 from .metrics import PredictionBatch
 from .numerics import (
-    finite_array, frozen_copy, is_finite_number, log_softmax, reduce_classes, row_blocks,
+    checked_number, finite_array, frozen_copy, log_softmax, reduce_classes, row_blocks,
 )
 
 # Search bounds for the temperature. Wide enough to contain every
@@ -88,11 +88,11 @@ class Calibrator:
         for name, ndim in fields.items():
             value = getattr(self, name)
             if ndim:
-                object.__setattr__(self, name, frozen_copy(value, f"calibrator {name}", ndim))
-            elif is_finite_number(value) and T_MIN <= value <= T_MAX:
-                object.__setattr__(self, name, float(value))
-            else:
-                raise InvalidInputError(f"temperature must be a number in [{T_MIN}, {T_MAX}], got {value!r}")
+                value = frozen_copy(value, f"calibrator {name}", ndim)
+            else:  # the temperature
+                rule = f" in [{T_MIN}, {T_MAX}]"
+                value = checked_number(value, name, False, rule, lambda v: T_MIN <= v <= T_MAX)
+            object.__setattr__(self, name, value)
         if not isinstance(self.converged, bool):
             raise InvalidInputError(f"converged must be true or false, got {self.converged!r}")
         if self.kind == "vector" and self.scale.shape != self.bias.shape:
@@ -303,8 +303,7 @@ def nll_decomposition(batch, temperature):
     """
     if not batch.has_labels:
         raise LabelsRequiredError("nll decomposition requires labels")
-    if not (is_finite_number(temperature) and temperature > 0):
-        raise InvalidInputError(f"temperature must be a finite number > 0, got {temperature!r}")
+    temperature = checked_number(temperature, "temperature", rule=" > 0", ok=lambda v: v > 0)
     with np.errstate(over="ignore", invalid="ignore"):
         scaled = batch.logits / temperature
         finite_array(scaled - reduce_classes(np.maximum, scaled), f"logits at T={temperature!r}", 2)

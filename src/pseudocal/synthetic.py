@@ -16,7 +16,7 @@ import numpy as np
 from .documents import SCHEMA_VERSION, check_document, check_keys, read_json, write_json
 from .errors import InvalidInputError, InvalidSpecError, TrainingError
 from .numerics import (
-    argmax_rows, class_indices, finite_array, frozen_copy, is_finite_number, is_integer, listed,
+    argmax_rows, checked_number, class_indices, finite_array, frozen_copy, is_integer, listed,
     reduce_classes, softmax,
 )
 
@@ -41,7 +41,7 @@ PROB_EPS = 1e-12
 
 @dataclass(frozen=True)
 class ShiftSpec:
-    """Parameters of a synthetic source/target classification problem."""
+    """Parameters of a synthetic source/target classification problem, as plain ints and floats."""
 
     n_classes: int = 5
     dim: int = 10
@@ -54,12 +54,15 @@ class ShiftSpec:
     seed: int = 0
 
     def __post_init__(self):
-        for f in fields(self):
-            value = getattr(self, f.name)
-            if f.type is int and not is_integer(value):
-                raise InvalidSpecError(f"{f.name} must be an integer, got {value!r}")
-            if f.type is float and not is_finite_number(value):
-                raise InvalidSpecError(f"{f.name} must be a finite number, got {value!r}")
+        try:
+            for f in fields(self):
+                if f.type in (int, float):
+                    value = checked_number(getattr(self, f.name), f.name, integer=f.type is int)
+                    object.__setattr__(self, f.name, value)
+            if self.target_priors is not None:
+                priors = finite_array(self.target_priors, "target priors", 1)
+        except InvalidInputError as exc:
+            raise InvalidSpecError(str(exc)) from None
         if self.n_classes < 2:
             raise InvalidSpecError("need at least 2 classes")
         if self.dim < 2:
@@ -73,10 +76,6 @@ class ShiftSpec:
         if rows * self.dim * np.dtype(np.float64).itemsize > np.iinfo(np.intp).max:
             raise InvalidSpecError(f"a {rows} x {self.dim} array is too large for numpy")
         if self.target_priors is not None:
-            try:
-                priors = finite_array(self.target_priors, "target priors", 1)
-            except InvalidInputError as exc:
-                raise InvalidSpecError(str(exc)) from None
             if priors.shape != (self.n_classes,):
                 raise InvalidSpecError("target priors must have one entry per class")
             if np.any(priors < 0):
@@ -105,7 +104,7 @@ class SyntheticTask:
     Inputs are finite float64 matrices of the shape ``spec`` gives them
     (``n_target`` or ``n_source`` rows of ``dim`` features) and labels one
     class index per row (arrays of those dtypes are kept without a copy).
-    ``val_fraction`` must leave at least one source row to train on.
+    ``val_fraction``, a float in (0, 1), must leave at least one source row to train on.
     """
 
     spec: ShiftSpec
@@ -123,8 +122,10 @@ class SyntheticTask:
         if self.has_target_labels:
             labels = class_indices(self.target_labels, len(target), c, "target labels")
             object.__setattr__(self, "target_labels", labels)
-        if not (is_finite_number(self.val_fraction) and 0.0 < self.val_fraction < 1.0):
-            raise InvalidInputError(f"val_fraction must lie in (0, 1), got {self.val_fraction!r}")
+        fraction = checked_number(
+            self.val_fraction, "val_fraction", rule=" in (0, 1)", ok=lambda v: 0 < v < 1
+        )
+        object.__setattr__(self, "val_fraction", fraction)
         if self.has_source:
             source = finite_array(self.source_inputs, "source inputs", 2)
             _check_spec_shape("source inputs", source, self.spec.n_source, self.spec.dim)
@@ -208,24 +209,22 @@ def generate(spec):
     )
 
 
-# A train_config holds some of these keys, each value passing its check and stored as its type.
+# A train_config holds some of these keys: key -> checked_number's (integer, rule, ok).
 _TRAIN_CONFIG_CHECKS = {
-    "epochs": (int, lambda v: is_integer(v) and v >= 1, "an integer >= 1"),
-    "lr": (float, lambda v: is_finite_number(v) and v > 0, "a finite number > 0"),
-    "gamma": (float, lambda v: is_finite_number(v) and v >= 1, "a finite number >= 1"),
-    "seed": (int, lambda v: is_integer(v) and v >= 0, "an integer >= 0"),
+    "epochs": (True, " >= 1", lambda v: v >= 1),
+    "lr": (False, " > 0", lambda v: v > 0),
+    "gamma": (False, " >= 1", lambda v: v >= 1),
+    "seed": (True, " >= 0", lambda v: v >= 0),
 }
 
 
 def _checked_train_config(config):
-    """``config`` as a read-only mapping of each key to its value, cast to the key's type."""
+    """``config`` as a read-only mapping of each key to its checked plain int or float."""
     config = check_keys(config, "train_config", (), _TRAIN_CONFIG_CHECKS)
-    for key, value in config.items():
-        cast, check, rule = _TRAIN_CONFIG_CHECKS[key]
-        if not check(value):
-            raise InvalidInputError(f"train_config {key} must be {rule}, got {value!r}")
-        config[key] = cast(value)
-    return MappingProxyType(config)
+    return MappingProxyType({
+        key: checked_number(value, f"train_config {key}", *_TRAIN_CONFIG_CHECKS[key])
+        for key, value in config.items()
+    })
 
 
 def frozen_history(values):
@@ -243,10 +242,11 @@ class TrainedClassifier:
     Inference returns (X @ weights + bias) * gamma; gamma > 1 inflates
     confidence without moving any decision boundary. ``train_config``
     records how it was trained (the ensemble baseline trains its members
-    the same way): some of epochs, lr, gamma and seed, in a read-only
-    mapping; a gamma it holds is the model's. ``history``, if given, is
-    the finite (epochs, 4) array ``train`` tracks. ``weights``, ``bias``
-    and ``history`` are read-only copies of the given arrays.
+    the same way): some of epochs, lr, gamma and seed, each a plain int
+    or float, in a read-only mapping; a gamma it holds is the model's.
+    ``history``, if given, is the finite (epochs, 4) array ``train``
+    tracks. ``weights``, ``bias`` and ``history`` are read-only copies of
+    the given arrays.
     """
 
     weights: np.ndarray
@@ -256,8 +256,8 @@ class TrainedClassifier:
     history: np.ndarray | None = None
 
     def __post_init__(self):
-        if not is_finite_number(self.gamma) or self.gamma < 1.0:
-            raise InvalidInputError("gamma must be finite and >= 1")
+        gamma = checked_number(self.gamma, "gamma", *_TRAIN_CONFIG_CHECKS["gamma"])
+        object.__setattr__(self, "gamma", gamma)
         object.__setattr__(self, "train_config", _checked_train_config(self.train_config))
         config_gamma = self.train_config.get("gamma", self.gamma)
         if config_gamma != self.gamma:
@@ -352,7 +352,7 @@ def train(task, epochs=DEFAULT_EPOCHS, lr=DEFAULT_LR, gamma=1.0, track_history=F
         TrainedClassifier(
             weights=w_m,
             bias=b_m[0],
-            gamma=float(gamma),
+            gamma=gamma,
             train_config=config,
             history=np.asarray(history) if track_history else None,
         )

@@ -217,6 +217,8 @@ def test_unsupported_task_version_is_a_one_line_error(workspace, capsys):
         ("evaluate", "config", lambda doc: doc.update(bin=7), 2),
         ("evaluate", "model", lambda doc: doc["train_config"].update(gamma=1.0), 1),
         ("evaluate", "task", lambda doc: doc["spec"].update(n_target=50000, dim=3, n_source=7), 1),
+        ("evaluate", "task", lambda doc: doc["spec"].update(mean_shift=10**400), 1),
+        ("calibrate", "model", lambda doc: doc.update(gamma=10**400), 1),
     ],
     ids=["source-label-7", "source-labels-short", "narrow-target-inputs", "1d-target-inputs",
          "val-fraction-2", "empty-ensemble", "config-seed-string", "config-epochs-inf",
@@ -227,7 +229,7 @@ def test_unsupported_task_version_is_a_one_line_error(workspace, capsys):
          "config-label-mode-unknown", "config-label-mode-bool", "config-lambda-policy-unknown",
          "config-pairing-list", "evaluate-config-label-mode-case", "config-key-misspelt",
          "evaluate-config-key-misspelt", "train-config-gamma-not-the-models",
-         "spec-contradicts-arrays"],
+         "spec-contradicts-arrays", "spec-mean-shift-beyond-floats", "gamma-beyond-floats"],
 )
 def test_malformed_input_is_a_one_line_error(
     workspace, tmp_path, capsys, command, damaged, damage, code
@@ -273,6 +275,24 @@ def test_usage_errors_are_one_line(tmp_path, monkeypatch, capsys, argv):
     assert captured.err.startswith("error:")
     assert captured.err.count("\n") == 1
     assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("message, line", [
+    ("Unable to allocate 74.5 GiB for an array", "error: Unable to allocate 74.5 GiB for an array"),
+    ("", "error: out of memory"),
+], ids=["numpy-message", "no-message"])
+def test_running_out_of_memory_is_a_one_line_error(tmp_path, monkeypatch, capsys, message, line):
+    # The allocation fails by stand-in: how a host meets a real one differs between machines.
+    def generate(spec):
+        raise MemoryError(message)
+
+    monkeypatch.setattr(synthetic, "generate", generate)
+    out = tmp_path / "task.json"
+    assert run(["generate", "--n-source", "1000000000", "--n-target", "100", "--out", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == line + "\n"
+    assert not out.exists()
 
 
 def test_help_still_prints_help_and_exits_0(capsys):

@@ -2,6 +2,7 @@
 
 import ast
 import math
+import re
 from pathlib import Path
 
 import numpy as np
@@ -262,3 +263,58 @@ def test_only_argmax_rows_takes_an_argmax():
                 if name in ("argmax", "argmin"):
                     offenders.append(f"{path.name}:{node.lineno} calls {name}")
     assert offenders == []
+
+
+@pytest.mark.parametrize("value, integer, expected", [
+    (3, True, 3), (np.int64(3), True, 3), (np.uint8(7), True, 7), (10**400, True, 10**400),
+    (3, False, 3.0), (np.int64(-2), False, -2.0), (2.5, False, 2.5),
+    (np.float32(0.1), False, float(np.float32(0.1))), (np.float64(1e300), False, 1e300),
+])
+def test_checked_number_returns_a_plain_int_or_float(value, integer, expected):
+    got = numerics.checked_number(value, "x", integer)
+    assert type(got) is (int if integer else float) and got == expected
+
+
+@pytest.mark.parametrize("value", [
+    True, np.bool_(True), "3", None, [3], math.nan, np.float32("nan"), math.inf, -np.inf, 10**400,
+])
+def test_checked_number_rejects_what_is_no_finite_number(value):
+    with pytest.raises(InvalidInputError, match=r"^x must be a finite number, got "):
+        numerics.checked_number(value, "x")
+
+
+@pytest.mark.parametrize("value", [2.0, np.float64(2.0), 2.5, True, "2", math.nan])
+def test_checked_number_rejects_what_is_no_integer(value):
+    with pytest.raises(InvalidInputError, match=r"^x must be an integer, got "):
+        numerics.checked_number(value, "x", integer=True)
+
+
+def test_checked_number_words_its_rule_and_applies_it_to_the_converted_value():
+    seen = []
+
+    def ok(v):
+        seen.append(type(v))
+        return v >= 1
+
+    assert numerics.checked_number(np.int64(1), "n", True, " >= 1", ok) == 1
+    with pytest.raises(InvalidInputError, match=re.escape("n must be an integer >= 1, got np.int64(0)")):
+        numerics.checked_number(np.int64(0), "n", True, " >= 1", ok)
+    assert seen == [int, int]
+
+
+def test_numerics_is_the_one_door_for_caller_scalars():
+    # checked_number holds every scalar check. Only train's choice between
+    # one seed and a seed list asks is_integer, and no module but numerics
+    # tells a number by the numbers module.
+    users = {}
+    for path in sorted(Path(pseudocal.__file__).parent.glob("*.py")):
+        if path.name == "numerics.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text())):
+            name = getattr(node, "id", getattr(node, "attr", getattr(node, "name", None)))
+            if isinstance(node, (ast.Name, ast.Attribute, ast.alias)) and name in (
+                "is_integer", "is_finite_number", "numbers",
+            ):
+                users.setdefault(name, set()).add(path.name)
+    assert users == {"is_integer": {"synthetic.py"}}
+    assert not hasattr(numerics, "is_finite_number")
