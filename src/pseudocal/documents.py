@@ -12,7 +12,7 @@ from collections.abc import Mapping
 import numpy as np
 
 from .errors import InvalidInputError
-from .numerics import row_blocks
+from .numerics import checked_number, row_blocks
 
 SCHEMA_VERSION = 1
 
@@ -38,12 +38,13 @@ def check_keys(mapping, what, required, optional=()):
 def check_document(doc, what, required, optional=()):
     """The entries of ``doc``, a ``what`` document, other than its ``schema_version``.
 
-    A document that is not a JSON object of this schema version raises
-    InvalidInputError, and so do its keys where ``check_keys`` rejects them.
+    A document that is not a JSON object whose schema_version is the integer
+    SCHEMA_VERSION (not ``true``, not ``1.0``) raises InvalidInputError, and
+    so do its keys where ``check_keys`` rejects them.
     """
     version = doc.get("schema_version") if isinstance(doc, dict) else None
-    if version != SCHEMA_VERSION:
-        raise InvalidInputError(f"unsupported {what} document schema_version {version!r}")
+    checked_number(version, f"{what} document schema_version", True, f" equal to {SCHEMA_VERSION}",
+                   lambda v: v == SCHEMA_VERSION)
     entries = {key: value for key, value in doc.items() if key != "schema_version"}
     return check_keys(entries, f"{what} document", required, optional)
 

@@ -1,5 +1,5 @@
 """Dense-array primitives: softmax, log-softmax, class-axis reductions, row-blocked argmax and
-finiteness, the value checks of caller arrays and scalars."""
+finiteness, and the one check of each kind of caller value: arrays, scalars, names and lists."""
 
 import contextlib
 import math
@@ -86,8 +86,23 @@ def checked_number(value, what, integer=False, rule="", ok=lambda v: True):
     raise InvalidInputError(f"{what} must be {kind}{rule}, got {value!r}")
 
 
+def checked_choice(value, what, names):
+    """``value`` as a plain str if it is one of ``names``: the one door for caller names.
+
+    Anything else raises InvalidInputError ``"unknown <what> <value!r>;
+    expected one of <names>"``.
+    """
+    if isinstance(value, str) and value in names:
+        return str(value)
+    raise InvalidInputError(f"unknown {what} {value!r}; expected one of {', '.join(names)}")
+
+
 def listed(values, what):
-    """``values`` as a non-empty list of ``what``; anything else raises InvalidInputError."""
+    """``values`` as a non-empty list of ``what``, no value twice: the one door for caller lists.
+
+    Anything else raises InvalidInputError; a value given twice raises
+    ``"<what> <value!r> is listed more than once"`` before any value is checked.
+    """
     try:
         if isinstance(values, (str, bytes)):  # iterable, but one value, not a list of them
             raise TypeError
@@ -96,6 +111,10 @@ def listed(values, what):
         raise InvalidInputError(f"{what}s must be a list, got {values!r}") from None
     if not values:
         raise InvalidInputError(f"need at least one {what}")
+    for i, value in enumerate(values):
+        with contextlib.suppress(ValueError):  # an array has no truth value; its own check rejects it
+            if value in values[i + 1 :]:
+                raise InvalidInputError(f"{what} {value!r} is listed more than once")
     return values
 
 

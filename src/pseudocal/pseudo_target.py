@@ -17,7 +17,7 @@ from .documents import write_csv
 from .errors import DegenerateTargetError, EmptyFilterError, InvalidInputError
 from .metrics import PredictionBatch
 from .numerics import (
-    argmax_rows, checked_number, class_indices, finite_array, frozen_copy, row_blocks,
+    argmax_rows, checked_choice, checked_number, class_indices, finite_array, frozen_copy, row_blocks,
 )
 from .scalers import fit_temperature
 
@@ -46,7 +46,8 @@ class MixupConfig:
     from Beta(0.3, 0.3), where the dominant sample flips to b when
     lam < 0.5. pairing "distinct" keeps only pairs with differing pseudo
     labels; "same" is the ablation that keeps only agreeing pairs.
-    ``lam`` is stored as a plain float, ``epochs`` and ``seed`` as ints.
+    ``lam`` is stored as a plain float, ``epochs`` and ``seed`` as ints,
+    and the three names as plain strs.
     """
 
     lam: float = DEFAULT_LAMBDA
@@ -62,13 +63,11 @@ class MixupConfig:
         object.__setattr__(self, "epochs", epochs)
         seed = checked_number(self.seed, "mixup seed", True, " >= 0", lambda v: v >= 0)
         object.__setattr__(self, "seed", seed)
-        for what, value, names in (
-            ("lambda policy", self.lambda_policy, LAMBDA_POLICIES),
-            ("label mode", self.label_mode, LABEL_MODES),
-            ("pairing rule", self.pairing, PAIRINGS),
-        ):
-            if value not in names:
-                raise InvalidInputError(f"unknown {what} {value!r}; expected one of {', '.join(names)}")
+        policy = checked_choice(self.lambda_policy, "lambda policy", LAMBDA_POLICIES)
+        object.__setattr__(self, "lambda_policy", policy)
+        mode = checked_choice(self.label_mode, "label mode", LABEL_MODES)
+        object.__setattr__(self, "label_mode", mode)
+        object.__setattr__(self, "pairing", checked_choice(self.pairing, "pairing rule", PAIRINGS))
         if self.lambda_policy == "fixed" and not 0.5 < self.lam <= 1.0:
             raise InvalidInputError(f"fixed mix ratio must lie in (0.5, 1.0], got {self.lam}")
 
@@ -212,7 +211,7 @@ def fit_on_pseudo_set(pseudo, label_mode):
     The soft targets put ``lam`` on row a's pseudo label and ``1 - lam`` on
     row b's, written in place into one (n, C) matrix that lives only for the fit.
     """
-    if MixupConfig(label_mode=label_mode).label_mode == "hard":
+    if checked_choice(label_mode, "label mode", LABEL_MODES) == "hard":
         return fit_temperature(pseudo)
     rows, pl = np.arange(pseudo.n), pseudo.target_pseudo_labels
     soft = np.zeros(pseudo.logits.shape)

@@ -18,14 +18,14 @@ import numpy as np
 from . import pseudo_target, scalers, synthetic
 from .documents import SCHEMA_VERSION, json_text, write_csv
 from .errors import (
-    DataAccessError, DegenerateTargetError, EmptyFilterError, InvalidInputError, LabelsRequiredError,
-    OptimizationError, TrainingError,
+    DataAccessError, DegenerateTargetError, EmptyFilterError, LabelsRequiredError, OptimizationError,
+    TrainingError,
 )
 from .metrics import (
     DEFAULT_BINS, PredictionBatch, bin_columns, check_bins, ece, mean_brier, mean_nll,
     reliability_bins,
 )
-from .numerics import listed
+from .numerics import checked_choice, listed
 
 # Members of the ensemble baseline, trained on the run's seed and the next ENSEMBLE_SIZE - 1.
 ENSEMBLE_SIZE = 5
@@ -201,13 +201,6 @@ METHODS = {
 }
 
 
-def _each_once(what, values):
-    """Raise InvalidInputError if the list ``values`` of ``what`` names a value twice."""
-    for value in values:
-        if values.count(value) > 1:
-            raise InvalidInputError(f"{what} {value!r} is listed more than once")
-
-
 def evaluate_all(model, task, methods=DEFAULT_METHODS, bins=DEFAULT_BINS, mixup_cfg=None):
     """Fit every requested method, apply it, and measure on the target.
 
@@ -219,12 +212,9 @@ def evaluate_all(model, task, methods=DEFAULT_METHODS, bins=DEFAULT_BINS, mixup_
     """
     methods = listed(methods, "method")
     for name in methods:
-        if not isinstance(name, str) or name not in METHODS:
-            raise InvalidInputError(f"unknown method {name!r}; valid: {', '.join(METHODS)}")
-        sees = METHODS[name].sees
+        sees = METHODS[checked_choice(name, "method", METHODS)].sees
         if not sees.provided(model, task):
             raise DataAccessError(f"method {name!r} requires {sees.description}", method=name)
-    _each_once("method", methods)
     if not task.has_target_labels:
         raise LabelsRequiredError("evaluation scores every method on the target and needs its labels")
     bins = check_bins(bins)
@@ -293,16 +283,14 @@ def lambda_sweep(model, task, lambdas=SWEEP_LAMBDAS, label_modes=pseudo_target.L
     is fitted on it. Every argument, and a value listed twice on any axis,
     is checked before anything is inferred.
     """
-    axes = {"mix ratio": lambdas, "label mode": label_modes, "seed": seeds}
-    axes = {what: listed(given, what) for what, given in axes.items()}
-    lambdas, label_modes, seeds = axes.values()
+    lambdas = listed(lambdas, "mix ratio")
+    label_modes = listed(label_modes, "label mode")
+    seeds = listed(seeds, "seed")
     if not task.has_target_labels:
         raise LabelsRequiredError("the sweep scores ECE on the target and needs its labels")
     bins = check_bins(bins)
     for lam, mode, seed in product(lambdas, label_modes, seeds):
         pseudo_target.MixupConfig(lam=lam, label_mode=mode, seed=seed)  # checks the cell
-    for what, given in axes.items():
-        _each_once(what, given)
 
     data = _Inputs(model, task)
     rows = []

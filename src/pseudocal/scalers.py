@@ -16,7 +16,7 @@ from .documents import SCHEMA_VERSION, check_document, read_json, write_json
 from .errors import InvalidInputError, LabelsRequiredError, OptimizationError
 from .metrics import PredictionBatch
 from .numerics import (
-    checked_number, finite_array, frozen_copy, log_softmax, reduce_classes, row_blocks,
+    checked_choice, checked_number, finite_array, frozen_copy, log_softmax, reduce_classes, row_blocks,
 )
 
 # Search bounds for the temperature. Wide enough to contain every
@@ -77,8 +77,7 @@ class Calibrator:
     converged: bool = True
 
     def __post_init__(self):
-        if not isinstance(self.kind, str) or self.kind not in _KIND_FIELDS:
-            raise InvalidInputError(f"unknown calibrator kind {self.kind!r}")
+        object.__setattr__(self, "kind", checked_choice(self.kind, "calibrator kind", _KIND_FIELDS))
         fields = _KIND_FIELDS[self.kind]
         for name in _PARAMETERS:
             if name in fields and getattr(self, name) is None:

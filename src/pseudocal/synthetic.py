@@ -16,8 +16,8 @@ import numpy as np
 from .documents import SCHEMA_VERSION, check_document, check_keys, read_json, write_json
 from .errors import InvalidInputError, InvalidSpecError, TrainingError
 from .numerics import (
-    argmax_rows, checked_number, class_indices, finite_array, frozen_copy, is_integer, listed,
-    reduce_classes, softmax,
+    argmax_rows, checked_choice, checked_number, class_indices, finite_array, frozen_copy,
+    is_integer, listed, reduce_classes, softmax,
 )
 
 # Class means sit equally spaced on a circle of this radius in the first
@@ -39,9 +39,22 @@ DEFAULT_LR = 0.1
 PROB_EPS = 1e-12
 
 
+# The range of each ShiftSpec number field that has one: field -> checked_number's (rule, ok).
+_SPEC_RULES = {
+    "n_classes": (" >= 2", lambda v: v >= 2),
+    "dim": (" >= 2 for the class-mean circle", lambda v: v >= 2),
+    "cluster_std": (" > 0", lambda v: v > 0),
+    "seed": (" >= 0", lambda v: v >= 0),
+}
+
+
 @dataclass(frozen=True)
 class ShiftSpec:
-    """Parameters of a synthetic source/target classification problem, as plain ints and floats."""
+    """Parameters of a synthetic source/target classification problem, as plain ints and floats.
+
+    ``n_classes`` and ``dim`` are at least 2, each sample count at least
+    ``n_classes``, ``cluster_std`` positive and ``seed`` nonnegative.
+    """
 
     n_classes: int = 5
     dim: int = 10
@@ -57,20 +70,15 @@ class ShiftSpec:
         try:
             for f in fields(self):
                 if f.type in (int, float):
-                    value = checked_number(getattr(self, f.name), f.name, integer=f.type is int)
+                    rule = _SPEC_RULES.get(f.name, ())
+                    value = checked_number(getattr(self, f.name), f.name, f.type is int, *rule)
                     object.__setattr__(self, f.name, value)
             if self.target_priors is not None:
                 priors = finite_array(self.target_priors, "target priors", 1)
         except InvalidInputError as exc:
             raise InvalidSpecError(str(exc)) from None
-        if self.n_classes < 2:
-            raise InvalidSpecError("need at least 2 classes")
-        if self.dim < 2:
-            raise InvalidSpecError("need dim >= 2 for the class-mean circle")
         if min(self.n_source, self.n_target) < self.n_classes:
             raise InvalidSpecError("sample counts must be at least the class count")
-        if self.cluster_std <= 0 or self.seed < 0:
-            raise InvalidSpecError("cluster_std must be positive and the seed nonnegative")
         # The largest of generate's (rows, dim) float64 arrays must be one numpy can shape.
         rows = max(self.n_classes, self.n_source, self.n_target)
         if rows * self.dim * np.dtype(np.float64).itemsize > np.iinfo(np.intp).max:
@@ -104,6 +112,7 @@ class SyntheticTask:
     Inputs are finite float64 matrices of the shape ``spec`` gives them
     (``n_target`` or ``n_source`` rows of ``dim`` features) and labels one
     class index per row (arrays of those dtypes are kept without a copy).
+    Source labels come with source inputs or not at all.
     ``val_fraction``, a float in (0, 1), must leave at least one source row to train on.
     """
 
@@ -136,6 +145,8 @@ class SyntheticTask:
                 raise InvalidInputError(
                     f"val_fraction {self.val_fraction} leaves no source row to train on"
                 )
+        elif self.source_labels is not None:
+            raise InvalidInputError("source labels need source inputs")
 
     @property
     def has_source(self):
@@ -421,8 +432,7 @@ def model_to_dict(model):
 
 def model_from_dict(doc):
     kind = doc.get("kind") if isinstance(doc, dict) else None
-    if not isinstance(kind, str) or kind not in _MODEL_KEYS:
-        raise InvalidInputError(f"unknown model kind {kind!r}; expected logistic or ensemble")
+    kind = checked_choice(kind, "model kind", _MODEL_KEYS)
     entries = check_document(doc, "model", *_MODEL_KEYS[kind])
     del entries["kind"]
     if kind == "ensemble":

@@ -168,7 +168,7 @@ def cell(tmp_path_factory):
 def test_model_kind_is_logistic_or_ensemble(cell):
     _, docs = cell
     for kind in ("svm", "Logistic", None, 3):
-        with pytest.raises(InvalidInputError, match="expected logistic or ensemble"):
+        with pytest.raises(InvalidInputError, match="expected one of logistic, ensemble"):
             synthetic.model_from_dict({**docs["model"], "kind": kind})
     ensemble = copy.deepcopy(docs["ensemble"])
     ensemble["members"][1]["kind"] = "x"
@@ -334,6 +334,43 @@ def test_cli_exits_1_on_a_renamed_task_or_model_key(cell, kind):
             code, lines = _run_cli(argv)
             assert code == 1 and len(lines) == 1 and lines[0].startswith("error:"), (key_path, lines)
             assert not out.exists()
+
+
+VERSIONS = [True, 1.0, "1", 2]
+
+
+@pytest.mark.parametrize("version", VERSIONS, ids=["true", "float", "string", "two"])
+@pytest.mark.parametrize("kind", sorted([*LOADERS, "identity"]))
+def test_every_loader_takes_only_the_integer_version(cell, kind, version):
+    # JSON's true and 1.0 compare equal to 1, but neither is the integer 1.
+    root, docs = cell
+    path = root / f"version-{kind}.json"
+    loader = LOADERS.get(kind, scalers.load_calibrator)
+    damaged = [{**docs[kind], "schema_version": version}]
+    if kind == "ensemble":
+        damaged.append(copy.deepcopy(docs[kind]))
+        damaged[-1]["members"][1]["schema_version"] = version
+    for doc in damaged:
+        path.write_text(json.dumps(doc))
+        with pytest.raises(InvalidInputError, match=re.escape(
+            f"document schema_version must be an integer equal to 1, got {version!r}"
+        )):
+            loader(path)
+
+
+@pytest.mark.parametrize("kind", ["task", "model"])
+def test_cli_exits_1_on_a_boolean_version(cell, kind):
+    root, docs = cell
+    files = {"task": root / "task.json", "model": root / "model.json", kind: root / f"true-{kind}.json"}
+    files[kind].write_text(json.dumps({**docs[kind], "schema_version": True}))
+    out = root / "out.json"
+    code, lines = _run_cli(["calibrate", "--task", str(files["task"]), "--model", str(files["model"]),
+                            "--out", str(out)])
+    assert code == 1 and lines == [
+        f"error: InvalidInputError: {kind} document schema_version must be an integer equal to 1, "
+        "got True"
+    ]
+    assert not out.exists()
 
 
 # Keys that a loader used to drop, each next to a valid document's own keys.

@@ -1,4 +1,5 @@
-"""The numerics primitives, and the per-vector NLL, Brier and argmax oracles of _util."""
+"""The numerics primitives, its checks of caller values, and the per-vector NLL, Brier and argmax
+oracles of _util."""
 
 import ast
 import math
@@ -11,7 +12,7 @@ from hypothesis import given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
 import pseudocal
-from pseudocal import numerics
+from pseudocal import numerics, pseudo_target, report, scalers, synthetic
 from pseudocal.errors import InvalidInputError
 
 from _util import argmax_class, brier, nll
@@ -318,3 +319,65 @@ def test_numerics_is_the_one_door_for_caller_scalars():
                 users.setdefault(name, set()).add(path.name)
     assert users == {"is_integer": {"synthetic.py"}}
     assert not hasattr(numerics, "is_finite_number")
+
+
+class Name(str):
+    pass
+
+
+def test_checked_choice_returns_a_plain_str():
+    got = numerics.checked_choice(Name("b"), "letter", ("a", "b"))
+    assert type(got) is str and got == "b"
+    for bad in ("c", "A", None, 1, ["a"], {}, b"a"):
+        with pytest.raises(InvalidInputError, match=re.escape(f"unknown letter {bad!r}; expected one of a, b")):
+            numerics.checked_choice(bad, "letter", ("a", "b"))
+
+
+def test_listed_rejects_a_value_given_twice():
+    assert numerics.listed(range(3), "seed") == [0, 1, 2]
+    for values, twice in (([3, 3], 3), ([1, 2, 1, 2], 1), (["x", [0], [0]], [0]), ([0, 0.0], 0)):
+        with pytest.raises(InvalidInputError, match=f"^{re.escape(f'seed {twice!r} is listed more than once')}$"):
+            numerics.listed(values, "seed")
+    # Arrays have no truth value to compare by; the check of each value rejects them later.
+    assert len(numerics.listed([np.zeros(2), np.ones(2)], "x")) == 2
+
+
+# Each name check of the package: what it names, its names, and a call with a bad one.
+NAME_CHECKS = {
+    "mixup-lambda-policy": ("lambda policy", pseudo_target.LAMBDA_POLICIES,
+                            lambda bad: pseudo_target.MixupConfig(lambda_policy=bad)),
+    "mixup-label-mode": ("label mode", pseudo_target.LABEL_MODES,
+                         lambda bad: pseudo_target.MixupConfig(label_mode=bad)),
+    "mixup-pairing": ("pairing rule", pseudo_target.PAIRINGS,
+                      lambda bad: pseudo_target.MixupConfig(pairing=bad)),
+    "fit-label-mode": ("label mode", pseudo_target.LABEL_MODES,
+                       lambda bad: pseudo_target.fit_on_pseudo_set(None, bad)),
+    "method": ("method", report.METHODS, lambda bad: report.evaluate_all(None, None, [bad])),
+    "model-kind": ("model kind", ("logistic", "ensemble"),
+                   lambda bad: synthetic.model_from_dict({"schema_version": 1, "kind": bad})),
+    "calibrator-kind": ("calibrator kind", ("identity", "temperature", "vector", "matrix"),
+                        lambda bad: scalers.Calibrator(kind=bad)),
+}
+
+
+@pytest.mark.parametrize("check", sorted(NAME_CHECKS))
+def test_each_name_check_gives_the_one_message(check):
+    what, names, call = NAME_CHECKS[check]
+    for bad in ("fuzzy", None, 3, ["x"]):
+        message = f"unknown {what} {bad!r}; expected one of {', '.join(names)}"
+        with pytest.raises(InvalidInputError, match=f"^{re.escape(message)}$"):
+            call(bad)
+
+
+def test_numerics_alone_words_the_name_and_list_errors():
+    # checked_choice and listed hold every name and repeat check.
+    held = {}
+    for path in sorted(Path(pseudocal.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        docstrings = {id(node.value) for node in ast.walk(tree) if isinstance(node, ast.Expr)}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Constant) and isinstance(node.value, str) and id(node) not in docstrings:
+                for text in ("expected one of", "is listed more than once", "valid:"):
+                    if text in node.value:
+                        held.setdefault(text, []).append(path.name)
+    assert held == {"expected one of": ["numerics.py"], "is listed more than once": ["numerics.py"]}

@@ -34,6 +34,15 @@ def test_unknown_method_rejected(cell):
             report.evaluate_all(NoInference(), task, [bad])
 
 
+def test_a_repeat_is_reported_before_the_value_itself(cell):
+    # The list check comes first, so a bad value given twice is named as the repeat.
+    task, _, _ = cell
+    with pytest.raises(InvalidInputError, match="method 'bogus' is listed more than once"):
+        report.evaluate_all(NoInference(), task, ["bogus", "bogus"])
+    with pytest.raises(InvalidInputError, match="mix ratio 0.4 is listed more than once"):
+        report.lambda_sweep(NoInference(), task, [0.4, 0.4], ["hard"], [0])
+
+
 def test_oracle_requires_target_labels(cell):
     task, model, _ = cell
     stripped = synthetic.SyntheticTask(

@@ -10,9 +10,10 @@ from _util import member_by_member_train
 
 
 def test_spec_validation():
-    with pytest.raises(InvalidSpecError):
+    # A single-field range is worded as the field's number check.
+    with pytest.raises(InvalidSpecError, match=r"^n_classes must be an integer >= 2, got 1$"):
         synthetic.ShiftSpec(n_classes=1)
-    with pytest.raises(InvalidSpecError):
+    with pytest.raises(InvalidSpecError, match=r"^dim must be an integer >= 2 for the class-mean circle, got 1$"):
         synthetic.ShiftSpec(dim=1)
     with pytest.raises(InvalidSpecError):
         synthetic.ShiftSpec(n_source=3, n_classes=5)
@@ -24,9 +25,9 @@ def test_spec_validation():
         synthetic.ShiftSpec(target_priors=(0.9, 0.2, 0.0, 0.0, -0.1))
     with pytest.raises(InvalidSpecError, match="sum to 1"):
         synthetic.ShiftSpec(target_priors=(0.5, 0.2, 0.1, 0.1, 0.05))
-    with pytest.raises(InvalidSpecError):
+    with pytest.raises(InvalidSpecError, match=r"^cluster_std must be a finite number > 0, got 0.0$"):
         synthetic.ShiftSpec(cluster_std=0.0)
-    with pytest.raises(InvalidSpecError):
+    with pytest.raises(InvalidSpecError, match=r"^seed must be an integer >= 0, got -1$"):
         synthetic.ShiftSpec(seed=-1)
     with pytest.raises(InvalidSpecError, match="too large for numpy"):
         synthetic.ShiftSpec(dim=10**20, n_source=10, n_target=10)  # numpy refuses it unallocated
@@ -225,6 +226,8 @@ def test_train_needs_a_seed():
             synthetic.train(task, epochs=10, lr=0.1, seed=bad)
     with pytest.raises(InvalidInputError, match="seeds must be a list, got '5'"):
         synthetic.train(task, epochs=10, lr=0.1, seed="5")
+    with pytest.raises(InvalidInputError, match="seed 3 is listed more than once"):
+        synthetic.train(task, epochs=10, lr=0.1, seed=[3, 3])
 
 
 def test_train_deterministic_per_seed():
@@ -326,6 +329,20 @@ def test_task_inputs_must_have_the_shape_their_spec_says():
     spec = synthetic.ShiftSpec(**{**asdict(task.spec), "n_source": 7})
     alone = synthetic.SyntheticTask(spec=spec, target_inputs=task.target_inputs)
     assert not alone.has_source
+
+
+def test_source_labels_need_source_inputs():
+    # A task keeps no labels that its document would drop without a word.
+    task = synthetic.generate(synthetic.ShiftSpec(seed=4, n_source=60, n_target=40))
+    with pytest.raises(InvalidInputError, match="source labels need source inputs"):
+        synthetic.SyntheticTask(
+            spec=task.spec, source_labels=task.source_labels, target_inputs=task.target_inputs
+        )
+    doc = {**synthetic.task_to_dict(task), "source_inputs": None}
+    with pytest.raises(InvalidInputError, match="source labels need source inputs"):
+        synthetic.task_from_dict(doc)
+    doc["source_labels"] = None
+    assert not synthetic.task_from_dict(doc).has_source
 
 
 def test_a_model_document_shares_no_train_config_with_the_model():

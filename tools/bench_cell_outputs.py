@@ -7,7 +7,8 @@ Usage::
 Each command runs through ``pseudocal.cli.main`` with OUTDIR as the
 working directory, so its documents land there under fixed relative
 names, next to its stdout, stderr and exit code (``<step>.stdout``,
-``<step>.stderr``, ``<step>.exit``). Then each demo of the tree that
+``<step>.stderr``, ``<step>.exit``). A few steps must fail, so that their
+one-line errors are compared too. Then each demo of the tree that
 ``pseudocal`` was imported from runs in its own ``demo-<name>``
 directory, its output recorded the same way. Two trees write the same
 outputs byte for byte when ``diff -r`` of their two directories prints
@@ -16,6 +17,7 @@ nothing.
 
 import contextlib
 import io
+import json
 import os
 import subprocess
 import sys
@@ -76,11 +78,29 @@ STEPS = {
                        "--methods", "none,filtered_pl,pseudocal", "--out", "result_short.json",
                        "--table-out", "table_short.txt", "--bins-out", "bins_short.csv"],
 }
+# Steps that must fail, so that each error line is an output too. The last
+# reads a copy of task.json whose schema_version is JSON's true, not 1.
+FAILING_STEPS = {
+    "generate_one_class": ["generate", "--classes", "1", "--out", "task_one_class.json"],
+    "evaluate_unknown_method": ["evaluate", *DOCS, "--methods", "none,bogus",
+                                "--out", "result_unknown_method.json"],
+    "sweep_repeated_seed": ["sweep", *DOCS, "--seeds", "1,1", "--out", "sweep_repeated_seed.csv"],
+    "calibrate_version_true": ["calibrate", "--task", "task_version_true.json", "--model", "model.json",
+                               "--seed", "0", "--out", "calibrator_version_true.json"],
+}
 
 
 def record(stem, stdout, stderr, code):
     for suffix, text in ((".stdout", stdout), (".stderr", stderr), (".exit", f"{code}\n")):
         Path(f"{stem}{suffix}").write_text(text)
+
+
+def run_steps(steps):
+    for step, args in steps.items():
+        stdout, stderr = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+            code = cli.main(args)
+        record(step, stdout.getvalue(), stderr.getvalue(), code)
 
 
 def main(argv):
@@ -91,11 +111,10 @@ def main(argv):
     out = Path(argv[0])
     out.mkdir(parents=True, exist_ok=True)
     os.chdir(out)
-    for step, args in STEPS.items():
-        stdout, stderr = io.StringIO(), io.StringIO()
-        with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
-            code = cli.main(args)
-        record(step, stdout.getvalue(), stderr.getvalue(), code)
+    run_steps(STEPS)
+    task = json.loads(Path("task.json").read_text())
+    Path("task_version_true.json").write_text(json.dumps({**task, "schema_version": True}))
+    run_steps(FAILING_STEPS)
     env = dict(os.environ, PYTHONPATH=str(src))
     for demo in sorted((src.parent / "demos").glob("*.py")):
         run = Path(f"demo-{demo.stem}")
