@@ -8,9 +8,13 @@ converted as the text of its flag, ``str(value)``, so ``{"seed": 5}`` is
 ``--seed 5``. A config key that no command takes is a usage error, and one
 that only other commands take is ignored. An option given in neither
 place takes the library's default; the CLI holds none of its own.
-Every usage error, argparse's own included, is one ``error:`` line and
-exit code 2. All randomness flows from --seed, so identical invocations
-produce byte-identical output documents.
+A converter only turns text into its type; the library's records judge
+the values, the mixup options together in one ``MixupConfig``. Exit code
+2 is left for what the CLI owns: argparse's own errors, the config file,
+and text that is not its option's type, each one ``error:`` line. A value
+the library rejects is its one-line typed error and exit code 1, as a
+flag and in the config alike. All randomness flows from --seed, so
+identical invocations produce byte-identical output documents.
 """
 
 import argparse
@@ -73,35 +77,14 @@ def _options(args):
             value = config[key]
         try:
             options[_PARAMETERS.get(key, key)] = convert(str(value))
-        except (ValueError, InvalidInputError) as exc:
+        except ValueError as exc:
             raise _UsageError(f"malformed {key} {value!r}: {exc}") from exc
     return options
-
-
-def _priors(text):
-    return tuple(float(p) for p in text.split(","))
 
 
 def _each(parse):
     """Converter of a comma-separated list: ``parse`` of each item that is not blank."""
     return lambda text: [parse(item) for item in text.split(",") if item.strip()]
-
-
-# argparse's choices of the options whose value is one name from the library's own list.
-_CHOICES = {
-    "label_mode": pseudo_target.LABEL_MODES,
-    "lambda_policy": pseudo_target.LAMBDA_POLICIES,
-    "pairing": pseudo_target.PAIRINGS,
-}
-
-
-def _mixup(key, parse=lambda value: value):
-    """Converter of ``MixupConfig`` field ``key``: ``parse``'s value if a default config takes it."""
-
-    def convert(value):
-        return getattr(pseudo_target.MixupConfig(**{key: parse(value)}), key)
-
-    return convert
 
 
 def cmd_generate(args, opts):
@@ -174,19 +157,17 @@ class _Command(NamedTuple):
 _COMMANDS = {
     "generate": _Command(cmd_generate, ("out",), {
         "classes": int, "dim": int, "n_source": int, "n_target": int, "mean_shift": float,
-        "rotation": float, "target_priors": _priors, "cluster_std": float, "seed": int,
+        "rotation": float, "target_priors": _each(float), "cluster_std": float, "seed": int,
     }),
     "train": _Command(cmd_train, ("task", "out", "history_out"), {
         "epochs": int, "lr": float, "gamma": float, "seed": int,
     }),
     "calibrate": _Command(cmd_calibrate, ("task", "model", "out", "provenance_out"), {
-        "lam": _mixup("lam", float), "label_mode": _mixup("label_mode"),
-        "lambda_policy": _mixup("lambda_policy"), "pairing": _mixup("pairing"),
+        "lam": float, "label_mode": str, "lambda_policy": str, "pairing": str,
         "mixup_epochs": int, "seed": int,
     }),
     "evaluate": _Command(cmd_evaluate, ("task", "model", "out", "table_out", "bins_out"), {
-        "methods": _each(str.strip), "bins": int, "lam": _mixup("lam", float),
-        "label_mode": _mixup("label_mode"), "seed": int,
+        "methods": _each(str.strip), "bins": int, "lam": float, "label_mode": str, "seed": int,
     }),
     "sweep": _Command(cmd_sweep, ("task", "model", "out"), {
         "lambdas": _each(float), "label_modes": _each(str.strip), "seeds": _each(int), "bins": int,
@@ -207,7 +188,7 @@ def build_parser():
         for key in (*command.paths, *command.options):
             flag = "--lambda" if key == "lam" else "--" + key.replace("_", "-")
             required = key in command.paths and not key.endswith("_out")
-            p.add_argument(flag, dest=key, required=required, choices=_CHOICES.get(key))
+            p.add_argument(flag, dest=key, required=required)
         p.add_argument("--config")
     return parser
 

@@ -67,8 +67,10 @@ def read_json(path, from_dict):
     """Decode the JSON file at ``path`` and build a record from it with ``from_dict``.
 
     A file that is not JSON, JSON nested too deeply to decode, or a
-    document with a missing key or a value of the wrong type or shape,
-    raises InvalidInputError naming the file.
+    ``KeyError``, ``TypeError`` or ``ValueError`` from ``from_dict``
+    raises InvalidInputError naming the file. An error that ``from_dict``
+    raises as InvalidInputError itself, such as ``a task document needs
+    the key 'target_inputs'``, passes unchanged and names no file.
     """
     with open(path) as fh:
         try:

@@ -119,7 +119,10 @@ class Access(NamedTuple):
 
 
 UNLABELED_TARGET = Access("unlabeled target inputs", lambda model, task: True)
-SOURCE_SPLIT = Access("a labeled source split", lambda model, task: task.has_source)
+SOURCE_SPLIT = Access(
+    "a labeled source validation split",
+    lambda model, task: task.has_source and len(task.source_val_labels) > 0,
+)
 TARGET_LABELS = Access("target labels", lambda model, task: task.has_target_labels)
 # The ensemble baseline trains new members the way the model was trained.
 RETRAINABLE = Access(

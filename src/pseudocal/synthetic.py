@@ -14,7 +14,7 @@ from types import MappingProxyType
 import numpy as np
 
 from .documents import SCHEMA_VERSION, check_document, check_keys, read_json, write_json
-from .errors import InvalidInputError, InvalidSpecError, TrainingError
+from .errors import InvalidInputError, InvalidSpecError, LabelsRequiredError, TrainingError
 from .numerics import (
     argmax_rows, checked_choice, checked_number, class_indices, finite_array, frozen_copy,
     is_integer, listed, reduce_classes, softmax,
@@ -305,7 +305,9 @@ def train(task, epochs=DEFAULT_EPOCHS, lr=DEFAULT_LR, gamma=1.0, track_history=F
     When ``track_history`` is set, records per epoch the source loss that
     the epoch's step descends (the training loss, at scale 1, on the weights
     from before the step), then the target error and target mean NLL after
-    the step, at the model's inference sharpening ``gamma``.
+    the step, at the model's inference sharpening ``gamma``; it needs the
+    target labels, and without them raises LabelsRequiredError before the
+    first epoch.
 
     ``seed`` may also be a sequence of seeds: then one classifier per seed
     trains in the same loop, and they return as the members of an
@@ -320,6 +322,8 @@ def train(task, epochs=DEFAULT_EPOCHS, lr=DEFAULT_LR, gamma=1.0, track_history=F
     """
     if not task.has_source:
         raise InvalidInputError("training requires source data")
+    if track_history and not task.has_target_labels:
+        raise LabelsRequiredError("training history scores the target and needs its labels")
     seeds = [seed] if is_integer(seed) else listed(seed, "seed")
     configs = [_checked_train_config(dict(epochs=epochs, lr=lr, gamma=gamma, seed=s)) for s in seeds]
     x = task.source_train_inputs

@@ -73,9 +73,22 @@ def test_lambda_open_interval_bound(workspace, capsys):
         "--lambda", "0.5", "--out", str(root / "bad.json"),
     ])
     captured = capsys.readouterr()
-    assert code == 2
+    assert code == 1
     assert captured.err.startswith("error:")
     assert not (root / "bad.json").exists()
+
+
+def test_the_mix_ratio_plays_no_part_under_the_beta_policy(workspace, tmp_path):
+    """``--lambda`` with ``--lambda-policy beta`` is checked with the policy, not alone."""
+    root, task, model = workspace
+    common = ["calibrate", "--task", str(task), "--model", str(model), "--seed", "3",
+              "--lambda-policy", "beta"]
+    written = []
+    for stem, extra in (("alone", []), ("with_lambda", ["--lambda", "0.3"])):
+        cal, prov = tmp_path / f"{stem}.json", tmp_path / f"{stem}.csv"
+        assert run([*common, *extra, "--out", str(cal), "--provenance-out", str(prov)]) == 0
+        written.append((cal.read_bytes(), prov.read_bytes()))
+    assert written[0] == written[1]
 
 
 def test_oracle_on_stripped_task_is_data_access_error(workspace, capsys):
@@ -208,11 +221,12 @@ def test_unsupported_task_version_is_a_one_line_error(workspace, capsys):
         ("calibrate", "config", lambda doc: doc.update(lam=True), 2),
         ("evaluate", "config", lambda doc: doc.update(bins=7.9), 2),
         ("sweep", "config", lambda doc: doc.update(bins=True), 2),
-        ("calibrate", "config", lambda doc: doc.update(label_mode="fuzzy"), 2),
-        ("calibrate", "config", lambda doc: doc.update(label_mode=True), 2),
-        ("calibrate", "config", lambda doc: doc.update(lambda_policy="uniform"), 2),
-        ("calibrate", "config", lambda doc: doc.update(pairing=["distinct"]), 2),
-        ("evaluate", "config", lambda doc: doc.update(label_mode="Hard"), 2),
+        ("calibrate", "config", lambda doc: doc.update(label_mode="fuzzy"), 1),
+        ("calibrate", "flags", lambda argv: argv.extend(["--label-mode", "fuzzy"]), 1),
+        ("calibrate", "config", lambda doc: doc.update(label_mode=True), 1),
+        ("calibrate", "config", lambda doc: doc.update(lambda_policy="uniform"), 1),
+        ("calibrate", "config", lambda doc: doc.update(pairing=["distinct"]), 1),
+        ("evaluate", "config", lambda doc: doc.update(label_mode="Hard"), 1),
         ("calibrate", "config", lambda doc: doc.update(sed=5), 2),
         ("evaluate", "config", lambda doc: doc.update(bin=7), 2),
         ("evaluate", "model", lambda doc: doc["train_config"].update(gamma=1.0), 1),
@@ -226,7 +240,7 @@ def test_unsupported_task_version_is_a_one_line_error(workspace, capsys):
          "sweep-no-lambdas", "sweep-no-label-modes", "methods-repeated", "config-seed-null",
          "sweep-repeated", "config-seed-fraction", "config-seed-bool", "config-epochs-fraction",
          "config-lambda-bool", "config-bins-fraction", "sweep-config-bins-bool",
-         "config-label-mode-unknown", "config-label-mode-bool", "config-lambda-policy-unknown",
+         "config-label-mode-unknown", "flag-label-mode-unknown", "config-label-mode-bool", "config-lambda-policy-unknown",
          "config-pairing-list", "evaluate-config-label-mode-case", "config-key-misspelt",
          "evaluate-config-key-misspelt", "train-config-gamma-not-the-models",
          "spec-contradicts-arrays", "spec-mean-shift-beyond-floats", "gamma-beyond-floats"],
@@ -235,13 +249,15 @@ def test_malformed_input_is_a_one_line_error(
     workspace, tmp_path, capsys, command, damaged, damage, code
 ):
     root, task, model = workspace
-    docs = {"task": json.loads(task.read_text()), "model": json.loads(model.read_text()), "config": {}}
+    docs = {"task": json.loads(task.read_text()), "model": json.loads(model.read_text()), "config": {},
+            "flags": []}
     damage(docs[damaged])
     paths = {"task": task, "model": model}
-    paths[damaged] = tmp_path / f"{damaged}.json"
-    paths[damaged].write_text(json.dumps(docs[damaged]))
+    if damaged != "flags":
+        paths[damaged] = tmp_path / f"{damaged}.json"
+        paths[damaged].write_text(json.dumps(docs[damaged]))
     out = tmp_path / "never.json"
-    argv = [command, "--task", str(paths["task"]), "--out", str(out)]
+    argv = [command, "--task", str(paths["task"]), "--out", str(out), *docs["flags"]]
     if command != "train":
         argv += ["--model", str(paths["model"])]
     if command == "evaluate":
@@ -258,13 +274,11 @@ def test_malformed_input_is_a_one_line_error(
 @pytest.mark.parametrize(
     "argv",
     [
-        ["calibrate", "--task", "t.json", "--model", "m.json", "--label-mode", "fuzzy",
-         "--out", "c.json"],
         ["calibrate", "--task", "t.json", "--model", "m.json"],
         ["calibrate", "--task", "t.json", "--model", "m.json", "--out", "c.json", "--bogus", "1"],
         ["evaluate", "--task", "t.json", "--model", "m.json", "--out", "c.json", "--bins", "x"],
     ],
-    ids=["invalid-choice", "missing-out", "unknown-flag", "bins-not-a-number"],
+    ids=["missing-out", "unknown-flag", "bins-not-a-number"],
 )
 def test_usage_errors_are_one_line(tmp_path, monkeypatch, capsys, argv):
     """argparse's own errors print one error line, not its usage block, and exit 2."""
@@ -370,8 +384,8 @@ OPTIONS = [(name, key) for name, command in cli._COMMANDS.items() for key in com
 @settings(max_examples=15, deadline=None, derandomize=True)
 @given(value=CONFIG_VALUES)
 def test_config_value_converts_as_the_text_of_its_flag(workspace, name, key, value):
-    """``{key: value}`` in a config file is ``--flag str(value)``: the same exit code and,
-    for an option without argparse choices, the same error after its ``malformed`` prefix."""
+    """``{key: value}`` in a config file is ``--flag str(value)``: the same exit code and
+    the same error after its ``malformed`` prefix."""
     root, task, model = workspace
     documents = {"task": task, "model": model, "out": root / "out"}
     paths = [f"--{path}={documents[path]}" for path in cli._COMMANDS[name].paths if path in documents]
@@ -381,10 +395,9 @@ def test_config_value_converts_as_the_text_of_its_flag(workspace, name, key, val
     by_config = _run_quietly([name, *paths, "--config", str(config)])
     by_flag = _run_quietly([name, *paths, f"{flag}={value}"])
     assert by_config[0] == by_flag[0], (by_config, by_flag)
-    if key not in cli._CHOICES:
-        assert by_config[1].replace(f"malformed {key} {value!r}: ", "", 1) == by_flag[1].replace(
-            f"malformed {key} {str(value)!r}: ", "", 1
-        )
+    assert by_config[1].replace(f"malformed {key} {value!r}: ", "", 1) == by_flag[1].replace(
+        f"malformed {key} {str(value)!r}: ", "", 1
+    )
 
 
 def test_sweep_csv(workspace):
@@ -409,6 +422,21 @@ def test_history_output(workspace):
         "--out", str(model2), "--history-out", str(hist),
     ]) == 0
     assert hist.read_text().splitlines()[0] == "epoch,source_loss,target_error,target_nll"
+
+
+def test_history_of_a_task_without_target_labels_is_a_one_line_error(workspace, tmp_path, capsys):
+    root, task, _ = workspace
+    unlabeled = tmp_path / "unlabeled.json"
+    unlabeled.write_text(json.dumps({**json.loads(task.read_text()), "target_labels": None}))
+    model, hist = tmp_path / "model.json", tmp_path / "hist.csv"
+    assert run([
+        "train", "--task", str(unlabeled), "--epochs", "3", "--out", str(model),
+        "--history-out", str(hist),
+    ]) == 1
+    assert capsys.readouterr().err == (
+        "error: LabelsRequiredError: training history scores the target and needs its labels\n"
+    )
+    assert not model.exists() and not hist.exists()
 
 
 def test_config_file_with_flag_override(workspace, tmp_path):
@@ -601,21 +629,6 @@ def test_cli_holds_no_library_default_and_no_copied_choice_list():
         if isinstance(node, (ast.Name, ast.Attribute, ast.alias))
     ]
     assert [name for name in names if name.startswith("DEFAULT_")] == []
-
-    owners = {
-        "label_mode": pseudo_target.LABEL_MODES,
-        "lambda_policy": pseudo_target.LAMBDA_POLICIES,
-        "pairing": pseudo_target.PAIRINGS,
-    }
-    parser = cli.build_parser()
-    (commands,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
-    seen = set()
-    for command in commands.choices.values():
-        for action in command._actions:
-            if action.dest in owners:
-                assert action.choices is owners[action.dest], (command.prog, action.dest)
-                seen.add(action.dest)
-    assert seen == set(owners)
 
 
 def test_cli_makes_no_pipeline_step_of_its_own():

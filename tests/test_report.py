@@ -76,6 +76,25 @@ def test_affine_baselines_require_source(cell):
     assert "pseudocal" in result.methods
 
 
+def test_affine_baselines_need_a_source_validation_row_before_any_inference(cell):
+    task, _, _ = cell
+    no_val = synthetic.SyntheticTask(
+        spec=task.spec,
+        source_inputs=task.source_inputs,
+        source_labels=task.source_labels,
+        target_inputs=task.target_inputs,
+        target_labels=task.target_labels,
+        val_fraction=1e-6,
+    )
+    assert len(no_val.source_val_labels) == 0 < len(no_val.source_train_labels)
+    for method in ("vector", "matrix"):
+        with pytest.raises(DataAccessError, match="source validation split") as excinfo:
+            report.evaluate_all(NoInference(), no_val, ["none", method])
+        assert excinfo.value.method == method
+    # the ensemble trains on the training split, which is not empty
+    assert report.RETRAINABLE.provided(synthetic.train(no_val, epochs=1), no_val)
+
+
 def test_result_document_deterministic(cell):
     task, model, _ = cell
     methods = ["none", "pseudocal", "temp_oracle", "vector"]

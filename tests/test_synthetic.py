@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from pseudocal import metrics, scalers, synthetic
-from pseudocal.errors import InvalidInputError, InvalidSpecError, TrainingError
+from pseudocal.errors import InvalidInputError, InvalidSpecError, LabelsRequiredError, TrainingError
 
 from _util import member_by_member_train
 
@@ -161,6 +161,23 @@ def test_train_divergence_raises_with_epoch():
     with pytest.raises(TrainingError) as excinfo:
         synthetic.train(bad, epochs=10, lr=0.1, seed=9)
     assert excinfo.value.epoch == 1
+
+
+def test_training_history_needs_target_labels_before_the_first_epoch():
+    # A NaN source input stops the first epoch with TrainingError, so the
+    # labels error shows that no epoch ran.
+    task = synthetic.generate(synthetic.ShiftSpec(seed=9, n_source=200, n_target=200))
+    unlabeled = synthetic.SyntheticTask(
+        spec=task.spec,
+        source_inputs=task.source_inputs.copy(),
+        source_labels=task.source_labels,
+        target_inputs=task.target_inputs,
+    )
+    unlabeled.source_inputs[0, 0] = np.nan
+    with pytest.raises(LabelsRequiredError, match="target"):
+        synthetic.train(unlabeled, epochs=10, lr=0.1, track_history=True, seed=9)
+    with pytest.raises(TrainingError):
+        synthetic.train(unlabeled, epochs=10, lr=0.1, seed=9)
 
 
 @pytest.mark.parametrize("n_classes", [2, 5, 7, 8, 16])

@@ -41,6 +41,10 @@ STEPS = {
                        "--out", "calibrator_soft.json", "--provenance-out", "pairs_soft.csv"],
     "calibrate_beta": ["calibrate", *DOCS, "--seed", "0", "--lambda-policy", "beta", "--mixup-epochs", "3",
                        "--out", "calibrator_beta.json", "--provenance-out", "pairs_beta.csv"],
+    # The beta policy draws each pair's ratio, so a --lambda beside it plays no part.
+    "calibrate_beta_lambda": ["calibrate", *DOCS, "--seed", "0", "--lambda-policy", "beta",
+                              "--lambda", "0.3", "--out", "calibrator_beta_lambda.json",
+                              "--provenance-out", "pairs_beta_lambda.csv"],
     # The same-label ablation: every provenance row's pl_a equals its pl_b.
     "calibrate_same": ["calibrate", *DOCS, "--seed", "0", "--pairing", "same",
                        "--out", "calibrator_same.json", "--provenance-out", "pairs_same.csv"],
@@ -77,9 +81,16 @@ STEPS = {
     "evaluate_short": ["evaluate", "--task", "task.json", "--model", "model_short.json", "--seed", "7",
                        "--methods", "none,filtered_pl,pseudocal", "--out", "result_short.json",
                        "--table-out", "table_short.txt", "--bins-out", "bins_short.csv"],
+    # Two source rows: 1.5 rounds to 2 training rows, so the validation split is empty.
+    "generate_two_rows": ["generate", "--classes", "2", "--n-source", "2", "--n-target", "40",
+                          "--seed", "3", "--out", "task_two_rows.json"],
+    "train_two_rows": ["train", "--task", "task_two_rows.json", "--epochs", "5",
+                       "--out", "model_two_rows.json"],
 }
-# Steps that must fail, so that each error line is an output too. The last
-# reads a copy of task.json whose schema_version is JSON's true, not 1.
+# Steps that must fail, so that each error line is an output too.
+# calibrate_version_true reads a copy of task.json whose schema_version is
+# JSON's true, not 1, and calibrate_label_mode_config a config holding an
+# unknown label mode.
 FAILING_STEPS = {
     "generate_one_class": ["generate", "--classes", "1", "--out", "task_one_class.json"],
     "evaluate_unknown_method": ["evaluate", *DOCS, "--methods", "none,bogus",
@@ -87,6 +98,13 @@ FAILING_STEPS = {
     "sweep_repeated_seed": ["sweep", *DOCS, "--seeds", "1,1", "--out", "sweep_repeated_seed.csv"],
     "calibrate_version_true": ["calibrate", "--task", "task_version_true.json", "--model", "model.json",
                                "--seed", "0", "--out", "calibrator_version_true.json"],
+    "calibrate_lambda_half": ["calibrate", *DOCS, "--lambda", "0.5", "--out", "calibrator_lambda_half.json"],
+    "calibrate_label_mode_flag": ["calibrate", *DOCS, "--label-mode", "fuzzy",
+                                  "--out", "calibrator_label_mode_flag.json"],
+    "calibrate_label_mode_config": ["calibrate", *DOCS, "--config", "label_mode_fuzzy.json",
+                                    "--out", "calibrator_label_mode_config.json"],
+    "evaluate_empty_val": ["evaluate", "--task", "task_two_rows.json", "--model", "model_two_rows.json",
+                           "--methods", "none,vector", "--out", "result_empty_val.json"],
 }
 
 
@@ -114,6 +132,7 @@ def main(argv):
     run_steps(STEPS)
     task = json.loads(Path("task.json").read_text())
     Path("task_version_true.json").write_text(json.dumps({**task, "schema_version": True}))
+    Path("label_mode_fuzzy.json").write_text(json.dumps({"label_mode": "fuzzy"}))
     run_steps(FAILING_STEPS)
     env = dict(os.environ, PYTHONPATH=str(src))
     for demo in sorted((src.parent / "demos").glob("*.py")):
