@@ -97,7 +97,7 @@ def cmd_generate(args, opts):
 
 def cmd_train(args, opts):
     """train the source classifier"""
-    task = synthetic.load_task(args.task)
+    task = _load_task(args.task)
     model = synthetic.train(task, track_history=args.history_out is not None, **opts)
     synthetic.save_model(model, args.out)
     if args.history_out is not None:
@@ -109,7 +109,7 @@ def cmd_train(args, opts):
 def cmd_calibrate(args, opts):
     """fit a temperature on a mixup pseudo-target set"""
     cfg = pseudo_target.MixupConfig(**opts)
-    task = synthetic.load_task(args.task)
+    task = _load_task(args.task)
     model = synthetic.load_model(args.model)
     pseudo = pseudo_target.pseudo_set(model, task.target_inputs, cfg)
     calibrator = pseudo_target.fit_on_pseudo_set(pseudo, cfg.label_mode)
@@ -125,7 +125,7 @@ def cmd_evaluate(args, opts):
     report_opts = {key: opts.pop(key) for key in ("methods", "bins") if key in opts}
     # One --seed drives the mixup and the ensemble members alike.
     cfg = pseudo_target.MixupConfig(**opts)
-    task = synthetic.load_task(args.task)
+    task = _load_task(args.task)
     model = synthetic.load_model(args.model)
     result = report.evaluate_all(model, task, mixup_cfg=cfg, **report_opts)
     documents.write_text(args.out, result.to_json())
@@ -140,7 +140,7 @@ def cmd_evaluate(args, opts):
 
 def cmd_sweep(args, opts):
     """mix-ratio sensitivity sweep"""
-    task = synthetic.load_task(args.task)
+    task = _load_task(args.task)
     model = synthetic.load_model(args.model)
     rows = report.lambda_sweep(model, task, **opts)
     report.sweep_to_csv(rows, args.out)
@@ -215,25 +215,29 @@ except (AttributeError, OSError, TypeError):
 def _release_free_heap():
     """Hand the pages of the C heap's free chunks back to the OS, where glibc allows it.
 
-    Once a command has freed a 12.8 MB array, glibc keeps arrays of up to
-    that size in its heap and leaves up to twice it free at the heap's top,
-    so whether a finished command's arrays stay resident depends on where
-    small allocations happened to land. The next command in the same
-    process stacks its own peak on them: repeated in-process ``calibrate``
-    calls on a 100,000-row task peaked at 159 MB, or at 179 MB from the
-    third call on in a process that differed only in its huge-page setting.
+    Reading a task frees its file's text and the base64 strings of its
+    arrays, up to 17 MB each on a 100,000-row task. Once glibc has freed a
+    block that large, it serves later arrays of up to that size from its
+    heap, above the freed strings, which then stay resident. So the CLI
+    calls this once a task is read (``_load_task``), before the command
+    makes its own arrays: back-to-back ``calibrate`` calls on that task
+    then peaked at 157.9 MB, and at 161.5 MB without it.
     """
     if _malloc_trim is not None:
         _malloc_trim(0)
 
 
+def _load_task(path):
+    """``synthetic.load_task(path)``, then the free heap that its decoding left handed back."""
+    task = synthetic.load_task(path)
+    _release_free_heap()
+    return task
+
+
 def main(argv=None):
     try:
         args = _parser().parse_args(argv)
-        try:
-            return _COMMANDS[args.command].run(args, _options(args))
-        finally:
-            _release_free_heap()
+        return _COMMANDS[args.command].run(args, _options(args))
     except _UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -5,16 +5,21 @@ returns to the record's constructor, which validates the values; this
 module owns only the encoding.
 """
 
+import binascii
 import csv
 import json
+import math
 from collections.abc import Mapping
 
 import numpy as np
 
 from .errors import InvalidInputError
-from .numerics import checked_number, row_blocks
+from .numerics import checked_choice, checked_number, row_blocks
 
 SCHEMA_VERSION = 1
+
+# The dtypes an encoded array may hold, each stored little-endian.
+_ARRAY_DTYPES = {"float64": np.dtype("<f8"), "int64": np.dtype("<i8")}
 
 
 def check_keys(mapping, what, required, optional=()):
@@ -47,6 +52,54 @@ def check_document(doc, what, required, optional=()):
                    lambda v: v == SCHEMA_VERSION)
     entries = {key: value for key, value in doc.items() if key != "schema_version"}
     return check_keys(entries, f"{what} document", required, optional)
+
+
+def encoded_array(a):
+    """``a``, a float64 or int64 array, as the JSON object that ``decoded_array`` reads back.
+
+    The object holds the array's little-endian bytes as base64 text, its
+    dtype's name and its shape: ``{"base64": …, "dtype": "float64",
+    "shape": [rows, cols]}``.
+    """
+    data = np.ascontiguousarray(a, _ARRAY_DTYPES[a.dtype.name])
+    text = binascii.b2a_base64(data, newline=False).decode("ascii")
+    return {"base64": text, "dtype": a.dtype.name, "shape": list(a.shape)}
+
+
+def decoded_array(value, what):
+    """The array that ``encoded_array`` made ``value``, the document's ``what``.
+
+    Anything but a mapping, such as a JSON list or null, passes unchanged
+    for the record to judge, so documents that hold their arrays as lists
+    still load. The array is read-only and shares the decoded bytes. A
+    missing or extra key, base64 text that is not strict (a character
+    outside the alphabet, bad padding), a dtype other than float64 and
+    int64, a shape that is not a list of nonnegative integers, and a byte
+    count other than the shape's each raise InvalidInputError naming ``what``.
+    """
+    if not isinstance(value, Mapping):
+        return value
+    entries = check_keys(value, f"{what} array", ("base64", "dtype", "shape"))
+    name = checked_choice(entries["dtype"], f"{what} dtype", _ARRAY_DTYPES)
+    shape = entries["shape"]
+    if not isinstance(shape, list):
+        raise InvalidInputError(f"{what} shape must be a list of sizes, got {shape!r}")
+    shape = [checked_number(n, f"{what} shape entry", True, " >= 0", lambda v: v >= 0) for n in shape]
+    text = entries["base64"]
+    if not isinstance(text, str):
+        raise InvalidInputError(f"{what} base64 must be text, got {type(text).__name__}")
+    try:  # straight from the str: base64.b64decode would first copy it to bytes
+        data = binascii.a2b_base64(text, strict_mode=True)
+    except ValueError as exc:
+        raise InvalidInputError(f"{what} base64 is malformed: {exc}") from None
+    dtype = _ARRAY_DTYPES[name]
+    size = math.prod(shape) * dtype.itemsize
+    if len(data) != size:
+        raise InvalidInputError(f"{what} holds {len(data)} bytes, but a {name} {shape} array takes {size}")
+    try:
+        return np.frombuffer(data, dtype).reshape(shape)
+    except ValueError as exc:  # a size 0 array whose other sizes numpy cannot shape
+        raise InvalidInputError(f"{what} shape {shape} is too large for numpy: {exc}") from None
 
 
 def json_text(doc, indent=None):

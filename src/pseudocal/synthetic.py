@@ -13,7 +13,9 @@ from types import MappingProxyType
 
 import numpy as np
 
-from .documents import SCHEMA_VERSION, check_document, check_keys, read_json, write_json
+from .documents import (
+    SCHEMA_VERSION, check_document, check_keys, decoded_array, encoded_array, read_json, write_json,
+)
 from .errors import InvalidInputError, InvalidSpecError, LabelsRequiredError, TrainingError
 from .numerics import (
     argmax_rows, checked_choice, checked_number, class_indices, finite_array, frozen_copy,
@@ -401,6 +403,8 @@ _SPEC_KEYS = tuple(f.name for f in fields(ShiftSpec))
 _TASK_KEYS = (
     ("spec", "target_inputs"), ("source_inputs", "source_labels", "target_labels", "val_fraction")
 )
+# The task's arrays, each held in its document as ``documents.encoded_array`` writes it.
+_TASK_ARRAYS = ("source_inputs", "source_labels", "target_inputs", "target_labels")
 _MODEL_KEYS = {
     "logistic": (("kind", "weights", "bias", "gamma"), ("train_config",)),
     "ensemble": (("kind", "members"), ()),
@@ -408,21 +412,21 @@ _MODEL_KEYS = {
 
 
 def task_to_dict(task):
+    arrays = {key: getattr(task, key) for key in _TASK_ARRAYS}
     return {
         "schema_version": SCHEMA_VERSION,
         "spec": asdict(task.spec),
         "val_fraction": task.val_fraction,
-        "source_inputs": task.source_inputs.tolist() if task.has_source else None,
-        "source_labels": task.source_labels.tolist() if task.has_source else None,
-        "target_inputs": task.target_inputs.tolist(),
-        "target_labels": task.target_labels.tolist() if task.has_target_labels else None,
+        **{key: None if a is None else encoded_array(a) for key, a in arrays.items()},
     }
 
 
 def task_from_dict(doc):
+    """The task a task document holds; its arrays may be encoded or JSON lists."""
     entries = check_document(doc, "task", *_TASK_KEYS)
     spec = ShiftSpec(**check_keys(entries["spec"], "task spec", _SPEC_KEYS))
-    return SyntheticTask(**{**entries, "spec": spec})
+    arrays = {key: decoded_array(entries[key], key) for key in _TASK_ARRAYS if key in entries}
+    return SyntheticTask(**{**entries, **arrays, "spec": spec})
 
 
 def model_to_dict(model):

@@ -5,6 +5,8 @@ or dense grids so they stay independent of the library code paths they
 check.
 """
 
+import base64
+
 import numpy as np
 
 from pseudocal import metrics, pseudo_target, scalers, synthetic
@@ -12,6 +14,24 @@ from pseudocal.errors import InvalidInputError, TrainingError
 
 T_MIN, T_MAX = 0.05, 20.0
 PROB_EPS = 1e-12
+
+TASK_ARRAYS = ("source_inputs", "source_labels", "target_inputs", "target_labels")
+
+
+def list_form(doc):
+    """A task document whose encoded arrays are the JSON lists that task documents first held.
+
+    Decodes each ``{"base64", "dtype", "shape"}`` object with the base64
+    module, not with the package's own decoder.
+    """
+    def listed(value):
+        if not isinstance(value, dict):
+            return value
+        dtype = {"float64": "<f8", "int64": "<i8"}[value["dtype"]]
+        data = base64.b64decode(value["base64"], validate=True)
+        return np.frombuffer(data, dtype).reshape(value["shape"]).tolist()
+
+    return {key: listed(value) if key in TASK_ARRAYS else value for key, value in doc.items()}
 
 
 def nll(p, y):

@@ -12,6 +12,8 @@ from hypothesis import given, settings, strategies as st
 from pseudocal import cli, pseudo_target, report, scalers, synthetic
 from pseudocal.metrics import DEFAULT_BINS, PredictionBatch, ece, mean_brier, mean_nll
 
+from _util import list_form
+
 
 def run(argv):
     return cli.main(argv)
@@ -249,8 +251,9 @@ def test_malformed_input_is_a_one_line_error(
     workspace, tmp_path, capsys, command, damaged, damage, code
 ):
     root, task, model = workspace
-    docs = {"task": json.loads(task.read_text()), "model": json.loads(model.read_text()), "config": {},
-            "flags": []}
+    # The task's arrays as JSON lists, so that damage can reach single rows and labels.
+    docs = {"task": list_form(json.loads(task.read_text())), "model": json.loads(model.read_text()),
+            "config": {}, "flags": []}
     damage(docs[damaged])
     paths = {"task": task, "model": model}
     if damaged != "flags":
@@ -492,8 +495,7 @@ def test_generate_with_target_priors(tmp_path, capsys):
         "--n-source", "100", "--n-target", "100", "--seed", "1",
         "--out", str(out),
     ]) == 0
-    doc = json.loads(out.read_text())
-    assert set(doc["target_labels"]) == {0, 1}
+    assert set(synthetic.load_task(out).target_labels.tolist()) == {0, 1}
     # malformed priors are a usage error
     assert run([
         "generate", "--target-priors", "0.5,oops", "--out", str(tmp_path / "x.json"),

@@ -6,17 +6,19 @@ or holds the ``.10g`` number format of the CSV files.
 Every record's ``*_from_dict`` goes through ``documents.check_document``,
 and renaming any key of a valid document makes its loader fail.
 
-The fuzz tests damage valid task, model, calibrator and config documents
-of a tiny cell one entry at a time (drop it, or swap in a value of
-another type, NaN, an infinity, an out-of-range number or a ragged
-array) and check that loaders raise only InvalidInputError and that the
-CLI either succeeds or prints exactly one error line.
+The fuzz tests damage valid task (arrays encoded and as JSON lists),
+model, calibrator and config documents of a tiny cell one entry at a time
+(drop it, or swap in a value of another type, NaN, an infinity, an
+out-of-range number, a ragged array or base64 text of the wrong length)
+and check that loaders raise only InvalidInputError and that the CLI
+either succeeds or prints exactly one error line.
 """
 
 import ast
 import contextlib
 import copy
 import csv
+import dataclasses
 import io
 import json
 import re
@@ -32,10 +34,13 @@ import pseudocal
 from pseudocal import cli, documents, metrics, numerics, scalers, synthetic
 from pseudocal.errors import InvalidInputError
 
+from _util import TASK_ARRAYS, list_form
+
 SRC = Path(pseudocal.__file__).parent
 
 DROP = object()
-REPLACEMENTS = (None, "x", True, [], {}, float("nan"), float("inf"), -1, 7, 2.0, [[1.0]])
+# "AAAAAAAAAAA=" is strict base64 of 8 bytes: one float64 or int64.
+REPLACEMENTS = (None, "x", True, [], {}, float("nan"), float("inf"), -1, 7, 2.0, [[1.0]], "AAAAAAAAAAA=")
 
 
 def test_only_the_documents_module_encodes_documents():
@@ -151,6 +156,7 @@ def cell(tmp_path_factory):
     )
     docs = {
         "task": _plain(synthetic.task_to_dict(task)),
+        "task_lists": list_form(_plain(synthetic.task_to_dict(task))),
         "model": _plain(synthetic.model_to_dict(model)),
         "ensemble": _plain(synthetic.model_to_dict(synthetic.EnsembleModel(members=(model, model)))),
         "temperature": _plain(scalers.calibrator_to_dict(scalers.fit_temperature(batch))),
@@ -211,6 +217,7 @@ def _draw_damage(data, doc):
 
 LOADERS = {
     "task": synthetic.load_task,
+    "task_lists": synthetic.load_task,
     "model": synthetic.load_model,
     "ensemble": synthetic.load_model,
     "temperature": scalers.load_calibrator,
@@ -219,7 +226,7 @@ LOADERS = {
 }
 
 
-@settings(max_examples=400, deadline=None, derandomize=True)
+@settings(max_examples=460, deadline=None, derandomize=True)
 @given(data=st.data())
 def test_loaders_raise_only_invalid_input_on_damaged_documents(cell, data):
     root, docs = cell
@@ -245,20 +252,20 @@ def _run_cli(argv):
     return code, err.getvalue().splitlines() + [str(w.message) for w in caught]
 
 
-@settings(max_examples=150, deadline=None, derandomize=True)
+@settings(max_examples=200, deadline=None, derandomize=True)
 @given(data=st.data())
 def test_cli_succeeds_or_prints_one_error_line_on_damaged_documents(cell, data):
     root, docs = cell
-    kind = data.draw(st.sampled_from(["task", "model", "config"]), label="document")
+    kind = data.draw(st.sampled_from(["task", "task_lists", "model", "config"]), label="document")
     damaged = root / f"damaged-{kind}.json"
     damaged.write_text(_draw_damage(data, docs[kind]))
-    files = {"task": root / "task.json", "model": root / "model.json", kind: damaged}
+    files = {"task": root / "task.json", "model": root / "model.json", kind.split("_")[0]: damaged}
     out = root / "out.json"
     inputs = ["--task", str(files["task"]), "--model", str(files["model"]), "--out", str(out)]
     runs = [["calibrate", *inputs], ["evaluate", "--methods", "ensemble", *inputs]]
     if kind == "config":
         runs = [argv + ["--config", str(damaged)] for argv in runs]
-    if kind == "task":
+    if kind.startswith("task"):
         runs.append(["train", "--task", str(damaged), "--epochs", "5", "--out", str(out)])
     for argv in runs:
         out.unlink(missing_ok=True)
@@ -398,3 +405,111 @@ def test_evaluate_names_a_misspelt_task_or_model_key(cell, kind, key, value):
     code, lines = _run_cli(["evaluate", "--methods", "vector,ensemble", "--task", str(files["task"]),
                             "--model", str(files["model"]), "--out", str(root / "out.json")])
     assert code == 1 and len(lines) == 1 and lines[0].startswith("error:") and repr(key) in lines[0], lines
+
+
+# Doubles at the ends of the range, signed zeros and subnormals, which a
+# decimal round trip of a careless writer could lose.
+EXTREMES = np.array([[0.0, -0.0, 5e-324, -5e-324], [1e308, -1e308, 2.2250738585072014e-308, np.pi]])
+
+
+@pytest.mark.parametrize("a", [
+    EXTREMES, EXTREMES.T, np.array([0, -1, 2**62, -(2**63)]), np.zeros((0, 3)), np.arange(6).reshape(2, 3),
+], ids=["extremes", "transposed", "int64-extremes", "no-rows", "int64-matrix"])
+def test_an_encoded_array_decodes_bit_for_bit_without_a_copy(a):
+    doc = _plain(documents.encoded_array(a))
+    assert sorted(doc) == ["base64", "dtype", "shape"] and doc["shape"] == list(a.shape)
+    back = documents.decoded_array(doc, "x")
+    assert back.dtype == a.dtype and back.shape == a.shape
+    assert back.tobytes() == np.ascontiguousarray(a).tobytes()
+    assert not back.flags.writeable and not back.flags.owndata
+
+
+def test_a_task_round_trips_bit_for_bit_through_its_document(cell, tmp_path):
+    root, _ = cell
+    task = synthetic.load_task(root / "task.json")
+    target = task.target_inputs.copy()
+    target[:4] = EXTREMES.reshape(4, 2)
+    task = dataclasses.replace(task, target_inputs=target)
+    path = tmp_path / "task.json"
+    synthetic.save_task(task, path)
+    for loaded in (synthetic.task_from_dict(synthetic.task_to_dict(task)), synthetic.load_task(path)):
+        assert loaded.spec == task.spec and loaded.val_fraction == task.val_fraction
+        for key in TASK_ARRAYS:
+            a, b = getattr(task, key), getattr(loaded, key)
+            assert (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape, b.tobytes()), key
+
+
+def test_a_task_document_with_list_arrays_loads_as_the_encoded_one(cell, tmp_path):
+    # Task documents written before their arrays were encoded held JSON lists.
+    root, docs = cell
+    path = tmp_path / "task_lists.json"
+    path.write_text(json.dumps(docs["task_lists"]))
+    assert all(isinstance(docs["task_lists"][key], list) for key in TASK_ARRAYS)
+    encoded, lists = synthetic.load_task(root / "task.json"), synthetic.load_task(path)
+    for key in TASK_ARRAYS:
+        a, b = getattr(encoded, key), getattr(lists, key)
+        assert (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape, b.tobytes()), key
+
+
+def _payload(values):
+    """The base64 text of a float64 array."""
+    return documents.encoded_array(np.asarray(values, dtype=np.float64))["base64"]
+
+
+# The cell's task is 3 classes, 2 features, 16 source and 12 target rows.
+NAN_TARGET = np.zeros((12, 2))
+NAN_TARGET[5, 1] = np.nan
+MALFORMED_ARRAYS = [
+    ("target_inputs", {"base64": "AAAA*AAA"},
+     "target_inputs base64 is malformed: Only base64 data is allowed"),
+    ("source_labels", {"base64": "AAA"}, "source_labels base64 is malformed: Incorrect padding"),
+    ("target_labels", {"base64": "AA==AA=="},
+     "target_labels base64 is malformed: Excess data after padding"),
+    ("target_inputs", {"base64": "AAAA\u00e9"},
+     "target_inputs base64 is malformed: string argument should contain only ASCII characters"),
+    ("target_inputs", {"base64": 7}, "target_inputs base64 must be text, got int"),
+    ("target_inputs", {"base64": "AAAAAAAAAAA="},
+     "target_inputs holds 8 bytes, but a float64 [12, 2] array takes 192"),
+    ("source_inputs", {"shape": [16, 3]}, "source_inputs holds 256 bytes, but a float64 [16, 3] array takes 384"),
+    ("source_inputs", {"dtype": "float32"},
+     "unknown source_inputs dtype 'float32'; expected one of float64, int64"),
+    ("target_labels", {"dtype": None}, "unknown target_labels dtype None; expected one of float64, int64"),
+    ("target_labels", {"shape": [True]}, "target_labels shape entry must be an integer >= 0, got True"),
+    ("target_labels", {"shape": [12.0]}, "target_labels shape entry must be an integer >= 0, got 12.0"),
+    ("target_inputs", {"shape": [-12, -2]}, "target_inputs shape entry must be an integer >= 0, got -12"),
+    ("target_labels", {"shape": 12}, "target_labels shape must be a list of sizes, got 12"),
+    ("target_labels", {"base64": "", "shape": [0, 2**63]},
+     f"target_labels shape [0, {2**63}] is too large for numpy: Maximum allowed dimension exceeded"),
+    ("source_labels", {"shape": DROP}, "a source_labels array needs the key 'shape'"),
+    ("target_inputs", {"base64": DROP}, "a target_inputs array needs the key 'base64'"),
+    ("source_inputs", {"order": "C"}, "a source_inputs array has no key 'order'"),
+    ("target_inputs", {"base64": _payload(NAN_TARGET)},
+     "target inputs must be finite, found non-finite values"),
+    ("source_inputs", {"base64": _payload(np.full((16, 2), -np.inf))},
+     "source inputs must be finite, found non-finite values"),
+]
+MALFORMED_IDS = [
+    "bad-alphabet", "bad-padding", "data-after-padding", "not-ascii", "not-text", "short-payload",
+    "shape-too-large", "dtype-float32", "dtype-null", "shape-bool", "shape-float", "shape-negative",
+    "shape-not-a-list", "shape-beyond-numpy", "no-shape", "no-base64", "extra-key", "nan-payload", "inf-payload",
+]
+
+
+def _damaged_array(doc, key, change):
+    entry = {**doc[key], **change}
+    return {**doc, key: {name: value for name, value in entry.items() if value is not DROP}}
+
+
+@pytest.mark.parametrize("key, change, message", MALFORMED_ARRAYS, ids=MALFORMED_IDS)
+def test_a_malformed_encoded_array_is_a_one_line_error_naming_its_key(cell, key, change, message):
+    root, docs = cell
+    path = root / "malformed-array.json"
+    path.write_text(json.dumps(_damaged_array(docs["task"], key, change)))
+    with pytest.raises(InvalidInputError) as caught:
+        synthetic.load_task(path)
+    assert str(caught.value) == message
+    out = root / "out.json"
+    code, lines = _run_cli(["calibrate", "--task", str(path), "--model", str(root / "model.json"),
+                            "--out", str(out)])
+    assert code == 1 and lines == [f"error: InvalidInputError: {message}"]
+    assert not out.exists()

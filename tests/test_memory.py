@@ -14,6 +14,8 @@ import pytest
 from pseudocal import cli, documents, metrics, numerics, pseudo_target, scalers, synthetic
 from pseudocal.errors import InvalidInputError
 
+from _util import TASK_ARRAYS
+
 N, C, DIM = 20_000, 50, 10
 
 
@@ -251,17 +253,37 @@ def test_ensemble_training_holds_under_two_score_buffers():
     assert peak < 2 * buffer_bytes
 
 
-def test_every_command_hands_the_free_heap_back_when_it_ends(tmp_path, monkeypatch):
-    # Also when it fails, so that the next command in the process starts from
-    # what is alive, not from what the last one freed.
+def test_reading_a_task_holds_under_three_times_its_arrays(tmp_path):
+    # The arrays are base64 text in the JSON, 4/3 of their bytes. The read
+    # holds the file's text and then its parsed strings (8/3 of the arrays
+    # at most), and the strings beside the decoded bytes (7/3). Held as
+    # JSON lists, the decimal text and 1.6 M parsed floats took 6.8 times
+    # the arrays.
+    task = synthetic.generate(synthetic.ShiftSpec(n_classes=C, dim=16, n_source=2000, n_target=N, seed=9))
+    path = tmp_path / "task.json"
+    synthetic.save_task(task, path)
+    arrays = sum(getattr(task, key).nbytes for key in TASK_ARRAYS)
+    peak, loaded = peak_bytes(synthetic.load_task, path)
+    assert loaded.target_inputs.tobytes() == task.target_inputs.tobytes()
+    assert peak < 3 * arrays
+
+
+def test_every_task_read_hands_the_free_heap_back(tmp_path, monkeypatch):
+    # Once a command has read its task, before it makes its own arrays, so
+    # that its peak and the next command's stand on what is alive, not on
+    # the file text and base64 strings that the read freed.
     trims = []
     monkeypatch.setattr(cli, "_malloc_trim", trims.append)
-    task = str(tmp_path / "task.json")
+    task, model = str(tmp_path / "task.json"), str(tmp_path / "model.json")
     assert cli.main(["generate", "--n-source", "50", "--n-target", "40", "--out", task]) == 0
+    assert trims == []  # generate reads no task
+    assert cli.main(["train", "--task", task, "--epochs", "2", "--out", model]) == 0
     assert trims == [0]
     assert cli.main(["calibrate", "--task", task, "--model", str(tmp_path / "missing.json"),
                      "--out", str(tmp_path / "cal.json")]) == 1
-    assert trims == [0, 0]
+    assert trims == [0, 0]  # the model was missing, but the task had been read
+    assert cli.main(["calibrate", "--task", str(tmp_path / "missing.json"), "--model", model,
+                     "--out", str(tmp_path / "cal.json")]) == 1
     assert cli.main(["calibrate", "--no-such-flag"]) == 2  # a usage error runs no command
     assert trims == [0, 0]
 

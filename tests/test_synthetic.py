@@ -6,7 +6,7 @@ import pytest
 from pseudocal import metrics, scalers, synthetic
 from pseudocal.errors import InvalidInputError, InvalidSpecError, LabelsRequiredError, TrainingError
 
-from _util import member_by_member_train
+from _util import list_form, member_by_member_train
 
 
 def test_spec_validation():
@@ -475,8 +475,8 @@ def test_model_json_roundtrip(tmp_path):
 )
 def test_malformed_task_and_model_documents_are_rejected(what, damage):
     task = synthetic.generate(synthetic.ShiftSpec(seed=16, n_source=50, n_target=50))
-    if what == "task":
-        doc, from_dict = synthetic.task_to_dict(task), synthetic.task_from_dict
+    if what == "task":  # arrays as JSON lists, so that damage can reach single rows and labels
+        doc, from_dict = list_form(synthetic.task_to_dict(task)), synthetic.task_from_dict
     else:
         ens = synthetic.train(task, epochs=5, lr=0.1, seed=range(2))
         doc, from_dict = synthetic.model_to_dict(ens), synthetic.model_from_dict

@@ -24,7 +24,7 @@ import sys
 from pathlib import Path
 
 import pseudocal
-from pseudocal import cli
+from pseudocal import cli, synthetic
 
 DOCS = ("--task", "task.json", "--model", "model.json")
 METHODS = (
@@ -87,6 +87,13 @@ STEPS = {
     "train_two_rows": ["train", "--task", "task_two_rows.json", "--epochs", "5",
                        "--out", "model_two_rows.json"],
 }
+# A copy of task.json whose arrays are JSON lists, as task documents were
+# first written: its calibrator and provenance equal calibrate_hard's.
+LIST_FORM_STEPS = {
+    "calibrate_task_lists": ["calibrate", "--task", "task_lists.json", "--model", "model.json",
+                             "--seed", "0", "--out", "calibrator_task_lists.json",
+                             "--provenance-out", "pairs_task_lists.csv"],
+}
 # Steps that must fail, so that each error line is an output too.
 # calibrate_version_true reads a copy of task.json whose schema_version is
 # JSON's true, not 1, and calibrate_label_mode_config a config holding an
@@ -131,6 +138,11 @@ def main(argv):
     os.chdir(out)
     run_steps(STEPS)
     task = json.loads(Path("task.json").read_text())
+    loaded = synthetic.load_task("task.json")
+    lists = {key: getattr(loaded, key).tolist()
+             for key in ("source_inputs", "source_labels", "target_inputs", "target_labels")}
+    Path("task_lists.json").write_text(json.dumps({**task, **lists}))
+    run_steps(LIST_FORM_STEPS)
     Path("task_version_true.json").write_text(json.dumps({**task, "schema_version": True}))
     Path("label_mode_fuzzy.json").write_text(json.dumps({"label_mode": "fuzzy"}))
     run_steps(FAILING_STEPS)
