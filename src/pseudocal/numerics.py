@@ -148,14 +148,13 @@ def frozen_copy(values, what, ndim, integer=False):
 
 
 def class_indices(values, n_rows, n_classes, what):
-    """``values`` as ``n_rows`` (None: any number of) int64 class indices in [0, n_classes).
+    """``values`` as ``n_rows`` int64 class indices in [0, n_classes).
 
     Floats, booleans and strings raise InvalidInputError rather than being cast.
     """
     labels = finite_array(values, what, 1, integer=True)
-    rows = len(labels) if n_rows is None else n_rows
-    if labels.shape != (rows,) or np.any(labels < 0) or np.any(labels >= n_classes):
-        raise InvalidInputError(f"{what} must be {rows} class indices in [0, {n_classes})")
+    if labels.shape != (n_rows,) or np.any(labels < 0) or np.any(labels >= n_classes):
+        raise InvalidInputError(f"{what} must be {n_rows} class indices in [0, {n_classes})")
     return labels
 
 

@@ -178,10 +178,12 @@ def fit_temperature(batch, soft_labels=None):
     # shared by the sample's search and the whole set's.
     buffers = np.empty((2, row_blocks(n)[0].stop, batch.num_classes))
     beta = 1.0
-    if soft_labels is None and n >= 8 * SAMPLE_ROWS:
-        every = slice(None, None, n // SAMPLE_ROWS)
-        beta = 1.0 / _search(z[every], labels[every], None, beta, buffers)
-    return Calibrator(kind="temperature", temperature=_search(z, labels, soft_labels, beta, buffers))
+    with np.errstate(over="ignore"):  # far-apart logits overflow d to -inf; the slope check names it
+        if soft_labels is None and n >= 8 * SAMPLE_ROWS:
+            every = slice(None, None, n // SAMPLE_ROWS)
+            beta = 1.0 / _search(z[every], labels[every], None, beta, buffers)
+        temperature = _search(z, labels, soft_labels, beta, buffers)
+    return Calibrator(kind="temperature", temperature=temperature)
 
 
 def _search(z, labels, soft_labels, beta, buffers):
@@ -274,12 +276,10 @@ def _search(z, labels, soft_labels, beta, buffers):
         if abs(step) <= NEWTON_REL_TOL * beta:
             break
     else:
-        if bisections >= 2 or (bound := bound_optimum()) is None:
-            raise OptimizationError(
-                f"temperature fit did not converge in {NEWTON_MAX_ITER} Newton/bisection steps",
-                probe=1.0 / beta,
-            )
-        return bound
+        raise OptimizationError(
+            f"temperature fit did not converge in {NEWTON_MAX_ITER} Newton/bisection steps",
+            probe=1.0 / beta,
+        )
     if bisections < 2 and (bound := bound_optimum()) is not None:
         return bound
     return min(max(1.0 / beta, T_MIN), T_MAX)

@@ -4,6 +4,7 @@ import contextlib
 import hashlib
 import io
 import json
+import re
 from pathlib import Path
 
 import pytest
@@ -442,6 +443,17 @@ def test_history_of_a_task_without_target_labels_is_a_one_line_error(workspace, 
     assert not model.exists() and not hist.exists()
 
 
+def test_train_on_a_task_without_source_data_is_a_one_line_error(workspace, tmp_path, capsys):
+    root, task, _ = workspace
+    target_only = tmp_path / "target_only.json"
+    doc = {**json.loads(task.read_text()), "source_inputs": None, "source_labels": None}
+    target_only.write_text(json.dumps(doc))
+    model = tmp_path / "model.json"
+    assert run(["train", "--task", str(target_only), "--epochs", "3", "--out", str(model)]) == 1
+    assert capsys.readouterr().err == "error: InvalidInputError: training requires source data\n"
+    assert not model.exists()
+
+
 def test_config_file_with_flag_override(workspace, tmp_path):
     root, task, model = workspace
     config = tmp_path / "config.json"
@@ -663,6 +675,23 @@ def test_cli_branches_on_type_only_in_reading_the_config():
     (reader,) = [node for node in tree.body
                  if isinstance(node, ast.FunctionDef) and node.name == "_config_from_dict"]
     assert isinstance_calls(tree) == isinstance_calls(reader) != []
+
+
+def test_the_readme_names_every_subcommand_flag_and_method():
+    """The user guide names whatever a caller can type: each subcommand, flag and method."""
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    (commands,) = [a for a in cli.build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
+    assert set(commands.choices) == set(cli._COMMANDS)
+    flags = {
+        flag
+        for parser in commands.choices.values()
+        for action in parser._actions if not isinstance(action, argparse._HelpAction)
+        for flag in action.option_strings
+    }
+    assert "--config" in flags
+    missing = [name for name in (*cli._COMMANDS, *report.METHODS) if f"`{name}`" not in text]
+    missing += [flag for flag in sorted(flags) if not re.search(re.escape(flag) + r"(?![\w-])", text)]
+    assert missing == []
 
 
 def test_unwritable_output_is_a_one_line_error(tmp_path, capsys):

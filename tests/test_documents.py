@@ -22,6 +22,7 @@ import dataclasses
 import io
 import json
 import re
+import sys
 import warnings
 from functools import reduce
 from pathlib import Path
@@ -43,6 +44,15 @@ DROP = object()
 REPLACEMENTS = (None, "x", True, [], {}, float("nan"), float("inf"), -1, 7, 2.0, [[1.0]], "AAAAAAAAAAA=")
 
 
+def _absolute_imports(node):
+    """The modules an import statement names, but for relative ones (the package itself)."""
+    if isinstance(node, ast.Import):
+        return [alias.name for alias in node.names]
+    if isinstance(node, ast.ImportFrom) and node.level == 0:
+        return [node.module]
+    return []
+
+
 def test_only_the_documents_module_encodes_documents():
     offenders = []
     assert (SRC / "cli.py").is_file()
@@ -50,12 +60,7 @@ def test_only_the_documents_module_encodes_documents():
         if path.name == "documents.py":
             continue
         for node in ast.walk(ast.parse(path.read_text())):
-            if isinstance(node, ast.Import):
-                modules = [alias.name for alias in node.names]
-            elif isinstance(node, ast.ImportFrom) and node.level == 0:
-                modules = [node.module]
-            else:
-                modules = []
+            modules = _absolute_imports(node)
             offenders += [f"{path.name} imports {m}" for m in modules if m.split(".")[0] in ("json", "csv")]
             if isinstance(node, ast.Assign):
                 targets = node.targets
@@ -80,6 +85,19 @@ def test_only_the_documents_module_opens_files():
         for path in sorted(SRC.glob("*.py")) if path.name != "documents.py"
         for node in ast.walk(ast.parse(path.read_text()))
         if isinstance(node, ast.Call) and getattr(node.func, "id", getattr(node.func, "attr", None)) == "open"
+    ]
+    assert (SRC / "cli.py").is_file()
+    assert offenders == []
+
+
+def test_the_package_imports_only_itself_numpy_and_the_standard_library():
+    """numpy is the one dependency pyproject.toml declares; scipy, say, would cost RSS and start-up."""
+    allowed = {"pseudocal", "numpy", *sys.stdlib_module_names}
+    offenders = [
+        f"{path.name} imports {m}"
+        for path in sorted(SRC.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text()))
+        for m in _absolute_imports(node) if m.split(".")[0] not in allowed
     ]
     assert (SRC / "cli.py").is_file()
     assert offenders == []

@@ -484,6 +484,18 @@ def test_fit_temperature_raises_when_iteration_cap_is_hit(monkeypatch):
         scalers.fit_temperature(metrics.PredictionBatch(logits=z, labels=y))
 
 
+@pytest.mark.filterwarnings("error")
+def test_fit_temperature_names_a_non_finite_gradient_and_warns_nothing():
+    # The row [1e308, -1e308] overflows z - rowmax(z) to -inf.
+    z, y = [[1e308, -1e308], [0.0, 1.0], [2.0, 0.5]], [1, 1, 0]
+    for batch, soft in [
+        (metrics.PredictionBatch(logits=z, labels=y), None),
+        (metrics.PredictionBatch(logits=z), np.eye(2)[y]),
+    ]:
+        with pytest.raises(OptimizationError, match=r"^NLL gradient is not finite at T=1\.0$"):
+            scalers.fit_temperature(batch, soft_labels=soft)
+
+
 @st.composite
 def fit_problems(draw):
     """Random logits with hard labels or row-normalized soft labels."""

@@ -359,7 +359,10 @@ def test_source_labels_need_source_inputs():
     with pytest.raises(InvalidInputError, match="source labels need source inputs"):
         synthetic.task_from_dict(doc)
     doc["source_labels"] = None
-    assert not synthetic.task_from_dict(doc).has_source
+    target_only = synthetic.task_from_dict(doc)
+    assert not target_only.has_source
+    with pytest.raises(InvalidInputError, match="^training requires source data$"):
+        synthetic.train(target_only, epochs=3)
 
 
 def test_a_model_document_shares_no_train_config_with_the_model():
