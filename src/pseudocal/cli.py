@@ -53,9 +53,10 @@ def _options(args):
 
     A config value is converted as the text of its flag, ``str(value)``.
     Keys given in neither place are left out, so the library's defaults
-    apply. An unreadable config file, a config key that no command takes
-    or a value a converter rejects is a usage error; a key that only other
-    commands take is ignored, so one config can serve several commands.
+    apply. An unreadable config file, a config key that no command takes,
+    the text ``None`` (a config's null) or text a converter rejects is a
+    usage error; a key that only other commands take is ignored, so one
+    config can serve several commands.
     """
     path = args.config
     try:
@@ -76,6 +77,8 @@ def _options(args):
                 continue
             value = config[key]
         try:
+            if str(value) == "None":  # the text of a config's null
+                raise ValueError("null, or None, is no option's value")
             options[_PARAMETERS.get(key, key)] = convert(str(value))
         except ValueError as exc:
             raise _UsageError(f"malformed {key} {value!r}: {exc}") from exc

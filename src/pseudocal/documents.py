@@ -104,7 +104,10 @@ def decoded_array(value, what):
 
 def json_text(doc, indent=None):
     """``doc`` as JSON text with sorted keys and a final newline."""
-    return json.dumps(doc, sort_keys=True, indent=indent) + "\n"
+    try:
+        return json.dumps(doc, sort_keys=True, indent=indent, allow_nan=False) + "\n"
+    except ValueError as exc:  # NaN or an infinity, which JSON cannot hold
+        raise InvalidInputError(f"cannot write a JSON document: {exc}") from None
 
 
 def write_text(path, text):

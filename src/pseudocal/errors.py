@@ -18,14 +18,7 @@ class LabelsRequiredError(PseudocalError):
 
 
 class OptimizationError(PseudocalError):
-    """The temperature fit hit a non-finite gradient or did not converge.
-
-    The temperature at which it stopped is stored in ``probe``.
-    """
-
-    def __init__(self, message: str, probe: float):
-        super().__init__(message)
-        self.probe = probe
+    """The temperature fit hit a non-finite gradient or did not converge."""
 
 
 class DegenerateTargetError(PseudocalError):

@@ -69,7 +69,8 @@ class PredictionBatch:
         is monotone, so ``1 / sum(exp(z - max z))`` is the max of
         ``probabilities()`` bit for bit.
         """
-        e = self.logits - reduce_classes(np.maximum, self.logits)
+        with np.errstate(over="ignore"):  # as in numerics._shifted, an overflowing entry is -inf
+            e = self.logits - reduce_classes(np.maximum, self.logits)
         np.exp(e, out=e)
         return 1.0 / reduce_classes(np.add, e)[:, 0]
 
@@ -186,9 +187,8 @@ def mean_brier(batch):
     """Mean per-sample Brier score (1/C normalization) over a labeled batch."""
     _require_labels(batch)
     p = batch.probabilities()
-    onehot = np.zeros_like(p)
-    onehot[np.arange(batch.n), batch.labels] = 1.0
-    return float(np.mean(reduce_classes(np.add, (p - onehot) ** 2)[:, 0] / batch.num_classes))
+    p[np.arange(batch.n), batch.labels] -= 1.0
+    return float(np.mean(reduce_classes(np.add, p**2)[:, 0] / batch.num_classes))
 
 
 def bin_columns(*stats):

@@ -43,12 +43,17 @@ def reduce_classes(ufunc, a, out=None):
     return out
 
 
-def _logit_stack(z, what):
-    """``z`` as a finite float64 array of any dimensionality, with at least one class."""
+def _shifted(z, what):
+    """``z - max(z)`` along the last axis, for ``z`` a finite float64 array with at least one class.
+
+    A row that spans more than the float range shifts its lowest entries
+    to ``-inf``, probability 0, without an overflow warning.
+    """
     z = finite_array(z, f"{what} logits", None)
     if z.shape[-1:] == (0,):
         raise InvalidInputError(f"{what} logits need at least one class")
-    return z
+    with np.errstate(over="ignore"):
+        return z - reduce_classes(np.maximum, z)
 
 
 def softmax(z):
@@ -57,8 +62,7 @@ def softmax(z):
     Accepts a single logit vector or any stack of row vectors, such as an
     (n, C) matrix.
     """
-    z = _logit_stack(z, "softmax")
-    e = np.exp(z - reduce_classes(np.maximum, z))
+    e = np.exp(_shifted(z, "softmax"))
     e /= reduce_classes(np.add, e)
     return e
 
@@ -165,8 +169,7 @@ def log_softmax(z):
     confidently wrong sample keeps its full loss instead of the ~27.6
     nats a 1e-12 probability clamp would cap it at.
     """
-    z = _logit_stack(z, "log_softmax")
-    d = z - reduce_classes(np.maximum, z)
+    d = _shifted(z, "log_softmax")
     return d - np.log(reduce_classes(np.add, np.exp(d)))
 
 

@@ -138,8 +138,8 @@ class _Inputs:
         self.model = model
         self.task = task
         self.mixup_cfg = mixup_cfg
-        self.target_logits = pseudo_target.infer(model, task.target_inputs)
-        self.target_batch = PredictionBatch(logits=self.target_logits, labels=task.target_labels)
+        logits = pseudo_target.infer(model, task.target_inputs)
+        self.target_batch = PredictionBatch(logits=logits, labels=task.target_labels)
         self.target_pseudo_labels = self.target_batch.predictions()
 
     @cached_property
@@ -192,11 +192,11 @@ METHODS = {
     "pseudocal": Method(UNLABELED_TARGET, _mixup()),
     "pseudo_label": Method(
         UNLABELED_TARGET,
-        lambda data: (pseudo_target.variant_pseudo_label(data.target_logits), None),
+        lambda data: (pseudo_target.variant_pseudo_label(data.target_batch.logits), None),
     ),
     "filtered_pl": Method(
         UNLABELED_TARGET,
-        lambda data: (pseudo_target.variant_filtered_pl(data.target_logits), None),
+        lambda data: (pseudo_target.variant_filtered_pl(data.target_batch.logits), None),
     ),
     "pseudocal_same": Method(UNLABELED_TARGET, _mixup(pairing="same")),
     "beta_mixup": Method(UNLABELED_TARGET, _mixup(lambda_policy="beta")),

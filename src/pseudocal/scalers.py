@@ -238,7 +238,7 @@ def _search(z, labels, soft_labels, beta, buffers):
         # np.mean's own pairwise sum and division, without its Python wrapper.
         slope = float(np.add.reduce(row_slope) / n)
         if not math.isfinite(slope):
-            raise OptimizationError(f"NLL gradient is not finite at T={1.0 / beta!r}", probe=1.0 / beta)
+            raise OptimizationError(f"NLL gradient is not finite at T={1.0 / beta!r}")
         return slope, float(np.add.reduce(row_curvature) / n)
 
     def bound_optimum():
@@ -277,8 +277,7 @@ def _search(z, labels, soft_labels, beta, buffers):
             break
     else:
         raise OptimizationError(
-            f"temperature fit did not converge in {NEWTON_MAX_ITER} Newton/bisection steps",
-            probe=1.0 / beta,
+            f"temperature fit did not converge in {NEWTON_MAX_ITER} Newton/bisection steps"
         )
     if bisections < 2 and (bound := bound_optimum()) is not None:
         return bound

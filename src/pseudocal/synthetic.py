@@ -90,10 +90,7 @@ class ShiftSpec:
                 raise InvalidSpecError("target priors must have one entry per class")
             if np.any(priors < 0):
                 raise InvalidSpecError("target priors must be nonnegative")
-            total = priors.sum()
-            if total == 0:
-                raise InvalidSpecError("target priors cannot all be zero")
-            if abs(total - 1.0) > 1e-9:
+            if abs(priors.sum() - 1.0) > 1e-9:
                 raise InvalidSpecError("target priors must sum to 1")
             object.__setattr__(self, "target_priors", tuple(float(p) for p in priors))
 

@@ -311,6 +311,21 @@ def bench_setup(seed, target_priors=None):
     return task, model, batch
 
 
+def overflow_cell():
+    """A 2-class target whose logit rows [1e308, -1e308] span more than the float range.
+
+    The model scores the four target rows [1e308, -1e308], [0, 1], [1e308,
+    -1e308], [0, 1], each wrong. Rows 0 and 2 put probability 0 on their
+    label, so the mean NLL is infinite.
+    """
+    spec = synthetic.ShiftSpec(n_classes=2, dim=2, n_source=2, n_target=4)
+    task = synthetic.SyntheticTask(
+        spec=spec, target_inputs=[[1, 0], [0, 1], [1, 0], [0, 1]], target_labels=[1, 0, 1, 0]
+    )
+    model = synthetic.TrainedClassifier(weights=[[1e308, -1e308], [0, 1]], bias=[0, 0])
+    return task, model
+
+
 def chance_correspondence(pseudo, target_labels, seed, n_draws=20):
     """Simulation oracle: correspondence rate under label permutation."""
     rng = np.random.default_rng(seed)

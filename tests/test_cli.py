@@ -13,7 +13,7 @@ from hypothesis import given, settings, strategies as st
 from pseudocal import cli, pseudo_target, report, scalers, synthetic
 from pseudocal.metrics import DEFAULT_BINS, PredictionBatch, ece, mean_brier, mean_nll
 
-from _util import list_form
+from _util import list_form, overflow_cell
 
 
 def run(argv):
@@ -702,3 +702,36 @@ def test_unwritable_output_is_a_one_line_error(tmp_path, capsys):
     assert captured.err.count("\n") == 1
     assert "Traceback" not in captured.err
     assert not out.parent.exists()
+
+
+def test_a_null_config_value_is_a_usage_error(workspace, tmp_path, capsys):
+    """JSON null converts as the text None, which no option takes: a usage error for every
+    key the command takes, and as a flag's value too."""
+    root, task, model = workspace
+    config, out = tmp_path / "config.json", tmp_path / "never.json"
+    docs = ["--task", str(task), "--model", str(model), "--out", str(out)]
+    rule = "null, or None, is no option's value"
+    for command, key in [("calibrate", "label_mode"), ("evaluate", "methods"), ("sweep", "label_modes")]:
+        config.write_text(json.dumps({key: None}))
+        assert run([command, *docs, "--config", str(config)]) == 2
+        assert capsys.readouterr().err == f"error: malformed {key} None: {rule}\n"
+        assert not out.exists()
+    assert run(["calibrate", *docs, "--label-mode", "None"]) == 2
+    assert capsys.readouterr().err == f"error: malformed label_mode 'None': {rule}\n"
+    # A key that only other commands take is still ignored.
+    config.write_text(json.dumps({"methods": None}))
+    assert run(["calibrate", *docs, "--config", str(config)]) == 0
+
+
+@pytest.mark.filterwarnings("error")  # a warning would be one more stderr line
+def test_a_non_finite_result_is_a_one_line_error(tmp_path, capsys):
+    task, model = overflow_cell()
+    task_path, model_path, out = tmp_path / "task.json", tmp_path / "model.json", tmp_path / "r.json"
+    synthetic.save_task(task, task_path)
+    synthetic.save_model(model, model_path)
+    argv = ["evaluate", "--task", str(task_path), "--model", str(model_path), "--methods", "none"]
+    assert run([*argv, "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: InvalidInputError: cannot write a JSON document:")
+    assert err.count("\n") == 1
+    assert not out.exists()

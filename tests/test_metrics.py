@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from pseudocal import metrics
-from pseudocal.numerics import reduce_classes
+from pseudocal.numerics import log_softmax, reduce_classes, softmax
 from pseudocal.errors import InvalidInputError, LabelsRequiredError
 
 from _util import brier, ece_bruteforce, nll, random_batch
@@ -267,3 +267,18 @@ def test_bin_stats_csv():
     assert lines[0] == "bin_lower,bin_upper,count,accuracy,confidence"
     assert len(lines) == 3
     assert lines[2].startswith("0.5,1,2,1,")
+
+
+@pytest.mark.filterwarnings("error")
+def test_rows_that_span_more_than_the_float_range_are_quiet():
+    """Such a row shifts its lowest logit to -inf, probability 0, with no overflow warning."""
+    z = np.array([[1e308, -1e308], [0.0, 1.0], [2.0, 0.5]])
+    batch = metrics.PredictionBatch(logits=z, labels=[1, 1, 0])
+    finite = metrics.PredictionBatch(logits=z[1:], labels=[1, 0])
+    p = softmax(z)
+    assert p[0].tolist() == [1.0, 0.0]
+    assert log_softmax(z)[0].tolist() == [0.0, -np.inf]
+    assert batch.confidences().tolist() == p.max(axis=1).tolist()
+    assert metrics.ece(batch) == pytest.approx((1.0 + 2 * metrics.ece(finite)) / 3, rel=1e-12)
+    assert metrics.mean_brier(batch) == pytest.approx((1.0 + 2 * metrics.mean_brier(finite)) / 3)
+    assert metrics.mean_nll(batch) == np.inf

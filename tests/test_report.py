@@ -11,7 +11,7 @@ from pseudocal import metrics, pseudo_target, report, scalers, synthetic
 from pseudocal.errors import DataAccessError, InvalidInputError, LabelsRequiredError
 from pseudocal.pseudo_target import MixupConfig
 
-from _util import bench_setup
+from _util import bench_setup, overflow_cell
 
 
 @pytest.fixture(scope="module")
@@ -427,3 +427,11 @@ def test_each_input_set_is_inferred_once(cell, monkeypatch):
     calls.clear()
     pseudo_target.calibrate(model, task.target_inputs, pseudo_target.MixupConfig(seed=0))
     assert len(calls) == 2
+
+
+def test_a_result_with_a_non_finite_score_is_no_json_document():
+    task, model = overflow_cell()
+    result = report.evaluate_all(model, task, ["none"])
+    assert result.methods["none"].nll == math.inf
+    with pytest.raises(InvalidInputError, match="not JSON compliant"):
+        result.to_json()

@@ -96,8 +96,11 @@ LIST_FORM_STEPS = {
 }
 # Steps that must fail, so that each error line is an output too.
 # calibrate_version_true reads a copy of task.json whose schema_version is
-# JSON's true, not 1, and calibrate_label_mode_config a config holding an
-# unknown label mode.
+# JSON's true, not 1, calibrate_label_mode_config a config holding an
+# unknown label mode and calibrate_label_mode_null one holding null.
+# evaluate_non_finite scores a model whose logit rows [1e308, -1e308] span
+# more than the float range and put probability 0 on their label, so its
+# NLL is infinite, which JSON cannot hold.
 FAILING_STEPS = {
     "generate_one_class": ["generate", "--classes", "1", "--out", "task_one_class.json"],
     "evaluate_unknown_method": ["evaluate", *DOCS, "--methods", "none,bogus",
@@ -110,6 +113,10 @@ FAILING_STEPS = {
                                   "--out", "calibrator_label_mode_flag.json"],
     "calibrate_label_mode_config": ["calibrate", *DOCS, "--config", "label_mode_fuzzy.json",
                                     "--out", "calibrator_label_mode_config.json"],
+    "calibrate_label_mode_null": ["calibrate", *DOCS, "--config", "label_mode_null.json",
+                                  "--out", "calibrator_label_mode_null.json"],
+    "evaluate_non_finite": ["evaluate", "--task", "task_overflow.json", "--model", "model_overflow.json",
+                            "--methods", "none", "--out", "result_non_finite.json"],
     "evaluate_empty_val": ["evaluate", "--task", "task_two_rows.json", "--model", "model_two_rows.json",
                            "--methods", "none,vector", "--out", "result_empty_val.json"],
 }
@@ -145,6 +152,13 @@ def main(argv):
     run_steps(LIST_FORM_STEPS)
     Path("task_version_true.json").write_text(json.dumps({**task, "schema_version": True}))
     Path("label_mode_fuzzy.json").write_text(json.dumps({"label_mode": "fuzzy"}))
+    Path("label_mode_null.json").write_text(json.dumps({"label_mode": None}))
+    spec = synthetic.ShiftSpec(n_classes=2, dim=2, n_source=2, n_target=4)
+    synthetic.save_task(synthetic.SyntheticTask(
+        spec=spec, target_inputs=[[1, 0], [0, 1], [1, 0], [0, 1]], target_labels=[1, 0, 1, 0]
+    ), "task_overflow.json")
+    model = synthetic.TrainedClassifier(weights=[[1e308, -1e308], [0, 1]], bias=[0, 0])
+    synthetic.save_model(model, "model_overflow.json")
     run_steps(FAILING_STEPS)
     env = dict(os.environ, PYTHONPATH=str(src))
     for demo in sorted((src.parent / "demos").glob("*.py")):
